@@ -11,7 +11,8 @@
 //! which Algorithm 2 then compresses.
 
 use crate::{Elp, Tag, TaggedGraph, TaggedNode};
-use tagger_routing::Path;
+use std::convert::Infallible;
+use tagger_routing::{Path, PrefixWalker};
 use tagger_topo::Topology;
 
 /// Runs Algorithm 1 over an ELP given as any path iterator. The tag starts
@@ -23,19 +24,19 @@ where
 {
     use std::borrow::Borrow;
     let mut g = TaggedGraph::new();
+    // A hop's node is (ingress port, hop number): the same for every path
+    // that shares the prefix up to it, so a shared prefix is not re-walked.
+    let mut walker = PrefixWalker::new();
     for path in paths {
-        let path = path.borrow();
-        let mut tag = Tag::INITIAL;
-        let mut last: Option<TaggedNode> = None;
-        for ingress in path.ingress_ports(topo) {
+        let Ok(()) = walker.walk(topo, path.borrow(), |_, prev, _, ingress| {
+            let tag = prev.map_or(Tag::INITIAL, |(_, t): (_, Tag)| t.next());
             let node = TaggedNode { port: ingress, tag };
-            g.add_node(node);
-            if let Some(prev) = last {
-                g.add_edge(prev, node);
+            match prev {
+                Some((port, tag)) => g.add_edge(TaggedNode { port, tag }, node),
+                None => g.add_node(node),
             }
-            last = Some(node);
-            tag = tag.next();
-        }
+            Ok::<Tag, Infallible>(tag)
+        });
     }
     g
 }

@@ -77,6 +77,11 @@ impl Elp {
         self.paths.extend(paths);
     }
 
+    /// Keeps only the paths `keep` accepts, in order.
+    pub fn retain(&mut self, keep: impl FnMut(&Path) -> bool) {
+        self.paths.retain(keep);
+    }
+
     /// Longest path length in hops (`T` bound of paper §5.3), 0 if empty.
     pub fn max_hops(&self) -> usize {
         self.paths.iter().map(Path::hops).max().unwrap_or(0)
@@ -122,6 +127,18 @@ mod tests {
         // Longest loop-free up-down path: H-T-L-S-L-T-H has 6 hops and
         // within-pod spine detours have the same length.
         assert_eq!(elp.max_hops(), 6);
+    }
+
+    #[test]
+    fn retain_filters_in_order() {
+        let topo = ClosConfig::small().build();
+        let all = Elp::updown(&topo);
+        let h1 = topo.expect_node("H1");
+        let mut elp = all.clone();
+        elp.retain(|p| p.src() == h1);
+        let expected: Vec<_> = all.paths().iter().filter(|p| p.src() == h1).collect();
+        assert!(!expected.is_empty() && expected.len() < all.len());
+        assert_eq!(elp.paths().iter().collect::<Vec<_>>(), expected);
     }
 
     #[test]

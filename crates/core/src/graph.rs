@@ -46,12 +46,35 @@ impl fmt::Display for Tag {
 
 /// A node of the tagged graph: ingress port `A_i` paired with a tag it may
 /// receive lossless packets with.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaggedNode {
     /// The ingress port.
     pub port: GlobalPort,
     /// The tag carried by packets arriving at that port.
     pub tag: Tag,
+}
+
+impl TaggedNode {
+    /// `(node, port, tag)` packed most-significant first: comparing keys
+    /// is comparing the fields in order, in one integer compare — the
+    /// graph's sets are searched once per hop of every walked path.
+    fn sort_key(self) -> u64 {
+        (u64::from(self.port.node.0) << 32)
+            | (u64::from(self.port.port.0) << 16)
+            | u64::from(self.tag.0)
+    }
+}
+
+impl Ord for TaggedNode {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.sort_key().cmp(&other.sort_key())
+    }
+}
+
+impl PartialOrd for TaggedNode {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl fmt::Debug for TaggedNode {
@@ -120,11 +143,14 @@ impl TaggedGraph {
         self.nodes.insert(node);
     }
 
-    /// Inserts an edge, adding both endpoints as nodes. Idempotent.
+    /// Inserts an edge, adding both endpoints as nodes. Idempotent: an
+    /// edge already present brought its endpoints with it, so re-adding
+    /// it costs one lookup.
     pub fn add_edge(&mut self, from: TaggedNode, to: TaggedNode) {
-        self.nodes.insert(from);
-        self.nodes.insert(to);
-        self.edges.insert((from, to));
+        if self.edges.insert((from, to)) {
+            self.nodes.insert(from);
+            self.nodes.insert(to);
+        }
     }
 
     /// Number of nodes.

@@ -10,7 +10,8 @@ use crate::span::{spanned_words, Span};
 use crate::{Elp, Tag, TaggedGraph, TaggedNode, VerifyError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use tagger_topo::{NodeId, NodeKind, PortId, Topology};
+use tagger_routing::PrefixWalker;
+use tagger_topo::{GlobalPort, NodeId, NodeKind, PortId, Topology};
 
 /// One match-action rule on one switch: packets arriving on `in_port`
 /// carrying `tag`, about to leave via `out_port`, are rewritten to
@@ -793,55 +794,39 @@ impl Tagging {
         // previously-missing key; keys are finite, so this terminates.
         let mut repairs = 0usize;
         loop {
-            let mut added = false;
-            for path in elp.paths() {
-                let mut tag = Tag::INITIAL;
-                let ingresses: Vec<_> = path.ingress_ports(topo).collect();
-                for (hop, pair) in ingresses.windows(2).enumerate() {
-                    let here = pair[0];
-                    let next = pair[1];
-                    let egress = topo.peer_of(next).expect("wired");
-                    match rules.decide(here.node, tag, here.port, egress.port) {
-                        TagDecision::Lossless(t) => tag = t,
-                        TagDecision::Lossy => {
-                            // The greedy-assigned tag of the next hop's
-                            // original (port, hop-count) node; raising to
-                            // at least the current tag keeps rules
-                            // monotone.
-                            let expected = assignment[&TaggedNode {
-                                port: next,
-                                tag: Tag((hop + 2) as u16),
-                            }];
-                            let new_tag = expected.max(tag);
-                            rules.set(
-                                here.node,
-                                SwitchRule {
-                                    tag,
-                                    in_port: here.port,
-                                    out_port: egress.port,
-                                    new_tag,
-                                },
-                            );
-                            repairs += 1;
-                            added = true;
-                            tag = new_tag;
-                        }
-                    }
+            let before = repairs;
+            let Ok(()) = walk_rules(topo, elp, |_, hop, here, tag, next, out_port| {
+                if let TagDecision::Lossless(t) = rules.decide(here.node, tag, here.port, out_port)
+                {
+                    return Ok::<Tag, std::convert::Infallible>(t);
                 }
-            }
-            if !added {
+                // The greedy-assigned tag of the next hop's original
+                // (port, hop-count) node; raising to at least the current
+                // tag keeps rules monotone.
+                let expected = assignment[&TaggedNode {
+                    port: next,
+                    tag: Tag((hop + 2) as u16),
+                }];
+                let new_tag = expected.max(tag);
+                rules.set(
+                    here.node,
+                    SwitchRule {
+                        tag,
+                        in_port: here.port,
+                        out_port,
+                        new_tag,
+                    },
+                );
+                repairs += 1;
+                Ok(new_tag)
+            });
+            if repairs == before {
                 break;
             }
         }
 
         // Certify the closure of the final rules.
-        let seeds = elp.paths().iter().filter_map(|p| {
-            p.ingress_ports(topo).next().map(|port| TaggedNode {
-                port,
-                tag: Tag::INITIAL,
-            })
-        });
-        let closure = rules.closure_graph(topo, seeds);
+        let closure = rules.closure_graph(topo, first_hop_seeds(topo, elp));
         let t = match closure.verify() {
             Ok(()) => Tagging {
                 graph: closure,
@@ -855,13 +840,7 @@ impl Tagging {
                 // compilation cannot conflict, and its closure is
                 // monotone-by-hop-count hence acyclic per tag.
                 let rules = RuleSet::from_graph(topo, &brute)?;
-                let seeds = elp.paths().iter().filter_map(|p| {
-                    p.ingress_ports(topo).next().map(|port| TaggedNode {
-                        port,
-                        tag: Tag::INITIAL,
-                    })
-                });
-                let closure = rules.closure_graph(topo, seeds);
+                let closure = rules.closure_graph(topo, first_hop_seeds(topo, elp));
                 closure.verify().map_err(RuleError::NotDeadlockFree)?;
                 Tagging {
                     graph: closure,
@@ -905,26 +884,66 @@ impl Tagging {
     /// Simulates every ELP path through the rules and checks that no hop
     /// is demoted to lossy: the losslessness half of Tagger's guarantee.
     pub fn check_elp_lossless(&self, topo: &Topology, elp: &Elp) -> Result<(), RuleError> {
-        for (path_index, path) in elp.paths().iter().enumerate() {
-            let mut tag = Tag::INITIAL;
-            let ingresses: Vec<_> = path.ingress_ports(topo).collect();
-            // Walk switch hops: at each intermediate switch the packet is
-            // matched against (tag, in, out).
-            for (hop, pair) in ingresses.windows(2).enumerate() {
-                let here = pair[0]; // ingress at current switch
-                let next = pair[1]; // ingress at next node
-                let egress = topo.peer_of(next).expect("wired");
-                debug_assert_eq!(egress.node, here.node);
-                match self.rules.decide(here.node, tag, here.port, egress.port) {
-                    TagDecision::Lossless(t) => tag = t,
-                    TagDecision::Lossy => {
-                        return Err(RuleError::ElpNotLossless { path_index, hop });
-                    }
-                }
-            }
-        }
-        Ok(())
+        walk_rules(
+            topo,
+            elp,
+            |path_index, hop, here, tag, _, out_port| match self
+                .rules
+                .decide(here.node, tag, here.port, out_port)
+            {
+                TagDecision::Lossless(t) => Ok(t),
+                TagDecision::Lossy => Err(RuleError::ElpNotLossless { path_index, hop }),
+            },
+        )
     }
+
+    /// Takes the tagging apart into its certificate graph and its rules.
+    pub fn into_parts(self) -> (TaggedGraph, RuleSet) {
+        (self.graph, self.rules)
+    }
+}
+
+/// Simulates every ELP path through a rule program: a packet enters hop 0
+/// with [`Tag::INITIAL`], and at each later node `decide(path_index, hop,
+/// here, tag, next, out_port)` gives the tag it leaves with, where it
+/// arrived on ingress port `here` carrying `tag` and leaves by `out_port`
+/// towards ingress port `next` (`hop` counts switch traversals from 0).
+///
+/// The walk resumes each path where it diverges from the one before it:
+/// the tag carried into a hop depends only on the hops up to it, so it is
+/// the same on every path that shares them — as long as `decide` never
+/// changes an answer it has given, which holds for a fixed rule set and
+/// for the repair pass, which only fills keys it found missing.
+fn walk_rules<E>(
+    topo: &Topology,
+    elp: &Elp,
+    mut decide: impl FnMut(usize, usize, GlobalPort, Tag, GlobalPort, PortId) -> Result<Tag, E>,
+) -> Result<(), E> {
+    let mut walker = PrefixWalker::new();
+    for (path_index, path) in elp.paths().iter().enumerate() {
+        walker.walk(topo, path, |hop, prev, egress, next| {
+            let Some((here, tag)) = prev else {
+                return Ok(Tag::INITIAL);
+            };
+            debug_assert_eq!(egress.node, here.node);
+            decide(path_index, hop - 1, here, tag, next, egress.port)
+        })?;
+    }
+    Ok(())
+}
+
+/// The closure seeds an ELP contributes: its paths' first-hop ingress
+/// ports at the initial tag. Consecutive paths mostly share their first
+/// hop; those repeats are dropped.
+fn first_hop_seeds<'a>(topo: &'a Topology, elp: &'a Elp) -> impl Iterator<Item = TaggedNode> + 'a {
+    let mut last = None;
+    elp.paths().iter().filter_map(move |p| {
+        let port = p.ingress_ports(topo).next()?;
+        (last.replace(port) != Some(port)).then_some(TaggedNode {
+            port,
+            tag: Tag::INITIAL,
+        })
+    })
 }
 
 #[cfg(test)]

@@ -2,11 +2,17 @@
 //! the TCAM compiler over randomized inputs.
 
 use proptest::prelude::*;
+use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 use tagger_core::tcam::{Compression, Tcam};
 use tagger_core::{
-    greedy_minimize, tag_by_hop_count, Elp, SwitchRule, Tag, TaggedGraph, TaggedNode,
+    apply_assignment, greedy_assignment, greedy_minimize, tag_by_hop_count, Elp, RuleError,
+    RuleSet, SwitchRule, Tag, TagDecision, TaggedGraph, TaggedNode, Tagging,
 };
-use tagger_topo::{ClosConfig, GlobalPort, JellyfishConfig, NodeId, PortId};
+use tagger_routing::{all_paths_with_bounces, bcube_paths, shortest_paths_all_pairs, Path};
+use tagger_topo::{
+    bcube, BCubeConfig, ClosConfig, FailureSet, GlobalPort, JellyfishConfig, NodeId, PortId,
+    Topology,
+};
 
 fn tn(node: u32, port: u16, tag: u16) -> TaggedNode {
     TaggedNode {
@@ -28,6 +34,259 @@ fn arb_graph() -> impl Strategy<Value = TaggedGraph> {
         }
         g
     })
+}
+
+// The walks of `tag_by_hop_count`, `Tagging::from_elp` and
+// `Tagging::check_elp_lossless` as they were before they resumed at the
+// prefix shared with the previous path: every hop of every path, from
+// hop 0. Kept as the references the resumed walks must reproduce.
+
+fn naive_brute(topo: &Topology, elp: &Elp) -> TaggedGraph {
+    let mut g = TaggedGraph::new();
+    for path in elp.paths() {
+        let mut tag = Tag::INITIAL;
+        let mut last: Option<TaggedNode> = None;
+        for port in path.ingress_ports(topo) {
+            let node = TaggedNode { port, tag };
+            g.add_node(node);
+            if let Some(prev) = last {
+                g.add_edge(prev, node);
+            }
+            last = Some(node);
+            tag = tag.next();
+        }
+    }
+    g
+}
+
+/// Walks one path through `rules` hop by hop; `on_lossy(hop, here, tag,
+/// next, out_port)` supplies the tag where no rule matches, or ends the
+/// walk with its error.
+fn naive_walk<E>(
+    topo: &Topology,
+    rules: &mut RuleSet,
+    path: &Path,
+    mut on_lossy: impl FnMut(&mut RuleSet, usize, GlobalPort, Tag, GlobalPort, PortId) -> Result<Tag, E>,
+) -> Result<(), E> {
+    let mut tag = Tag::INITIAL;
+    let ingresses: Vec<GlobalPort> = path.ingress_ports(topo).collect();
+    for (hop, pair) in ingresses.windows(2).enumerate() {
+        let (here, next) = (pair[0], pair[1]);
+        let egress = topo.peer_of(next).unwrap();
+        tag = match rules.decide(here.node, tag, here.port, egress.port) {
+            TagDecision::Lossless(t) => t,
+            TagDecision::Lossy => on_lossy(rules, hop, here, tag, next, egress.port)?,
+        };
+    }
+    Ok(())
+}
+
+fn naive_check(topo: &Topology, rules: &RuleSet, elp: &Elp) -> Result<(), RuleError> {
+    let mut rules = rules.clone();
+    for (path_index, path) in elp.paths().iter().enumerate() {
+        naive_walk(topo, &mut rules, path, |_, hop, _, _, _, _| {
+            Err(RuleError::ElpNotLossless { path_index, hop })
+        })?;
+    }
+    Ok(())
+}
+
+/// `Tagging::from_elp` with naive walks: the rules, the repair count and
+/// whether the brute-force fallback was deployed.
+fn naive_from_elp(topo: &Topology, elp: &Elp) -> (RuleSet, usize, bool) {
+    let brute = naive_brute(topo, elp);
+    let assignment = greedy_assignment(topo, &brute);
+    let merged = apply_assignment(&brute, &assignment);
+    let mut rules = RuleSet::from_graph_resolving(topo, &merged);
+    let mut repairs = 0usize;
+    loop {
+        let before = repairs;
+        for path in elp.paths() {
+            let Ok(()) = naive_walk(
+                topo,
+                &mut rules,
+                path,
+                |rules, hop, here, tag, next, out_port| {
+                    let expected = assignment[&TaggedNode {
+                        port: next,
+                        tag: Tag((hop + 2) as u16),
+                    }];
+                    let new_tag = expected.max(tag);
+                    rules.set(
+                        here.node,
+                        SwitchRule {
+                            tag,
+                            in_port: here.port,
+                            out_port,
+                            new_tag,
+                        },
+                    );
+                    repairs += 1;
+                    Ok::<Tag, std::convert::Infallible>(new_tag)
+                },
+            );
+        }
+        if repairs == before {
+            break;
+        }
+    }
+    let seeds = elp.paths().iter().filter_map(|p| {
+        p.ingress_ports(topo).next().map(|port| TaggedNode {
+            port,
+            tag: Tag::INITIAL,
+        })
+    });
+    let fallback = rules.closure_graph(topo, seeds).verify().is_err();
+    if fallback {
+        rules = RuleSet::from_graph(topo, &brute).unwrap();
+    }
+    (rules, repairs, fallback)
+}
+
+/// A fabric and a path list over it, in an order the enumerators give
+/// (`order == 0`) or one that breaks their prefix sharing: shuffled, every
+/// path twice in a row, the whole list twice, or dealt round-robin by
+/// source so that neighbours never share a first hop.
+fn arb_elp() -> impl Strategy<Value = (Topology, Elp)> {
+    let fabric = prop_oneof![
+        (
+            1usize..3,
+            1usize..3,
+            1usize..3,
+            1usize..3,
+            0usize..3,
+            1usize..6
+        )
+            .prop_map(
+                |(pods, leaves_per_pod, tors_per_pod, spines, bounces, cap)| {
+                    let topo = ClosConfig {
+                        pods,
+                        leaves_per_pod,
+                        tors_per_pod,
+                        spines,
+                        hosts_per_tor: 2,
+                    }
+                    .build();
+                    let paths = all_paths_with_bounces(&topo, &FailureSet::none(), bounces, cap);
+                    (topo, paths)
+                }
+            ),
+        (6usize..13, 0u64..1000, 1usize..4, any::<bool>()).prop_map(
+            |(switches, seed, cap, between_hosts)| {
+                let topo = JellyfishConfig::half_servers(switches, 4, seed).build();
+                let paths =
+                    shortest_paths_all_pairs(&topo, &FailureSet::none(), cap, between_hosts);
+                (topo, paths)
+            }
+        ),
+        // Strided subsets of BCube's rotated routes are where Algorithm 2
+        // leaves rule gaps for the repair pass to fill.
+        (
+            prop_oneof![Just((2usize, 2usize)), Just((3, 1)), Just((2, 3))],
+            1usize..5,
+            0usize..4
+        )
+            .prop_map(|((n, k), stride, offset)| {
+                let topo = bcube(n, k);
+                let paths = bcube_paths(&BCubeConfig { n, k }, &topo, true)
+                    .into_iter()
+                    .skip(offset)
+                    .step_by(stride)
+                    .collect();
+                (topo, paths)
+            }),
+    ];
+    (fabric, 0usize..5, any::<u64>()).prop_map(|((topo, mut paths), order, seed)| {
+        match order {
+            0 => {}
+            1 => paths.shuffle(&mut StdRng::seed_from_u64(seed)),
+            2 => paths = paths.iter().flat_map(|p| [p.clone(), p.clone()]).collect(),
+            3 => paths.extend(paths.clone()),
+            _ => {
+                let mut by_source: Vec<std::collections::VecDeque<Path>> = Vec::new();
+                for p in paths.drain(..) {
+                    match by_source.iter_mut().find(|q| q[0].src() == p.src()) {
+                        Some(q) => q.push_back(p),
+                        None => by_source.push([p].into()),
+                    }
+                }
+                while !by_source.is_empty() {
+                    by_source.retain_mut(|q| {
+                        paths.extend(q.pop_front());
+                        !q.is_empty()
+                    });
+                }
+            }
+        }
+        (topo, Elp::from_paths(paths))
+    })
+}
+
+/// The pinned repair case: every second rotated route of BCube(2, 3).
+fn bcube_repair_case() -> (Topology, Elp) {
+    let topo = bcube(2, 3);
+    let paths = bcube_paths(&BCubeConfig { n: 2, k: 3 }, &topo, true)
+        .into_iter()
+        .step_by(2)
+        .collect();
+    (topo, Elp::from_paths(paths))
+}
+
+fn assert_matches_naive(topo: &Topology, elp: &Elp) {
+    assert_eq!(tag_by_hop_count(topo, elp), naive_brute(topo, elp));
+    let tagging = Tagging::from_elp(topo, elp).unwrap();
+    let (rules, repairs, fallback) = naive_from_elp(topo, elp);
+    assert_eq!(
+        tagging.rules().to_table_text(topo),
+        rules.to_table_text(topo)
+    );
+    assert_eq!(tagging.repairs(), repairs);
+    assert_eq!(tagging.used_fallback(), fallback);
+    assert_eq!(tagging.check_elp_lossless(topo, elp), Ok(()));
+}
+
+/// The repair pass does run on this ELP, and the resumed walk adds the
+/// same rules in the same order as the naive one. DESIGN §5 records that
+/// repairs happen on BCube only; the count is pinned so that a change to
+/// Algorithm 2 that stops needing them does not leave this test vacuous.
+#[test]
+fn resumed_repair_matches_naive_on_bcube() {
+    let (topo, elp) = bcube_repair_case();
+    assert_eq!(elp.len(), 256);
+    assert_matches_naive(&topo, &elp);
+    assert_eq!(Tagging::from_elp(&topo, &elp).unwrap().repairs(), 12);
+}
+
+/// With any one rule withdrawn from a certified table, the resumed check
+/// blames the same path and hop as the naive walk.
+#[test]
+fn resumed_check_reports_the_naive_failure() {
+    let (topo, elp) = bcube_repair_case();
+    let tagging = Tagging::from_elp(&topo, &elp).unwrap();
+    let mut failures = 0;
+    for (switch, rule) in tagging.rules().iter() {
+        let mut rules = tagging.rules().clone();
+        assert!(rules.remove(switch, rule));
+        let expected = naive_check(&topo, &rules, &elp);
+        failures += usize::from(expected.is_err());
+        let broken = Tagging::new(tagging.graph().clone(), rules).unwrap();
+        assert_eq!(broken.check_elp_lossless(&topo, &elp), expected);
+    }
+    assert!(failures > 0, "no withdrawn rule was on an ELP path");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Resuming each walk at the prefix shared with the previous path
+    /// changes nothing, whatever order the paths come in: Algorithm 1's
+    /// graph, the compiled and repaired rules, the repair count and the
+    /// fallback decision equal those of walking every hop of every path.
+    #[test]
+    fn resumed_walks_match_naive(case in arb_elp()) {
+        let (topo, elp) = case;
+        assert_matches_naive(&topo, &elp);
+    }
 }
 
 proptest! {

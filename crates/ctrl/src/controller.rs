@@ -818,15 +818,17 @@ fn stage(
         .verify()
         .map_err(RuleError::NotDeadlockFree)?;
     let tcam = TcamProgram::compile(topo, tagging.rules(), Compression::Joint);
+    let lossless_tags = tagging.num_lossless_tags_on(topo);
+    let (graph, rules) = tagging.into_parts();
     Ok((
         Snapshot {
             epoch,
             version: state.version,
-            lossless_tags: tagging.num_lossless_tags_on(topo),
+            lossless_tags,
             tcam_worst_switch: tcam.max_entries_per_switch(),
             elp_paths: elp.len(),
-            graph: tagging.graph().clone(),
-            rules: tagging.rules().clone(),
+            graph,
+            rules,
         },
         elp.len(),
     ))

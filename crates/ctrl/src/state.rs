@@ -74,17 +74,11 @@ impl ElpPolicy {
     /// stages from, so a quarantine produces a corrective tagging that
     /// simply stops promising losslessness through the poisoned queue.
     pub fn elp_for(&self, topo: &Topology, state: &NetworkState) -> Elp {
-        let elp = self.elp(topo, &state.failures, &state.extra_paths);
-        if state.quarantines.is_empty() {
-            return elp;
+        let mut elp = self.elp(topo, &state.failures, &state.extra_paths);
+        if !state.quarantines.is_empty() {
+            elp.retain(|p| state.quarantine_allows(topo, p));
         }
-        Elp::from_paths(
-            elp.paths()
-                .iter()
-                .filter(|p| state.quarantine_allows(topo, p))
-                .cloned()
-                .collect(),
-        )
+        elp
     }
 }
 

@@ -42,100 +42,19 @@ pub fn bounce_paths_between_capped(
     max_bounces: usize,
     cap: usize,
 ) -> Vec<Path> {
-    let mut out = Vec::new();
-    if src == dst || cap == 0 {
-        return out;
-    }
-    let mut visited = vec![false; topo.num_nodes()];
-    visited[src.index()] = true;
-    let mut stack = vec![src];
-    dfs(
-        topo,
-        failures,
-        dst,
-        max_bounces,
-        cap,
-        Phase::Up,
-        0,
-        &mut stack,
-        &mut visited,
-        &mut out,
-    );
-    out
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    topo: &Topology,
-    failures: &FailureSet,
-    dst: NodeId,
-    max_bounces: usize,
-    cap: usize,
-    phase: Phase,
-    bounces: usize,
-    stack: &mut Vec<NodeId>,
-    visited: &mut [bool],
-    out: &mut Vec<Path>,
-) {
-    if out.len() >= cap {
-        return;
-    }
-    let here = *stack.last().expect("DFS stack starts with the source");
-    for (_, _, next) in failures.live_neighbors(topo, here) {
-        if out.len() >= cap {
-            return;
-        }
-        if visited[next.index()] {
-            continue;
-        }
-        // Classify the hop; lateral hops are not part of up-down routing.
-        let (next_phase, next_bounces) = if topo.is_up_hop(here, next) {
-            match phase {
-                Phase::Up => (Phase::Up, bounces),
-                Phase::Down => {
-                    if bounces + 1 > max_bounces {
-                        continue;
-                    }
-                    (Phase::Up, bounces + 1)
-                }
-            }
-        } else if topo.is_down_hop(here, next) {
-            (Phase::Down, bounces)
-        } else {
-            continue;
-        };
-        if next == dst {
-            stack.push(next);
-            out.push(Path::new(topo, stack.clone()).expect("DFS builds valid loop-free paths"));
-            stack.pop();
-            continue;
-        }
-        // Only switches forward traffic.
-        if topo.node(next).kind != NodeKind::Switch {
-            continue;
-        }
-        visited[next.index()] = true;
-        stack.push(next);
-        dfs(
-            topo,
-            failures,
-            dst,
-            max_bounces,
-            cap,
-            next_phase,
-            next_bounces,
-            stack,
-            visited,
-            out,
-        );
-        stack.pop();
-        visited[next.index()] = false;
-    }
+    let mut search = Search::new(topo, failures, max_bounces, cap, &[dst]);
+    search.run_from(src);
+    search.buckets.swap_remove(0)
 }
 
 /// Enumerates `≤ max_bounces`-bounce paths between every ordered pair of
 /// distinct hosts, capping at `cap_per_pair` paths per pair
 /// (`usize::MAX` for no cap).
+///
+/// Hosts never forward, so the search tree below a source host is the
+/// same whichever host is the destination: one search per source finds
+/// the paths to every destination, and the output is `(s, d0)` paths,
+/// `(s, d1)` paths, … in host order, each pair's in DFS order.
 pub fn all_paths_with_bounces(
     topo: &Topology,
     failures: &FailureSet,
@@ -143,22 +62,129 @@ pub fn all_paths_with_bounces(
     cap_per_pair: usize,
 ) -> Vec<Path> {
     let hosts: Vec<NodeId> = topo.host_ids().collect();
+    let mut search = Search::new(topo, failures, max_bounces, cap_per_pair, &hosts);
     let mut out = Vec::new();
     for &s in &hosts {
-        for &d in &hosts {
-            if s != d {
-                out.extend(bounce_paths_between_capped(
-                    topo,
-                    failures,
-                    s,
-                    d,
-                    max_bounces,
-                    cap_per_pair,
-                ));
-            }
+        search.run_from(s);
+        for bucket in &mut search.buckets {
+            out.append(bucket);
         }
     }
     out
+}
+
+/// The bounded DFS behind every enumeration in this module: from one
+/// source, collecting the paths that arrive at each destination node into
+/// that destination's bucket.
+struct Search<'a> {
+    topo: &'a Topology,
+    failures: &'a FailureSet,
+    max_bounces: usize,
+    /// A bucket holding this many paths is closed.
+    cap: usize,
+    /// Per node: the bucket its arrivals go to, if it is a destination.
+    bucket_of: Vec<Option<usize>>,
+    buckets: Vec<Vec<Path>>,
+    /// Buckets that can still take a path; the search ends at zero.
+    open: usize,
+    stack: Vec<NodeId>,
+    visited: Vec<bool>,
+}
+
+impl<'a> Search<'a> {
+    /// A search towards the distinct nodes `dests`, bucket `i` taking the
+    /// arrivals at `dests[i]`.
+    fn new(
+        topo: &'a Topology,
+        failures: &'a FailureSet,
+        max_bounces: usize,
+        cap: usize,
+        dests: &[NodeId],
+    ) -> Self {
+        let mut bucket_of = vec![None; topo.num_nodes()];
+        for (i, d) in dests.iter().enumerate() {
+            bucket_of[d.index()] = Some(i);
+        }
+        Search {
+            topo,
+            failures,
+            max_bounces,
+            cap,
+            bucket_of,
+            buckets: vec![Vec::new(); dests.len()],
+            open: 0,
+            stack: Vec::new(),
+            visited: vec![false; topo.num_nodes()],
+        }
+    }
+
+    /// Fills the (empty) buckets with the paths from `src`. `src` itself
+    /// is on the stack throughout, so its own bucket, if it has one,
+    /// stays empty and is not waited for.
+    fn run_from(&mut self, src: NodeId) {
+        let own = usize::from(self.bucket_of[src.index()].is_some());
+        self.open = if self.cap == 0 {
+            0
+        } else {
+            self.buckets.len() - own
+        };
+        self.visited[src.index()] = true;
+        self.stack.push(src);
+        self.dfs(Phase::Up, 0);
+        self.stack.pop();
+        self.visited[src.index()] = false;
+    }
+
+    fn dfs(&mut self, phase: Phase, bounces: usize) {
+        let (topo, failures) = (self.topo, self.failures);
+        let here = *self.stack.last().expect("DFS stack starts with the source");
+        for (_, _, next) in failures.live_neighbors(topo, here) {
+            if self.open == 0 {
+                return;
+            }
+            if self.visited[next.index()] {
+                continue;
+            }
+            // Classify the hop; lateral hops are not part of up-down routing.
+            let (next_phase, next_bounces) = if topo.is_up_hop(here, next) {
+                match phase {
+                    Phase::Up => (Phase::Up, bounces),
+                    Phase::Down => {
+                        if bounces + 1 > self.max_bounces {
+                            continue;
+                        }
+                        (Phase::Up, bounces + 1)
+                    }
+                }
+            } else if topo.is_down_hop(here, next) {
+                (Phase::Down, bounces)
+            } else {
+                continue;
+            };
+            if let Some(b) = self.bucket_of[next.index()] {
+                let bucket = &mut self.buckets[b];
+                if bucket.len() < self.cap {
+                    let mut nodes = Vec::with_capacity(self.stack.len() + 1);
+                    nodes.extend_from_slice(&self.stack);
+                    nodes.push(next);
+                    bucket.push(Path::from_enumeration(topo, nodes));
+                    if bucket.len() == self.cap {
+                        self.open -= 1;
+                    }
+                }
+                continue;
+            }
+            // Only switches forward traffic.
+            if topo.node(next).kind != NodeKind::Switch {
+                continue;
+            }
+            self.visited[next.index()] = true;
+            self.stack.push(next);
+            self.dfs(next_phase, next_bounces);
+            self.stack.pop();
+            self.visited[next.index()] = false;
+        }
+    }
 }
 
 #[cfg(test)]

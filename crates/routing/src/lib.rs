@@ -3,7 +3,8 @@
 //! Everything Tagger needs to know about *where packets may travel*:
 //!
 //! - [`Path`] — a validated, loop-free node sequence with port resolution,
-//!   up/down classification and bounce counting.
+//!   up/down classification and bounce counting; [`PrefixWalker`] walks a
+//!   path list hop by hop without redoing prefixes consecutive paths share.
 //! - [`updown_paths`] / [`updown_paths_between`] — valley-free (up-down)
 //!   path enumeration over layered fabrics (Clos, FatTree).
 //! - [`bounce_paths_between`] / [`all_paths_with_bounces`] — the k-bounce
@@ -35,7 +36,7 @@ pub use bcube::{bcube_route, bcube_route_rotated};
 pub use bounce::bounce_paths_between_capped;
 pub use bounce::{all_paths_with_bounces, bounce_paths_between};
 pub use fib::{EcmpMode, Fib};
-pub use path::{Path, PathError};
+pub use path::{Path, PathError, PrefixWalker};
 pub use shortest::enumerate_from_dag;
 pub use shortest::{
     shortest_path_dag, shortest_paths_all_pairs, shortest_paths_between, ShortestPaths,

@@ -49,13 +49,19 @@ impl Path {
         failures: &FailureSet,
         nodes: Vec<NodeId>,
     ) -> Result<Self, PathError> {
+        Self::validate(topo, failures, &nodes)?;
+        Ok(Path { nodes })
+    }
+
+    fn validate(topo: &Topology, failures: &FailureSet, nodes: &[NodeId]) -> Result<(), PathError> {
         if nodes.len() < 2 {
             return Err(PathError::TooShort);
         }
-        let mut seen = std::collections::BTreeSet::new();
-        for &n in &nodes {
-            if !seen.insert(n) {
-                return Err(PathError::RepeatedNode(n));
+        // Paths are a handful of nodes: scanning the nodes before each one
+        // beats building a set, and reports the same (first repeated) node.
+        for (i, n) in nodes.iter().enumerate() {
+            if nodes[..i].contains(n) {
+                return Err(PathError::RepeatedNode(*n));
             }
         }
         for w in nodes.windows(2) {
@@ -63,7 +69,19 @@ impl Path {
                 return Err(PathError::NotAdjacent(w[0], w[1]));
             }
         }
-        Ok(Path { nodes })
+        Ok(())
+    }
+
+    /// Wraps a node sequence the enumerator built hop by hop over live
+    /// links with a visited set, which is already everything
+    /// [`Path::new`] checks; debug builds check it again.
+    pub(crate) fn from_enumeration(topo: &Topology, nodes: Vec<NodeId>) -> Self {
+        debug_assert_eq!(
+            Self::validate(topo, &FailureSet::none(), &nodes),
+            Ok(()),
+            "enumerated path {nodes:?} is not a valid path"
+        );
+        Path { nodes }
     }
 
     /// Builds a path from node names; panics on invalid input. For tests
@@ -109,22 +127,12 @@ impl Path {
         &'a self,
         topo: &'a Topology,
     ) -> impl Iterator<Item = GlobalPort> + 'a {
-        self.hop_pairs().map(move |(a, b)| {
-            let link = topo
-                .link_between(a, b)
-                .unwrap_or_else(|| panic!("path hop {a}->{b} not in topology"));
-            topo.link(link).endpoint_on(b)
-        })
+        self.hop_pairs().map(move |(a, b)| hop_ports(topo, a, b).1)
     }
 
     /// For each hop, the egress port at the *sending* node.
     pub fn egress_ports<'a>(&'a self, topo: &'a Topology) -> impl Iterator<Item = GlobalPort> + 'a {
-        self.hop_pairs().map(move |(a, b)| {
-            let link = topo
-                .link_between(a, b)
-                .unwrap_or_else(|| panic!("path hop {a}->{b} not in topology"));
-            topo.link(link).endpoint_on(a)
-        })
+        self.hop_pairs().map(move |(a, b)| hop_ports(topo, a, b).0)
     }
 
     /// Counts *bounces*: transitions where the path was going down the
@@ -168,6 +176,93 @@ impl Path {
             }
         }
         D(self, topo)
+    }
+}
+
+/// The two ends of the hop `a → b`: the egress port on `a` and the
+/// ingress port on `b` (of the lowest-numbered port of `a` that leads to
+/// `b`, as [`Topology::link_between`] picks).
+#[inline]
+fn hop_ports(topo: &Topology, a: NodeId, b: NodeId) -> (GlobalPort, GlobalPort) {
+    let (port, link, _) = topo
+        .neighbors(a)
+        .find(|&(_, _, n)| n == b)
+        .unwrap_or_else(|| panic!("path hop {a}->{b} not in topology"));
+    (GlobalPort::new(a, port), topo.link(link).endpoint_on(b))
+}
+
+/// Walks a sequence of paths hop by hop, redoing for each path only the
+/// hops after the prefix it shares with the path before it. On a
+/// DFS-ordered ELP that is work per edge of the ELP's prefix tree rather
+/// than per hop of every path.
+///
+/// For every hop the walker keeps the ingress port at the receiving node
+/// and one caller value `S` (the tag a packet carries there, say). The
+/// caller's `step` computes the value of hop `h` from the kept entry of
+/// hop `h - 1` and the two ports of hop `h`. Keeping the entries of a
+/// shared prefix is sound when `step` is a function of just those — a
+/// hop's ports depend on nodes `h..=h+1` of the path only — and of state
+/// that gives the same answer every time it is asked the same question
+/// during the walk.
+#[derive(Debug)]
+pub struct PrefixWalker<S> {
+    /// The walked part of the last path: `hops.len() + 1` nodes, or none.
+    nodes: Vec<NodeId>,
+    hops: Vec<(GlobalPort, S)>,
+}
+
+impl<S> Default for PrefixWalker<S> {
+    fn default() -> Self {
+        PrefixWalker {
+            nodes: Vec::new(),
+            hops: Vec::new(),
+        }
+    }
+}
+
+impl<S: Copy> PrefixWalker<S> {
+    /// A walker that has seen no path yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Walks `path`, calling `step(hop, previous, egress, ingress)` for
+    /// each hop from the first one that differs from the last path
+    /// walked: `previous` is the `(ingress port, value)` kept for hop
+    /// `hop - 1` (`None` at hop 0), `egress` the port hop `hop` leaves its
+    /// sending node by and `ingress` the port it arrives on. An error
+    /// from `step` ends the walk there and is returned.
+    ///
+    /// # Panics
+    /// Panics if the path does not fit the topology.
+    pub fn walk<E>(
+        &mut self,
+        topo: &Topology,
+        path: &Path,
+        mut step: impl FnMut(usize, Option<(GlobalPort, S)>, GlobalPort, GlobalPort) -> Result<S, E>,
+    ) -> Result<(), E> {
+        let shared = self
+            .nodes
+            .iter()
+            .zip(&path.nodes)
+            .take_while(|(a, b)| a == b)
+            .count();
+        // Hop `h` joins nodes `h` and `h + 1`: with `shared` leading nodes
+        // in common, the hops before `shared - 1` are the last path's.
+        let resume = shared.saturating_sub(1);
+        self.hops.truncate(resume);
+        self.nodes.truncate(shared);
+        if shared == 0 {
+            self.nodes.push(path.src());
+        }
+        for hop in resume..path.hops() {
+            let to = path.nodes[hop + 1];
+            let (egress, ingress) = hop_ports(topo, path.nodes[hop], to);
+            let value = step(hop, self.hops.last().copied(), egress, ingress)?;
+            self.hops.push((ingress, value));
+            self.nodes.push(to);
+        }
+        Ok(())
     }
 }
 
@@ -237,6 +332,18 @@ mod tests {
         let l1 = t.expect_node("L1");
         let err = Path::new(&t, vec![t1, l1, t1]);
         assert_eq!(err, Err(PathError::RepeatedNode(t1)));
+        // The node reported is the first one to come round again, and a
+        // loop is reported ahead of a hop that is not a link (T1-S1).
+        let t2 = t.expect_node("T2");
+        let s1 = t.expect_node("S1");
+        assert_eq!(
+            Path::new(&t, vec![t1, l1, t2, l1, t1]),
+            Err(PathError::RepeatedNode(l1))
+        );
+        assert_eq!(
+            Path::new(&t, vec![t1, s1, t1]),
+            Err(PathError::RepeatedNode(t1))
+        );
     }
 
     #[test]
@@ -272,6 +379,39 @@ mod tests {
         for (e, i) in egs.iter().zip(&ins) {
             assert_eq!(t.peer_of(*e).unwrap(), *i);
         }
+    }
+
+    #[test]
+    fn walker_redoes_only_the_hops_after_the_shared_prefix() {
+        let t = topo();
+        let a = Path::from_names(&t, &["H1", "T1", "L1", "S1", "L3", "T3", "H9"]);
+        let b = Path::from_names(&t, &["H1", "T1", "L1", "S1", "L4", "T4", "H13"]);
+        let short = Path::from_names(&t, &["H1", "T1", "L1"]);
+        let mut walker = PrefixWalker::new();
+        // The value kept per hop is the number of hops up to it; `fail_at`
+        // makes the step refuse one hop.
+        let mut walk = |path: &Path, fail_at: Option<usize>| {
+            let mut stepped = Vec::new();
+            let result = walker.walk(&t, path, |hop, prev, egress, ingress| {
+                assert_eq!(prev.map_or(0, |(_, n)| n), hop);
+                assert_eq!(t.peer_of(egress), Some(ingress));
+                assert_eq!(ingress, path.ingress_ports(&t).nth(hop).unwrap());
+                if fail_at == Some(hop) {
+                    return Err(hop);
+                }
+                stepped.push(hop);
+                Ok(hop + 1)
+            });
+            (stepped, result)
+        };
+        assert_eq!(walk(&a, None), (vec![0, 1, 2, 3, 4, 5], Ok(())));
+        // Four nodes in common: hops 0..=2 are kept, hop 3 leaves S1 anew.
+        assert_eq!(walk(&b, None), (vec![3, 4, 5], Ok(())));
+        assert_eq!(walk(&b, None), (vec![], Ok(())));
+        assert_eq!(walk(&short, None), (vec![], Ok(())));
+        // A refused hop is not kept: the next walk redoes it.
+        assert_eq!(walk(&a, Some(4)), (vec![2, 3], Err(4)));
+        assert_eq!(walk(&a, None), (vec![4, 5], Ok(())));
     }
 
     #[test]

@@ -29,16 +29,7 @@ pub fn updown_paths_between(
 /// Cost grows with fabric size and path diversity; intended for the small
 /// and medium fabrics used in tests and experiments.
 pub fn updown_paths(topo: &Topology, failures: &FailureSet) -> Vec<Path> {
-    let hosts: Vec<NodeId> = topo.host_ids().collect();
-    let mut out = Vec::new();
-    for &s in &hosts {
-        for &d in &hosts {
-            if s != d {
-                out.extend(updown_paths_between(topo, failures, s, d));
-            }
-        }
-    }
-    out
+    crate::bounce::all_paths_with_bounces(topo, failures, 0, usize::MAX)
 }
 
 /// Enumerates up-down paths between all ordered pairs of *switches* of the

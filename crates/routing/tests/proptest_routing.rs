@@ -2,12 +2,176 @@
 
 use proptest::prelude::*;
 use tagger_routing::{
-    bounce_paths_between, bounce_paths_between_capped, shortest_paths_between, EcmpMode, Fib,
+    all_paths_with_bounces, bounce_paths_between, bounce_paths_between_capped,
+    shortest_paths_between, EcmpMode, Fib, Path,
 };
-use tagger_topo::{ClosConfig, FailureSet};
+use tagger_topo::{clos2, ClosConfig, FailureSet, NodeId, NodeKind, Topology};
 
 fn small() -> tagger_topo::Topology {
     ClosConfig::small().build()
+}
+
+/// The k-bounce enumeration as it was before the per-source search: one
+/// bounded DFS per `(src, dst)` pair, every found path validated by
+/// `Path::new`. Kept as the reference the fused search must reproduce
+/// path for path.
+fn reference_bounce_paths(
+    topo: &Topology,
+    failures: &FailureSet,
+    src: NodeId,
+    dst: NodeId,
+    max_bounces: usize,
+    cap: usize,
+) -> Vec<Path> {
+    #[allow(clippy::too_many_arguments)]
+    fn dfs(
+        topo: &Topology,
+        failures: &FailureSet,
+        dst: NodeId,
+        max_bounces: usize,
+        cap: usize,
+        going_down: bool,
+        bounces: usize,
+        stack: &mut Vec<NodeId>,
+        visited: &mut [bool],
+        out: &mut Vec<Path>,
+    ) {
+        let here = *stack.last().unwrap();
+        for (_, _, next) in failures.live_neighbors(topo, here) {
+            if out.len() >= cap {
+                return;
+            }
+            if visited[next.index()] {
+                continue;
+            }
+            let (next_down, next_bounces) = if topo.is_up_hop(here, next) {
+                if going_down && bounces + 1 > max_bounces {
+                    continue;
+                }
+                (false, bounces + usize::from(going_down))
+            } else if topo.is_down_hop(here, next) {
+                (true, bounces)
+            } else {
+                continue;
+            };
+            if next == dst {
+                stack.push(next);
+                out.push(Path::new(topo, stack.clone()).unwrap());
+                stack.pop();
+                continue;
+            }
+            if topo.node(next).kind != NodeKind::Switch {
+                continue;
+            }
+            visited[next.index()] = true;
+            stack.push(next);
+            dfs(
+                topo,
+                failures,
+                dst,
+                max_bounces,
+                cap,
+                next_down,
+                next_bounces,
+                stack,
+                visited,
+                out,
+            );
+            stack.pop();
+            visited[next.index()] = false;
+        }
+    }
+    let mut out = Vec::new();
+    if src == dst || cap == 0 {
+        return out;
+    }
+    let mut visited = vec![false; topo.num_nodes()];
+    visited[src.index()] = true;
+    dfs(
+        topo,
+        failures,
+        dst,
+        max_bounces,
+        cap,
+        false,
+        0,
+        &mut vec![src],
+        &mut visited,
+        &mut out,
+    );
+    out
+}
+
+/// A small 2- or 3-layer Clos: bounce enumeration grows combinatorially,
+/// and the reference walks the fabric once per host pair.
+fn arb_clos() -> impl Strategy<Value = Topology> {
+    prop_oneof![
+        (2usize..5, 1usize..4, 1usize..3)
+            .prop_map(|(tors, spines, hosts)| clos2(tors, spines, hosts)),
+        (1usize..3, 1usize..3, 1usize..4, 1usize..3, 1usize..3).prop_map(
+            |(pods, leaves_per_pod, tors_per_pod, spines, hosts_per_tor)| ClosConfig {
+                pods,
+                leaves_per_pod,
+                tors_per_pod,
+                spines,
+                hosts_per_tor,
+            }
+            .build()
+        ),
+    ]
+}
+
+/// Fails each link whose draw (its index modulo the number of draws) is
+/// zero: about one link in eight.
+fn failures_from(topo: &Topology, draws: &[u8]) -> FailureSet {
+    let mut f = FailureSet::none();
+    for link in topo.link_ids() {
+        if draws[link.index() % draws.len()] == 0 {
+            f.fail(link);
+        }
+    }
+    f
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One search per source gives exactly what one search per pair gave:
+    /// the same paths in the same order, capped per pair at the same
+    /// point — and everything it emits without re-validation is a valid
+    /// path over live links.
+    #[test]
+    fn per_source_search_equals_per_pair_reference(
+        topo in arb_clos(),
+        draws in proptest::collection::vec(0u8..8, 64..65),
+        bounces in 0usize..3,
+        cap in prop_oneof![Just(0usize), Just(1), Just(3), Just(usize::MAX)],
+        pick in any::<u64>(),
+    ) {
+        let failures = failures_from(&topo, &draws);
+        let hosts: Vec<NodeId> = topo.host_ids().collect();
+        let mut reference = Vec::new();
+        for &s in &hosts {
+            for &d in &hosts {
+                reference.extend(reference_bounce_paths(&topo, &failures, s, d, bounces, cap));
+            }
+        }
+        let fused = all_paths_with_bounces(&topo, &failures, bounces, cap);
+        prop_assert_eq!(&fused, &reference);
+        for p in &fused {
+            let checked = Path::new_with_failures(&topo, &failures, p.nodes().to_vec());
+            prop_assert_eq!(checked.as_ref(), Ok(p));
+        }
+        // The single-destination wrapper runs the same search, towards
+        // any node: a switch destination ends paths, a host never relays.
+        let nodes: Vec<NodeId> = topo.node_ids().collect();
+        let src = nodes[(pick % nodes.len() as u64) as usize];
+        let dst = nodes[((pick >> 32) % nodes.len() as u64) as usize];
+        prop_assert_eq!(
+            bounce_paths_between_capped(&topo, &failures, src, dst, bounces, cap),
+            reference_bounce_paths(&topo, &failures, src, dst, bounces, cap)
+        );
+    }
 }
 
 proptest! {
