@@ -1,23 +1,21 @@
 //! # tagger-bench — the experiment harness
 //!
-//! Shared fixtures and runners behind the binaries that regenerate every
-//! table and figure of the paper (see `DESIGN.md` for the experiment
-//! index and `EXPERIMENTS.md` for recorded results):
+//! Shared fixtures and runners behind the binaries that regenerate the
+//! paper's planner and switch tables (see `DESIGN.md` for the experiment
+//! index and `EXPERIMENTS.md` for recorded results). The simulated
+//! figures are the `.scn` files under `examples/scenarios/`, run by
+//! `tagger-scenario`.
 //!
 //! | paper artifact | binary |
 //! |---|---|
 //! | Table 1 (reroute probability) | `table1_reroute` |
 //! | Tables 3/4 + Fig. 5 (walk-through rules) | `table34_rules` |
 //! | Table 5 (Jellyfish scalability) | `table5_jellyfish` |
-//! | Fig. 10 (1-bounce deadlock) | `fig10_bounce_deadlock` |
-//! | Fig. 11 (routing-loop deadlock) | `fig11_routing_loop` |
-//! | Fig. 12 (PAUSE propagation) | `fig12_pause_propagation` |
 //! | §4.4 optimality | `clos_optimality` |
 //! | §5.3 BCube tag count | `bcube_tags` |
 //! | §7 rule compression | `rule_compression` |
-//! | §8 performance penalty | `perf_penalty` |
 //! | §6 multi-class sharing | `multiclass_tags` |
-//! | Fig. 8 priority transition ablation | `fig8_transition` |
+//! | a frozen queue, from inside the switch | `queue_dynamics` |
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]

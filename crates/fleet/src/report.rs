@@ -6,8 +6,8 @@
 //! run. [`FleetReport::to_json`] is the machine view and carries *only*
 //! seed-deterministic fields (counts, epochs, flags) — given the same
 //! specs and seeds it is byte-identical across runs, so it can be
-//! diffed, golden-tested, and asserted on in CI. Timing belongs in
-//! `BENCH_fleetd.json`, not here.
+//! diffed, golden-tested, and asserted on in CI. Timing belongs to the
+//! repo benchmark (`benchmark/`), not here.
 
 use crate::fabric::Fabric;
 use std::fmt::Write as _;

@@ -13,7 +13,7 @@ use tagger_routing::Fib;
 use tagger_sim::experiments::{
     mask_hop, testbed_switch_config, unsafe_identity_rules, Experiment, TESTBED_PFC_DELAY_NS,
 };
-use tagger_sim::{Action, FlowSpec, QueueKind, SimConfig, Simulator};
+use tagger_sim::{Action, FlowSpec, SimConfig, Simulator};
 use tagger_switch::{SwitchConfig, WatchdogConfig, WatchdogPolicy};
 use tagger_topo::{ClosConfig, FailureSet, LinkId, NodeId, Topology};
 
@@ -22,8 +22,6 @@ use tagger_topo::{ClosConfig, FailureSet, LinkId, NodeId, Topology};
 pub struct RunOptions {
     /// Overrides the scenario's `seed` directive.
     pub seed: Option<u64>,
-    /// Overrides the event-queue backend (the bench runs both).
-    pub queue: Option<QueueKind>,
     /// Directory `checkpoint`/`trace` paths resolve against (the `.scn`
     /// file's directory).
     pub base_dir: PathBuf,
@@ -33,7 +31,6 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             seed: None,
-            queue: None,
             base_dir: PathBuf::from("."),
         }
     }
@@ -269,10 +266,6 @@ pub fn instantiate(
             }
             None => None,
         },
-        queue: opts.queue.unwrap_or(match s.queue_heap {
-            Some(true) => QueueKind::BinaryHeap,
-            _ => QueueKind::TimingWheel,
-        }),
         ..SimConfig::default()
     };
 

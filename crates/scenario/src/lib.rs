@@ -60,19 +60,10 @@ pub use schedule::{by_name, library, MixWeights, ScheduleSpec};
 pub fn run_scenario(text: &str, file: &str, opts: &RunOptions) -> Result<ScenarioResult, ScnIssue> {
     let s = parse(text)?;
     let seed = opts.seed.unwrap_or(s.seed);
-    let queue = opts
-        .queue
-        .unwrap_or(match s.queue_heap {
-            Some(true) => tagger_sim::QueueKind::BinaryHeap,
-            _ => tagger_sim::QueueKind::TimingWheel,
-        })
-        .label()
-        .to_string();
     let mut result = ScenarioResult {
         name: s.name.clone(),
         file: file.to_string(),
         seed,
-        queue,
         points: Vec::new(),
         error: None,
     };

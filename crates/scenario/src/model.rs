@@ -407,8 +407,6 @@ pub struct Scenario {
     pub seed: u64,
     /// Horizon in nanoseconds.
     pub end_ns: u64,
-    /// Event-queue backend override (`None` = simulator default).
-    pub queue_heap: Option<bool>,
     /// Fig. 8 old-tag transition mode when `true`.
     pub old_tag_transition: bool,
     /// Switch buffer override in bytes.
@@ -441,7 +439,6 @@ impl Default for Scenario {
             tagger: TaggerMode::Off,
             seed: 1,
             end_ns: 4_000_000,
-            queue_heap: None,
             old_tag_transition: false,
             buffer_bytes: None,
             pause_quanta: None,

@@ -71,7 +71,7 @@ impl std::fmt::Display for ScnIssue {
 }
 
 /// Every directive the DSL knows, for the unknown-directive hint.
-const DIRECTIVES: &str = "scenario, topo, checkpoint, tagger, seed, end, queue, transition, \
+const DIRECTIVES: &str = "scenario, topo, checkpoint, tagger, seed, end, transition, \
      buffer, pause-quanta, recovery, watchdog, dcqcn, flow, workload, \
      fail, restore, reconverge, flap, route, mask, trace, assert, sweep";
 
@@ -403,23 +403,6 @@ pub fn parse_all(text: &str) -> (Scenario, Vec<ScnIssue>) {
                     }
                     Some(Num::Var(_)) => {
                         ctx.bad(1, "the horizon cannot be swept");
-                    }
-                    None => {}
-                }
-            }
-            "queue" => {
-                if dup(&mut ctx, "queue") {
-                    continue;
-                }
-                match ctx.need(1, "queue backend") {
-                    Some("wheel") => s.queue_heap = Some(false),
-                    Some("heap") => s.queue_heap = Some(true),
-                    Some(w) => {
-                        ctx.bad_hint(
-                            1,
-                            format!("unknown queue backend `{w}`"),
-                            "use `wheel` or `heap`",
-                        );
                     }
                     None => {}
                 }
@@ -1191,6 +1174,11 @@ assert lossless-drops == 0
         assert_eq!(issues[0].code, IssueCode::UnknownDirective);
         assert_eq!(issues[0].span, Span::new(2, 1, "frobnicate".len()));
         assert!(issues[0].hint.as_ref().unwrap().contains("workload"));
+        // The event-queue backend is no longer selectable.
+        let (_, issues) = parse_all("scenario x\nqueue heap\nassert no-deadlock\n");
+        assert_eq!(issues.len(), 1);
+        assert_eq!(issues[0].code, IssueCode::UnknownDirective);
+        assert_eq!(issues[0].span, Span::new(2, 1, 5));
     }
 
     #[test]

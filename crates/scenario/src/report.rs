@@ -78,8 +78,6 @@ pub struct ScenarioResult {
     pub file: String,
     /// The seed the runs used (after any `--seed` override).
     pub seed: u64,
-    /// Event-queue backend label (`timing-wheel` / `binary-heap`).
-    pub queue: String,
     /// One result per sweep point, grid order.
     pub points: Vec<PointResult>,
     /// Set when expansion failed (the points list is then empty).
@@ -113,11 +111,10 @@ impl SuiteReport {
             let verdict = if s.pass() { "PASS" } else { "FAIL" };
             let _ = writeln!(
                 out,
-                "{verdict} {} ({}, seed {}, {}, {} point{})",
+                "{verdict} {} ({}, seed {}, {} point{})",
                 s.name,
                 s.file,
                 s.seed,
-                s.queue,
                 s.points.len(),
                 if s.points.len() == 1 { "" } else { "s" },
             );
@@ -152,7 +149,6 @@ impl SuiteReport {
             let _ = writeln!(out, "      \"name\": {},", json_str(&s.name));
             let _ = writeln!(out, "      \"file\": {},", json_str(&s.file));
             let _ = writeln!(out, "      \"seed\": {},", s.seed);
-            let _ = writeln!(out, "      \"queue\": {},", json_str(&s.queue));
             let _ = writeln!(out, "      \"pass\": {},", s.pass());
             if let Some(e) = &s.error {
                 let _ = writeln!(out, "      \"error\": {},", json_str(e));
@@ -260,7 +256,6 @@ mod tests {
                 name: "fig10".into(),
                 file: "examples/scenarios/fig10.scn".into(),
                 seed: 1,
-                queue: "timing-wheel".into(),
                 points: vec![PointResult {
                     vars: BTreeMap::from([("hosts".to_string(), 32u64)]),
                     asserts: vec![AssertOutcome {

@@ -1,6 +1,5 @@
-//! Simulation time and the deterministic event queue.
+//! Simulation time and the events the simulator schedules.
 
-use crate::queue::{BinaryHeapQueue, TimingWheel};
 use tagger_switch::{Packet, PfcFrame};
 use tagger_topo::GlobalPort;
 
@@ -72,130 +71,4 @@ pub(crate) enum Ev {
         /// Index into the simulator's action list.
         index: usize,
     },
-}
-
-/// Which backend the event queue runs on. Both are deterministic and
-/// produce identical event orderings (pinned by a property test); the
-/// wheel is the fast default, the heap the reference baseline kept for
-/// before/after benchmarking.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueueKind {
-    /// Hierarchical timing wheel (O(1) amortised push/pop) — default.
-    #[default]
-    TimingWheel,
-    /// `BinaryHeap` reference implementation (O(log n) push/pop).
-    BinaryHeap,
-}
-
-impl QueueKind {
-    /// Stable label used in benches and reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            QueueKind::TimingWheel => "timing-wheel",
-            QueueKind::BinaryHeap => "binary-heap",
-        }
-    }
-}
-
-/// Event queue ordered by `(time, sequence)` — the sequence number makes
-/// simultaneous events fire in insertion order, keeping runs fully
-/// deterministic whichever backend is selected.
-#[derive(Debug)]
-pub(crate) enum EventQueue {
-    Wheel(TimingWheel<Ev>),
-    Heap(BinaryHeapQueue<Ev>),
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue::new(QueueKind::default())
-    }
-}
-
-impl EventQueue {
-    pub fn new(kind: QueueKind) -> EventQueue {
-        match kind {
-            QueueKind::TimingWheel => EventQueue::Wheel(TimingWheel::default()),
-            QueueKind::BinaryHeap => EventQueue::Heap(BinaryHeapQueue::default()),
-        }
-    }
-
-    pub fn push(&mut self, at: SimTime, ev: Ev) {
-        match self {
-            EventQueue::Wheel(q) => q.push(at, ev),
-            EventQueue::Heap(q) => q.push(at, ev),
-        }
-    }
-
-    pub fn pop(&mut self) -> Option<(SimTime, Ev)> {
-        match self {
-            EventQueue::Wheel(q) => q.pop(),
-            EventQueue::Heap(q) => q.pop(),
-        }
-    }
-
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        match self {
-            EventQueue::Wheel(q) => q.is_empty(),
-            EventQueue::Heap(q) => q.is_empty(),
-        }
-    }
-
-    #[allow(dead_code)]
-    pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Wheel(q) => q.len(),
-            EventQueue::Heap(q) => q.len(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tagger_topo::{NodeId, PortId};
-
-    fn kick(n: u32) -> Ev {
-        Ev::Kick {
-            port: GlobalPort::new(NodeId(n), PortId(0)),
-        }
-    }
-
-    #[test]
-    fn pops_in_time_order() {
-        for kind in [QueueKind::TimingWheel, QueueKind::BinaryHeap] {
-            let mut q = EventQueue::new(kind);
-            q.push(30, kick(3));
-            q.push(10, kick(1));
-            q.push(20, kick(2));
-            let order: Vec<SimTime> = std::iter::from_fn(|| q.pop().map(|(t, _)| t)).collect();
-            assert_eq!(order, vec![10, 20, 30], "{}", kind.label());
-        }
-    }
-
-    #[test]
-    fn simultaneous_events_fifo() {
-        for kind in [QueueKind::TimingWheel, QueueKind::BinaryHeap] {
-            let mut q = EventQueue::new(kind);
-            q.push(5, kick(1));
-            q.push(5, kick(2));
-            q.push(5, kick(3));
-            let mut ids = Vec::new();
-            while let Some((_, Ev::Kick { port })) = q.pop() {
-                ids.push(port.node.0);
-            }
-            assert_eq!(ids, vec![1, 2, 3], "{}", kind.label());
-        }
-    }
-
-    #[test]
-    fn len_and_empty() {
-        let mut q = EventQueue::default();
-        assert!(q.is_empty());
-        q.push(1, Ev::Sample);
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert!(q.is_empty());
-    }
 }

@@ -1,16 +1,16 @@
-//! Prebuilt scenarios reproducing the paper's testbed experiments (§8.1).
+//! The helpers every simulated experiment is built from.
 //!
-//! Each builder returns an [`Experiment`]: a configured simulator plus
-//! flow labels, ready to `run()`. The same scenarios are used by the
-//! examples, the integration tests and the figure-regenerating bench
-//! binaries, so the numbers in `EXPERIMENTS.md` come from exactly this
-//! code.
+//! The experiments themselves are defined once, as the `.scn` files
+//! under `examples/scenarios/` that `tagger-scenario` expands and
+//! grades. What stays here is what more than one crate builds on: the
+//! testbed PFC regime, the suspect-tables replay the audit and the
+//! controller's watchdog drill run, and the adversarial fixtures of the
+//! safety-net and attribution drills.
 
-use crate::{Action, FlowSpec, SimConfig, Simulator};
-use tagger_core::clos::clos_tagging;
+use crate::{FlowSpec, SimConfig, Simulator};
 use tagger_routing::Fib;
 use tagger_switch::SwitchConfig;
-use tagger_topo::{ClosConfig, FailureSet, NodeId, Topology};
+use tagger_topo::{FailureSet, NodeId, Topology};
 
 /// A ready-to-run scenario.
 pub struct Experiment {
@@ -49,686 +49,8 @@ pub fn testbed_switch_config(num_lossless: u8) -> SwitchConfig {
 /// paced steady state — the same property the paper's hardware exhibits.
 pub const TESTBED_PFC_DELAY_NS: u64 = 3_000;
 
-fn testbed_sim(topo: &Topology, with_tagger: bool, bounces: usize, end_ns: u64) -> Simulator {
-    let fib = Fib::shortest_path(topo, &FailureSet::none());
-    let (rules, queues) = if with_tagger {
-        let tagging = clos_tagging(topo, bounces).expect("clos fabric");
-        (Some(tagging.rules().clone()), (bounces + 1) as u8)
-    } else {
-        (None, 1)
-    };
-    let cfg = SimConfig {
-        switch: testbed_switch_config(queues),
-        pfc_extra_delay_ns: TESTBED_PFC_DELAY_NS,
-        end_time_ns: end_ns,
-        ..SimConfig::default()
-    };
-    Simulator::new(topo.clone(), fib, rules, cfg)
-}
-
 fn names(topo: &Topology, path: &[&str]) -> Vec<NodeId> {
     path.iter().map(|n| topo.expect_node(n)).collect()
-}
-
-/// **Figure 10** — deadlock due to 1-bounce paths (the Figure 3
-/// scenario): the blue flow (H1→H13) bounces at L3, the green flow
-/// (H9→H1) bounces at L1; together they close the CBD
-/// `L1 → S1 → L3 → S2 → L1`. Blue starts at t=0, green at 1/5 of the
-/// horizon. Without Tagger both rates collapse to zero; with Tagger
-/// (1-bounce ELP, 2 lossless queues) neither is affected.
-pub fn fig10_bounce_deadlock(with_tagger: bool, end_ns: u64) -> Experiment {
-    let topo = ClosConfig::small().build();
-    let mut sim = testbed_sim(&topo, with_tagger, 1, end_ns);
-    let blue_path = names(
-        &topo,
-        &["H1", "T1", "L1", "S1", "L3", "S2", "L4", "T4", "H13"],
-    );
-    let green_path = names(
-        &topo,
-        &["H9", "T3", "L3", "S2", "L1", "S1", "L2", "T1", "H1"],
-    );
-    let h1 = topo.expect_node("H1");
-    let h13 = topo.expect_node("H13");
-    let h9 = topo.expect_node("H9");
-    sim.add_flow(FlowSpec::new(h1, h13, 0).pinned(blue_path));
-    sim.add_flow(FlowSpec::new(h9, h1, end_ns / 5).pinned(green_path));
-    Experiment {
-        sim,
-        labels: vec!["blue(H1->H13)".into(), "green(H9->H1)".into()],
-    }
-}
-
-/// **Figure 11** — deadlock due to a routing loop: F1 (H1→H5) and F2
-/// (H2→H6) run normally; at 1/5 of the horizon a bad route is installed
-/// at L1 sending H5-bound traffic back to T1, closing a T1↔L1 forwarding
-/// loop on F1. Without Tagger the loop's lossless packets create a
-/// two-switch CBD that pauses F2 as well; with Tagger the looping
-/// packets hairpin into the lossy class at L1 and F2 is untouched (F1's
-/// goodput is zero either way — its packets die of TTL).
-pub fn fig11_routing_loop(with_tagger: bool, end_ns: u64) -> Experiment {
-    let topo = ClosConfig::small().build();
-    let mut sim = testbed_sim(&topo, with_tagger, 1, end_ns);
-    let h1 = topo.expect_node("H1");
-    let h2 = topo.expect_node("H2");
-    let h5 = topo.expect_node("H5");
-    let h6 = topo.expect_node("H6");
-    let t1 = topo.expect_node("T1");
-    let l1 = topo.expect_node("L1");
-    // F2 pinned through L1 so it shares the looping link.
-    let f2_path = names(&topo, &["H2", "T1", "L1", "T2", "H6"]);
-    sim.add_flow(FlowSpec::new(h1, h5, 0));
-    sim.add_flow(FlowSpec::new(h2, h6, 0).pinned(f2_path));
-    // The bad route: T1 sends H5 traffic up to L1; L1 sends it back down
-    // to T1.
-    let mut bad_fib = Fib::shortest_path(&topo, &FailureSet::none());
-    bad_fib.set_override_towards(&topo, t1, h5, l1);
-    bad_fib.set_override_towards(&topo, l1, h5, t1);
-    sim.at(end_ns / 5, Action::ReplaceFib(bad_fib));
-    Experiment {
-        sim,
-        labels: vec!["F1(H1->H5)".into(), "F2(H2->H6)".into()],
-    }
-}
-
-/// **Figure 12** — PAUSE propagation from a deadlock: a 4-to-1 shuffle
-/// (H9, H10, H13, H14 → H1) and a 1-to-4 shuffle (H5 → H2, H11, H15,
-/// H16) run together; the H9→H1 and H5→H15 flows are pinned onto
-/// 1-bounce paths that close a CBD. Without Tagger, PAUSE propagates
-/// until **all eight** flows are frozen; with Tagger none are affected.
-pub fn fig12_pause_propagation(with_tagger: bool, end_ns: u64) -> Experiment {
-    let topo = ClosConfig::small().build();
-    let mut sim = testbed_sim(&topo, with_tagger, 1, end_ns);
-    let h = |n: &str| topo.expect_node(n);
-    let mut labels = Vec::new();
-    // All eight flows are pinned, mirroring the manually-set routing
-    // tables of the paper's testbed. The two bouncing flows close the
-    // CBD; the other six cross links the resulting pauses gate, so PAUSE
-    // propagation freezes everything. The bouncing flows start first
-    // (staggered — simultaneous ramp-up shares the bottleneck smoothly
-    // and the race never trips) so the cycle locks before the shuffles
-    // pile in; the paper's testbed reaches the same state with its own
-    // timing.
-    let second = end_ns / 10;
-    let later = 2 * end_ns / 5;
-    let routes: [(&str, &str, u64, &[&str]); 8] = [
-        // 4-to-1 shuffle into H1; H9 takes the bouncing path at L1.
-        (
-            "H9",
-            "H1",
-            0,
-            &["H9", "T3", "L3", "S2", "L1", "S1", "L2", "T1", "H1"],
-        ),
-        (
-            "H10",
-            "H1",
-            later,
-            &["H10", "T3", "L3", "S1", "L2", "T1", "H1"],
-        ),
-        (
-            "H13",
-            "H1",
-            later,
-            &["H13", "T4", "L4", "S2", "L1", "T1", "H1"],
-        ),
-        (
-            "H14",
-            "H1",
-            later,
-            &["H14", "T4", "L4", "S2", "L1", "T1", "H1"],
-        ),
-        // 1-to-4 shuffle out of H5; the H15 leg bounces at L3.
-        (
-            "H5",
-            "H15",
-            second,
-            &["H5", "T2", "L1", "S1", "L3", "S2", "L4", "T4", "H15"],
-        ),
-        ("H5", "H2", later, &["H5", "T2", "L1", "T1", "H2"]),
-        (
-            "H5",
-            "H11",
-            later,
-            &["H5", "T2", "L1", "S1", "L3", "T3", "H11"],
-        ),
-        (
-            "H5",
-            "H16",
-            later,
-            &["H5", "T2", "L1", "S1", "L4", "T4", "H16"],
-        ),
-    ];
-    for (src, dst, start, path) in routes {
-        sim.add_flow(FlowSpec::new(h(src), h(dst), start).pinned(names(&topo, path)));
-        labels.push(format!("{src}->{dst}"));
-    }
-    Experiment { sim, labels }
-}
-
-/// One trial of the **failure sweep**: a random permutation workload on
-/// the small Clos; at 1/4 of the horizon, `nfail` random switch-switch
-/// links (seeded) die and the FIB degrades to stale-routes-with-local-
-/// detours; at 3/4 routing reconverges. Returns the report.
-///
-/// The sweep over many seeds validates the headline guarantee
-/// statistically: *without* Tagger some failure patterns deadlock the
-/// fabric; *with* Tagger (1-bounce ELP) none ever do.
-pub fn failure_trial(with_tagger: bool, seed: u64, nfail: usize, end_ns: u64) -> crate::SimReport {
-    use rand::seq::SliceRandom;
-    use rand::SeedableRng;
-    let topo = ClosConfig::small().build();
-    let mut sim = testbed_sim(&topo, with_tagger, 1, end_ns);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-
-    // Random permutation traffic.
-    let hosts: Vec<NodeId> = topo.host_ids().collect();
-    let mut dsts = hosts.clone();
-    loop {
-        dsts.shuffle(&mut rng);
-        if hosts.iter().zip(&dsts).all(|(a, b)| a != b) {
-            break;
-        }
-    }
-    for (s, d) in hosts.iter().zip(&dsts) {
-        sim.add_flow(FlowSpec::new(*s, *d, 0));
-    }
-
-    // Random switch-switch link failures.
-    let mut candidates: Vec<_> = topo
-        .link_ids()
-        .filter(|&l| {
-            let link = topo.link(l);
-            topo.node(link.a.node).kind == tagger_topo::NodeKind::Switch
-                && topo.node(link.b.node).kind == tagger_topo::NodeKind::Switch
-        })
-        .collect();
-    candidates.shuffle(&mut rng);
-    let mut failures = FailureSet::none();
-    for &l in candidates.iter().take(nfail) {
-        failures.fail(l);
-        sim.at(end_ns / 4, Action::FailLink { link: l });
-    }
-    sim.at(
-        end_ns / 4,
-        Action::ReplaceFib(Fib::local_reroute(&topo, &failures)),
-    );
-    sim.at(
-        3 * end_ns / 4,
-        Action::ReplaceFib(Fib::shortest_path(&topo, &failures)),
-    );
-    sim.run()
-}
-
-/// **BCube deadlock** (paper §5.3's substrate, simulated end to end):
-/// four flows on BCube(2,1) whose mixed digit-correction orders close a
-/// cyclic buffer dependency *through the forwarding servers*:
-///
-/// ```text
-/// H1 → B0_0 → H0 → B1_0 → H2      H2 → B0_1 → H3 → B1_1 → H1
-/// H0 → B1_0 → H2 → B0_1 → H3      H3 → B1_1 → H1 → B0_0 → H0
-/// ```
-///
-/// Without Tagger (one lossless priority) the ring locks — server NIC
-/// buffers are part of the CBD, which is why BCube needs per-level tags.
-/// With the Tagger rules compiled from the multi-path ELP (2 lossless
-/// priorities, rules installed on servers too) the same workload runs
-/// deadlock-free and lossless.
-pub fn bcube_ring(with_tagger: bool, end_ns: u64) -> Experiment {
-    use tagger_core::{Elp, Tagging};
-    use tagger_routing::bcube_paths;
-    let cfg2 = tagger_topo::BCubeConfig { n: 2, k: 1 };
-    let topo = tagger_topo::bcube(2, 1);
-    let elp = Elp::from_paths(bcube_paths(&cfg2, &topo, true));
-    let (rules, queues) = if with_tagger {
-        let tagging = Tagging::from_elp(&topo, &elp).expect("pipeline");
-        let n = tagging.num_lossless_tags_on(&topo) as u8;
-        (Some(tagging.rules().clone()), n)
-    } else {
-        (None, 1)
-    };
-    let fib = Fib::shortest_path(&topo, &FailureSet::none());
-    let cfg = SimConfig {
-        switch: testbed_switch_config(queues),
-        pfc_extra_delay_ns: TESTBED_PFC_DELAY_NS,
-        end_time_ns: end_ns,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::new(topo.clone(), fib, rules, cfg);
-    let routes: [&[&str]; 4] = [
-        &["H1", "B0_0", "H0", "B1_0", "H2"],
-        &["H0", "B1_0", "H2", "B0_1", "H3"],
-        &["H2", "B0_1", "H3", "B1_1", "H1"],
-        &["H3", "B1_1", "H1", "B0_0", "H0"],
-    ];
-    let mut labels = Vec::new();
-    for (i, r) in routes.iter().enumerate() {
-        let path = names(&topo, r);
-        // Staggered starts trip the locking race, as in Fig 12.
-        sim.add_flow(
-            FlowSpec::new(
-                path[0],
-                *path.last().expect("non-empty route"),
-                i as u64 * end_ns / 20,
-            )
-            .pinned(path),
-        );
-        labels.push(format!("{}->{}", r[0], r[r.len() - 1]));
-    }
-    Experiment { sim, labels }
-}
-
-/// **DCQCN ablation** (paper §6 "PFC alternatives"): an 8-to-1 incast
-/// into H1 with and without DCQCN-lite congestion control. DCQCN slashes
-/// the PFC PAUSE count (rate control keeps queues below Xoff) at
-/// comparable goodput — the "minimizing PFC generation" complement the
-/// paper mentions. It does not replace Tagger: rate control reacts in
-/// RTTs, transients are immediate, and production fleets running DCQCN
-/// still saw deadlocks.
-pub fn dcqcn_incast(with_dcqcn: bool, end_ns: u64) -> Experiment {
-    let topo = ClosConfig::small().build();
-    let fib = Fib::shortest_path(&topo, &FailureSet::none());
-    let cfg = SimConfig {
-        switch: SwitchConfig {
-            ecn_threshold_bytes: with_dcqcn.then_some(30_000),
-            ..testbed_switch_config(1)
-        },
-        pfc_extra_delay_ns: TESTBED_PFC_DELAY_NS,
-        dcqcn: with_dcqcn.then(crate::DcqcnConfig::default),
-        end_time_ns: end_ns,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::new(topo.clone(), fib, None, cfg);
-    let mut labels = Vec::new();
-    for src in ["H5", "H6", "H7", "H8", "H9", "H10", "H13", "H14"] {
-        sim.add_flow(FlowSpec::new(
-            topo.expect_node(src),
-            topo.expect_node("H1"),
-            0,
-        ));
-        labels.push(format!("{src}->H1"));
-    }
-    Experiment { sim, labels }
-}
-
-/// **Recovery baseline** — the prior-work category the paper's §1
-/// critiques: detect the deadlock, break it by flushing a queue. Runs
-/// the Figure 10 workload *without* Tagger but with detect-and-break
-/// recovery enabled, and with the green (bouncing) traffic arriving in
-/// waves, as flows do in production. Every wave re-races the cycle:
-/// the deadlock is broken, reforms on the next wave, is broken again …
-/// — "these solutions do not address the root cause of the problem, and
-/// hence cannot guarantee that the deadlock would not immediately
-/// reappear" — and every break sacrifices lossless packets, violating
-/// the very contract PFC exists to provide. With Tagger the same
-/// workload needs zero recoveries (set `with_tagger`).
-pub fn recovery_baseline(with_tagger: bool, end_ns: u64) -> Experiment {
-    let topo = ClosConfig::small().build();
-    let fib = Fib::shortest_path(&topo, &FailureSet::none());
-    let (rules, queues) = if with_tagger {
-        let tagging = clos_tagging(&topo, 1).expect("clos fabric");
-        (Some(tagging.rules().clone()), 2)
-    } else {
-        (None, 1)
-    };
-    let cfg = SimConfig {
-        switch: testbed_switch_config(queues),
-        pfc_extra_delay_ns: TESTBED_PFC_DELAY_NS,
-        end_time_ns: end_ns,
-        recovery: !with_tagger,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::new(topo.clone(), fib, rules, cfg);
-    let blue = names(
-        &topo,
-        &["H1", "T1", "L1", "S1", "L3", "S2", "L4", "T4", "H13"],
-    );
-    let green = names(
-        &topo,
-        &["H9", "T3", "L3", "S2", "L1", "S1", "L2", "T1", "H1"],
-    );
-    let h1 = topo.expect_node("H1");
-    let h13 = topo.expect_node("H13");
-    let h9 = topo.expect_node("H9");
-    sim.add_flow(FlowSpec::new(h1, h13, 0).pinned(blue.clone()));
-    let mut labels = vec!["blue(H1->H13)".to_string()];
-    // Green waves: each transfers ~5 MB starting at 1/5, 2/5, 3/5, 4/5
-    // of the horizon, leaving gaps where blue returns to line rate — so
-    // every wave re-creates the race that locks the cycle.
-    for wave in 1..=4u64 {
-        sim.add_flow(
-            FlowSpec::new(h9, h1, wave * end_ns / 5)
-                .pinned(green.clone())
-                .with_limit(5_000_000),
-        );
-        labels.push(format!("green wave {wave}"));
-    }
-    Experiment { sim, labels }
-}
-
-/// **Transient failure** — the paper's §1/§3.2 narrative, end to end,
-/// with *real* failure mechanics instead of pinned paths:
-///
-/// 1. a green flow (H9→H1) and a victim flow (H13→H6, descending
-///    through the S1→L1 link) run normally;
-/// 2. at 1/5 of the horizon the L1–T1 link dies. Routing has not
-///    converged: switches run the pre-failure FIB patched only with
-///    *local* detours ([`Fib::local_reroute`]), so green's packets
-///    descend into L1 and ricochet back up — a transient forwarding
-///    loop, exactly the §3.2 hazard;
-/// 3. at 3/5 of the horizon routing reconverges (global shortest paths
-///    avoiding the dead link) and green has a clean route again.
-///
-/// Without Tagger the ricocheting lossless packets deadlock the T1/L1/S1
-/// neighborhood, the victim freezes, **and reconvergence does not help**
-/// — "once a deadlock forms, it does not go away even after the
-/// conditions that caused its formation have abated" (paper §1). With
-/// Tagger the ricochets go lossy at the first hairpin, the victim never
-/// notices, and green recovers the moment routing converges.
-pub fn transient_failure(with_tagger: bool, end_ns: u64) -> Experiment {
-    let topo = ClosConfig::small().build();
-    let mut sim = testbed_sim(&topo, with_tagger, 1, end_ns);
-    let h9 = topo.expect_node("H9");
-    let h1 = topo.expect_node("H1");
-    let h13 = topo.expect_node("H13");
-    let h6 = topo.expect_node("H6");
-    // Flow 0 (green): FIB-routed; its ECMP hash (= flow id 0) descends
-    // through S1 into L1. Flow 1 (victim): pinned through the S1->L1
-    // link the ricochets will choke; its own path never touches the
-    // dead L1-T1 link.
-    sim.add_flow(FlowSpec::new(h9, h1, 0));
-    let victim_path = names(&topo, &["H13", "T4", "L4", "S1", "L1", "T2", "H6"]);
-    sim.add_flow(FlowSpec::new(h13, h6, 0).pinned(victim_path));
-
-    let dead = topo
-        .link_between(topo.expect_node("L1"), topo.expect_node("T1"))
-        .expect("adjacent");
-    let mut failures = FailureSet::none();
-    failures.fail(dead);
-    let t_fail = end_ns / 5;
-    let t_converge = 3 * end_ns / 5;
-    sim.at(t_fail, Action::FailLink { link: dead });
-    sim.at(
-        t_fail,
-        Action::ReplaceFib(Fib::local_reroute(&topo, &failures)),
-    );
-    sim.at(
-        t_converge,
-        Action::ReplaceFib(Fib::shortest_path(&topo, &failures)),
-    );
-    Experiment {
-        sim,
-        labels: vec!["green(H9->H1)".into(), "victim(H13->H6)".into()],
-    }
-}
-
-/// **Transient failure, controller-driven** — the same §1/§3.2 reroute
-/// scenario as [`transient_failure`], but with the Tagger tables managed
-/// end-to-end by the [`tagger_ctrl::Controller`] instead of being
-/// hand-wired:
-///
-/// 1. epoch 0: the controller bootstraps a verified tagging for the
-///    healthy fabric (1-bounce ELP policy) and its tables are installed
-///    wholesale before traffic starts;
-/// 2. at 1/5 of the horizon the L1–T1 link dies. The data plane reacts
-///    first (stale FIB with local detours — the transient-loop window);
-///    the controller consumes the `LinkDown` event, stages a reroute
-///    tagging against the failure-filtered ELP, verifies it, and
-///    commits per-switch deltas;
-/// 3. at 3/5 of the horizon routing reconverges and the committed
-///    deltas are applied — an incremental install, not a full-table
-///    reinstall.
-///
-/// Returns the experiment plus the controller's commit report for the
-/// failure epoch, so callers can check the delta economy (deltas much
-/// smaller than the tables they update) alongside the usual
-/// no-deadlock / no-lossless-drop assertions.
-///
-/// # Panics
-/// Panics if the controller cannot bootstrap or the `LinkDown` commit
-/// rolls back — for the healthy small Clos both always succeed.
-pub fn transient_failure_via_controller(end_ns: u64) -> (Experiment, tagger_ctrl::CommitReport) {
-    use tagger_ctrl::{Controller, CtrlEvent, ElpPolicy};
-
-    let topo = ClosConfig::small().build();
-    let mut ctrl = Controller::new(topo.clone(), ElpPolicy::with_bounces(1))
-        .expect("healthy small Clos bootstraps");
-    let epoch0 = ctrl.committed().rules.clone();
-
-    let dead = topo
-        .link_between(topo.expect_node("L1"), topo.expect_node("T1"))
-        .expect("adjacent");
-    let report = ctrl
-        .handle(&CtrlEvent::LinkDown(dead))
-        .expect("valid link id")
-        .committed()
-        .cloned()
-        .expect("single-link reroute commits");
-
-    // Lossless queues must cover every priority either epoch can assign.
-    let max_tag = |r: &tagger_core::RuleSet| r.max_tag().map_or(1, |t| t.0 as usize);
-    let queues = max_tag(&epoch0).max(max_tag(&ctrl.committed().rules)) as u8;
-    let cfg = SimConfig {
-        switch: testbed_switch_config(queues),
-        pfc_extra_delay_ns: TESTBED_PFC_DELAY_NS,
-        end_time_ns: end_ns,
-        ..SimConfig::default()
-    };
-    let fib = Fib::shortest_path(&topo, &FailureSet::none());
-    let mut sim = Simulator::new(topo.clone(), fib, Some(epoch0), cfg);
-
-    let h9 = topo.expect_node("H9");
-    let h1 = topo.expect_node("H1");
-    let h13 = topo.expect_node("H13");
-    let h6 = topo.expect_node("H6");
-    sim.add_flow(FlowSpec::new(h9, h1, 0));
-    let victim_path = names(&topo, &["H13", "T4", "L4", "S1", "L1", "T2", "H6"]);
-    sim.add_flow(FlowSpec::new(h13, h6, 0).pinned(victim_path));
-
-    let mut failures = FailureSet::none();
-    failures.fail(dead);
-    let t_fail = end_ns / 5;
-    let t_converge = 3 * end_ns / 5;
-    sim.at(t_fail, Action::FailLink { link: dead });
-    sim.at(
-        t_fail,
-        Action::ReplaceFib(Fib::local_reroute(&topo, &failures)),
-    );
-    sim.at(
-        t_converge,
-        Action::ReplaceFib(Fib::shortest_path(&topo, &failures)),
-    );
-    sim.at(t_converge, Action::ApplyRuleDeltas(report.deltas.clone()));
-    (
-        Experiment {
-            sim,
-            labels: vec!["green(H9->H1)".into(), "victim(H13->H6)".into()],
-        },
-        report,
-    )
-}
-
-/// **Transient failure under a chaotic southbound** — the reroute of
-/// [`transient_failure_via_controller`], but nothing between controller
-/// and switches is reliable anymore: the failure epoch's deltas are
-/// installed through a [`tagger_ctrl::ChaosSouthbound`] that refuses,
-/// times out, and partially applies installs from a seeded schedule.
-/// The controller retries with exponential backoff and enforces its
-/// commit barrier, so the fleet ends the rollout on *exactly one*
-/// verified epoch — the new one if every switch eventually acked, the
-/// old one (rolled back) if a switch exhausted its attempt budget.
-///
-/// The simulation then runs whatever tables the chaotic rollout left on
-/// the switches. The safety claim this experiment pins down: for **any**
-/// seed, the victim flow sees no deadlock and no lossless drop — chaos
-/// can delay the reroute's table update or abort it, but it can never
-/// produce a mixed-epoch fabric, and both pure epochs carry Theorem 5.1
-/// certificates.
-///
-/// Returns the experiment, the failure epoch's outcome, and the
-/// controller metrics (retries, recorded backoff, rollback installs).
-///
-/// # Panics
-/// Panics if the controller cannot bootstrap, or if the chaotic rollout
-/// violates the barrier invariant (fleet != committed tables).
-pub fn transient_failure_chaotic_controller(
-    seed: u64,
-    fail_rate: f64,
-    end_ns: u64,
-) -> (
-    Experiment,
-    tagger_ctrl::EpochOutcome,
-    tagger_ctrl::ControllerMetrics,
-) {
-    use tagger_ctrl::{
-        ChaosConfig, ChaosSouthbound, Controller, CtrlEvent, ElpPolicy, InstallPolicy, Southbound,
-    };
-
-    let topo = ClosConfig::small().build();
-    let mut ctrl = Controller::new(topo.clone(), ElpPolicy::with_bounces(1))
-        .expect("healthy small Clos bootstraps");
-    let epoch0 = ctrl.committed().rules.clone();
-
-    let mut sb = ChaosSouthbound::new(ChaosConfig::new(seed, fail_rate));
-    sb.bootstrap(&epoch0);
-
-    let dead = topo
-        .link_between(topo.expect_node("L1"), topo.expect_node("T1"))
-        .expect("adjacent");
-    let outcome = ctrl
-        .handle_via(
-            &CtrlEvent::LinkDown(dead),
-            &mut sb,
-            &InstallPolicy::default(),
-        )
-        .expect("valid link id");
-    // The barrier invariant this experiment exists to exercise: whatever
-    // chaos did, the fleet runs exactly the committed (verified) tables.
-    assert_eq!(
-        sb.fleet(),
-        &ctrl.committed().rules,
-        "chaotic rollout left the fleet mixed-epoch (seed {seed})"
-    );
-    assert!(ctrl.committed().graph.verify().is_ok());
-    let fleet_rules = sb.fleet().clone();
-
-    let max_tag = |r: &tagger_core::RuleSet| r.max_tag().map_or(1, |t| t.0 as usize);
-    let queues = max_tag(&epoch0).max(max_tag(&fleet_rules)) as u8;
-    let cfg = SimConfig {
-        switch: testbed_switch_config(queues),
-        pfc_extra_delay_ns: TESTBED_PFC_DELAY_NS,
-        end_time_ns: end_ns,
-        ..SimConfig::default()
-    };
-    let fib = Fib::shortest_path(&topo, &FailureSet::none());
-    let mut sim = Simulator::new(topo.clone(), fib, Some(epoch0), cfg);
-
-    let h9 = topo.expect_node("H9");
-    let h1 = topo.expect_node("H1");
-    let h13 = topo.expect_node("H13");
-    let h6 = topo.expect_node("H6");
-    sim.add_flow(FlowSpec::new(h9, h1, 0));
-    let victim_path = names(&topo, &["H13", "T4", "L4", "S1", "L1", "T2", "H6"]);
-    sim.add_flow(FlowSpec::new(h13, h6, 0).pinned(victim_path));
-
-    let mut failures = FailureSet::none();
-    failures.fail(dead);
-    let t_fail = end_ns / 5;
-    let t_converge = 3 * end_ns / 5;
-    sim.at(t_fail, Action::FailLink { link: dead });
-    sim.at(
-        t_fail,
-        Action::ReplaceFib(Fib::local_reroute(&topo, &failures)),
-    );
-    sim.at(
-        t_converge,
-        Action::ReplaceFib(Fib::shortest_path(&topo, &failures)),
-    );
-    // The switches run what the chaotic rollout actually installed — not
-    // what the controller wished for.
-    sim.at(t_converge, Action::ReplaceRules(fleet_rules));
-    (
-        Experiment {
-            sim,
-            labels: vec!["green(H9->H1)".into(), "victim(H13->H6)".into()],
-        },
-        outcome,
-        ctrl.metrics().clone(),
-    )
-}
-
-/// **Figure 8** — priority-transition handling ablation.
-///
-/// Flow A rides a 1-bounce path (tag 1 → 2 at L1) into a bottleneck it
-/// shares with flow B at T1→H1; PFC back-pressure for priority 1
-/// eventually reaches L1. With the correct Fig. 8(b) behaviour (egress
-/// queue = new tag) the PAUSE gates exactly the queue holding A's
-/// rewritten packets and nothing is lost. With the default Fig. 8(a)
-/// behaviour (egress queue = old tag) the PAUSE gates an empty queue, L1
-/// keeps transmitting, and S1's lossless ingress overflows — lossless
-/// packet drops, the failure the paper's implementation section exists
-/// to prevent. The buffer is kept small so the overflow shows quickly.
-pub fn fig8_priority_transition(correct: bool, end_ns: u64) -> Experiment {
-    let topo = ClosConfig::small().build();
-    let fib = Fib::shortest_path(&topo, &FailureSet::none());
-    let tagging = clos_tagging(&topo, 1).expect("clos fabric");
-    let cfg = SimConfig {
-        switch: SwitchConfig {
-            buffer_bytes: 150_000,
-            ..testbed_switch_config(2)
-        },
-        pfc_extra_delay_ns: TESTBED_PFC_DELAY_NS,
-        transition: if correct {
-            tagger_switch::TransitionMode::EgressByNewTag
-        } else {
-            tagger_switch::TransitionMode::EgressByOldTag
-        },
-        end_time_ns: end_ns,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::new(topo.clone(), fib, Some(tagging.rules().clone()), cfg);
-    let a_path = names(
-        &topo,
-        &["H9", "T3", "L3", "S2", "L1", "S1", "L2", "T1", "H1"],
-    );
-    let h9 = topo.expect_node("H9");
-    let h1 = topo.expect_node("H1");
-    let h2 = topo.expect_node("H2");
-    sim.add_flow(FlowSpec::new(h9, h1, 0).pinned(a_path));
-    sim.add_flow(FlowSpec::new(h2, h1, 0));
-    Experiment {
-        sim,
-        labels: vec!["A(H9->H1, bounce)".into(), "B(H2->H1)".into()],
-    }
-}
-
-/// **Performance penalty** (§8, "Tagger imposes negligible performance
-/// penalty"): a random permutation workload on the healthy fabric, with
-/// or without Tagger. No failures, no bounces — Tagger only rewrites
-/// DSCP, so goodput should be statistically identical.
-pub fn perf_penalty(with_tagger: bool, seed: u64, end_ns: u64) -> Experiment {
-    use rand::seq::SliceRandom;
-    use rand::SeedableRng;
-    let topo = ClosConfig::small().build();
-    let mut sim = testbed_sim(&topo, with_tagger, 1, end_ns);
-    let hosts: Vec<NodeId> = topo.host_ids().collect();
-    let mut dsts = hosts.clone();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    // Derangement-ish: shuffle until no host sends to itself.
-    loop {
-        dsts.shuffle(&mut rng);
-        if hosts.iter().zip(&dsts).all(|(a, b)| a != b) {
-            break;
-        }
-    }
-    let mut labels = Vec::new();
-    for (src, dst) in hosts.iter().zip(&dsts) {
-        sim.add_flow(FlowSpec::new(*src, *dst, 0));
-        labels.push(format!(
-            "{}->{}",
-            topo.node(*src).name,
-            topo.node(*dst).name
-        ));
-    }
-    Experiment { sim, labels }
 }
 
 /// **Counterexample replay** — demonstrates a cyclic buffer dependency
@@ -746,21 +68,7 @@ pub fn counterexample_replay(
     flows: Vec<(String, FlowSpec)>,
     end_ns: u64,
 ) -> Experiment {
-    let fib = Fib::shortest_path(topo, &FailureSet::none());
-    let num_lossless = rules.max_tag().map(|t| t.0 as u8).unwrap_or(1).max(1);
-    let cfg = SimConfig {
-        switch: testbed_switch_config(num_lossless),
-        pfc_extra_delay_ns: TESTBED_PFC_DELAY_NS,
-        end_time_ns: end_ns,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::new(topo.clone(), fib, Some(rules.clone()), cfg);
-    let mut labels = Vec::new();
-    for (label, spec) in flows {
-        sim.add_flow(spec);
-        labels.push(label);
-    }
-    Experiment { sim, labels }
+    watchdog_rescue(topo, rules, flows, None, end_ns)
 }
 
 /// **Watchdog rescue** — the data-plane safety net in action. Same
@@ -831,35 +139,6 @@ pub fn quarantine_events(report: &crate::SimReport) -> Vec<tagger_ctrl::CtrlEven
         }
     }
     events
-}
-
-/// **Incast false-positive guard** — the scenario a naive timeout-only
-/// watchdog gets wrong: an 8-to-1 incast into H1 holds queues paused
-/// well past the watchdog window, but no cyclic buffer dependency
-/// exists. With cycle confirmation (a stuck queue only trips if the
-/// structural detector places it on a CBD) the armed watchdog must
-/// record *zero* trips here, no matter how heavy the congestion.
-pub fn incast_false_positive_guard(window_ns: u64, end_ns: u64) -> Experiment {
-    let topo = ClosConfig::small().build();
-    let fib = Fib::shortest_path(&topo, &FailureSet::none());
-    let cfg = SimConfig {
-        switch: testbed_switch_config(1),
-        pfc_extra_delay_ns: TESTBED_PFC_DELAY_NS,
-        end_time_ns: end_ns,
-        watchdog: Some(tagger_switch::WatchdogConfig::with_window(window_ns)),
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::new(topo.clone(), fib, None, cfg);
-    let mut labels = Vec::new();
-    for src in ["H5", "H6", "H7", "H8", "H9", "H10", "H13", "H14"] {
-        sim.add_flow(FlowSpec::new(
-            topo.expect_node(src),
-            topo.expect_node("H1"),
-            0,
-        ));
-        labels.push(format!("{src}->H1"));
-    }
-    Experiment { sim, labels }
 }
 
 /// The adversarial single-priority program (keep tag 1 across every
@@ -934,650 +213,4 @@ pub fn mask_hop(
         masked.set(sw, rule);
     }
     masked
-}
-
-/// **Two-cycle incast** — the cause-vs-victim recovery comparison at
-/// the heart of trigger attribution. A persistent 4-to-1 incast into
-/// H12 is pinned through `S1 → L3`, backing that hop up and making it
-/// the ground-truth *initial trigger*. Two distinct CBDs then close
-/// through the congested hop, in waves of limited flows:
-///
-/// * cycle A: `L1 → S1 → L3 → S2 → L1` (the Fig. 3 cycle), and
-/// * cycle B: `S1 → L3 → S2 → L2 → S1`,
-///
-/// sharing the edges `S1 → L3` and `L3 → S2` but nothing else. The
-/// armed watchdog detects and demotes each episode; the queue that
-/// trips *first* (the victim a victim-directed controller would
-/// quarantine) is a single-cycle edge, not the trigger.
-///
-/// At `end_ns / 2` the corrective fix lands: `ReplaceRules` with the
-/// tables minus the rules through `mask` (see [`mask_hop`]), modelling
-/// the controller quarantining that hop. A second wave then probes
-/// whether the deadlock *re-forms*: masking the victim hop kills only
-/// one cycle and the other re-locks (`episodes >= 2`); masking the
-/// attributed trigger starves both cycles and the incast pressure
-/// itself, and the fabric stays clean (`episodes == 1`). `mask: None`
-/// runs the diagnosis pass that yields the victim and trigger hops.
-pub fn incast_two_cycle(mask: Option<(NodeId, tagger_topo::PortId)>, end_ns: u64) -> Experiment {
-    let topo = ClosConfig::small().build();
-    let fib = Fib::shortest_path(&topo, &FailureSet::none());
-    let rules = unsafe_identity_rules(&topo);
-    let cfg = SimConfig {
-        switch: testbed_switch_config(1),
-        pfc_extra_delay_ns: TESTBED_PFC_DELAY_NS,
-        // PAUSE refreshes keep long-lived gates alive and let the
-        // `older()` combinator upgrade a queue's trigger claim to the
-        // oldest one reachable — the in-band attribution mechanism.
-        pause_quanta_ns: Some(20_000),
-        end_time_ns: end_ns,
-        watchdog: Some(tagger_switch::WatchdogConfig::with_window(200_000)),
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::new(topo.clone(), fib, Some(rules.clone()), cfg);
-    let mut labels = Vec::new();
-
-    // The persistent incast converges on H12 in two arms. The L4 arm
-    // (H5, H7) starts first and parks a steady 40 Gb/s on T3's ingress
-    // from L4, congesting S2 on the way (its pauses touch no cycle
-    // edge). The L3 arm then ramps: H1 alone makes T3's ingress 2:1
-    // oversubscribed, so T3 pauses `L3 -> T3` — which self-stamps the
-    // *origin* claim of everything that follows. Once H2 joins, L3
-    // itself is 2:1 oversubscribed and pauses `S1 -> L3`; its claim,
-    // first stamped in the race with T3's pause, converges via PAUSE
-    // refreshes onto `L3 -> T3`'s strictly older claim. The hop that
-    // seeds every later cycle therefore carries a stamp inherited from
-    // the congestion tree *outside* the cycle — exactly what the
-    // attribution must surface.
-    for (src, start, path) in [
-        ("H5", 0, ["H5", "T2", "L1", "S2", "L4", "T3", "H12"]),
-        ("H7", 0, ["H7", "T2", "L2", "S2", "L4", "T3", "H12"]),
-        ("H1", 250_000, ["H1", "T1", "L1", "S1", "L3", "T3", "H12"]),
-        ("H2", 350_000, ["H2", "T1", "L2", "S2", "L3", "T3", "H12"]),
-    ] {
-        let p = names(&topo, &path);
-        sim.add_flow(FlowSpec::new(p[0], *p.last().expect("non-empty path"), start).pinned(p));
-        labels.push(format!("incast({src}->H12)"));
-    }
-
-    // Limited cycle-covering flows, sent in two waves: wave 1 locks the
-    // cycles before the fix, wave 2 probes re-formation after it.
-    const WAVE_BYTES: u64 = 600_000;
-    let wave_paths: [(&str, &[&str]); 5] = [
-        // Cycle A (blue + green, the Fig. 10 pair on fresh hosts).
-        (
-            "blue",
-            &["H3", "T1", "L1", "S1", "L3", "S2", "L4", "T4", "H13"],
-        ),
-        (
-            "green",
-            &["H10", "T3", "L3", "S2", "L1", "S1", "L2", "T1", "H4"],
-        ),
-        // Cycle B: w1 loads L3 -> S2 -> L2, r and r2 bounce through it.
-        ("w1", &["H9", "T3", "L3", "S2", "L2", "T2", "H8"]),
-        (
-            "r",
-            &["H13", "T4", "L4", "S2", "L2", "S1", "L3", "T3", "H9"],
-        ),
-        (
-            "r2",
-            &["H6", "T2", "L2", "S1", "L3", "S2", "L4", "T4", "H15"],
-        ),
-    ];
-    for wave_start in [end_ns / 6, 3 * end_ns / 5] {
-        for (label, path) in &wave_paths {
-            let p = names(&topo, path);
-            sim.add_flow(
-                FlowSpec::new(p[0], *p.last().expect("non-empty path"), wave_start)
-                    .pinned(p)
-                    .with_limit(WAVE_BYTES),
-            );
-            labels.push(format!("{label}@{wave_start}"));
-        }
-    }
-
-    // The corrective commit: quarantine `mask` (or re-install the same
-    // tables, for the diagnosis pass) halfway through the horizon.
-    let fixed = match mask {
-        Some((sw, port)) => mask_hop(&rules, sw, port),
-        None => rules,
-    };
-    sim.at(end_ns / 2, Action::ReplaceRules(fixed));
-
-    Experiment { sim, labels }
-}
-
-/// **Routing-loop deadlock with the watchdog armed** — the Fig. 11
-/// scenario (a T1 ↔ L1 forwarding loop filling both directions of the
-/// link) run without Tagger but with the per-queue watchdog, so the
-/// two-switch CBD is detected, attributed and demoted instead of
-/// freezing F2 forever.
-pub fn routing_loop_watchdog(window_ns: u64, end_ns: u64) -> Experiment {
-    let mut exp = fig11_routing_loop(false, end_ns);
-    exp.sim
-        .arm_watchdog(tagger_switch::WatchdogConfig::with_window(window_ns));
-    exp
-}
-
-#[cfg(test)]
-mod tests {
-    #![allow(clippy::unwrap_used)]
-    use super::*;
-
-    const END: u64 = 4_000_000; // 4 ms
-
-    #[test]
-    fn fig10_without_tagger_deadlocks() {
-        let (report, _) = fig10_bounce_deadlock(false, END).run();
-        assert!(report.deadlock.is_some(), "expected deadlock");
-        // Both flows frozen at the end.
-        assert_eq!(report.stalled_flows(5), 2);
-        assert_eq!(report.lossless_drops, 0); // PFC never drops, it freezes
-    }
-
-    #[test]
-    fn counterexample_replay_deadlocks_on_unsafe_tables() {
-        // Replaying flows that cover the cycle of the adversarial tables
-        // must actually deadlock.
-        let topo = ClosConfig::small().build();
-        let rules = unsafe_identity_rules(&topo);
-        let flows = cycle_flows(&topo, END);
-        let (report, _) = counterexample_replay(&topo, &rules, flows.clone(), END).run();
-        assert!(report.deadlock.is_some(), "unsafe tables must deadlock");
-
-        // The same flows on the verified 1-bounce tagging stay live.
-        let safe = clos_tagging(&topo, 1).unwrap();
-        let (report, _) = counterexample_replay(&topo, safe.rules(), flows, END).run();
-        assert!(report.deadlock.is_none());
-    }
-
-    #[test]
-    fn watchdog_rescue_recovers_from_unsafe_tables() {
-        let topo = ClosConfig::small().build();
-        let rules = unsafe_identity_rules(&topo);
-        let mut flows = cycle_flows(&topo, END);
-        // An off-cycle lossless victim: H3→H4 stays under T2 and never
-        // touches the CBD; recovery must not cost it a single packet.
-        flows.push((
-            "victim".to_string(),
-            FlowSpec::new(topo.expect_node("H3"), topo.expect_node("H4"), 0),
-        ));
-
-        // Watchdog off: the cycle locks and stays locked.
-        let (report, _) = watchdog_rescue(&topo, &rules, flows.clone(), None, END).run();
-        assert!(report.deadlock.is_some(), "baseline must deadlock");
-        assert!(report.watchdog.is_none());
-
-        // Demote policy (default): confirmed stuck queues fall to lossy,
-        // the cycle clears within two windows of the first trip, and the
-        // off-cycle victim is untouched.
-        let wd = tagger_switch::WatchdogConfig::with_window(200_000);
-        let (report, labels) = watchdog_rescue(&topo, &rules, flows.clone(), Some(wd), END).run();
-        let w = report.watchdog.clone().expect("watchdog report");
-        assert!(w.stats.trips >= 1, "confirmed cycle must trip: {w:?}");
-        let first = w.first_trip_at.expect("first trip time");
-        let cleared = w.cleared_at.expect("cycle must clear after demotion");
-        assert!(
-            cleared - first <= 2 * wd.window_ns,
-            "recovery took {} ns (> 2 windows)",
-            cleared - first
-        );
-        assert!(
-            w.stats.demoted_packets + w.stats.redirected_packets > 0,
-            "demotion must move packets to lossy: {:?}",
-            w.stats
-        );
-        let vic = labels.iter().position(|l| l == "victim").unwrap();
-        assert_eq!(report.flows[vic].wd_drops, 0);
-        assert!(report.flows[vic].delivered_bytes > 0);
-
-        // The trips collapse into deduplicated controller quarantines.
-        let events = quarantine_events(&report);
-        assert!(!events.is_empty());
-        assert!(events.len() as u64 <= w.stats.trips);
-
-        // Drop policy: recovery by sacrifice — the drained packets are
-        // accounted, and the cycle still clears.
-        let wd = tagger_switch::WatchdogConfig::with_policy(
-            200_000,
-            tagger_switch::WatchdogPolicy::Drop,
-        );
-        let (report, _) = watchdog_rescue(&topo, &rules, flows, Some(wd), END).run();
-        let w = report.watchdog.expect("watchdog report");
-        assert!(w.stats.trips >= 1);
-        assert!(w.cleared_at.is_some(), "drain must clear the cycle");
-        assert!(w.stats.drained_packets > 0);
-        let drained: u64 = report.flows.iter().map(|f| f.wd_drops).sum();
-        assert_eq!(drained, w.stats.drained_packets, "per-flow attribution");
-    }
-
-    #[test]
-    fn incast_guard_never_trips() {
-        // Heavy 8-to-1 incast pauses queues far longer than the window,
-        // but there is no cycle — confirmation must hold the trigger.
-        let (report, _) = incast_false_positive_guard(200_000, END).run();
-        let w = report.watchdog.clone().expect("watchdog report");
-        assert_eq!(w.stats.trips, 0, "incast must never trip: {:?}", w.stats);
-        assert!(w.trips.is_empty() && w.first_trip_at.is_none());
-        assert!(report.pauses_sent > 0, "PFC must actually engage");
-        assert!(report.deadlock.is_none());
-        assert!(quarantine_events(&report).is_empty());
-    }
-
-    #[test]
-    fn fig10_with_tagger_no_deadlock() {
-        let (report, _) = fig10_bounce_deadlock(true, END).run();
-        assert!(report.deadlock.is_none());
-        assert_eq!(report.stalled_flows(5), 0);
-        for f in &report.flows {
-            assert!(f.tail_rate(5) > 10e9, "flow {} too slow", f.flow);
-        }
-        assert_eq!(report.lossless_drops, 0);
-    }
-
-    #[test]
-    fn fig11_without_tagger_pauses_victim() {
-        let (report, _) = fig11_routing_loop(false, END).run();
-        // F2 (index 1) must be frozen by the loop-induced deadlock.
-        assert!(report.flows[1].stalled(5), "F2 should be stalled");
-        assert!(report.deadlock.is_some());
-    }
-
-    #[test]
-    fn fig11_with_tagger_victim_unaffected() {
-        let (report, _) = fig11_routing_loop(true, END).run();
-        assert!(report.deadlock.is_none());
-        let f2 = &report.flows[1];
-        assert!(f2.tail_rate(5) > 5e9, "F2 rate {}", f2.tail_rate(5));
-        // F1's packets loop and die of TTL (goodput ~0 after the loop).
-        let f1 = &report.flows[0];
-        assert_eq!(f1.tail_rate(3), 0.0);
-        assert!(f1.ttl_drops > 0 || report.lossy_drops > 0);
-    }
-
-    #[test]
-    fn fig12_without_tagger_freezes_all_eight() {
-        let (report, _) = fig12_pause_propagation(false, END).run();
-        assert!(report.deadlock.is_some());
-        // All eight flows deliver nothing at the end; the two bouncing
-        // flows additionally show the ran-then-stalled signature.
-        assert_eq!(report.frozen_flows(5), 8, "all flows must freeze");
-        assert!(report.stalled_flows(5) >= 2);
-    }
-
-    #[test]
-    fn fig12_with_tagger_all_run() {
-        let (report, _) = fig12_pause_propagation(true, END).run();
-        assert!(report.deadlock.is_none());
-        assert_eq!(report.frozen_flows(5), 0);
-    }
-
-    #[test]
-    fn failure_sweep_tagger_never_deadlocks() {
-        let mut vanilla_deadlocks = 0;
-        for seed in 0..6u64 {
-            let vanilla = failure_trial(false, seed, 2, 4_000_000);
-            if vanilla.deadlock.is_some() {
-                vanilla_deadlocks += 1;
-            }
-            let tagger = failure_trial(true, seed, 2, 4_000_000);
-            assert!(
-                tagger.deadlock.is_none(),
-                "seed {seed} deadlocked with Tagger"
-            );
-            assert_eq!(
-                tagger.frozen_flows(3),
-                0,
-                "seed {seed}: frozen flows with Tagger"
-            );
-            assert_eq!(tagger.lossless_drops, 0);
-        }
-        assert!(
-            vanilla_deadlocks > 0,
-            "the sweep should produce at least one vanilla deadlock"
-        );
-    }
-
-    #[test]
-    fn bcube_ring_deadlocks_without_tagger() {
-        let (report, _) = bcube_ring(false, 8_000_000).run();
-        assert!(report.deadlock.is_some(), "server-buffer CBD must lock");
-        assert_eq!(report.frozen_flows(5), 4);
-    }
-
-    #[test]
-    fn bcube_ring_with_tagger_runs_losslessly() {
-        let (report, _) = bcube_ring(true, 8_000_000).run();
-        assert!(report.deadlock.is_none());
-        assert_eq!(report.frozen_flows(5), 0);
-        assert_eq!(report.lossless_drops, 0);
-        assert_eq!(report.lossy_drops, 0); // ELP covers every route
-        for f in &report.flows {
-            assert!(
-                f.tail_rate(5) > 15e9,
-                "flow {} at {}",
-                f.flow,
-                f.tail_rate(5)
-            );
-        }
-    }
-
-    #[test]
-    fn dcqcn_slashes_pause_count_at_similar_goodput() {
-        let (without, _) = dcqcn_incast(false, 5_000_000).run();
-        let (with, _) = dcqcn_incast(true, 5_000_000).run();
-        assert!(
-            with.pauses_sent * 5 < without.pauses_sent,
-            "expected >5x PAUSE reduction: {} vs {}",
-            with.pauses_sent,
-            without.pauses_sent
-        );
-        let ratio = with.aggregate_goodput_bps() / without.aggregate_goodput_bps();
-        assert!(
-            (0.85..1.15).contains(&ratio),
-            "goodput ratio {ratio} out of range"
-        );
-        assert_eq!(with.lossless_drops, 0);
-    }
-
-    #[test]
-    fn deadlock_persists_under_pause_quanta() {
-        // Real PFC pauses expire unless refreshed; a CBD deadlock's
-        // ingress never drains, so the refresh never stops and the
-        // deadlock is just as permanent (paper §1: deadlocks are not
-        // transient).
-        let topo = ClosConfig::small().build();
-        let fib = Fib::shortest_path(&topo, &FailureSet::none());
-        let cfg = crate::SimConfig {
-            switch: testbed_switch_config(1),
-            pfc_extra_delay_ns: TESTBED_PFC_DELAY_NS,
-            pause_quanta_ns: Some(50_000),
-            end_time_ns: END,
-            ..crate::SimConfig::default()
-        };
-        let mut sim = Simulator::new(topo.clone(), fib, None, cfg);
-        let blue = names(
-            &topo,
-            &["H1", "T1", "L1", "S1", "L3", "S2", "L4", "T4", "H13"],
-        );
-        let green = names(
-            &topo,
-            &["H9", "T3", "L3", "S2", "L1", "S1", "L2", "T1", "H1"],
-        );
-        sim.add_flow(FlowSpec::new(blue[0], *blue.last().unwrap(), 0).pinned(blue.clone()));
-        sim.add_flow(
-            FlowSpec::new(green[0], *green.last().unwrap(), END / 5).pinned(green.clone()),
-        );
-        let report = sim.run();
-        assert!(
-            report.deadlock.is_some(),
-            "deadlock must survive quanta expiry"
-        );
-        assert_eq!(report.frozen_flows(5), 2);
-    }
-
-    #[test]
-    fn recovery_fires_repeatedly_without_tagger() {
-        let (report, _) = recovery_baseline(false, 20_000_000).run();
-        assert!(
-            report.recoveries >= 2,
-            "expected recurring deadlocks, got {} recoveries",
-            report.recoveries
-        );
-        assert!(report.recovery_drops > 0, "recovery must sacrifice packets");
-    }
-
-    #[test]
-    fn recovery_never_needed_with_tagger() {
-        let (report, _) = recovery_baseline(true, 20_000_000).run();
-        assert_eq!(report.recoveries, 0);
-        assert_eq!(report.recovery_drops, 0);
-        assert!(report.deadlock.is_none());
-    }
-
-    #[test]
-    fn transient_failure_via_controller_matches_hand_wired_tagger() {
-        let (exp, commit) = transient_failure_via_controller(10_000_000);
-        // The commit is a real incremental update: it touches tables,
-        // but costs far less than withdrawing and reinstalling them.
-        assert!(commit.switches_touched() > 0);
-        assert!(
-            commit.delta_ops() < commit.full_reinstall_ops(),
-            "deltas ({} ops) must beat full reinstall ({} ops)",
-            commit.delta_ops(),
-            commit.full_reinstall_ops()
-        );
-        let (report, _) = exp.run();
-        // Same safety outcome as the hand-wired Tagger run: no deadlock,
-        // ricochets absorbed lossy, lossless class untouched, and both
-        // flows back at line rate after the controller's tables land.
-        assert!(report.deadlock.is_none());
-        assert_eq!(report.lossless_drops, 0);
-        assert_eq!(report.frozen_flows(5), 0);
-        for f in &report.flows {
-            assert!(
-                f.tail_rate(5) > 35e9,
-                "flow {} did not recover: {}",
-                f.flow,
-                f.tail_rate(5)
-            );
-        }
-    }
-
-    #[test]
-    fn chaotic_reroute_is_safe_for_every_seed() {
-        let mut aborted = 0;
-        let mut retried = 0;
-        for seed in 0..5u64 {
-            let (exp, outcome, metrics) =
-                transient_failure_chaotic_controller(seed, 0.4, 10_000_000);
-            if outcome.committed().is_none() {
-                aborted += 1;
-            }
-            if metrics.install_retries > 0 {
-                retried += 1;
-            }
-            let (report, _) = exp.run();
-            // The safety floor chaos cannot lower: no deadlock, no
-            // lossless drop, the victim never freezes.
-            assert!(report.deadlock.is_none(), "seed {seed} deadlocked");
-            assert_eq!(report.lossless_drops, 0, "seed {seed} dropped lossless");
-            assert!(
-                !report.flows[1].stalled(5),
-                "seed {seed}: victim flow froze"
-            );
-        }
-        assert!(
-            retried > 0,
-            "40% chaos over 5 seeds must force at least one retry"
-        );
-        // Aborted epochs (if any) are safe too — that is the point — but
-        // the default 5-attempt budget rides out most 40% schedules.
-        assert!(aborted <= 5);
-    }
-
-    #[test]
-    fn transient_failure_deadlock_survives_reconvergence_without_tagger() {
-        let (report, _) = transient_failure(false, 10_000_000).run();
-        assert!(report.deadlock.is_some());
-        // Routing reconverged at 6 ms, yet both flows stay frozen to the
-        // end — the paper's §1 persistence claim.
-        assert_eq!(report.frozen_flows(10), 2);
-    }
-
-    #[test]
-    fn transient_failure_with_tagger_recovers() {
-        let (report, _) = transient_failure(true, 10_000_000).run();
-        assert!(report.deadlock.is_none());
-        // The ricocheting packets were absorbed by the lossy class...
-        assert!(report.lossy_drops > 0);
-        assert_eq!(report.lossless_drops, 0);
-        // ...the victim was never frozen, and both flows are back at
-        // line rate after reconvergence.
-        for f in &report.flows {
-            assert!(
-                f.tail_rate(5) > 35e9,
-                "flow {} did not recover: {}",
-                f.flow,
-                f.tail_rate(5)
-            );
-        }
-    }
-
-    #[test]
-    fn fig8_correct_transition_never_drops() {
-        let (report, _) = fig8_priority_transition(true, END).run();
-        assert_eq!(report.lossless_drops, 0);
-        // Flow A still makes progress under PFC back-pressure.
-        assert!(report.flows[0].tail_rate(5) > 1e9);
-    }
-
-    #[test]
-    fn fig8_old_tag_transition_drops_lossless() {
-        let (report, _) = fig8_priority_transition(false, END).run();
-        assert!(
-            report.lossless_drops > 0,
-            "expected lossless drops from the Fig 8(a) bug"
-        );
-    }
-
-    #[test]
-    fn perf_penalty_parity() {
-        let (with, _) = perf_penalty(true, 42, END).run();
-        let (without, _) = perf_penalty(false, 42, END).run();
-        assert!(with.deadlock.is_none());
-        assert!(without.deadlock.is_none());
-        let a = with.aggregate_goodput_bps();
-        let b = without.aggregate_goodput_bps();
-        let penalty = (b - a) / b;
-        assert!(
-            penalty.abs() < 0.02,
-            "tagger penalty {penalty:.3} exceeds 2% (with={a:.3e}, without={b:.3e})"
-        );
-    }
-
-    #[test]
-    fn attribution_matches_ground_truth_on_bounce_deadlock() {
-        let topo = ClosConfig::small().build();
-        let rules = unsafe_identity_rules(&topo);
-        let flows = cycle_flows(&topo, END);
-        let wd = tagger_switch::WatchdogConfig::with_window(200_000);
-        let (report, _) = watchdog_rescue(&topo, &rules, flows, Some(wd), END).run();
-        let w = report.watchdog.expect("watchdog report");
-        assert!(w.stats.trips >= 1);
-        let trig = w
-            .trigger
-            .clone()
-            .expect("confirmed cycle must be attributed");
-        assert!(
-            trig.matches_ground_truth,
-            "attribution disagrees with the pause-log ground truth: {trig:?}"
-        );
-        assert!(trig.scc.contains(&trig.queue()));
-        assert_eq!(w.episodes, 1);
-        let ttd = w.time_to_detect().expect("detect after trigger pause");
-        assert!(ttd > 0, "detection cannot precede the trigger pause");
-    }
-
-    #[test]
-    fn attribution_matches_ground_truth_on_routing_loop() {
-        let (report, _) = routing_loop_watchdog(200_000, END).run();
-        let w = report.watchdog.expect("watchdog report");
-        assert!(w.stats.trips >= 1, "loop CBD must trip: {:?}", w.stats);
-        let trig = w.trigger.expect("confirmed loop must be attributed");
-        assert!(
-            trig.matches_ground_truth,
-            "attribution disagrees with the pause-log ground truth: {trig:?}"
-        );
-        assert!(trig.scc.contains(&trig.queue()));
-        // The loop fills T1 <-> L1 in both directions; the trigger must
-        // name one of the loop's own queues.
-        let topo = ClosConfig::small().build();
-        let t1 = topo.expect_node("T1");
-        let l1 = topo.expect_node("L1");
-        assert!(
-            trig.switch == t1 || trig.switch == l1,
-            "trigger {trig:?} outside the forwarding loop"
-        );
-    }
-
-    /// The tentpole regression: cause-directed recovery (quarantine the
-    /// attributed trigger hop) prevents the deadlock from re-forming
-    /// where victim-directed recovery (quarantine the first-tripped
-    /// queue) does not — on the two-cycle incast scenario where the
-    /// trigger and the victim are different hops.
-    #[test]
-    fn cause_directed_recovery_prevents_cycle_reformation() {
-        const E: u64 = 12_000_000;
-        let topo = ClosConfig::small().build();
-        let s1 = topo.expect_node("S1");
-        let l3 = topo.expect_node("L3");
-        let s1_to_l3 = topo.port_towards(s1, l3).unwrap();
-
-        // Diagnosis pass (no fix): the watchdog detects, attributes the
-        // incast-congested hop, and the second wave re-locks.
-        let (diag, _) = incast_two_cycle(None, E).run();
-        let wd = diag.watchdog.clone().expect("watchdog armed");
-        let trig = wd.trigger.clone().expect("episode must be attributed");
-        assert!(
-            trig.matches_ground_truth,
-            "attribution disagrees with the pause-log ground truth: {trig:?}"
-        );
-        assert_eq!(
-            trig.queue(),
-            (s1, s1_to_l3, 0),
-            "the incast-congested hop S1->L3 is the ground-truth trigger"
-        );
-        assert!(
-            trig.hops >= 1,
-            "the trigger pause is inherited from the incast tree outside the cycle: {trig:?}"
-        );
-        let ttd = wd.time_to_detect().expect("detect after trigger pause");
-        assert!(ttd > 0);
-        let victim = *wd.trips.first().expect("episode must trip");
-        assert_ne!(
-            (victim.switch, victim.port),
-            (trig.switch, trig.port),
-            "the first-tripped victim must differ from the trigger for the comparison"
-        );
-        assert!(
-            wd.episodes >= 2,
-            "without a fix the second wave must re-lock, got {} episode(s)",
-            wd.episodes
-        );
-
-        // Victim-directed: masking the first-tripped hop kills only the
-        // cycle it sits on; the other re-forms on the second wave.
-        let (vic, _) = incast_two_cycle(Some((victim.switch, victim.port)), E).run();
-        let wv = vic.watchdog.expect("watchdog armed");
-        assert!(
-            wv.episodes >= 2,
-            "victim-directed recovery must let the deadlock re-form, got {} episode(s)",
-            wv.episodes
-        );
-
-        // Cause-directed: masking the attributed trigger hop starves
-        // both cycles and the incast pressure itself.
-        let mut cause = incast_two_cycle(Some((trig.switch, trig.port)), E);
-        let report = cause.sim.run();
-        let wc = report.watchdog.expect("watchdog armed");
-        assert_eq!(
-            wc.episodes, 1,
-            "cause-directed recovery must prevent re-formation"
-        );
-
-        // No stale attribution in lossy traffic: every packet parked in
-        // a lossy queue at the end carries no trigger stamp.
-        let nodes: Vec<NodeId> = cause.sim.topo().node_ids().collect();
-        for n in nodes {
-            let sw = cause.sim.switch_state(n).expect("switch state");
-            for qp in sw.queued_packets() {
-                if qp.egress_queue >= 1 {
-                    assert!(
-                        qp.packet.trigger.is_none(),
-                        "lossy packet at {n:?} holds a stale trigger stamp"
-                    );
-                }
-            }
-        }
-    }
 }

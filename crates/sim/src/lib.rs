@@ -58,7 +58,7 @@ pub mod probe;
 
 pub use dcqcn::DcqcnConfig;
 pub use deadlock::DeadlockReport;
-pub use event::{QueueKind, SimTime};
+pub use event::SimTime;
 pub use experiments::Experiment;
 pub use flow::{FlowReport, FlowSpec, Route};
 pub use report::{SimReport, TriggerAttribution, WatchdogReport, WatchdogTripRecord};

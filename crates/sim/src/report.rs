@@ -135,7 +135,7 @@ pub struct SimReport {
     /// Sample interval used for the rate series.
     pub sample_interval_ns: SimTime,
     /// Events the run loop dispatched — the denominator for events/sec
-    /// benchmarking (`BENCH_scenarios.json`).
+    /// benchmarking.
     pub events_processed: u64,
 }
 

@@ -1,9 +1,10 @@
 //! The simulator core: event loop, forwarding, PFC delivery.
 
 use crate::deadlock::{deadlocked_queues, detect_deadlock, DeadlockReport};
-use crate::event::{Ev, EventQueue, SimTime};
+use crate::event::{Ev, SimTime};
 use crate::flow::{FlowReport, FlowSpec, FlowState, Route};
 use crate::nic::HostNic;
+use crate::queue::TimingWheel;
 use crate::report::{SimReport, TriggerAttribution, WatchdogReport, WatchdogTripRecord};
 use std::collections::{BTreeMap, BTreeSet};
 use tagger_core::{RuleSet, TagDecision};
@@ -59,9 +60,6 @@ pub struct SimConfig {
     /// drop or demoted to the lossy class for a hold-down period.
     /// `None` = no watchdog (the default; deadlocks then persist).
     pub watchdog: Option<WatchdogConfig>,
-    /// Event-queue backend (the timing wheel by default; the binary
-    /// heap is kept as the benchmark baseline).
-    pub queue: crate::QueueKind,
 }
 
 impl Default for SimConfig {
@@ -79,7 +77,6 @@ impl Default for SimConfig {
             pause_quanta_ns: None,
             recovery: false,
             watchdog: None,
-            queue: crate::QueueKind::default(),
         }
     }
 }
@@ -145,7 +142,9 @@ pub struct Simulator {
     tx_busy: BTreeSet<GlobalPort>,
     /// Hosts' forwarded-vs-generated alternation state per port.
     host_tx_alt: BTreeSet<GlobalPort>,
-    queue: EventQueue,
+    /// Pending events in `(time, push sequence)` order, so simultaneous
+    /// events fire in insertion order and runs are deterministic.
+    queue: TimingWheel<Ev>,
     now: SimTime,
     actions: Vec<(SimTime, Action)>,
     packet_seq: u64,
@@ -190,7 +189,6 @@ impl Simulator {
     /// packet's tag is never rewritten).
     pub fn new(topo: Topology, fib: Fib, rules: Option<RuleSet>, cfg: SimConfig) -> Simulator {
         cfg.switch.validate().expect("invalid switch config");
-        let qkind = cfg.queue;
         // Every node gets a data plane: switches obviously, but hosts
         // too — in server-centric fabrics (BCube) servers forward, and a
         // forwarding server needs queues and PFC accounting exactly like
@@ -217,7 +215,7 @@ impl Simulator {
             nics,
             tx_busy: BTreeSet::new(),
             host_tx_alt: BTreeSet::new(),
-            queue: EventQueue::new(qkind),
+            queue: TimingWheel::default(),
             now: 0,
             actions: Vec::new(),
             packet_seq: 0,

@@ -105,6 +105,34 @@ proptest! {
     }
 }
 
+/// Real PFC pauses expire unless refreshed; a CBD deadlock's ingress
+/// never drains, so the refresh never stops and the deadlock is just as
+/// permanent (paper §1: deadlocks are not transient).
+#[test]
+fn deadlock_persists_under_pause_quanta() {
+    use tagger_sim::experiments::{cycle_flows, testbed_switch_config, TESTBED_PFC_DELAY_NS};
+    const END: u64 = 4_000_000;
+    let topo = ClosConfig::small().build();
+    let fib = Fib::shortest_path(&topo, &FailureSet::none());
+    let cfg = SimConfig {
+        switch: testbed_switch_config(1),
+        pfc_extra_delay_ns: TESTBED_PFC_DELAY_NS,
+        pause_quanta_ns: Some(50_000),
+        end_time_ns: END,
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(topo.clone(), fib, None, cfg);
+    for (_, flow) in cycle_flows(&topo, END) {
+        sim.add_flow(flow);
+    }
+    let report = sim.run();
+    assert!(
+        report.deadlock.is_some(),
+        "deadlock must survive quanta expiry"
+    );
+    assert_eq!(report.frozen_flows(5), 2);
+}
+
 /// A flow with a byte limit injects exactly that many bytes and they all
 /// arrive (no losses on a lossless fabric).
 #[test]

@@ -2,20 +2,26 @@
 //! close a cyclic buffer dependency and freeze the fabric — unless
 //! Tagger is deployed.
 //!
-//! Runs the packet-level simulation twice (without/with Tagger) and
-//! prints the two flows' goodput over time.
+//! Runs `examples/scenarios/fig10_vanilla.scn` and `fig10_tagger.scn`
+//! (the same packet-level simulation without/with Tagger) and prints
+//! the two flows' goodput over time.
 //!
 //! ```sh
 //! cargo run --release --example clos_deadlock
 //! ```
 
-use tagger::sim::experiments::fig10_bounce_deadlock;
+use std::collections::BTreeMap;
+use tagger::scenario::{instantiate, parse, RunOptions};
 
 fn main() {
-    const END_NS: u64 = 8_000_000; // 8 ms
-
-    for with_tagger in [false, true] {
-        let (report, labels) = fig10_bounce_deadlock(with_tagger, END_NS).run();
+    for (with_tagger, scn) in [
+        (false, include_str!("scenarios/fig10_vanilla.scn")),
+        (true, include_str!("scenarios/fig10_tagger.scn")),
+    ] {
+        let scenario = parse(scn).expect("shipped scenario parses");
+        let exp = instantiate(&scenario, &BTreeMap::new(), &RunOptions::default())
+            .expect("shipped scenario expands");
+        let (report, labels) = exp.run();
         println!(
             "=== {} Tagger ===",
             if with_tagger { "WITH" } else { "WITHOUT" }

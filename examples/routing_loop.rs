@@ -4,26 +4,32 @@
 //! buffer dependency and an innocent flow through the same links freezes
 //! forever — even though the loop's packets all die of TTL. With Tagger,
 //! the loopers fall into the lossy class at the first hairpin and the
-//! innocent flow never notices.
+//! innocent flow never notices. The two runs are
+//! `examples/scenarios/fig11_vanilla.scn` and `fig11_tagger.scn`.
 //!
 //! ```sh
 //! cargo run --release --example routing_loop
 //! ```
 
-use tagger::sim::experiments::fig11_routing_loop;
+use std::collections::BTreeMap;
+use tagger::scenario::{instantiate, parse, RunOptions};
 
 fn main() {
-    const END_NS: u64 = 8_000_000;
-
-    for with_tagger in [false, true] {
-        let (report, labels) = fig11_routing_loop(with_tagger, END_NS).run();
+    for (with_tagger, scn) in [
+        (false, include_str!("scenarios/fig11_vanilla.scn")),
+        (true, include_str!("scenarios/fig11_tagger.scn")),
+    ] {
+        let scenario = parse(scn).expect("shipped scenario parses");
+        let exp = instantiate(&scenario, &BTreeMap::new(), &RunOptions::default())
+            .expect("shipped scenario expands");
+        let (report, labels) = exp.run();
         println!(
             "=== {} Tagger ===",
             if with_tagger { "WITH" } else { "WITHOUT" }
         );
         println!(
             "loop installed at t={} µs; deadlock: {}",
-            END_NS / 5 / 1_000,
+            scenario.end_ns / 5 / 1_000, // the `route ... @20%` lines
             match &report.deadlock {
                 Some(d) => format!("YES at t={} µs", d.detected_at / 1_000),
                 None => "no".to_string(),

@@ -1,10 +1,8 @@
 //! `tagger-scenario` — run, sweep and list declarative `.scn` scenarios.
 //!
 //! ```text
-//! tagger-scenario run <file-or-dir...> [--seed N] [--queue wheel|heap]
-//!                     [--json FILE]
-//! tagger-scenario sweep <file-or-dir...> [--seed N] [--queue wheel|heap]
-//!                     [--json FILE]
+//! tagger-scenario run <file-or-dir...> [--seed N] [--json FILE]
+//! tagger-scenario sweep <file-or-dir...> [--seed N] [--json FILE]
 //! tagger-scenario list <file-or-dir...>
 //! ```
 //!
@@ -16,15 +14,13 @@
 //!
 //! A directory argument expands to its `*.scn` files in sorted order
 //! (non-recursive). `--seed` overrides every scenario's `seed`
-//! directive; `--queue` forces the event-queue backend (the
-//! wheel-vs-heap bench runs the same files both ways). `--json` writes
-//! the byte-stable machine report for CI diffing.
+//! directive; `--json` writes the byte-stable machine report for CI
+//! diffing. Any other flag is an error.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use tagger::scenario::{parse_all, points, RunOptions, SuiteReport};
-use tagger::sim::QueueKind;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -47,9 +43,11 @@ fn main() -> ExitCode {
     }
 }
 
-/// Positional + `--flag value` parsing.
+/// Positional + `--flag value` parsing; a flag outside `known` is an
+/// error.
 fn parse_args(
     rest: &[String],
+    known: &[&str],
 ) -> Result<(Vec<String>, std::collections::BTreeMap<String, String>), String> {
     let mut positional = Vec::new();
     let mut flags = std::collections::BTreeMap::new();
@@ -57,6 +55,9 @@ fn parse_args(
     while i < rest.len() {
         let a = &rest[i];
         if let Some(name) = a.strip_prefix("--") {
+            if !known.contains(&name) {
+                return Err(format!("unknown flag --{name}"));
+            }
             if i + 1 < rest.len() {
                 flags.insert(name.to_string(), rest[i + 1].clone());
                 i += 2;
@@ -106,25 +107,14 @@ fn options_for(
         ),
         None => None,
     };
-    let queue = match flags.get("queue").map(String::as_str) {
-        None => None,
-        Some("wheel") => Some(QueueKind::TimingWheel),
-        Some("heap") => Some(QueueKind::BinaryHeap),
-        Some(other) => {
-            return Err(format!(
-                "--queue: expected `wheel` or `heap`, got `{other}`"
-            ))
-        }
-    };
     Ok(RunOptions {
         seed,
-        queue,
         base_dir: file.parent().unwrap_or(Path::new(".")).to_path_buf(),
     })
 }
 
 fn cmd_run(rest: &[String], per_point: bool) -> Result<ExitCode, String> {
-    let (positional, flags) = parse_args(rest)?;
+    let (positional, flags) = parse_args(rest, &["seed", "json"])?;
     let files = expand_paths(&positional)?;
     let mut suite = SuiteReport::default();
     for file in &files {
@@ -185,7 +175,7 @@ fn point_table(suite: &SuiteReport) -> String {
 }
 
 fn cmd_list(rest: &[String]) -> Result<ExitCode, String> {
-    let (positional, _) = parse_args(rest)?;
+    let (positional, _) = parse_args(rest, &[])?;
     let files = expand_paths(&positional)?;
     let mut bad = false;
     for file in &files {

@@ -109,9 +109,15 @@ fn rules_are_monotone_along_paths() {
 /// the paper's whole point, exercised across all five crates.
 #[test]
 fn tagger_is_the_difference_between_deadlock_and_not() {
-    use tagger::sim::experiments::fig10_bounce_deadlock;
-    let (without, _) = fig10_bounce_deadlock(false, 4_000_000).run();
-    let (with, _) = fig10_bounce_deadlock(true, 4_000_000).run();
+    use tagger::scenario::{instantiate, parse, RunOptions};
+    let run = |scn: &str| {
+        let scenario = parse(scn).expect("shipped scenario parses");
+        let point = std::collections::BTreeMap::new();
+        let exp = instantiate(&scenario, &point, &RunOptions::default()).expect("expands");
+        exp.run().0
+    };
+    let without = run(include_str!("../examples/scenarios/fig10_vanilla.scn"));
+    let with = run(include_str!("../examples/scenarios/fig10_tagger.scn"));
     assert!(without.deadlock.is_some());
     assert!(with.deadlock.is_none());
     assert_eq!(without.stalled_flows(5), 2);
