@@ -128,6 +128,7 @@ mod tests {
         // The triangle detour paths alone create a CBD on one priority —
         // the reason the example needs two tags at all.
         let topo = topology();
-        assert!(tagger_core::cbd::has_cbd(&topo, elp(&topo).paths()));
+        let paths: Vec<_> = elp(&topo).paths().collect();
+        assert!(tagger_core::cbd::has_cbd(&topo, &paths));
     }
 }

@@ -10,40 +10,37 @@
 //! verifies. The price is as many tags as the longest lossless route,
 //! which Algorithm 2 then compresses.
 
+use crate::turn::{turn_key, TurnSet};
 use crate::{Elp, Tag, TaggedGraph, TaggedNode};
 use std::convert::Infallible;
-use tagger_routing::{Path, PrefixWalker};
 use tagger_topo::Topology;
 
-/// Runs Algorithm 1 over an ELP given as any path iterator. The tag starts
-/// at 1 on the first hop and increments on every subsequent hop.
-pub fn tag_by_hop_count_iter<I>(topo: &Topology, paths: I) -> TaggedGraph
-where
-    I: IntoIterator,
-    I::Item: std::borrow::Borrow<Path>,
-{
-    use std::borrow::Borrow;
-    let mut g = TaggedGraph::new();
-    // A hop's node is (ingress port, hop number): the same for every path
-    // that shares the prefix up to it, so a shared prefix is not re-walked.
-    let mut walker = PrefixWalker::new();
-    for path in paths {
-        let Ok(()) = walker.walk(topo, path.borrow(), |_, prev, _, ingress| {
-            let tag = prev.map_or(Tag::INITIAL, |(_, t): (_, Tag)| t.next());
-            let node = TaggedNode { port: ingress, tag };
-            match prev {
-                Some((port, tag)) => g.add_edge(TaggedNode { port, tag }, node),
-                None => g.add_node(node),
-            }
-            Ok::<Tag, Infallible>(tag)
-        });
-    }
-    g
-}
-
-/// Runs Algorithm 1 over an [`Elp`].
+/// Runs Algorithm 1 over an [`Elp`]. The tag starts at 1 on the first hop
+/// and increments on every subsequent hop.
+///
+/// One sweep of the ELP's tree: a hop's node is (ingress port, hop
+/// number), the same for every path that shares the prefix up to it, and
+/// the edge into it is the same wherever the same turn is taken at the
+/// same hop number — only the first such visit touches the graph.
 pub fn tag_by_hop_count(topo: &Topology, elp: &Elp) -> TaggedGraph {
-    tag_by_hop_count_iter(topo, elp.paths())
+    let mut g = TaggedGraph::new();
+    let mut seen = TurnSet::default();
+    let node = |from, to, tag| TaggedNode {
+        port: topo.hop_ends(from, to).1,
+        tag,
+    };
+    let Ok(()) = elp.tree().sweep(|_, before, here, next| {
+        let Some((before, carried)) = before else {
+            g.add_node(node(here, next, Tag::INITIAL));
+            return Ok::<Tag, Infallible>(Tag::INITIAL);
+        };
+        let tag = carried.next();
+        if seen.insert(turn_key(before, here, next, carried)) {
+            g.add_edge(node(before, here, carried), node(here, next, tag));
+        }
+        Ok(tag)
+    });
+    g
 }
 
 #[cfg(test)]
@@ -57,7 +54,7 @@ mod tests {
     fn single_path_tags_by_hop_index() {
         let topo = ClosConfig::small().build();
         let p = Path::from_names(&topo, &["H1", "T1", "L1", "S1", "L3", "T3", "H9"]);
-        let g = tag_by_hop_count_iter(&topo, [&p]);
+        let g = tag_by_hop_count(&topo, &Elp::from_paths(vec![p]));
         // 6 hops -> 6 nodes, 5 edges, tags 1..=6.
         assert_eq!(g.num_nodes(), 6);
         assert_eq!(g.num_edges(), 5);
@@ -72,7 +69,7 @@ mod tests {
         let topo = ClosConfig::small().build();
         let a = Path::from_names(&topo, &["H1", "T1", "L1", "S1", "L3", "T3", "H9"]);
         let b = Path::from_names(&topo, &["H1", "T1", "L1", "S1", "L4", "T4", "H13"]);
-        let g = tag_by_hop_count_iter(&topo, [&a, &b]);
+        let g = tag_by_hop_count(&topo, &Elp::from_paths(vec![a, b]));
         // First 3 hops identical: 3 shared nodes + 2x3 distinct.
         assert_eq!(g.num_nodes(), 3 + 6);
         g.verify().unwrap();
@@ -106,7 +103,7 @@ mod tests {
         // starting at a T1-adjacent... actually from L1's other ToR: T2.
         let a = Path::from_names(&topo, &["H1", "T1", "L1", "S1", "L3", "T3", "H9"]);
         let b = Path::from_names(&topo, &["T2", "L1", "S1", "L3", "T3", "H9"]);
-        let g = tag_by_hop_count_iter(&topo, [&a, &b]);
+        let g = tag_by_hop_count(&topo, &Elp::from_paths(vec![a, b]));
         let s1 = topo.expect_node("S1");
         let l1 = topo.expect_node("L1");
         let n2 = TaggedGraph::node_for(&topo, s1, l1, Tag(2));

@@ -64,7 +64,7 @@ mod tests {
         // §3.2: up-down routing cannot create CBD.
         let topo = ClosConfig::small().build();
         let elp = crate::Elp::updown(&topo);
-        assert!(!has_cbd(&topo, elp.paths()));
+        assert!(!has_cbd(&topo, &elp.paths().collect::<Vec<_>>()));
     }
 
     #[test]
@@ -104,14 +104,14 @@ mod tests {
         // the reason Tagger needs a second lossless priority.
         let topo = ClosConfig::small().build();
         let elp = crate::Elp::updown_with_bounces_capped(&topo, 1, 8);
-        assert!(has_cbd(&topo, elp.paths()));
+        assert!(has_cbd(&topo, &elp.paths().collect::<Vec<_>>()));
     }
 
     #[test]
     fn witness_cycle_edges_exist() {
         let topo = ClosConfig::small().build();
         let elp = crate::Elp::updown_with_bounces_capped(&topo, 1, 8);
-        let g = single_priority_dependencies(&topo, elp.paths());
+        let g = single_priority_dependencies(&topo, &elp.paths().collect::<Vec<_>>());
         let cycle = g.find_cycle_in_tag(Tag(1)).unwrap();
         for w in cycle.windows(2) {
             assert!(g.contains_edge(&(w[0], w[1])));

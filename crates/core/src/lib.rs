@@ -42,8 +42,9 @@ pub mod oracle;
 mod rules;
 pub mod span;
 pub mod tcam;
+mod turn;
 
-pub use algorithm1::{tag_by_hop_count, tag_by_hop_count_iter};
+pub use algorithm1::tag_by_hop_count;
 pub use algorithm2::{apply_assignment, greedy_assignment, greedy_minimize, minimize_elp};
 pub use elp::Elp;
 pub use graph::{Tag, TaggedEdge, TaggedGraph, TaggedNode, VerifyError};

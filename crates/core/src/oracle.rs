@@ -123,7 +123,7 @@ pub struct Infeasible {
     /// Proven floor on the tags required (`budget + 1` when the search
     /// was exhaustive, else the best floor actually proven).
     pub lower_bound_tags: usize,
-    /// Indices into `elp.paths()` of a minimal infeasible sub-ELP:
+    /// Indices ([`Elp::path`]) of a minimal infeasible sub-ELP:
     /// dropping any single kernel path makes the rest feasible.
     /// Guaranteed minimal whenever `exhaustive` is true; a capped
     /// (conservative) verdict on a very large instance may skip the
@@ -181,7 +181,7 @@ impl WitnessOrder {
             .iter()
             .map(|l| l.iter().enumerate().map(|(i, &p)| (p, i)).collect())
             .collect();
-        for (pi, path) in elp.paths().iter().enumerate() {
+        for (pi, path) in elp.paths().enumerate() {
             let ports: Vec<GlobalPort> = path.ingress_ports(topo).collect();
             let layers = &self.assignment[pi];
             if layers.len() != ports.len() {
@@ -1014,7 +1014,7 @@ mod tests {
                 .iter()
                 .enumerate()
                 .filter(|&(j, _)| j != drop)
-                .map(|(_, &pi)| elp.paths()[pi].clone())
+                .map(|(_, &pi)| elp.path(pi))
                 .collect();
             assert!(
                 decide(&t, &Elp::from_paths(sub), Some(1)).is_feasible(),
@@ -1022,7 +1022,7 @@ mod tests {
             );
         }
         // But the kernel itself is infeasible.
-        let kernel_paths: Vec<Path> = i.kernel.iter().map(|&pi| elp.paths()[pi].clone()).collect();
+        let kernel_paths: Vec<Path> = i.kernel.iter().map(|&pi| elp.path(pi)).collect();
         assert!(!decide(&t, &Elp::from_paths(kernel_paths), Some(1)).is_feasible());
     }
 
@@ -1041,7 +1041,7 @@ mod tests {
                 .iter()
                 .enumerate()
                 .filter(|&(j, _)| j != drop)
-                .map(|(_, &pi)| elp.paths()[pi].clone())
+                .map(|(_, &pi)| elp.path(pi))
                 .collect();
             assert!(decide(&t, &Elp::from_paths(sub), Some(1)).is_feasible());
         }

@@ -7,10 +7,10 @@
 //! ([`TagDecision::Lossy`]) so it can never trigger PFC.
 
 use crate::span::{spanned_words, Span};
+use crate::turn::{turn_key, TurnMap};
 use crate::{Elp, Tag, TaggedGraph, TaggedNode, VerifyError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use tagger_routing::PrefixWalker;
 use tagger_topo::{GlobalPort, NodeId, NodeKind, PortId, Topology};
 
 /// One match-action rule on one switch: packets arriving on `in_port`
@@ -795,7 +795,7 @@ impl Tagging {
         let mut repairs = 0usize;
         loop {
             let before = repairs;
-            let Ok(()) = walk_rules(topo, elp, |_, hop, here, tag, next, out_port| {
+            let Ok(()) = sweep_rules(topo, elp, |at, here, tag, next, out_port| {
                 if let TagDecision::Lossless(t) = rules.decide(here.node, tag, here.port, out_port)
                 {
                     return Ok::<Tag, std::convert::Infallible>(t);
@@ -805,7 +805,7 @@ impl Tagging {
                 // tag keeps rules monotone.
                 let expected = assignment[&TaggedNode {
                     port: next,
-                    tag: Tag((hop + 2) as u16),
+                    tag: Tag(elp.tree().depth(at) as u16),
                 }];
                 let new_tag = expected.max(tag);
                 rules.set(
@@ -884,17 +884,18 @@ impl Tagging {
     /// Simulates every ELP path through the rules and checks that no hop
     /// is demoted to lossy: the losslessness half of Tagger's guarantee.
     pub fn check_elp_lossless(&self, topo: &Topology, elp: &Elp) -> Result<(), RuleError> {
-        walk_rules(
-            topo,
-            elp,
-            |path_index, hop, here, tag, _, out_port| match self
-                .rules
-                .decide(here.node, tag, here.port, out_port)
-            {
+        sweep_rules(topo, elp, |at, here, tag, _, out_port| {
+            match self.rules.decide(here.node, tag, here.port, out_port) {
                 TagDecision::Lossless(t) => Ok(t),
-                TagDecision::Lossy => Err(RuleError::ElpNotLossless { path_index, hop }),
-            },
-        )
+                // The first path through the hop is the one a walk of
+                // the paths in order would have been on; its first hop
+                // crosses no switch.
+                TagDecision::Lossy => Err(RuleError::ElpNotLossless {
+                    path_index: elp.tree().first_path_through(at),
+                    hop: elp.tree().depth(at) - 2,
+                }),
+            }
+        })
     }
 
     /// Takes the tagging apart into its certificate graph and its rules.
@@ -903,46 +904,45 @@ impl Tagging {
     }
 }
 
-/// Simulates every ELP path through a rule program: a packet enters hop 0
-/// with [`Tag::INITIAL`], and at each later node `decide(path_index, hop,
-/// here, tag, next, out_port)` gives the tag it leaves with, where it
-/// arrived on ingress port `here` carrying `tag` and leaves by `out_port`
-/// towards ingress port `next` (`hop` counts switch traversals from 0).
+/// Simulates every ELP path through a rule program, as one sweep of the
+/// ELP's tree: a packet enters its first hop with [`Tag::INITIAL`], and at
+/// each later node `decide(at, here, tag, next, out_port)` gives the tag it
+/// leaves with, where it arrived on ingress port `here` carrying `tag` and
+/// leaves by `out_port` towards ingress port `next`, the hop that ends at
+/// tree node `at`.
 ///
-/// The walk resumes each path where it diverges from the one before it:
-/// the tag carried into a hop depends only on the hops up to it, so it is
-/// the same on every path that shares them — as long as `decide` never
-/// changes an answer it has given, which holds for a fixed rule set and
-/// for the repair pass, which only fills keys it found missing.
-fn walk_rules<E>(
+/// `decide` is asked once per distinct turn and tag: its answer is kept
+/// and given to every later hop that takes the same turn with the same
+/// tag. That is sound as long as `decide` would not change an answer it
+/// has given, which holds for a fixed rule set and for the repair pass,
+/// which only fills keys it found missing.
+fn sweep_rules<E>(
     topo: &Topology,
     elp: &Elp,
-    mut decide: impl FnMut(usize, usize, GlobalPort, Tag, GlobalPort, PortId) -> Result<Tag, E>,
+    mut decide: impl FnMut(usize, GlobalPort, Tag, GlobalPort, PortId) -> Result<Tag, E>,
 ) -> Result<(), E> {
-    let mut walker = PrefixWalker::new();
-    for (path_index, path) in elp.paths().iter().enumerate() {
-        walker.walk(topo, path, |hop, prev, egress, next| {
-            let Some((here, tag)) = prev else {
-                return Ok(Tag::INITIAL);
-            };
-            debug_assert_eq!(egress.node, here.node);
-            decide(path_index, hop - 1, here, tag, next, egress.port)
-        })?;
-    }
-    Ok(())
+    let mut decided: TurnMap<Tag> = TurnMap::default();
+    elp.tree().sweep(|at, before, here, next| {
+        let Some((before, tag)) = before else {
+            return Ok(Tag::INITIAL);
+        };
+        let key = turn_key(before, here, next, tag);
+        if let Some(&t) = decided.get(&key) {
+            return Ok(t);
+        }
+        let (egress, next) = topo.hop_ends(here, next);
+        let t = decide(at, topo.hop_ends(before, here).1, tag, next, egress.port)?;
+        decided.insert(key, t);
+        Ok(t)
+    })
 }
 
 /// The closure seeds an ELP contributes: its paths' first-hop ingress
-/// ports at the initial tag. Consecutive paths mostly share their first
-/// hop; those repeats are dropped.
+/// ports at the initial tag, one per first hop its tree stores.
 fn first_hop_seeds<'a>(topo: &'a Topology, elp: &'a Elp) -> impl Iterator<Item = TaggedNode> + 'a {
-    let mut last = None;
-    elp.paths().iter().filter_map(move |p| {
-        let port = p.ingress_ports(topo).next()?;
-        (last.replace(port) != Some(port)).then_some(TaggedNode {
-            port,
-            tag: Tag::INITIAL,
-        })
+    elp.tree().first_hops().map(|(src, next)| TaggedNode {
+        port: topo.hop_ends(src, next).1,
+        tag: Tag::INITIAL,
     })
 }
 

@@ -169,7 +169,7 @@ proptest! {
                 .iter()
                 .enumerate()
                 .filter(|&(j, _)| j != drop)
-                .map(|(_, &pi)| elp.paths()[pi].clone())
+                .map(|(_, &pi)| elp.path(pi))
                 .collect();
             prop_assert!(
                 decide(&topo, &Elp::from_paths(sub), Some(1)).is_feasible(),

@@ -37,9 +37,9 @@ fn arb_graph() -> impl Strategy<Value = TaggedGraph> {
 }
 
 // The walks of `tag_by_hop_count`, `Tagging::from_elp` and
-// `Tagging::check_elp_lossless` as they were before they resumed at the
-// prefix shared with the previous path: every hop of every path, from
-// hop 0. Kept as the references the resumed walks must reproduce.
+// `Tagging::check_elp_lossless` as they were before they shared work
+// between paths: every hop of every path, from hop 0. Kept as the
+// references the sweeps of the ELP's prefix tree must reproduce.
 
 fn naive_brute(topo: &Topology, elp: &Elp) -> TaggedGraph {
     let mut g = TaggedGraph::new();
@@ -83,8 +83,8 @@ fn naive_walk<E>(
 
 fn naive_check(topo: &Topology, rules: &RuleSet, elp: &Elp) -> Result<(), RuleError> {
     let mut rules = rules.clone();
-    for (path_index, path) in elp.paths().iter().enumerate() {
-        naive_walk(topo, &mut rules, path, |_, hop, _, _, _, _| {
+    for (path_index, path) in elp.paths().enumerate() {
+        naive_walk(topo, &mut rules, &path, |_, hop, _, _, _, _| {
             Err(RuleError::ElpNotLossless { path_index, hop })
         })?;
     }
@@ -105,7 +105,7 @@ fn naive_from_elp(topo: &Topology, elp: &Elp) -> (RuleSet, usize, bool) {
             let Ok(()) = naive_walk(
                 topo,
                 &mut rules,
-                path,
+                &path,
                 |rules, hop, here, tag, next, out_port| {
                     let expected = assignment[&TaggedNode {
                         port: next,
@@ -130,7 +130,7 @@ fn naive_from_elp(topo: &Topology, elp: &Elp) -> (RuleSet, usize, bool) {
             break;
         }
     }
-    let seeds = elp.paths().iter().filter_map(|p| {
+    let seeds = elp.paths().filter_map(|p| {
         p.ingress_ports(topo).next().map(|port| TaggedNode {
             port,
             tag: Tag::INITIAL,
@@ -147,7 +147,7 @@ fn naive_from_elp(topo: &Topology, elp: &Elp) -> (RuleSet, usize, bool) {
 /// (`order == 0`) or one that breaks their prefix sharing: shuffled, every
 /// path twice in a row, the whole list twice, or dealt round-robin by
 /// source so that neighbours never share a first hop.
-fn arb_elp() -> impl Strategy<Value = (Topology, Elp)> {
+fn arb_paths() -> impl Strategy<Value = (Topology, Vec<Path>)> {
     let fabric = prop_oneof![
         (
             1usize..3,
@@ -218,8 +218,12 @@ fn arb_elp() -> impl Strategy<Value = (Topology, Elp)> {
                 }
             }
         }
-        (topo, Elp::from_paths(paths))
+        (topo, paths)
     })
+}
+
+fn arb_elp() -> impl Strategy<Value = (Topology, Elp)> {
+    arb_paths().prop_map(|(topo, paths)| (topo, Elp::from_paths(paths)))
 }
 
 /// The pinned repair case: every second rotated route of BCube(2, 3).
@@ -245,8 +249,8 @@ fn assert_matches_naive(topo: &Topology, elp: &Elp) {
     assert_eq!(tagging.check_elp_lossless(topo, elp), Ok(()));
 }
 
-/// The repair pass does run on this ELP, and the resumed walk adds the
-/// same rules in the same order as the naive one. DESIGN §5 records that
+/// The repair pass does run on this ELP, and the sweep adds the same
+/// rules in the same order as the naive walk. DESIGN §5 records that
 /// repairs happen on BCube only; the count is pinned so that a change to
 /// Algorithm 2 that stops needing them does not leave this test vacuous.
 #[test]
@@ -257,7 +261,7 @@ fn resumed_repair_matches_naive_on_bcube() {
     assert_eq!(Tagging::from_elp(&topo, &elp).unwrap().repairs(), 12);
 }
 
-/// With any one rule withdrawn from a certified table, the resumed check
+/// With any one rule withdrawn from a certified table, the swept check
 /// blames the same path and hop as the naive walk.
 #[test]
 fn resumed_check_reports_the_naive_failure() {
@@ -275,10 +279,55 @@ fn resumed_check_reports_the_naive_failure() {
     assert!(failures > 0, "no withdrawn rule was on an ELP path");
 }
 
+/// The tree an ELP is kept as on the benchmark's fabric (`epoch-clos-b1`:
+/// 22 switches, 1 bounce): pinned so that a change to what consecutive
+/// paths share — and with it to what every sweep costs — is visible.
+#[test]
+fn benchmark_elp_tree_size_is_pinned() {
+    let topo = ClosConfig {
+        pods: 3,
+        leaves_per_pod: 2,
+        tors_per_pod: 4,
+        spines: 4,
+        hosts_per_tor: 1,
+    }
+    .build();
+    let elp = Elp::updown_with_bounces(&topo, 1);
+    assert_eq!((elp.len(), elp.tree().num_nodes()), (83_832, 333_168));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Resuming each walk at the prefix shared with the previous path
+    /// An ELP is its path sequence, whatever order and however many times
+    /// the paths come in: the tree gives back the list it was built from,
+    /// and `extend` and `retain` leave what building from the longer or
+    /// the filtered list gives.
+    #[test]
+    fn elp_tree_stores_the_sequence(case in arb_paths(), split in any::<u64>()) {
+        let (_, paths) = case;
+        let elp = Elp::from_paths(paths.clone());
+        prop_assert_eq!(elp.len(), paths.len());
+        prop_assert!(elp.paths().eq(paths.iter().cloned()));
+        for (i, p) in paths.iter().enumerate() {
+            prop_assert_eq!(&elp.path(i), p);
+            prop_assert!(elp.contains(p));
+        }
+        prop_assert_eq!(elp.max_hops(), paths.iter().map(Path::hops).max().unwrap_or(0));
+
+        let at = (split % (paths.len() as u64 + 1)) as usize;
+        let mut extended = Elp::from_paths(paths[..at].to_vec());
+        extended.extend(paths[at..].iter().cloned());
+        prop_assert_eq!(&extended, &elp);
+
+        let keep = |p: &Path| (p.hops() as u64 + u64::from(p.dst().0) + split) % 3 == 1;
+        let mut retained = elp.clone();
+        retained.retain(keep);
+        let filtered: Vec<Path> = paths.iter().filter(|p| keep(p)).cloned().collect();
+        prop_assert_eq!(&retained, &Elp::from_paths(filtered));
+    }
+
+    /// Visiting each stored hop once, with answers kept per turn and tag,
     /// changes nothing, whatever order the paths come in: Algorithm 1's
     /// graph, the compiled and repaired rules, the repair count and the
     /// fallback decision equal those of walking every hop of every path.

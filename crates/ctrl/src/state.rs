@@ -4,7 +4,7 @@ use crate::controller::CtrlError;
 use crate::event::CtrlEvent;
 use std::collections::BTreeSet;
 use tagger_core::Elp;
-use tagger_routing::{all_paths_with_bounces, Path};
+use tagger_routing::Path;
 use tagger_topo::{FailureSet, NodeId, PortId, Topology};
 
 /// How the controller derives the ELP set from the live network view.
@@ -53,12 +53,8 @@ impl ElpPolicy {
     /// silently masked (they come back when the link does); duplicates
     /// of policy-enumerated paths are dropped.
     pub fn elp(&self, topo: &Topology, failures: &FailureSet, extras: &[Path]) -> Elp {
-        let mut elp = Elp::from_paths(all_paths_with_bounces(
-            topo,
-            failures,
-            self.bounces,
-            self.cap_per_pair,
-        ));
+        let mut elp =
+            Elp::updown_with_bounces_under(topo, failures, self.bounces, self.cap_per_pair);
         for path in extras {
             let live = path.hop_pairs().all(|(a, b)| failures.link_up(topo, a, b));
             if live && !elp.contains(path) {
@@ -233,7 +229,7 @@ mod tests {
             full.len()
         );
         for p in filtered.paths() {
-            assert!(st.quarantine_allows(&topo, p));
+            assert!(st.quarantine_allows(&topo, &p));
         }
 
         st.apply(

@@ -262,7 +262,7 @@ fn infeasible_diagnostic(topo: &Topology, elp: &Elp, inf: &oracle::Infeasible) -
     let kernel: Vec<String> = inf
         .kernel
         .iter()
-        .map(|&i| elp.paths()[i].display(topo).to_string())
+        .map(|&i| elp.path(i).display(topo).to_string())
         .collect();
     let cycle: Vec<String> = inf.cycle.iter().map(|&p| dep_port_name(topo, p)).collect();
     let mut message = format!(

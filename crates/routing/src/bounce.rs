@@ -6,7 +6,7 @@
 //! `≤ k`-bounce paths in the ELP; Tagger then needs `k + 1` lossless
 //! priorities on Clos (paper §4.4).
 
-use crate::Path;
+use crate::{Path, PathTree};
 use tagger_topo::{FailureSet, NodeId, NodeKind, Topology};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -21,7 +21,9 @@ enum Phase {
 ///
 /// Lateral hops (between equal-rank or unranked nodes) are excluded:
 /// bounce semantics are only defined on layered fabrics. Intermediate
-/// nodes must be switches. Results come in deterministic DFS order.
+/// nodes must be switches. A path is a node sequence: parallel links
+/// between two nodes do not multiply it. Results come in deterministic
+/// DFS order.
 pub fn bounce_paths_between(
     topo: &Topology,
     failures: &FailureSet,
@@ -43,34 +45,54 @@ pub fn bounce_paths_between_capped(
     cap: usize,
 ) -> Vec<Path> {
     let mut search = Search::new(topo, failures, max_bounces, cap, &[dst]);
-    search.run_from(src);
-    search.buckets.swap_remove(0)
+    let mut tree = PathTree::default();
+    search.run_from(src, &mut tree);
+    tree.paths().collect()
 }
 
 /// Enumerates `≤ max_bounces`-bounce paths between every ordered pair of
 /// distinct hosts, capping at `cap_per_pair` paths per pair
-/// (`usize::MAX` for no cap).
+/// (`usize::MAX` for no cap), straight into a [`PathTree`].
 ///
 /// Hosts never forward, so the search tree below a source host is the
 /// same whichever host is the destination: one search per source finds
-/// the paths to every destination, and the output is `(s, d0)` paths,
-/// `(s, d1)` paths, … in host order, each pair's in DFS order.
+/// the paths to every destination, and the sequence is `(s, d0)` paths,
+/// `(s, d1)` paths, … in host order, each pair's in DFS order. Only one
+/// source's paths exist outside the tree at a time.
+pub fn path_tree_with_bounces(
+    topo: &Topology,
+    failures: &FailureSet,
+    max_bounces: usize,
+    cap_per_pair: usize,
+) -> PathTree {
+    let hosts: Vec<NodeId> = topo.host_ids().collect();
+    let mut search = Search::new(topo, failures, max_bounces, cap_per_pair, &hosts);
+    let mut tree = PathTree::default();
+    for &s in &hosts {
+        search.run_from(s, &mut tree);
+    }
+    tree
+}
+
+/// The sequence [`path_tree_with_bounces`] stores, as a list.
 pub fn all_paths_with_bounces(
     topo: &Topology,
     failures: &FailureSet,
     max_bounces: usize,
     cap_per_pair: usize,
 ) -> Vec<Path> {
-    let hosts: Vec<NodeId> = topo.host_ids().collect();
-    let mut search = Search::new(topo, failures, max_bounces, cap_per_pair, &hosts);
-    let mut out = Vec::new();
-    for &s in &hosts {
-        search.run_from(s);
-        for bucket in &mut search.buckets {
-            out.append(bucket);
-        }
-    }
-    out
+    path_tree_with_bounces(topo, failures, max_bounces, cap_per_pair)
+        .paths()
+        .collect()
+}
+
+/// The paths that arrived at one destination during one search, their
+/// nodes end to end.
+#[derive(Clone, Default)]
+struct Bucket {
+    nodes: Vec<NodeId>,
+    /// Per path: where its nodes end in `nodes`.
+    ends: Vec<usize>,
 }
 
 /// The bounded DFS behind every enumeration in this module: from one
@@ -82,9 +104,14 @@ struct Search<'a> {
     max_bounces: usize,
     /// A bucket holding this many paths is closed.
     cap: usize,
+    /// Per node: the distinct nodes its live links lead to, in the order
+    /// of the lowest-numbered live port to each, with the phase a hop
+    /// there is in. Lateral hops are not part of up-down routing and are
+    /// left out.
+    next_hops: Vec<Vec<(NodeId, Phase)>>,
     /// Per node: the bucket its arrivals go to, if it is a destination.
     bucket_of: Vec<Option<usize>>,
-    buckets: Vec<Vec<Path>>,
+    buckets: Vec<Bucket>,
     /// Buckets that can still take a path; the search ends at zero.
     open: usize,
     stack: Vec<NodeId>,
@@ -105,23 +132,43 @@ impl<'a> Search<'a> {
         for (i, d) in dests.iter().enumerate() {
             bucket_of[d.index()] = Some(i);
         }
+        let next_hops = topo
+            .node_ids()
+            .map(|here| {
+                let mut hops: Vec<(NodeId, Phase)> = Vec::new();
+                for (_, _, next) in failures.live_neighbors(topo, here) {
+                    let phase = if topo.is_up_hop(here, next) {
+                        Phase::Up
+                    } else if topo.is_down_hop(here, next) {
+                        Phase::Down
+                    } else {
+                        continue;
+                    };
+                    if !hops.iter().any(|&(n, _)| n == next) {
+                        hops.push((next, phase));
+                    }
+                }
+                hops
+            })
+            .collect();
         Search {
             topo,
             failures,
             max_bounces,
             cap,
+            next_hops,
             bucket_of,
-            buckets: vec![Vec::new(); dests.len()],
+            buckets: vec![Bucket::default(); dests.len()],
             open: 0,
             stack: Vec::new(),
             visited: vec![false; topo.num_nodes()],
         }
     }
 
-    /// Fills the (empty) buckets with the paths from `src`. `src` itself
-    /// is on the stack throughout, so its own bucket, if it has one,
-    /// stays empty and is not waited for.
-    fn run_from(&mut self, src: NodeId) {
+    /// Appends the paths from `src` to `tree`, bucket by bucket. `src`
+    /// itself is on the stack throughout, so its own bucket, if it has
+    /// one, stays empty and is not waited for.
+    fn run_from(&mut self, src: NodeId, tree: &mut PathTree) {
         let own = usize::from(self.bucket_of[src.index()].is_some());
         self.open = if self.cap == 0 {
             0
@@ -133,49 +180,52 @@ impl<'a> Search<'a> {
         self.dfs(Phase::Up, 0);
         self.stack.pop();
         self.visited[src.index()] = false;
+        for bucket in &mut self.buckets {
+            let mut start = 0;
+            for &end in &bucket.ends {
+                let nodes = &bucket.nodes[start..end];
+                debug_assert!(
+                    Path::new_with_failures(self.topo, self.failures, nodes.to_vec()).is_ok(),
+                    "enumerated path {nodes:?} is not a valid path"
+                );
+                tree.push_nodes(nodes);
+                start = end;
+            }
+            bucket.nodes.clear();
+            bucket.ends.clear();
+        }
     }
 
     fn dfs(&mut self, phase: Phase, bounces: usize) {
-        let (topo, failures) = (self.topo, self.failures);
         let here = *self.stack.last().expect("DFS stack starts with the source");
-        for (_, _, next) in failures.live_neighbors(topo, here) {
+        for at in 0..self.next_hops[here.index()].len() {
             if self.open == 0 {
                 return;
             }
+            let (next, next_phase) = self.next_hops[here.index()][at];
             if self.visited[next.index()] {
                 continue;
             }
-            // Classify the hop; lateral hops are not part of up-down routing.
-            let (next_phase, next_bounces) = if topo.is_up_hop(here, next) {
-                match phase {
-                    Phase::Up => (Phase::Up, bounces),
-                    Phase::Down => {
-                        if bounces + 1 > self.max_bounces {
-                            continue;
-                        }
-                        (Phase::Up, bounces + 1)
-                    }
-                }
-            } else if topo.is_down_hop(here, next) {
-                (Phase::Down, bounces)
-            } else {
+            // A down→up turn is a bounce.
+            let next_bounces =
+                bounces + usize::from((phase, next_phase) == (Phase::Down, Phase::Up));
+            if next_bounces > self.max_bounces {
                 continue;
-            };
+            }
             if let Some(b) = self.bucket_of[next.index()] {
                 let bucket = &mut self.buckets[b];
-                if bucket.len() < self.cap {
-                    let mut nodes = Vec::with_capacity(self.stack.len() + 1);
-                    nodes.extend_from_slice(&self.stack);
-                    nodes.push(next);
-                    bucket.push(Path::from_enumeration(topo, nodes));
-                    if bucket.len() == self.cap {
+                if bucket.ends.len() < self.cap {
+                    bucket.nodes.extend_from_slice(&self.stack);
+                    bucket.nodes.push(next);
+                    bucket.ends.push(bucket.nodes.len());
+                    if bucket.ends.len() == self.cap {
                         self.open -= 1;
                     }
                 }
                 continue;
             }
             // Only switches forward traffic.
-            if topo.node(next).kind != NodeKind::Switch {
+            if self.topo.node(next).kind != NodeKind::Switch {
                 continue;
             }
             self.visited[next.index()] = true;
@@ -263,6 +313,47 @@ mod tests {
         assert!(!via_l1.is_empty());
         for p in via_l1 {
             assert_eq!(p.bounces(&t), 1, "{}", p.display(&t));
+        }
+    }
+
+    #[test]
+    fn parallel_links_neither_multiply_paths_nor_hide_the_live_one() {
+        let mut t = ClosConfig::small().build();
+        let (t1, l1) = (t.expect_node("T1"), t.expect_node("L1"));
+        let (h1, h5) = (t.expect_node("H1"), t.expect_node("H5"));
+        let healthy = bounce_paths_between(&t, &FailureSet::none(), h1, h5, 1);
+        let first = t.link_between(t1, l1).unwrap();
+        t.connect(t1, l1);
+        // A path is a node sequence: the second trunk adds none.
+        assert_eq!(
+            bounce_paths_between(&t, &FailureSet::none(), h1, h5, 1),
+            healthy
+        );
+        assert_eq!(
+            all_paths_with_bounces(&t, &FailureSet::none(), 1, usize::MAX).len(),
+            all_paths_with_bounces(
+                &ClosConfig::small().build(),
+                &FailureSet::none(),
+                1,
+                usize::MAX
+            )
+            .len()
+        );
+        // With the lower-numbered trunk down the hop is still there, and
+        // what the search finds is valid under the same failure set.
+        let mut f = FailureSet::none();
+        f.fail(first);
+        // (L1 now comes after L2 in T1's port order, and so in the DFS.)
+        let mut degraded = bounce_paths_between(&t, &f, h1, h5, 1);
+        degraded.sort();
+        let mut expected = healthy;
+        expected.sort();
+        assert_eq!(degraded, expected);
+        for p in &degraded {
+            assert_eq!(
+                Path::new_with_failures(&t, &f, p.nodes().to_vec()).as_ref(),
+                Ok(p)
+            );
         }
     }
 

@@ -72,18 +72,6 @@ impl Path {
         Ok(())
     }
 
-    /// Wraps a node sequence the enumerator built hop by hop over live
-    /// links with a visited set, which is already everything
-    /// [`Path::new`] checks; debug builds check it again.
-    pub(crate) fn from_enumeration(topo: &Topology, nodes: Vec<NodeId>) -> Self {
-        debug_assert_eq!(
-            Self::validate(topo, &FailureSet::none(), &nodes),
-            Ok(()),
-            "enumerated path {nodes:?} is not a valid path"
-        );
-        Path { nodes }
-    }
-
     /// Builds a path from node names; panics on invalid input. For tests
     /// and experiment scripts.
     pub fn from_names(topo: &Topology, names: &[&str]) -> Self {
@@ -127,12 +115,12 @@ impl Path {
         &'a self,
         topo: &'a Topology,
     ) -> impl Iterator<Item = GlobalPort> + 'a {
-        self.hop_pairs().map(move |(a, b)| hop_ports(topo, a, b).1)
+        self.hop_pairs().map(move |(a, b)| topo.hop_ends(a, b).1)
     }
 
     /// For each hop, the egress port at the *sending* node.
     pub fn egress_ports<'a>(&'a self, topo: &'a Topology) -> impl Iterator<Item = GlobalPort> + 'a {
-        self.hop_pairs().map(move |(a, b)| hop_ports(topo, a, b).0)
+        self.hop_pairs().map(move |(a, b)| topo.hop_ends(a, b).0)
     }
 
     /// Counts *bounces*: transitions where the path was going down the
@@ -179,90 +167,192 @@ impl Path {
     }
 }
 
-/// The two ends of the hop `a → b`: the egress port on `a` and the
-/// ingress port on `b` (of the lowest-numbered port of `a` that leads to
-/// `b`, as [`Topology::link_between`] picks).
-#[inline]
-fn hop_ports(topo: &Topology, a: NodeId, b: NodeId) -> (GlobalPort, GlobalPort) {
-    let (port, link, _) = topo
-        .neighbors(a)
-        .find(|&(_, _, n)| n == b)
-        .unwrap_or_else(|| panic!("path hop {a}->{b} not in topology"));
-    (GlobalPort::new(a, port), topo.link(link).endpoint_on(b))
-}
-
-/// Walks a sequence of paths hop by hop, redoing for each path only the
-/// hops after the prefix it shares with the path before it. On a
-/// DFS-ordered ELP that is work per edge of the ELP's prefix tree rather
-/// than per hop of every path.
+/// A sequence of paths stored as its prefix tree.
 ///
-/// For every hop the walker keeps the ingress port at the receiving node
-/// and one caller value `S` (the tag a packet carries there, say). The
-/// caller's `step` computes the value of hop `h` from the kept entry of
-/// hop `h - 1` and the two ports of hop `h`. Keeping the entries of a
-/// shared prefix is sound when `step` is a function of just those — a
-/// hop's ports depend on nodes `h..=h+1` of the path only — and of state
-/// that gives the same answer every time it is asked the same question
-/// during the walk.
-#[derive(Debug)]
-pub struct PrefixWalker<S> {
-    /// The walked part of the last path: `hops.len() + 1` nodes, or none.
-    nodes: Vec<NodeId>,
-    hops: Vec<(GlobalPort, S)>,
+/// Tree node `i` is one fabric node on one or more paths; `parent[i]` is
+/// the tree node before it on those paths. A pushed path shares the tree
+/// nodes of the leading fabric nodes it has in common with the path pushed
+/// *just before it* and appends one tree node for each of the rest, so
+/// parents precede children, tree nodes are numbered in the order a walk
+/// of the paths one after another first reaches them, and an enumerator
+/// that emits paths in depth-first order stores each distinct prefix once.
+/// Paths that are not neighbours in the sequence share nothing: the
+/// sequence, duplicates included, is what is stored, and
+/// [`PathTree::paths`] gives it back.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PathTree {
+    /// Per tree node: the tree node before it, [`NO_PARENT`] at a source.
+    parent: Vec<u32>,
+    /// Per tree node: the fabric node it stands for.
+    node: Vec<NodeId>,
+    /// Per path, in sequence order: the tree node of its last node.
+    leaves: Vec<u32>,
+    /// The tree nodes of the last path pushed, source first.
+    chain: Vec<u32>,
 }
 
-impl<S> Default for PrefixWalker<S> {
-    fn default() -> Self {
-        PrefixWalker {
-            nodes: Vec::new(),
-            hops: Vec::new(),
+const NO_PARENT: u32 = u32::MAX;
+
+impl PathTree {
+    /// Appends a path to the sequence.
+    pub fn push(&mut self, path: &Path) {
+        self.push_nodes(&path.nodes);
+    }
+
+    /// Appends the path with these nodes, which the caller knows to be a
+    /// valid one: a [`Path`]'s, or a bounce search's stack.
+    pub(crate) fn push_nodes(&mut self, nodes: &[NodeId]) {
+        let shared = self
+            .chain
+            .iter()
+            .zip(nodes)
+            .take_while(|&(&t, &n)| self.node[t as usize] == n)
+            .count();
+        self.chain.truncate(shared);
+        for &n in &nodes[shared..] {
+            let id = u32::try_from(self.node.len())
+                .ok()
+                .filter(|&id| id != NO_PARENT)
+                .expect("a path tree holds fewer than 2^32 - 1 nodes");
+            self.parent
+                .push(self.chain.last().copied().unwrap_or(NO_PARENT));
+            self.node.push(n);
+            self.chain.push(id);
         }
-    }
-}
-
-impl<S: Copy> PrefixWalker<S> {
-    /// A walker that has seen no path yet.
-    pub fn new() -> Self {
-        Self::default()
+        self.leaves
+            .push(*self.chain.last().expect("a path has at least two nodes"));
     }
 
-    /// Walks `path`, calling `step(hop, previous, egress, ingress)` for
-    /// each hop from the first one that differs from the last path
-    /// walked: `previous` is the `(ingress port, value)` kept for hop
-    /// `hop - 1` (`None` at hop 0), `egress` the port hop `hop` leaves its
-    /// sending node by and `ingress` the port it arrives on. An error
-    /// from `step` ends the walk there and is returned.
+    /// Number of paths in the sequence.
+    pub fn len(&self) -> usize {
+        self.leaves.len()
+    }
+
+    /// True if no path was pushed.
+    pub fn is_empty(&self) -> bool {
+        self.leaves.is_empty()
+    }
+
+    /// Number of tree nodes: what a pass over the paths has to visit.
+    pub fn num_nodes(&self) -> usize {
+        self.node.len()
+    }
+
+    /// The tree nodes from `i` up to its source.
+    fn ancestors(&self, i: u32) -> impl Iterator<Item = u32> + '_ {
+        std::iter::successors(Some(i), |&t| {
+            Some(self.parent[t as usize]).filter(|&p| p != NO_PARENT)
+        })
+    }
+
+    /// Hops from its source to tree node `i`.
+    pub fn depth(&self, i: usize) -> usize {
+        self.ancestors(i as u32).count() - 1
+    }
+
+    /// The `index`-th path of the sequence.
     ///
     /// # Panics
-    /// Panics if the path does not fit the topology.
-    pub fn walk<E>(
-        &mut self,
-        topo: &Topology,
-        path: &Path,
-        mut step: impl FnMut(usize, Option<(GlobalPort, S)>, GlobalPort, GlobalPort) -> Result<S, E>,
-    ) -> Result<(), E> {
-        let shared = self
-            .nodes
+    /// Panics if `index >= self.len()`.
+    pub fn path(&self, index: usize) -> Path {
+        let mut nodes: Vec<NodeId> = self
+            .ancestors(self.leaves[index])
+            .map(|t| self.node[t as usize])
+            .collect();
+        nodes.reverse();
+        Path { nodes }
+    }
+
+    /// The paths, in the order they were pushed.
+    pub fn paths(&self) -> impl ExactSizeIterator<Item = Path> + '_ {
+        (0..self.len()).map(|i| self.path(i))
+    }
+
+    /// True if `path` is in the sequence.
+    pub fn contains(&self, path: &Path) -> bool {
+        self.leaves.iter().any(|&leaf| {
+            self.ancestors(leaf)
+                .map(|t| self.node[t as usize])
+                .eq(path.nodes.iter().rev().copied())
+        })
+    }
+
+    /// Keeps only the paths `keep` accepts, in order: the tree of the
+    /// shorter sequence, as if the others had never been pushed.
+    pub fn retain(&mut self, mut keep: impl FnMut(&Path) -> bool) {
+        *self = self.paths().filter(|p| keep(p)).collect();
+    }
+
+    /// Hops of the longest path, 0 if there is none.
+    pub fn max_hops(&self) -> usize {
+        self.leaves
             .iter()
-            .zip(&path.nodes)
-            .take_while(|(a, b)| a == b)
-            .count();
-        // Hop `h` joins nodes `h` and `h + 1`: with `shared` leading nodes
-        // in common, the hops before `shared - 1` are the last path's.
-        let resume = shared.saturating_sub(1);
-        self.hops.truncate(resume);
-        self.nodes.truncate(shared);
-        if shared == 0 {
-            self.nodes.push(path.src());
-        }
-        for hop in resume..path.hops() {
-            let to = path.nodes[hop + 1];
-            let (egress, ingress) = hop_ports(topo, path.nodes[hop], to);
-            let value = step(hop, self.hops.last().copied(), egress, ingress)?;
-            self.hops.push((ingress, value));
-            self.nodes.push(to);
+            .map(|&leaf| self.depth(leaf as usize))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Index of the first path that runs through tree node `i`: the one
+    /// whose push created it.
+    pub fn first_path_through(&self, i: usize) -> usize {
+        // A path's leaf is the last tree node its push created, if it
+        // created any, and an older one otherwise.
+        self.leaves
+            .iter()
+            .position(|&leaf| leaf as usize >= i)
+            .expect("every tree node is on a path")
+    }
+
+    /// The distinct first hops `source → next` of the paths, in tree-node
+    /// order.
+    pub fn first_hops(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        self.parent
+            .iter()
+            .zip(&self.node)
+            .filter(|&(&p, _)| p != NO_PARENT && self.parent[p as usize] == NO_PARENT)
+            .map(|(&p, &next)| (self.node[p as usize], next))
+    }
+
+    /// Visits every hop of the tree once, in tree-node order: each path's
+    /// hops in path order, minus those an earlier visit already covered.
+    ///
+    /// `step(i, before, here, next)` is called for the hop `here → next`
+    /// that ends at tree node `i` and returns the value kept for it (the
+    /// tag a packet carries over it, say). `before` is `None` on a path's
+    /// first hop; on a later one it is the fabric node the path reached
+    /// `here` from, with the value kept for that hop. What `step` returns
+    /// may depend on those arguments and on state that answers the same
+    /// question the same way throughout the sweep — then every path
+    /// through `i` sees what a hop-by-hop walk of it alone would compute.
+    /// An error from `step` ends the sweep and is returned.
+    pub fn sweep<S: Copy, E>(
+        &self,
+        mut step: impl FnMut(usize, Option<(NodeId, S)>, NodeId, NodeId) -> Result<S, E>,
+    ) -> Result<(), E> {
+        // Per tree node, the value of the hop that ends there; `None` at a
+        // source, which no hop ends at.
+        let mut kept: Vec<Option<S>> = Vec::with_capacity(self.node.len());
+        for (i, (&p, &next)) in self.parent.iter().zip(&self.node).enumerate() {
+            kept.push(match p {
+                NO_PARENT => None,
+                p => {
+                    let p = p as usize;
+                    let before = kept[p].map(|s| (self.node[self.parent[p] as usize], s));
+                    Some(step(i, before, self.node[p], next)?)
+                }
+            });
         }
         Ok(())
+    }
+}
+
+impl<P: std::borrow::Borrow<Path>> FromIterator<P> for PathTree {
+    fn from_iter<I: IntoIterator<Item = P>>(paths: I) -> Self {
+        let mut tree = PathTree::default();
+        for path in paths {
+            tree.push(path.borrow());
+        }
+        tree
     }
 }
 
@@ -382,36 +472,51 @@ mod tests {
     }
 
     #[test]
-    fn walker_redoes_only_the_hops_after_the_shared_prefix() {
+    fn tree_shares_the_prefix_of_the_path_before() {
         let t = topo();
         let a = Path::from_names(&t, &["H1", "T1", "L1", "S1", "L3", "T3", "H9"]);
         let b = Path::from_names(&t, &["H1", "T1", "L1", "S1", "L4", "T4", "H13"]);
         let short = Path::from_names(&t, &["H1", "T1", "L1"]);
-        let mut walker = PrefixWalker::new();
-        // The value kept per hop is the number of hops up to it; `fail_at`
-        // makes the step refuse one hop.
-        let mut walk = |path: &Path, fail_at: Option<usize>| {
-            let mut stepped = Vec::new();
-            let result = walker.walk(&t, path, |hop, prev, egress, ingress| {
-                assert_eq!(prev.map_or(0, |(_, n)| n), hop);
-                assert_eq!(t.peer_of(egress), Some(ingress));
-                assert_eq!(ingress, path.ingress_ports(&t).nth(hop).unwrap());
-                if fail_at == Some(hop) {
-                    return Err(hop);
-                }
-                stepped.push(hop);
-                Ok(hop + 1)
+        let other = Path::from_names(&t, &["H5", "T2", "L1"]);
+        let list = [&a, &b, &b, &short, &a, &other];
+        let tree: PathTree = list.into_iter().collect();
+        // a: 7 nodes; b: 3 after the 4 it shares with a; b again and the
+        // prefix `short`: none; a again shares only `short`'s 3 nodes with
+        // the path before it, so 4 more; another source shares nothing.
+        assert_eq!(tree.num_nodes(), 7 + 3 + 4 + 3);
+        assert_eq!(tree.len(), 6);
+        assert_eq!(tree.max_hops(), 6);
+        assert!(tree.paths().eq(list.into_iter().cloned()));
+        assert!(tree.contains(&short) && tree.contains(&other));
+        assert!(!tree.contains(&Path::from_names(&t, &["H1", "T1", "L2"])));
+        // Tree nodes are created by, and blamed on, the first path through.
+        assert_eq!(tree.first_path_through(6), 0);
+        assert_eq!(tree.first_path_through(7), 1);
+        assert_eq!(tree.first_path_through(10), 4);
+        assert_eq!((tree.depth(0), tree.depth(6), tree.depth(7)), (0, 6, 4));
+        let first_hops = [(a.nodes[0], a.nodes[1]), (other.nodes[0], other.nodes[1])];
+        assert!(tree.first_hops().eq(first_hops));
+
+        // A sweep sees every stored hop once, after the hop before it, and
+        // hands each the value kept for that one: here, hops so far.
+        let mut hops = 0;
+        let swept = tree.sweep(|i, before, here, next| {
+            hops += 1;
+            assert!(t.hop(here, next).is_some());
+            let so_far = before.map_or(0, |(from, n)| {
+                assert!(t.hop(from, here).is_some());
+                n
             });
-            (stepped, result)
-        };
-        assert_eq!(walk(&a, None), (vec![0, 1, 2, 3, 4, 5], Ok(())));
-        // Four nodes in common: hops 0..=2 are kept, hop 3 leaves S1 anew.
-        assert_eq!(walk(&b, None), (vec![3, 4, 5], Ok(())));
-        assert_eq!(walk(&b, None), (vec![], Ok(())));
-        assert_eq!(walk(&short, None), (vec![], Ok(())));
-        // A refused hop is not kept: the next walk redoes it.
-        assert_eq!(walk(&a, Some(4)), (vec![2, 3], Err(4)));
-        assert_eq!(walk(&a, None), (vec![4, 5], Ok(())));
+            assert_eq!(so_far + 1, tree.depth(i));
+            Ok::<usize, ()>(so_far + 1)
+        });
+        assert_eq!((swept, hops), (Ok(()), tree.num_nodes() - 2));
+        // An error ends it where it happens.
+        assert_eq!(tree.sweep(|i, _, _, _| Err::<(), usize>(i)), Err(1));
+
+        let mut kept = tree.clone();
+        kept.retain(|p| p.hops() > 2);
+        assert_eq!(kept, [&a, &b, &b, &a].into_iter().collect());
     }
 
     #[test]

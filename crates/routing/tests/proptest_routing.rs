@@ -3,9 +3,9 @@
 use proptest::prelude::*;
 use tagger_routing::{
     all_paths_with_bounces, bounce_paths_between, bounce_paths_between_capped,
-    shortest_paths_between, EcmpMode, Fib, Path,
+    path_tree_with_bounces, shortest_paths_between, EcmpMode, Fib, Path, PathTree,
 };
-use tagger_topo::{clos2, ClosConfig, FailureSet, NodeId, NodeKind, Topology};
+use tagger_topo::{clos2, ClosConfig, FailureSet, LinkId, NodeId, NodeKind, Topology};
 
 fn small() -> tagger_topo::Topology {
     ClosConfig::small().build()
@@ -158,6 +158,11 @@ proptest! {
         }
         let fused = all_paths_with_bounces(&topo, &failures, bounces, cap);
         prop_assert_eq!(&fused, &reference);
+        // The search fills a tree bucket by bucket without building a
+        // `Path`: it is the tree pushing the list path by path builds.
+        let tree = path_tree_with_bounces(&topo, &failures, bounces, cap);
+        prop_assert_eq!(&tree, &reference.iter().collect::<PathTree>());
+        prop_assert!(tree.paths().eq(reference.iter().cloned()));
         for p in &fused {
             let checked = Path::new_with_failures(&topo, &failures, p.nodes().to_vec());
             prop_assert_eq!(checked.as_ref(), Ok(p));
@@ -171,6 +176,55 @@ proptest! {
             bounce_paths_between_capped(&topo, &failures, src, dst, bounces, cap),
             reference_bounce_paths(&topo, &failures, src, dst, bounces, cap)
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A second link between two switches changes which ports a hop can
+    /// use, not which node sequences are paths: nothing is emitted twice,
+    /// whichever of the two is down, and every emitted path is valid
+    /// under the failure set it was enumerated with.
+    #[test]
+    fn parallel_trunks_do_not_multiply_paths(
+        topo in arb_clos(),
+        draws in proptest::collection::vec(0u8..8, 64..65),
+        bounces in 0usize..3,
+        pick in any::<u64>(),
+    ) {
+        let mut topo = topo;
+        let trunks: Vec<LinkId> = topo
+            .link_ids()
+            .filter(|&l| {
+                let link = topo.link(l);
+                [link.a.node, link.b.node]
+                    .iter()
+                    .all(|&n| topo.node(n).kind == NodeKind::Switch)
+            })
+            .collect();
+        let doubled = topo.link(trunks[(pick % trunks.len() as u64) as usize]).clone();
+        let twin = topo.connect(doubled.a.node, doubled.b.node);
+        let failures = failures_from(&topo, &draws);
+        let paths = all_paths_with_bounces(&topo, &failures, bounces, usize::MAX);
+        let mut distinct = paths.clone();
+        distinct.sort();
+        distinct.dedup();
+        prop_assert_eq!(distinct.len(), paths.len());
+        for p in &paths {
+            let checked = Path::new_with_failures(&topo, &failures, p.nodes().to_vec());
+            prop_assert_eq!(checked.as_ref(), Ok(p));
+        }
+        // The doubled hop is usable exactly while one of its links is.
+        let first = topo.link_between(doubled.a.node, doubled.b.node).unwrap();
+        let hop_up = !failures.is_failed(first) || !failures.is_failed(twin);
+        prop_assert_eq!(failures.link_up(&topo, doubled.a.node, doubled.b.node), hop_up);
+        let crosses = |p: &Path| {
+            p.hop_pairs().any(|(a, b)| {
+                [(a, b), (b, a)].contains(&(doubled.a.node, doubled.b.node))
+            })
+        };
+        prop_assert!(hop_up || !paths.iter().any(crosses));
     }
 }
 

@@ -119,9 +119,7 @@ fn port_towards(
     sw: NodeId,
     nbr: NodeId,
 ) -> Result<tagger_topo::PortId, ExpandError> {
-    topo.neighbors(sw)
-        .find(|&(_, _, peer)| peer == nbr)
-        .map(|(p, _, _)| p)
+    topo.port_towards(sw, nbr)
         .ok_or_else(|| err("mask endpoints are not adjacent"))
 }
 

@@ -185,10 +185,10 @@ impl FailureSet {
         self.failed.contains(&link)
     }
 
-    /// True if the direct link between `a` and `b` is usable (exists and
-    /// not failed).
+    /// True if `a` can reach `b` directly: some link between them exists
+    /// and is not failed (with parallel links, any one of them).
     pub fn link_up(&self, topo: &Topology, a: NodeId, b: NodeId) -> bool {
-        topo.link_between(a, b).is_some_and(|l| !self.is_failed(l))
+        self.live_neighbors(topo, a).any(|(_, _, n)| n == b)
     }
 
     /// Number of failed links.
@@ -259,6 +259,21 @@ mod tests {
         let link = topo.link_between(l1, t1).unwrap();
         f.restore(link);
         assert!(f.link_up(&topo, l1, t1));
+    }
+
+    #[test]
+    fn link_up_needs_only_one_live_parallel_link() {
+        let mut topo = ClosConfig::small().build();
+        let (t1, l1) = (topo.expect_node("T1"), topo.expect_node("L1"));
+        let first = topo.link_between(t1, l1).unwrap();
+        let second = topo.connect(t1, l1);
+        let mut f = FailureSet::none();
+        f.fail(first);
+        assert!(f.link_up(&topo, t1, l1) && f.link_up(&topo, l1, t1));
+        f.fail(second);
+        assert!(!f.link_up(&topo, t1, l1) && !f.link_up(&topo, l1, t1));
+        f.restore(first);
+        assert!(f.link_up(&topo, t1, l1));
     }
 
     #[test]

@@ -304,20 +304,39 @@ impl Topology {
             })
     }
 
-    /// The link joining `a` and `b`, if any. For parallel links, returns the
-    /// lowest-id one.
-    pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
+    /// The hop `a → b`: the lowest-numbered port of `a` that leads to `b`
+    /// and the link it is wired to, if the nodes are adjacent. Every
+    /// translation of a node pair into a port goes through here, so a hop
+    /// over parallel links means the same port everywhere.
+    pub fn hop(&self, a: NodeId, b: NodeId) -> Option<(PortId, LinkId)> {
         self.neighbors(a)
             .find(|&(_, _, n)| n == b)
-            .map(|(_, l, _)| l)
+            .map(|(p, l, _)| (p, l))
     }
 
-    /// The port on `a` that leads to `b`, if the nodes are adjacent. For
-    /// parallel links, returns the lowest-numbered port.
+    /// The two ends of the hop `a → b` as [`Topology::hop`] resolves it:
+    /// the egress port on `a` and the ingress port on `b`.
+    ///
+    /// # Panics
+    /// Panics if the nodes are not adjacent: for hops of paths and rules
+    /// already validated against this topology.
+    pub fn hop_ends(&self, a: NodeId, b: NodeId) -> (GlobalPort, GlobalPort) {
+        let (port, link) = self
+            .hop(a, b)
+            .unwrap_or_else(|| panic!("hop {a}->{b} not in topology"));
+        (GlobalPort::new(a, port), self.link(link).endpoint_on(b))
+    }
+
+    /// The link joining `a` and `b`, if any: the one [`Topology::hop`]
+    /// takes.
+    pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
+        self.hop(a, b).map(|(_, l)| l)
+    }
+
+    /// The port on `a` that leads to `b`, if the nodes are adjacent: the
+    /// one [`Topology::hop`] takes.
     pub fn port_towards(&self, a: NodeId, b: NodeId) -> Option<PortId> {
-        self.neighbors(a)
-            .find(|&(_, _, n)| n == b)
-            .map(|(p, _, _)| p)
+        self.hop(a, b).map(|(p, _)| p)
     }
 
     /// The node on the far side of `port`, if the port is wired.
@@ -469,8 +488,11 @@ mod tests {
         assert_ne!(l0, l1);
         assert_eq!(t.node(a).num_ports(), 2);
         t.check_consistency().unwrap();
-        // link_between returns the lowest-id link.
+        // Every resolver picks the same (lowest-numbered) one.
+        assert_eq!(t.hop(a, b), Some((PortId(0), l0)));
+        assert_eq!(t.hop_ends(a, b), (t.link(l0).a, t.link(l0).b));
         assert_eq!(t.link_between(a, b), Some(l0));
+        assert_eq!(t.port_towards(b, a), Some(PortId(0)));
     }
 
     #[test]

@@ -147,9 +147,7 @@ fn plan(
                 inf.kernel.len()
             );
             for &i in inf.kernel.iter().take(12) {
-                if let Some(p) = elp.paths().get(i) {
-                    eprintln!("  {}", p.display(topo));
-                }
+                eprintln!("  {}", elp.path(i).display(topo));
             }
             if inf.kernel.len() > 12 {
                 eprintln!("  ... and {} more", inf.kernel.len() - 12);
