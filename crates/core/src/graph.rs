@@ -458,6 +458,34 @@ mod tests {
     }
 
     #[test]
+    fn witness_cycle_is_pinned() {
+        // Start nodes ascending, out-edges in sorted order, first back
+        // edge wins: the acyclic component and the dead-end branch
+        // 2 -> 3 are walked and abandoned before the cycle 2 -> 4 -> 8
+        // -> 2 is closed; the later cycle through 9 is never reached.
+        let mut g = TaggedGraph::new();
+        g.add_edge(tn(0, 0, 1), tn(1, 0, 1));
+        g.add_edge(tn(2, 0, 1), tn(3, 0, 1));
+        g.add_edge(tn(2, 0, 1), tn(4, 0, 1));
+        g.add_edge(tn(4, 0, 1), tn(8, 0, 1));
+        g.add_edge(tn(4, 0, 1), tn(9, 0, 1));
+        g.add_edge(tn(8, 0, 1), tn(2, 0, 1));
+        g.add_edge(tn(9, 0, 1), tn(4, 0, 1));
+        // Other tags do not take part.
+        g.add_edge(tn(1, 0, 2), tn(0, 0, 2));
+        g.add_edge(tn(0, 0, 2), tn(1, 0, 2));
+        assert_eq!(
+            g.find_cycle_in_tag(Tag(1)),
+            Some(vec![tn(2, 0, 1), tn(4, 0, 1), tn(8, 0, 1), tn(2, 0, 1)])
+        );
+        assert_eq!(
+            g.find_cycle_in_tag(Tag(2)),
+            Some(vec![tn(0, 0, 2), tn(1, 0, 2), tn(0, 0, 2)])
+        );
+        assert_eq!(g.find_cycle_in_tag(Tag(3)), None);
+    }
+
+    #[test]
     fn shifted_preserves_structure() {
         let mut g = TaggedGraph::new();
         g.add_edge(tn(0, 0, 1), tn(1, 0, 2));

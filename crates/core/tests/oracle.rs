@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use tagger_core::{decide, minimize_elp, Elp, Verdict};
-use tagger_routing::Path;
-use tagger_topo::{ClosConfig, JellyfishConfig, Layer, Topology};
+use tagger_routing::{shortest_paths_all_pairs, Path};
+use tagger_topo::{ClosConfig, FailureSet, JellyfishConfig, Layer, Topology};
 
 /// Tags the construction uses on `elp` (contiguous from 1, so the max
 /// is the count), or `None` if the pipeline's certificate fails.
@@ -188,4 +188,136 @@ proptest! {
             ))),
         }
     }
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// What a feasible verdict publishes, reduced to four numbers:
+/// `(lower_bound_tags, tags_used, digest(witness.layers),
+/// digest(witness.assignment))`. Every inner list is closed by an
+/// `0xff 0xff` terminator so moving an element across a list boundary
+/// changes the digest.
+fn feasible_pin(topo: &Topology, elp: &Elp, budget: Option<usize>) -> (usize, usize, u64, u64) {
+    let f = match decide(topo, elp, budget) {
+        Verdict::Feasible(f) => f,
+        v => panic!("expected feasible, got {}", v.summary()),
+    };
+    f.witness.recheck(topo, elp).expect("witness rechecks");
+    let layers = f.witness.layers.iter().flat_map(|layer| {
+        layer
+            .iter()
+            .flat_map(|p| {
+                let mut b = p.node.0.to_le_bytes().to_vec();
+                b.extend(p.port.0.to_le_bytes());
+                b
+            })
+            .chain([0xff, 0xff])
+    });
+    let assignment = f.witness.assignment.iter().flat_map(|hops| {
+        hops.iter()
+            .flat_map(|t| t.to_le_bytes())
+            .chain([0xff, 0xff])
+    });
+    (
+        f.lower_bound_tags,
+        f.tags_used,
+        fnv1a(layers),
+        fnv1a(assignment),
+    )
+}
+
+/// What an infeasible verdict publishes: `(kernel, cycle as
+/// (node, port) pairs, exhaustive)`.
+fn infeasible_pin(
+    topo: &Topology,
+    elp: &Elp,
+    budget: usize,
+) -> (Vec<usize>, Vec<(u32, u16)>, bool) {
+    match decide(topo, elp, Some(budget)) {
+        Verdict::Infeasible(i) => (
+            i.kernel,
+            i.cycle.iter().map(|p| (p.node.0, p.port.0)).collect(),
+            i.exhaustive,
+        ),
+        v => panic!("expected infeasible, got {}", v.summary()),
+    }
+}
+
+/// The paper's Fig. 10 pair on the small Clos: two counter-rotating
+/// one-bounce paths that close a dependency cycle at one tag.
+fn fig10() -> (Topology, Elp) {
+    let t = ClosConfig::small().build();
+    let elp = Elp::from_paths(vec![
+        Path::from_names(&t, &["H1", "T1", "L1", "S1", "L3", "S2", "L4", "T4", "H13"]),
+        Path::from_names(&t, &["H9", "T3", "L3", "S2", "L1", "S1", "L2", "T1", "H1"]),
+    ]);
+    (t, elp)
+}
+
+/// Golden values recorded from the tree before the acyclicity routines
+/// moved behind one kernel: everything `decide` publishes — bounds,
+/// layer orders, per-hop assignment, kernel, quoted cycle — on a
+/// benchmark-shaped fabric, the Fig. 10 pair and rings. A change to
+/// DFS start order, adjacency order, Kahn tie-breaking or the guard's
+/// accept/reject decisions moves at least one of them.
+#[test]
+fn published_verdicts_are_pinned() {
+    let topo = JellyfishConfig::half_servers(100, 16, 1).build();
+    let elp = Elp::from_paths(shortest_paths_all_pairs(
+        &topo,
+        &FailureSet::none(),
+        1,
+        false,
+    ));
+    assert_eq!(
+        feasible_pin(&topo, &elp, None),
+        (2, 3, 4669667867662929271, 9936822776852784963)
+    );
+    let (t, e) = fig10();
+    assert_eq!(
+        feasible_pin(&t, &e, None),
+        (2, 2, 2722714645888244427, 14968123367487585601)
+    );
+    assert_eq!(
+        infeasible_pin(&t, &e, 1),
+        (vec![0, 1], vec![(0, 0), (6, 0), (1, 2), (2, 1)], true)
+    );
+    let (t, e) = ring(5);
+    assert_eq!(
+        feasible_pin(&t, &e, Some(2)),
+        (2, 2, 15163240135592143786, 9872137499915164867)
+    );
+    // The quoted cycle is the ring itself, entered at R2's port
+    // towards R1 and closed at R1's port towards the last switch.
+    assert_eq!(
+        infeasible_pin(&t, &e, 1),
+        (
+            vec![0, 1, 2, 3, 4],
+            vec![(1, 0), (2, 0), (3, 0), (4, 0), (0, 2)],
+            true
+        )
+    );
+    let (t, e) = ring(8);
+    assert_eq!(
+        infeasible_pin(&t, &e, 1),
+        (
+            vec![0, 1, 2, 3, 4, 5, 6, 7],
+            vec![
+                (1, 0),
+                (2, 0),
+                (3, 0),
+                (4, 0),
+                (5, 0),
+                (6, 0),
+                (7, 0),
+                (0, 2)
+            ],
+            true
+        )
+    );
 }

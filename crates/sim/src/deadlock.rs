@@ -350,7 +350,13 @@ mod tests {
         switches.insert(c, swc);
 
         let cycle = detect_deadlock(&topo, &switches).expect("deadlock");
-        assert_eq!(cycle.len(), 3, "witness carries every hop: {cycle:?}");
+        // The witness starts at the smallest queue on the cycle and
+        // follows the waits: A waits on B waits on C (waits on A).
+        assert_eq!(
+            cycle,
+            vec![(a, PortId(0), 0), (b, PortId(1), 0), (c, PortId(1), 0)],
+            "witness carries every hop, in wait order"
+        );
         let members = deadlocked_queues(&topo, &switches);
         let expect: std::collections::BTreeSet<Q> =
             [(a, PortId(0), 0), (b, PortId(1), 0), (c, PortId(1), 0)]
