@@ -259,6 +259,32 @@ fn fig10() -> (Topology, Elp) {
     (t, elp)
 }
 
+/// The complete graph on four switches with all 24 Hamiltonian paths,
+/// in lexicographic order: the greedy peel needs three layers, so two
+/// tags are only found by the exhaustive layer search — the one
+/// instance here that backtracks through the guard's LIFO edge undo.
+fn k4_hamiltonian() -> (Topology, Elp) {
+    let mut t = Topology::new();
+    let s: Vec<_> = (0..4)
+        .map(|i| t.add_switch(format!("K{i}"), Layer::Flat))
+        .collect();
+    for i in 0..4 {
+        for j in i + 1..4 {
+            t.connect(s[i], s[j]);
+        }
+    }
+    let mut paths = Vec::new();
+    for a in 0..4 {
+        for b in (0..4).filter(|&b| b != a) {
+            for c in (0..4).filter(|&c| c != a && c != b) {
+                let d = 6 - a - b - c;
+                paths.push(Path::new(&t, vec![s[a], s[b], s[c], s[d]]).expect("K4 path"));
+            }
+        }
+    }
+    (t, Elp::from_paths(paths))
+}
+
 /// Golden values recorded from the tree before the acyclicity routines
 /// moved behind one kernel: everything `decide` publishes — bounds,
 /// layer orders, per-hop assignment, kernel, quoted cycle — on a
@@ -319,5 +345,16 @@ fn published_verdicts_are_pinned() {
             ],
             true
         )
+    );
+    let (t, e) = k4_hamiltonian();
+    for budget in [Some(2), None] {
+        assert_eq!(
+            feasible_pin(&t, &e, budget),
+            (2, 2, 16971711820364923983, 11074450578145421193)
+        );
+    }
+    assert_eq!(
+        infeasible_pin(&t, &e, 1),
+        (vec![0, 3, 4], vec![(2, 1), (3, 2), (1, 2)], true)
     );
 }
