@@ -128,7 +128,6 @@ mod tests {
         // The triangle detour paths alone create a CBD on one priority —
         // the reason the example needs two tags at all.
         let topo = topology();
-        let paths: Vec<_> = elp(&topo).paths().collect();
-        assert!(tagger_core::cbd::has_cbd(&topo, &paths));
+        assert!(!tagger_core::decide(&topo, &elp(&topo), Some(1)).is_feasible());
     }
 }

@@ -12,8 +12,8 @@
 //!
 //! The port projection matters: two graph nodes `(A_i, x)` and `(A_i, y)`
 //! merged into one new tag become the *same* physical queue, so the cycle
-//! check must identify them — this module projects sandbox nodes onto
-//! ports before searching for cycles.
+//! check must identify them — this module projects group members onto
+//! ports before asking [`Digraph::reaches`] whether a cycle closed.
 //!
 //! ## A note on rule determinism
 //!
@@ -25,6 +25,7 @@
 //! repair rules until every ELP path simulates losslessly, and verifies
 //! the closure of what the final rules can express. See `DESIGN.md`.
 
+use crate::digraph::Digraph;
 use crate::{Tag, TaggedGraph, TaggedNode};
 use std::collections::BTreeMap;
 use tagger_topo::{GlobalPort, Topology};
@@ -57,70 +58,6 @@ impl PortIndexer {
     }
 }
 
-/// Sandbox: the port-projected dependency graph of the current new-tag
-/// group, supporting tentative node addition with rollback.
-struct Sandbox {
-    /// Out-adjacency with edge multiplicities (multiple merged graph nodes
-    /// can contribute the same port-level edge).
-    adj: Vec<BTreeMap<u32, u32>>,
-    /// Epoch-stamped visited marks for DFS without clearing.
-    visited: Vec<u32>,
-    epoch: u32,
-}
-
-impl Sandbox {
-    fn new(total_ports: usize) -> Self {
-        Sandbox {
-            adj: vec![BTreeMap::new(); total_ports],
-            visited: vec![0; total_ports],
-            epoch: 0,
-        }
-    }
-
-    fn add_edges(&mut self, edges: &[(u32, u32)]) {
-        for &(a, b) in edges {
-            *self.adj[a as usize].entry(b).or_insert(0) += 1;
-        }
-    }
-
-    fn remove_edges(&mut self, edges: &[(u32, u32)]) {
-        for &(a, b) in edges {
-            let m = self.adj[a as usize]
-                .get_mut(&b)
-                .expect("removing edge that was never added");
-            *m -= 1;
-            if *m == 0 {
-                self.adj[a as usize].remove(&b);
-            }
-        }
-    }
-
-    /// DFS: is `start` reachable from itself? All fresh edges are incident
-    /// to the candidate's port, so any new cycle must pass through it.
-    fn has_cycle_through(&mut self, start: u32) -> bool {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        let mut stack: Vec<u32> = self.adj[start as usize].keys().copied().collect();
-        while let Some(p) = stack.pop() {
-            if p == start {
-                return true;
-            }
-            if self.visited[p as usize] == epoch {
-                continue;
-            }
-            self.visited[p as usize] = epoch;
-            stack.extend(self.adj[p as usize].keys().copied());
-        }
-        false
-    }
-
-    fn clear(&mut self) {
-        for m in &mut self.adj {
-            m.clear();
-        }
-    }
-}
-
 /// Runs Algorithm 2 and returns the node-level re-tagging: for every node
 /// of the input graph, the new (merged) tag it was assigned.
 ///
@@ -147,7 +84,10 @@ pub fn greedy_assignment(topo: &Topology, g: &TaggedGraph) -> BTreeMap<TaggedNod
     }
 
     let ports = PortIndexer::new(topo);
-    let mut sandbox = Sandbox::new(ports.total());
+    // The port-projected dependency graph of the current new-tag group.
+    let mut sandbox = Digraph::new(ports.total());
+    // Sources of the edges the current candidate pushed, for undo.
+    let mut pushed: Vec<u32> = Vec::new();
     // in_group[i]: node i is a member of the *current* new-tag group.
     let mut in_group = vec![false; nodes.len()];
     let mut new_tag = vec![0u16; nodes.len()];
@@ -158,20 +98,29 @@ pub fn greedy_assignment(topo: &Topology, g: &TaggedGraph) -> BTreeMap<TaggedNod
         for v in members {
             let pv = ports.pid(nodes[v].port);
             // Project v's edges to/from current group members onto ports.
-            let mut edges: Vec<(u32, u32)> = Vec::new();
-            for &w in &out_edges[v] {
-                if in_group[w] {
-                    edges.push((pv, ports.pid(nodes[w].port)));
+            // Several merged graph nodes can project onto one port-level
+            // edge; one already in the group is nobody's to undo.
+            let outgoing = out_edges[v]
+                .iter()
+                .filter(|&&w| in_group[w])
+                .map(|&w| (pv, ports.pid(nodes[w].port)));
+            let incoming = in_edges[v]
+                .iter()
+                .filter(|&&u| in_group[u])
+                .map(|&u| (ports.pid(nodes[u].port), pv));
+            pushed.clear();
+            for (a, b) in outgoing.chain(incoming) {
+                if !sandbox.has_edge(a, b) {
+                    sandbox.add(a, b);
+                    pushed.push(a);
                 }
             }
-            for &u in &in_edges[v] {
-                if in_group[u] {
-                    edges.push((ports.pid(nodes[u].port), pv));
+            // All fresh edges are incident to the candidate's port, so
+            // any new cycle must pass through it.
+            if sandbox.reaches(pv, pv) {
+                for &a in pushed.iter().rev() {
+                    sandbox.pop_edge(a);
                 }
-            }
-            sandbox.add_edges(&edges);
-            if sandbox.has_cycle_through(pv) {
-                sandbox.remove_edges(&edges);
                 new_tag[v] = current + 1;
                 pending.push(v);
             } else {

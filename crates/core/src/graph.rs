@@ -7,7 +7,8 @@
 //! is acyclic and no edge decreases the tag, the scheme is deadlock-free.
 //! [`TaggedGraph::verify`] checks exactly those two requirements.
 
-use std::collections::{BTreeMap, BTreeSet};
+use crate::digraph::Digraph;
+use std::collections::BTreeSet;
 use std::fmt;
 use tagger_topo::{GlobalPort, NodeId, NodeKind, Topology};
 
@@ -247,66 +248,29 @@ impl TaggedGraph {
     /// Searches for a cycle within the subgraph of one tag. Returns a
     /// witness cycle (first node repeated last) or `None` if acyclic.
     pub fn find_cycle_in_tag(&self, tag: Tag) -> Option<Vec<TaggedNode>> {
-        // Index the same-tag subgraph.
+        // The same-tag subgraph on dense ids: `nodes` is sorted, so a
+        // node's id is its rank, and edges arrive in sorted order.
         let nodes: Vec<TaggedNode> = self
             .nodes
             .iter()
             .copied()
             .filter(|n| n.tag == tag)
             .collect();
-        let index: BTreeMap<TaggedNode, usize> =
-            nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        let mut out: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
-        for &(a, b) in &self.edges {
+        let id = |n: &TaggedNode| nodes.binary_search(n).expect("edge endpoints are nodes") as u32;
+        let mut g = Digraph::new(nodes.len());
+        for (a, b) in &self.edges {
             if a.tag == tag && b.tag == tag {
-                out[index[&a]].push(index[&b]);
+                g.add(id(a), id(b));
             }
         }
-        // Iterative coloring DFS with parent tracking for the witness.
-        const WHITE: u8 = 0;
-        const GRAY: u8 = 1;
-        const BLACK: u8 = 2;
-        let mut color = vec![WHITE; nodes.len()];
-        let mut parent = vec![usize::MAX; nodes.len()];
-        for start in 0..nodes.len() {
-            if color[start] != WHITE {
-                continue;
-            }
-            // stack of (node, next child index)
-            let mut stack = vec![(start, 0usize)];
-            color[start] = GRAY;
-            while let Some(&(u, ci)) = stack.last() {
-                if ci < out[u].len() {
-                    stack.last_mut().expect("nonempty").1 += 1;
-                    let v = out[u][ci];
-                    match color[v] {
-                        WHITE => {
-                            color[v] = GRAY;
-                            parent[v] = u;
-                            stack.push((v, 0));
-                        }
-                        GRAY => {
-                            // Found a back edge u -> v: reconstruct cycle.
-                            let mut cycle = vec![nodes[v]];
-                            let mut w = u;
-                            let mut rev = Vec::new();
-                            while w != v {
-                                rev.push(nodes[w]);
-                                w = parent[w];
-                            }
-                            cycle.extend(rev.into_iter().rev());
-                            cycle.push(nodes[v]);
-                            return Some(cycle);
-                        }
-                        _ => {}
-                    }
-                } else {
-                    color[u] = BLACK;
-                    stack.pop();
-                }
-            }
-        }
-        None
+        let cycle = g.find_cycle()?;
+        Some(
+            cycle
+                .iter()
+                .chain(cycle.first())
+                .map(|&i| nodes[i as usize])
+                .collect(),
+        )
     }
 
     /// Merges another graph into this one (set union of nodes and edges).

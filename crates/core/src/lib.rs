@@ -21,8 +21,9 @@
 //!   fallback of §4.2, and [`tcam`] — TCAM entries with the bit-mask
 //!   compression of §7.
 //! - [`multiclass`] — tag sharing across application classes (§6).
-//! - [`cbd`] — a generic cyclic-buffer-dependency detector used to show
-//!   that *without* Tagger the same path sets deadlock.
+//! - [`oracle`] — does *any* deadlock-free tagging fit a tag budget?
+//! - [`digraph`] — the acyclicity kernel all of the above (and the
+//!   simulator's deadlock detector) ask their cycle questions of.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Library code paths reachable from user-supplied artifacts (table
@@ -32,8 +33,8 @@
 
 mod algorithm1;
 pub(crate) mod algorithm2;
-pub mod cbd;
 pub mod clos;
+pub mod digraph;
 pub mod dscp;
 mod elp;
 mod graph;

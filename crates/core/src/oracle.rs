@@ -49,6 +49,7 @@
 //! `exhaustive = false` when the search was capped rather than
 //! completed.
 
+use crate::digraph::Digraph;
 use crate::Elp;
 use std::collections::BTreeMap;
 use tagger_topo::{GlobalPort, Topology};
@@ -264,125 +265,18 @@ impl Dep {
 /// the exact feasibility test for a single tag. Returned as dense port
 /// ids in forward-edge order.
 fn union_cycle(dep: &Dep) -> Option<Vec<u32>> {
-    let n = dep.ports.len();
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for path in &dep.paths {
-        for w in path.windows(2) {
-            adj[w[0] as usize].push(w[1]);
-        }
+    let mut edges: Vec<(u32, u32)> = dep
+        .paths
+        .iter()
+        .flat_map(|path| path.windows(2).map(|w| (w[0], w[1])))
+        .collect();
+    edges.sort_unstable();
+    edges.dedup();
+    let mut g = Digraph::new(dep.ports.len());
+    for (u, v) in edges {
+        g.add(u, v);
     }
-    for a in &mut adj {
-        a.sort_unstable();
-        a.dedup();
-    }
-    let mut color = vec![0u8; n]; // 0 white, 1 gray, 2 black
-    let mut parent = vec![u32::MAX; n];
-    for start in 0..n as u32 {
-        if color[start as usize] != 0 {
-            continue;
-        }
-        color[start as usize] = 1;
-        let mut stack: Vec<(u32, usize)> = vec![(start, 0)];
-        while let Some(frame) = stack.last_mut() {
-            let u = frame.0;
-            if frame.1 < adj[u as usize].len() {
-                let v = adj[u as usize][frame.1];
-                frame.1 += 1;
-                match color[v as usize] {
-                    0 => {
-                        color[v as usize] = 1;
-                        parent[v as usize] = u;
-                        stack.push((v, 0));
-                    }
-                    1 => {
-                        // Back edge u -> v: the cycle is v ->* u -> v.
-                        let mut cyc = Vec::new();
-                        let mut x = u;
-                        loop {
-                            cyc.push(x);
-                            if x == v {
-                                break;
-                            }
-                            x = parent[x as usize];
-                        }
-                        cyc.reverse();
-                        return Some(cyc);
-                    }
-                    _ => {}
-                }
-            } else {
-                color[u as usize] = 2;
-                stack.pop();
-            }
-        }
-    }
-    None
-}
-
-/// One layer's incrementally-grown dependency graph with an epoch-
-/// stamped reachability check (the acyclicity guard for edge inserts).
-struct LayerGraph {
-    adj: Vec<Vec<u32>>,
-    visited: Vec<u32>,
-    epoch: u32,
-    scratch: Vec<u32>,
-}
-
-impl LayerGraph {
-    fn new(n: usize) -> Self {
-        LayerGraph {
-            adj: vec![Vec::new(); n],
-            visited: vec![0; n],
-            epoch: 0,
-            scratch: Vec::new(),
-        }
-    }
-
-    fn clear(&mut self) {
-        for a in &mut self.adj {
-            a.clear();
-        }
-    }
-
-    /// Is `target` reachable from `from`? (Adding edge `target -> from`
-    /// would close a cycle exactly when this is true.)
-    fn reaches(&mut self, from: u32, target: u32) -> bool {
-        if from == target {
-            return true;
-        }
-        self.epoch += 1;
-        let LayerGraph {
-            adj,
-            visited,
-            epoch,
-            scratch,
-        } = self;
-        scratch.clear();
-        scratch.push(from);
-        visited[from as usize] = *epoch;
-        while let Some(x) = scratch.pop() {
-            for &y in &adj[x as usize] {
-                if y == target {
-                    return true;
-                }
-                if visited[y as usize] != *epoch {
-                    visited[y as usize] = *epoch;
-                    scratch.push(y);
-                }
-            }
-        }
-        false
-    }
-
-    fn add(&mut self, u: u32, v: u32) {
-        self.adj[u as usize].push(v);
-    }
-
-    /// Removes the most recently added out-edge of `u` (edge inserts
-    /// and removals are strictly LIFO per layer).
-    fn pop_edge(&mut self, u: u32) {
-        self.adj[u as usize].pop();
-    }
+    g.find_cycle()
 }
 
 /// Greedy layering: round-robin single-hop prefix extension per layer
@@ -399,8 +293,7 @@ fn peel(dep: &Dep, budget: Option<usize>) -> Result<Vec<Vec<u16>>, ()> {
         .map(|p| Vec::with_capacity(p.len()))
         .collect();
     let mut f = vec![0usize; n];
-    let mut g = LayerGraph::new(dep.ports.len());
-    let mut present: std::collections::BTreeSet<(u32, u32)> = std::collections::BTreeSet::new();
+    let mut g = Digraph::new(dep.ports.len());
     let mut t = 0usize;
     while (0..n).any(|p| f[p] < dep.paths[p].len()) {
         t += 1;
@@ -411,7 +304,6 @@ fn peel(dep: &Dep, budget: Option<usize>) -> Result<Vec<Vec<u16>>, ()> {
         }
         let seg_start = f.clone();
         g.clear();
-        present.clear();
         loop {
             let mut progressed = false;
             for p in 0..n {
@@ -426,13 +318,12 @@ fn peel(dep: &Dep, budget: Option<usize>) -> Result<Vec<Vec<u16>>, ()> {
                     let v = hops[f[p]];
                     // Many paths share edges; an edge already in the
                     // layer costs nothing to traverse again.
-                    if present.contains(&(u, v)) {
+                    if g.has_edge(u, v) {
                         true
                     } else if g.reaches(v, u) {
                         false
                     } else {
                         g.add(u, v);
-                        present.insert((u, v));
                         true
                     }
                 };
@@ -462,7 +353,7 @@ enum Res {
 struct Search<'a> {
     dep: &'a Dep,
     b: usize,
-    graphs: Vec<LayerGraph>,
+    graphs: Vec<Digraph>,
     failed: Vec<Vec<Vec<usize>>>,
     nodes_left: usize,
     frontiers: Vec<Vec<usize>>,
@@ -478,9 +369,7 @@ fn exact_search(dep: &Dep, b: usize) -> SearchOutcome {
     let mut s = Search {
         dep,
         b,
-        graphs: (0..=b + 1)
-            .map(|_| LayerGraph::new(dep.ports.len()))
-            .collect(),
+        graphs: vec![Digraph::new(dep.ports.len()); b + 2],
         failed: vec![Vec::new(); b + 2],
         nodes_left: SEARCH_NODE_CAP,
         frontiers: Vec::new(),
@@ -633,55 +522,35 @@ fn feasible_within(dep: &Dep, b: usize, exact_ok: bool) -> Tri {
 /// Builds the per-layer topological orders for a valid assignment.
 fn witness_from(dep: &Dep, assign: Vec<Vec<u16>>) -> WitnessOrder {
     let num_layers = assign.iter().flatten().copied().max().unwrap_or(0) as usize;
+    let mut g = Digraph::new(dep.ports.len());
     let mut layers = Vec::with_capacity(num_layers);
     for t in 1..=num_layers as u16 {
-        // Nodes of layer t and its (deduped) intra-segment edges.
+        // Ports of layer t and its intra-segment edges.
+        g.clear();
         let mut in_layer = vec![false; dep.ports.len()];
-        let mut adj: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        let mut indeg: BTreeMap<u32, usize> = BTreeMap::new();
         for (p, path) in dep.paths.iter().enumerate() {
             for (h, &port) in path.iter().enumerate() {
                 if assign[p][h] == t {
                     in_layer[port as usize] = true;
-                    indeg.entry(port).or_insert(0);
-                    if h > 0 && assign[p][h - 1] == t {
-                        adj.entry(path[h - 1]).or_default().push(port);
+                    if h > 0 && assign[p][h - 1] == t && !g.has_edge(path[h - 1], port) {
+                        g.add(path[h - 1], port);
                     }
                 }
             }
         }
-        for targets in adj.values_mut() {
-            targets.sort_unstable();
-            targets.dedup();
-        }
-        for targets in adj.values() {
-            for &v in targets {
-                *indeg.entry(v).or_insert(0) += 1;
-            }
-        }
-        // Deterministic Kahn: always pop the smallest ready id.
-        let mut ready: std::collections::BTreeSet<u32> = indeg
-            .iter()
-            .filter(|&(_, &d)| d == 0)
-            .map(|(&v, _)| v)
-            .collect();
-        let mut order = Vec::with_capacity(indeg.len());
-        while let Some(&v) = ready.iter().next() {
-            ready.remove(&v);
-            order.push(dep.ports[v as usize]);
-            if let Some(targets) = adj.get(&v) {
-                for &w in targets {
-                    if let Some(d) = indeg.get_mut(&w) {
-                        *d -= 1;
-                        if *d == 0 {
-                            ready.insert(w);
-                        }
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(order.len(), indeg.len(), "layer {t} had a residual cycle");
-        layers.push(order);
+        // The kernel orders every port; the ones outside the layer
+        // have no edges here, so dropping them leaves the order the
+        // layer's own ports would get alone.
+        let order = g.topo_order();
+        debug_assert!(order.is_ok(), "layer {t} had a residual cycle");
+        layers.push(
+            order
+                .unwrap_or_default()
+                .into_iter()
+                .filter(|&v| in_layer[v as usize])
+                .map(|v| dep.ports[v as usize])
+                .collect(),
+        );
     }
     WitnessOrder {
         layers,

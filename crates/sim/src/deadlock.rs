@@ -9,6 +9,7 @@
 
 use crate::event::SimTime;
 use std::collections::BTreeMap;
+use tagger_core::digraph::Digraph;
 use tagger_switch::SwitchState;
 use tagger_topo::{NodeId, PortId, Topology};
 
@@ -67,68 +68,32 @@ fn wait_edges(topo: &Topology, switches: &BTreeMap<NodeId, SwitchState>) -> BTre
     edges
 }
 
+/// The wait-for graph on dense ids for the acyclicity kernel: the gated
+/// queues in sorted order (a queue's id is its rank) and one edge per
+/// wait on another gated queue, in the order [`wait_edges`] found them.
+fn wait_graph(topo: &Topology, switches: &BTreeMap<NodeId, SwitchState>) -> (Vec<Q>, Digraph) {
+    let edges = wait_edges(topo, switches);
+    let nodes: Vec<Q> = edges.keys().copied().collect();
+    let mut g = Digraph::new(nodes.len());
+    for (u, deps) in edges.values().enumerate() {
+        for d in deps {
+            if let Ok(v) = nodes.binary_search(d) {
+                g.add(u as u32, v as u32);
+            }
+        }
+    }
+    (nodes, g)
+}
+
 /// Searches the current PFC state for a cycle of mutually-waiting gated
 /// queues. Returns a witness cycle if one exists.
 pub(crate) fn detect_deadlock(
     topo: &Topology,
     switches: &BTreeMap<NodeId, SwitchState>,
 ) -> Option<Vec<(NodeId, PortId, u8)>> {
-    let edges = wait_edges(topo, switches);
-
-    // Cycle detection (iterative DFS, coloring).
-    let nodes: Vec<Q> = edges.keys().copied().collect();
-    let index: BTreeMap<Q, usize> = nodes.iter().enumerate().map(|(i, &q)| (q, i)).collect();
-    let adj: Vec<Vec<usize>> = nodes
-        .iter()
-        .map(|q| {
-            edges[q]
-                .iter()
-                .filter_map(|d| index.get(d).copied())
-                .collect()
-        })
-        .collect();
-    const WHITE: u8 = 0;
-    const GRAY: u8 = 1;
-    const BLACK: u8 = 2;
-    let mut color = vec![WHITE; nodes.len()];
-    let mut parent = vec![usize::MAX; nodes.len()];
-    for start in 0..nodes.len() {
-        if color[start] != WHITE {
-            continue;
-        }
-        let mut stack = vec![(start, 0usize)];
-        color[start] = GRAY;
-        while let Some(&(u, ci)) = stack.last() {
-            if ci < adj[u].len() {
-                stack.last_mut().expect("nonempty").1 += 1;
-                let v = adj[u][ci];
-                match color[v] {
-                    WHITE => {
-                        color[v] = GRAY;
-                        parent[v] = u;
-                        stack.push((v, 0));
-                    }
-                    GRAY => {
-                        // Reconstruct the cycle v ... u -> v.
-                        let mut cycle = vec![nodes[v]];
-                        let mut w = u;
-                        let mut rev = Vec::new();
-                        while w != v {
-                            rev.push(nodes[w]);
-                            w = parent[w];
-                        }
-                        cycle.extend(rev.into_iter().rev());
-                        return Some(cycle);
-                    }
-                    _ => {}
-                }
-            } else {
-                color[u] = BLACK;
-                stack.pop();
-            }
-        }
-    }
-    None
+    let (nodes, g) = wait_graph(topo, switches);
+    let cycle = g.find_cycle()?;
+    Some(cycle.into_iter().map(|i| nodes[i as usize]).collect())
 }
 
 /// The **full membership** of every circular wait: all queues sitting on
@@ -141,74 +106,11 @@ pub(crate) fn deadlocked_queues(
     topo: &Topology,
     switches: &BTreeMap<NodeId, SwitchState>,
 ) -> std::collections::BTreeSet<Q> {
-    let edges = wait_edges(topo, switches);
-    let nodes: Vec<Q> = edges.keys().copied().collect();
-    let index: BTreeMap<Q, usize> = nodes.iter().enumerate().map(|(i, &q)| (q, i)).collect();
-    let adj: Vec<Vec<usize>> = nodes
-        .iter()
-        .map(|q| {
-            edges[q]
-                .iter()
-                .filter_map(|d| index.get(d).copied())
-                .collect()
-        })
-        .collect();
-
-    // Tarjan's SCC, iteratively.
-    let n = nodes.len();
-    let mut idx = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut scc_stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut result = std::collections::BTreeSet::new();
-    for root in 0..n {
-        if idx[root] != usize::MAX {
-            continue;
-        }
-        // (node, next child to visit)
-        let mut call: Vec<(usize, usize)> = vec![(root, 0)];
-        while let Some(&mut (u, ref mut ci)) = call.last_mut() {
-            if *ci == 0 {
-                idx[u] = next_index;
-                low[u] = next_index;
-                next_index += 1;
-                scc_stack.push(u);
-                on_stack[u] = true;
-            }
-            if *ci < adj[u].len() {
-                let v = adj[u][*ci];
-                *ci += 1;
-                if idx[v] == usize::MAX {
-                    call.push((v, 0));
-                } else if on_stack[v] {
-                    low[u] = low[u].min(idx[v]);
-                }
-            } else {
-                if low[u] == idx[u] {
-                    // u is an SCC root; pop its component.
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = scc_stack.pop().expect("tarjan stack");
-                        on_stack[w] = false;
-                        comp.push(w);
-                        if w == u {
-                            break;
-                        }
-                    }
-                    let cyclic = comp.len() > 1 || adj[u].contains(&u);
-                    if cyclic {
-                        result.extend(comp.into_iter().map(|w| nodes[w]));
-                    }
-                }
-                call.pop();
-                if let Some(&(p, _)) = call.last() {
-                    low[p] = low[p].min(low[u]);
-                }
-            }
-        }
-    }
-    result
+    let (nodes, g) = wait_graph(topo, switches);
+    g.cyclic_members()
+        .into_iter()
+        .map(|i| nodes[i as usize])
+        .collect()
 }
 
 #[cfg(test)]
