@@ -27,6 +27,7 @@
 use std::process::ExitCode;
 
 use tagger::audit::{checkpoint, whatif, Auditor, Counterexample, DepGraph};
+use tagger::cli::{get, get_opt, parse_args, Flags};
 use tagger::core::RuleSet;
 use tagger::ctrl::{recover, ElpPolicy};
 use tagger::topo::{ClosConfig, FailureSet, Topology};
@@ -52,46 +53,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Positional + `--flag value` parsing (`--replay` is valueless).
-fn parse(
-    rest: &[String],
-) -> Result<(Vec<String>, std::collections::BTreeMap<String, String>), String> {
-    let mut positional = Vec::new();
-    let mut flags = std::collections::BTreeMap::new();
-    let mut i = 0;
-    while i < rest.len() {
-        let a = &rest[i];
-        if a == "--replay" {
-            flags.insert("replay".to_string(), String::new());
-            i += 1;
-        } else if let Some(name) = a.strip_prefix("--") {
-            if i + 1 < rest.len() {
-                flags.insert(name.to_string(), rest[i + 1].clone());
-                i += 2;
-            } else {
-                return Err(format!("--{name} wants a value"));
-            }
-        } else {
-            positional.push(a.clone());
-            i += 1;
-        }
-    }
-    Ok((positional, flags))
-}
-
-fn get(
-    flags: &std::collections::BTreeMap<String, String>,
-    key: &str,
-    default: usize,
-) -> Result<usize, String> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{key} wants a number, got {v:?}")),
-    }
-}
-
 fn load_checkpoint(path: &str) -> Result<checkpoint::Checkpoint, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     checkpoint::parse(&text).map_err(|e| format!("{path}: {e}"))
@@ -99,10 +60,7 @@ fn load_checkpoint(path: &str) -> Result<checkpoint::Checkpoint, String> {
 
 /// The tables to audit: offline from a checkpoint, or live from a
 /// journal-recovered controller.
-fn load_tables(
-    positional: &[String],
-    flags: &std::collections::BTreeMap<String, String>,
-) -> Result<(Topology, RuleSet, u64), String> {
+fn load_tables(positional: &[String], flags: &Flags) -> Result<(Topology, RuleSet, u64), String> {
     if let Some(journal_path) = flags.get("journal") {
         let config = ClosConfig {
             pods: get(flags, "pods", 2)?,
@@ -112,10 +70,7 @@ fn load_tables(
             hosts_per_tor: get(flags, "hosts", 4)?,
         };
         let policy = ElpPolicy::with_bounces(get(flags, "bounces", 1)?);
-        let budget = match flags.get("tcam-budget") {
-            None => None,
-            Some(_) => Some(get(flags, "tcam-budget", 0)?),
-        };
+        let budget = get_opt(flags, "tcam-budget")?;
         let topo = config.build();
         let recovery = recover(journal_path, topo.clone(), policy, budget)
             .map_err(|e| format!("recover {journal_path}: {e}"))?;
@@ -137,7 +92,20 @@ fn load_tables(
 }
 
 fn cmd_check(rest: &[String]) -> Result<ExitCode, String> {
-    let (positional, flags) = parse(rest)?;
+    let (positional, flags) = parse_args(
+        rest,
+        &[
+            "journal",
+            "pods",
+            "leaves",
+            "tors",
+            "spines",
+            "hosts",
+            "bounces",
+            "tcam-budget",
+        ],
+        &["replay"],
+    )?;
     let (topo, rules, epoch) = load_tables(&positional, &flags)?;
     let mut auditor = Auditor::new(topo.clone());
     let report = auditor.audit(epoch, &rules);
@@ -169,7 +137,7 @@ fn cmd_check(rest: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_dump(rest: &[String]) -> Result<ExitCode, String> {
-    let (positional, flags) = parse(rest)?;
+    let (positional, flags) = parse_args(rest, &["out"], &[])?;
     let Some(path) = positional.first() else {
         return Err("dump wants a checkpoint file".into());
     };
@@ -196,7 +164,7 @@ fn cmd_dump(rest: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_whatif(rest: &[String]) -> Result<ExitCode, String> {
-    let (positional, flags) = parse(rest)?;
+    let (positional, flags) = parse_args(rest, &["bounces", "fail"], &[])?;
     let Some(path) = positional.first() else {
         return Err("whatif wants a checkpoint file".into());
     };

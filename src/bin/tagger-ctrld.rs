@@ -60,10 +60,10 @@
 //! ever diverges from the committed tables, or crash recovery does not
 //! reconverge exactly.
 
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use tagger::audit::{checkpoint, Auditor};
+use tagger::cli::{get, get_opt, parse_args, Flags};
 use tagger::ctrl::{
     coalesce_flaps, parse_trace, recover, ChaosConfig, ChaosSouthbound, CommitObserver,
     CommitReport, Controller, CtrlEvent, ElpPolicy, EpochOutcome, InstallPolicy, Journal,
@@ -71,61 +71,40 @@ use tagger::ctrl::{
 };
 use tagger::topo::{ClosConfig, Topology};
 
-type Args = (Option<String>, BTreeMap<String, String>, bool);
-
-fn parse_args(args: &[String]) -> Result<Args, String> {
-    let mut flags = BTreeMap::new();
-    let mut trace = None;
-    let mut verbose = false;
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if a == "--verbose" {
-            verbose = true;
-            i += 1;
-        } else if a == "--audit" {
-            flags.insert("audit".to_string(), String::new());
-            i += 1;
-        } else if let Some(name) = a.strip_prefix("--") {
-            if i + 1 < args.len() {
-                flags.insert(name.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                return Err(format!("--{name} wants a value"));
-            }
-        } else {
-            trace = Some(a.clone());
-            i += 1;
-        }
-    }
-    Ok((trace, flags, verbose))
-}
-
-fn get(flags: &BTreeMap<String, String>, key: &str, default: usize) -> Result<usize, String> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{key} wants a number, got {v:?}")),
-    }
-}
+type Args = (Option<String>, Flags, bool);
 
 fn setup(args: &[String]) -> Result<(Args, ClosConfig, ElpPolicy, Option<usize>), String> {
-    let parsed = parse_args(args)?;
-    let flags = &parsed.1;
+    let (mut positional, flags) = parse_args(
+        args,
+        &[
+            "pods",
+            "leaves",
+            "tors",
+            "spines",
+            "hosts",
+            "bounces",
+            "tcam-budget",
+            "chaos",
+            "journal",
+            "checkpoint-every",
+            "crash-after",
+            "export-checkpoint",
+            "watchdog",
+            "watchdog-policy",
+        ],
+        &["verbose", "audit"],
+    )?;
     let config = ClosConfig {
-        pods: get(flags, "pods", 2)?,
-        leaves_per_pod: get(flags, "leaves", 2)?,
-        tors_per_pod: get(flags, "tors", 2)?,
-        spines: get(flags, "spines", 2)?,
-        hosts_per_tor: get(flags, "hosts", 4)?,
+        pods: get(&flags, "pods", 2)?,
+        leaves_per_pod: get(&flags, "leaves", 2)?,
+        tors_per_pod: get(&flags, "tors", 2)?,
+        spines: get(&flags, "spines", 2)?,
+        hosts_per_tor: get(&flags, "hosts", 4)?,
     };
-    let policy = ElpPolicy::with_bounces(get(flags, "bounces", 1)?);
-    let budget = match flags.get("tcam-budget") {
-        None => None,
-        Some(_) => Some(get(flags, "tcam-budget", 0)?),
-    };
-    Ok((parsed, config, policy, budget))
+    let policy = ElpPolicy::with_bounces(get(&flags, "bounces", 1)?);
+    let budget = get_opt(&flags, "tcam-budget")?;
+    let verbose = flags.contains_key("verbose");
+    Ok(((positional.pop(), flags, verbose), config, policy, budget))
 }
 
 fn batch_label(batch: &[&CtrlEvent]) -> String {
@@ -494,22 +473,15 @@ fn main() -> ExitCode {
         }
     };
     let journal_path = flags.get("journal").cloned();
-    let checkpoint_every = match get(&flags, "checkpoint-every", 4) {
-        Ok(n) => n as u64,
-        Err(e) => {
+    let (checkpoint_every, crash_after) = match (
+        get(&flags, "checkpoint-every", 4u64),
+        get_opt::<u64>(&flags, "crash-after"),
+    ) {
+        (Ok(every), Ok(after)) => (every, after),
+        (Err(e), _) | (_, Err(e)) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
-    };
-    let crash_after = match flags.get("crash-after") {
-        None => None,
-        Some(_) => match get(&flags, "crash-after", 0) {
-            Ok(n) => Some(n as u64),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        },
     };
     if crash_after.is_some() && journal_path.is_none() {
         eprintln!("--crash-after needs --journal (recovery replays the journal)");

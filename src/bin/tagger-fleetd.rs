@@ -11,7 +11,7 @@
 //! ```text
 //! tagger-fleetd soak   [--fabrics N] [--seed S] [--events N]
 //!                      [--fail-rate R] [--dir PATH] [--status] [--json]
-//! tagger-fleetd ingest [stream-file] [--fabrics N] [--damping SPEC]
+//! tagger-fleetd ingest [stream-file] [--damping SPEC]
 //!                      [--chaos seed=N,fail_rate=P,...] [--dir PATH]
 //!                      [--quantum N] [--queue-cap N] [--json]
 //! tagger-fleetd serve  [--addr HOST:PORT] [--damping SPEC]
@@ -52,10 +52,10 @@
 //! one file per fabric; registering two fabrics whose journals would
 //! collide is refused.
 
-use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::process::ExitCode;
 
+use tagger::cli::{get, parse_args, Flags};
 use tagger::ctrl::ChaosConfig;
 use tagger::fleet::net::{ServeConfig, Server};
 use tagger::fleet::{Damping, FabricSpec, Fleet, FleetConfig, FleetError, SoakConfig};
@@ -63,53 +63,16 @@ use tagger::topo::ClosConfig;
 
 const USAGE: &str = "usage: tagger-fleetd <soak|ingest|serve> [options]
   soak   --fabrics N --seed S --events N --fail-rate R --dir PATH [--status] [--json]
-  ingest [stream-file] --fabrics N --damping none|flap|flap:N --chaos SPEC
+  ingest [stream-file] --damping none|flap|flap:N --chaos SPEC
          --dir PATH --quantum N --queue-cap N [--json]
   serve  --addr HOST:PORT --damping none|flap|flap:N --chaos SPEC
          --dir PATH --quantum N --queue-cap N --budget N [--json]";
-
-fn parse_args(args: &[String]) -> Result<(Option<String>, BTreeMap<String, String>), String> {
-    let mut flags = BTreeMap::new();
-    let mut positional = None;
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if a == "--status" || a == "--json" {
-            flags.insert(a[2..].to_string(), String::new());
-            i += 1;
-        } else if let Some(name) = a.strip_prefix("--") {
-            if i + 1 < args.len() {
-                flags.insert(name.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                return Err(format!("--{name} wants a value"));
-            }
-        } else {
-            positional = Some(a.clone());
-            i += 1;
-        }
-    }
-    Ok((positional, flags))
-}
-
-fn get<T: std::str::FromStr>(
-    flags: &BTreeMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{key} wants a {}, got {v:?}", std::any::type_name::<T>())),
-    }
-}
 
 fn default_dir() -> std::path::PathBuf {
     std::env::temp_dir().join(format!("tagger-fleetd-{}", std::process::id()))
 }
 
-fn run_soak_cmd(flags: &BTreeMap<String, String>) -> Result<ExitCode, String> {
+fn run_soak_cmd(flags: &Flags) -> Result<ExitCode, String> {
     let dir = flags
         .get("dir")
         .map(std::path::PathBuf::from)
@@ -147,10 +110,7 @@ fn run_soak_cmd(flags: &BTreeMap<String, String>) -> Result<ExitCode, String> {
     })
 }
 
-fn run_ingest(
-    stream: Option<String>,
-    flags: &BTreeMap<String, String>,
-) -> Result<ExitCode, String> {
+fn run_ingest(stream: Option<String>, flags: &Flags) -> Result<ExitCode, String> {
     let dir = flags
         .get("dir")
         .map(std::path::PathBuf::from)
@@ -264,7 +224,7 @@ fn run_ingest(
     })
 }
 
-fn run_serve(flags: &BTreeMap<String, String>) -> Result<ExitCode, String> {
+fn run_serve(flags: &Flags) -> Result<ExitCode, String> {
     let dir = flags
         .get("dir")
         .map(std::path::PathBuf::from)
@@ -325,9 +285,32 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let result = match cmd.as_str() {
-        "soak" => parse_args(&args[1..]).and_then(|(_, flags)| run_soak_cmd(&flags)),
-        "ingest" => parse_args(&args[1..]).and_then(|(stream, flags)| run_ingest(stream, &flags)),
-        "serve" => parse_args(&args[1..]).and_then(|(_, flags)| run_serve(&flags)),
+        "soak" => parse_args(
+            &args[1..],
+            &["fabrics", "seed", "events", "fail-rate", "dir"],
+            &["status", "json"],
+        )
+        .and_then(|(_, flags)| run_soak_cmd(&flags)),
+        "ingest" => parse_args(
+            &args[1..],
+            &["damping", "chaos", "dir", "quantum", "queue-cap"],
+            &["json"],
+        )
+        .and_then(|(mut stream, flags)| run_ingest(stream.pop(), &flags)),
+        "serve" => parse_args(
+            &args[1..],
+            &[
+                "addr",
+                "damping",
+                "chaos",
+                "dir",
+                "quantum",
+                "queue-cap",
+                "budget",
+            ],
+            &["json"],
+        )
+        .and_then(|(_, flags)| run_serve(&flags)),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;

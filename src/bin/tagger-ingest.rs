@@ -29,12 +29,12 @@
 //! Exits non-zero on any lost, double-applied or rejected event, or any
 //! journal divergence.
 
-use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use tagger::cli::{get, parse_args, Flags};
 use tagger::ctrl::{ChaosConfig, CtrlEvent};
 use tagger::fleet::net::{
     chaos_for, send_lines, ChaosTransport, ClientConfig, NetChaosConfig, ServeConfig, Server,
@@ -47,44 +47,7 @@ const USAGE: &str = "usage: tagger-ingest <send|drill> [options]
         --attempts N --reconnects N [--json]
   drill --seed S --fabrics N --events N --dir PATH";
 
-fn parse_args(args: &[String]) -> Result<(Option<String>, BTreeMap<String, String>), String> {
-    let mut flags = BTreeMap::new();
-    let mut positional = None;
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if a == "--json" {
-            flags.insert("json".to_string(), String::new());
-            i += 1;
-        } else if let Some(name) = a.strip_prefix("--") {
-            if i + 1 < args.len() {
-                flags.insert(name.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                return Err(format!("--{name} wants a value"));
-            }
-        } else {
-            positional = Some(a.clone());
-            i += 1;
-        }
-    }
-    Ok((positional, flags))
-}
-
-fn get<T: std::str::FromStr>(
-    flags: &BTreeMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{key} wants a {}, got {v:?}", std::any::type_name::<T>())),
-    }
-}
-
-fn run_send(stream: Option<String>, flags: &BTreeMap<String, String>) -> Result<ExitCode, String> {
+fn run_send(stream: Option<String>, flags: &Flags) -> Result<ExitCode, String> {
     let Some(addr) = flags.get("addr").cloned() else {
         return Err("send wants --addr HOST:PORT (a running `tagger-fleetd serve`)".into());
     };
@@ -205,7 +168,7 @@ fn solo_replay(
         .map_err(|e| format!("solo drain: {e}"))
 }
 
-fn run_drill(flags: &BTreeMap<String, String>) -> Result<ExitCode, String> {
+fn run_drill(flags: &Flags) -> Result<ExitCode, String> {
     let seed = get(flags, "seed", 0xC0FFEEu64)?;
     let fabrics = get(flags, "fabrics", 8usize)?.max(1);
     let events = get(flags, "events", 24usize)?.max(1);
@@ -360,8 +323,14 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let result = match cmd.as_str() {
-        "send" => parse_args(&args[1..]).and_then(|(stream, flags)| run_send(stream, &flags)),
-        "drill" => parse_args(&args[1..]).and_then(|(_, flags)| run_drill(&flags)),
+        "send" => parse_args(
+            &args[1..],
+            &["addr", "client", "seed", "attempts", "reconnects"],
+            &["json"],
+        )
+        .and_then(|(mut stream, flags)| run_send(stream.pop(), &flags)),
+        "drill" => parse_args(&args[1..], &["seed", "fabrics", "events", "dir"], &[])
+            .and_then(|(_, flags)| run_drill(&flags)),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;

@@ -25,6 +25,7 @@
 
 use std::process::ExitCode;
 
+use tagger::cli::{get, get_opt, parse_args};
 use tagger::lint::{codes, lint_files, render_json, ElpSpec, LintOptions};
 use tagger::topo::ClosConfig;
 
@@ -48,48 +49,14 @@ fn main() -> ExitCode {
     }
 }
 
-/// Positional + `--flag value` parsing (`--no-audit` is valueless).
-fn parse(
-    rest: &[String],
-) -> Result<(Vec<String>, std::collections::BTreeMap<String, String>), String> {
-    let mut positional = Vec::new();
-    let mut flags = std::collections::BTreeMap::new();
-    let mut i = 0;
-    while i < rest.len() {
-        let a = &rest[i];
-        if a == "--no-audit" {
-            flags.insert("no-audit".to_string(), String::new());
-            i += 1;
-        } else if let Some(name) = a.strip_prefix("--") {
-            if i + 1 < rest.len() {
-                flags.insert(name.to_string(), rest[i + 1].clone());
-                i += 2;
-            } else {
-                return Err(format!("--{name} wants a value"));
-            }
-        } else {
-            positional.push(a.clone());
-            i += 1;
-        }
-    }
-    Ok((positional, flags))
-}
-
-fn get(
-    flags: &std::collections::BTreeMap<String, String>,
-    name: &str,
-    default: usize,
-) -> Result<usize, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} wants a number, got {v:?}")),
-    }
-}
-
 fn cmd_check(rest: &[String]) -> Result<ExitCode, String> {
-    let (files, flags) = parse(rest)?;
+    let (files, flags) = parse_args(
+        rest,
+        &[
+            "format", "elp", "budget", "pods", "leaves", "tors", "spines", "hosts",
+        ],
+        &["no-audit"],
+    )?;
     if files.is_empty() {
         return Err("usage: tagger-lint check <file...>".into());
     }
@@ -113,18 +80,11 @@ fn cmd_check(rest: &[String]) -> Result<ExitCode, String> {
         hosts_per_tor: get(&flags, "hosts", 4)?,
     }
     .build();
-    let tag_budget = match flags.get("budget") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| format!("--budget wants a number, got {v:?}"))?,
-        ),
-    };
     let opts = LintOptions {
         elp,
         audit_cross_check: !flags.contains_key("no-audit"),
         trace_topo,
-        tag_budget,
+        tag_budget: get_opt(&flags, "budget")?,
     };
     let report = lint_files(&files, &opts);
     match flags.get("format").map(String::as_str) {
@@ -140,7 +100,7 @@ fn cmd_check(rest: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_explain(rest: &[String]) -> Result<ExitCode, String> {
-    let (positional, _) = parse(rest)?;
+    let (positional, _) = parse_args(rest, &[], &[])?;
     let [code] = &positional[..] else {
         return Err("usage: tagger-lint explain <code>".into());
     };

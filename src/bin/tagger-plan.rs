@@ -8,7 +8,7 @@
 //! ```text
 //! tagger-plan clos   [--pods 2] [--leaves 2] [--tors 2] [--spines 2] [--hosts 4] [--bounces 1] [--rules]
 //! tagger-plan fattree [--k 4] [--bounces 1] [--rules]
-//! tagger-plan jellyfish [--switches 50] [--ports 12] [--seed 7] [--rules]
+//! tagger-plan jellyfish [--switches 50] [--ports 12] [--seed 7] [--paths-per-pair 1] [--rules]
 //! tagger-plan custom --file fabric.topo [--bounces 1] [--paths-per-pair 1] [--rules]
 //! ```
 //!
@@ -27,46 +27,13 @@
 //! - **exit 1** — a tagging provably exists but the construction
 //!   heuristic did not find one: raise `--bounces`/`--paths-per-pair`.
 
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 
+use tagger::cli::{get, parse_args, Flags};
 use tagger::core::clos::clos_tagging;
 use tagger::core::tcam::{Compression, TcamProgram};
 use tagger::core::{decide, dscp::DscpCodec, Elp, Tagging, Verdict};
 use tagger::topo::{fat_tree, ClosConfig, JellyfishConfig, Topology};
-
-fn parse_flags(args: &[String]) -> (BTreeMap<String, String>, bool) {
-    let mut flags = BTreeMap::new();
-    let mut dump_rules = false;
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if a == "--rules" {
-            dump_rules = true;
-            i += 1;
-        } else if let Some(name) = a.strip_prefix("--") {
-            if i + 1 < args.len() {
-                flags.insert(name.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                i += 1;
-            }
-        } else {
-            i += 1;
-        }
-    }
-    (flags, dump_rules)
-}
-
-fn get(flags: &BTreeMap<String, String>, key: &str, default: usize) -> usize {
-    flags
-        .get(key)
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("--{key} wants a number"))
-        })
-        .unwrap_or(default)
-}
 
 fn report(topo: &Topology, tagging: &Tagging, oracle_line: &str, dump_rules: bool) {
     tagging
@@ -185,122 +152,114 @@ fn plan(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
+    let Some((cmd, rest)) = args.split_first() else {
         eprintln!(
             "usage: tagger-plan <clos|fattree|jellyfish|custom> [flags]; see --help in source"
         );
         return ExitCode::FAILURE;
     };
-    let (flags, dump_rules) = parse_flags(&args[1..]);
-    match cmd.as_str() {
-        "clos" => {
-            let cfg = ClosConfig {
-                pods: get(&flags, "pods", 2),
-                leaves_per_pod: get(&flags, "leaves", 2),
-                tors_per_pod: get(&flags, "tors", 2),
-                spines: get(&flags, "spines", 2),
-                hosts_per_tor: get(&flags, "hosts", 4),
-            };
-            let topo = cfg.build();
-            let k = get(&flags, "bounces", 1);
-            println!("plan: clos {cfg:?}, {k}-bounce lossless service\n");
-            let elp = Elp::updown_with_bounces(&topo, k);
-            plan(
-                &topo,
-                &elp,
-                Some(k + 1),
-                || clos_tagging(&topo, k).map_err(|e| format!("clos tagging: {e:?}")),
-                dump_rules,
-            )
-        }
-        "fattree" => {
-            let topo = fat_tree(get(&flags, "k", 4));
-            let k = get(&flags, "bounces", 1);
-            println!(
-                "plan: fat-tree k={}, {k}-bounce lossless service\n",
-                get(&flags, "k", 4)
-            );
-            let elp = Elp::updown_with_bounces(&topo, k);
-            plan(
-                &topo,
-                &elp,
-                Some(k + 1),
-                || clos_tagging(&topo, k).map_err(|e| format!("clos tagging: {e:?}")),
-                dump_rules,
-            )
-        }
-        "jellyfish" => {
-            let cfg = JellyfishConfig::half_servers(
-                get(&flags, "switches", 50),
-                get(&flags, "ports", 12),
-                get(&flags, "seed", 7) as u64,
-            );
-            let topo = cfg.build();
-            println!(
-                "plan: jellyfish {} switches x {} ports (seed {}), shortest-path ELP\n",
-                cfg.switches, cfg.ports_per_switch, cfg.seed
-            );
-            let elp = Elp::shortest(&topo, get(&flags, "paths-per-pair", 1), false);
-            plan(
-                &topo,
-                &elp,
-                None,
-                || Tagging::from_elp(&topo, &elp).map_err(|e| format!("pipeline: {e:?}")),
-                dump_rules,
-            )
-        }
-        "custom" => {
-            let Some(path) = flags.get("file") else {
-                eprintln!("custom needs --file <spec>");
-                return ExitCode::FAILURE;
-            };
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let spec = match Topology::parse_spec(&text) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let topo = spec.topo;
-            // A `priorities N` directive in the spec caps the budget the
-            // oracle checks against; otherwise the hardware ceiling.
-            let budget = spec.priorities.map(|p| p as usize);
-            let layered = topo
-                .switch_ids()
-                .all(|s| topo.node(s).layer.rank().is_some());
-            if layered {
-                let k = get(&flags, "bounces", 1);
-                println!("plan: custom layered fabric from {path}, {k}-bounce service\n");
-                let elp = Elp::updown_with_bounces(&topo, k);
-                plan(
-                    &topo,
-                    &elp,
-                    budget.or(Some(k + 1)),
-                    || clos_tagging(&topo, k).map_err(|e| format!("clos tagging: {e:?}")),
-                    dump_rules,
-                )
-            } else {
-                println!("plan: custom fabric from {path}, host-to-host shortest-path ELP\n");
-                let elp = Elp::shortest(&topo, get(&flags, "paths-per-pair", 1), true);
-                plan(
-                    &topo,
-                    &elp,
-                    budget,
-                    || Tagging::from_elp(&topo, &elp).map_err(|e| format!("pipeline: {e:?}")),
-                    dump_rules,
-                )
-            }
-        }
+    type Planner = fn(&Flags, bool) -> Result<ExitCode, String>;
+    let (known, planner): (&[&str], Planner) = match cmd.as_str() {
+        "clos" => (
+            &["pods", "leaves", "tors", "spines", "hosts", "bounces"],
+            plan_clos,
+        ),
+        "fattree" => (&["k", "bounces"], plan_fattree),
+        "jellyfish" => (
+            &["switches", "ports", "seed", "paths-per-pair"],
+            plan_jellyfish,
+        ),
+        "custom" => (&["file", "bounces", "paths-per-pair"], plan_custom),
         other => {
             eprintln!("unknown fabric {other:?}; expected clos, fattree, jellyfish or custom");
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
+    };
+    parse_args(rest, known, &["rules"])
+        .and_then(|(_, flags)| planner(&flags, flags.contains_key("rules")))
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        })
+}
+
+/// A k-bounce ELP on a layered fabric, tagged by the optimal layered
+/// construction within `budget` (default its own `k + 1`) tags.
+fn plan_layered(topo: &Topology, k: usize, budget: Option<usize>, dump_rules: bool) -> ExitCode {
+    let elp = Elp::updown_with_bounces(topo, k);
+    plan(
+        topo,
+        &elp,
+        budget.or(Some(k + 1)),
+        || clos_tagging(topo, k).map_err(|e| format!("clos tagging: {e:?}")),
+        dump_rules,
+    )
+}
+
+/// The generic Algorithm 1+2 pipeline over a shortest-path ELP.
+fn plan_shortest(topo: &Topology, elp: &Elp, budget: Option<usize>, dump_rules: bool) -> ExitCode {
+    plan(
+        topo,
+        elp,
+        budget,
+        || Tagging::from_elp(topo, elp).map_err(|e| format!("pipeline: {e:?}")),
+        dump_rules,
+    )
+}
+
+fn plan_clos(flags: &Flags, dump_rules: bool) -> Result<ExitCode, String> {
+    let cfg = ClosConfig {
+        pods: get(flags, "pods", 2)?,
+        leaves_per_pod: get(flags, "leaves", 2)?,
+        tors_per_pod: get(flags, "tors", 2)?,
+        spines: get(flags, "spines", 2)?,
+        hosts_per_tor: get(flags, "hosts", 4)?,
+    };
+    let k = get(flags, "bounces", 1)?;
+    println!("plan: clos {cfg:?}, {k}-bounce lossless service\n");
+    Ok(plan_layered(&cfg.build(), k, None, dump_rules))
+}
+
+fn plan_fattree(flags: &Flags, dump_rules: bool) -> Result<ExitCode, String> {
+    let arity = get(flags, "k", 4)?;
+    let k = get(flags, "bounces", 1)?;
+    println!("plan: fat-tree k={arity}, {k}-bounce lossless service\n");
+    Ok(plan_layered(&fat_tree(arity), k, None, dump_rules))
+}
+
+fn plan_jellyfish(flags: &Flags, dump_rules: bool) -> Result<ExitCode, String> {
+    let cfg = JellyfishConfig::half_servers(
+        get(flags, "switches", 50)?,
+        get(flags, "ports", 12)?,
+        get(flags, "seed", 7)?,
+    );
+    let topo = cfg.build();
+    println!(
+        "plan: jellyfish {} switches x {} ports (seed {}), shortest-path ELP\n",
+        cfg.switches, cfg.ports_per_switch, cfg.seed
+    );
+    let elp = Elp::shortest(&topo, get(flags, "paths-per-pair", 1)?, false);
+    Ok(plan_shortest(&topo, &elp, None, dump_rules))
+}
+
+fn plan_custom(flags: &Flags, dump_rules: bool) -> Result<ExitCode, String> {
+    let path = flags.get("file").ok_or("custom needs --file <spec>")?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let spec = Topology::parse_spec(&text).map_err(|e| format!("{path}: {e}"))?;
+    let topo = spec.topo;
+    // A `priorities N` directive in the spec caps the budget the
+    // oracle checks against; otherwise the hardware ceiling.
+    let budget = spec.priorities.map(|p| p as usize);
+    let layered = topo
+        .switch_ids()
+        .all(|s| topo.node(s).layer.rank().is_some());
+    if layered {
+        let k = get(flags, "bounces", 1)?;
+        println!("plan: custom layered fabric from {path}, {k}-bounce service\n");
+        Ok(plan_layered(&topo, k, budget, dump_rules))
+    } else {
+        println!("plan: custom fabric from {path}, host-to-host shortest-path ELP\n");
+        let elp = Elp::shortest(&topo, get(flags, "paths-per-pair", 1)?, true);
+        Ok(plan_shortest(&topo, &elp, budget, dump_rules))
     }
 }

@@ -20,6 +20,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use tagger::cli::{get_opt, parse_args, Flags};
 use tagger::scenario::{parse_all, points, RunOptions, SuiteReport};
 
 fn main() -> ExitCode {
@@ -41,35 +42,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Positional + `--flag value` parsing; a flag outside `known` is an
-/// error.
-fn parse_args(
-    rest: &[String],
-    known: &[&str],
-) -> Result<(Vec<String>, std::collections::BTreeMap<String, String>), String> {
-    let mut positional = Vec::new();
-    let mut flags = std::collections::BTreeMap::new();
-    let mut i = 0;
-    while i < rest.len() {
-        let a = &rest[i];
-        if let Some(name) = a.strip_prefix("--") {
-            if !known.contains(&name) {
-                return Err(format!("unknown flag --{name}"));
-            }
-            if i + 1 < rest.len() {
-                flags.insert(name.to_string(), rest[i + 1].clone());
-                i += 2;
-            } else {
-                return Err(format!("--{name} needs a value"));
-            }
-        } else {
-            positional.push(a.clone());
-            i += 1;
-        }
-    }
-    Ok((positional, flags))
 }
 
 /// Expands directories to their `*.scn` files, sorted; files pass
@@ -96,25 +68,15 @@ fn expand_paths(positional: &[String]) -> Result<Vec<PathBuf>, String> {
     Ok(files)
 }
 
-fn options_for(
-    file: &Path,
-    flags: &std::collections::BTreeMap<String, String>,
-) -> Result<RunOptions, String> {
-    let seed = match flags.get("seed") {
-        Some(v) => Some(
-            v.parse::<u64>()
-                .map_err(|_| format!("--seed: `{v}` is not a number"))?,
-        ),
-        None => None,
-    };
+fn options_for(file: &Path, flags: &Flags) -> Result<RunOptions, String> {
     Ok(RunOptions {
-        seed,
+        seed: get_opt(flags, "seed")?,
         base_dir: file.parent().unwrap_or(Path::new(".")).to_path_buf(),
     })
 }
 
 fn cmd_run(rest: &[String], per_point: bool) -> Result<ExitCode, String> {
-    let (positional, flags) = parse_args(rest, &["seed", "json"])?;
+    let (positional, flags) = parse_args(rest, &["seed", "json"], &[])?;
     let files = expand_paths(&positional)?;
     let mut suite = SuiteReport::default();
     for file in &files {
@@ -175,7 +137,7 @@ fn point_table(suite: &SuiteReport) -> String {
 }
 
 fn cmd_list(rest: &[String]) -> Result<ExitCode, String> {
-    let (positional, _) = parse_args(rest, &[])?;
+    let (positional, _) = parse_args(rest, &[], &[])?;
     let files = expand_paths(&positional)?;
     let mut bad = false;
     for file in &files {

@@ -63,3 +63,61 @@ pub mod prelude {
     pub use tagger_sim::{Experiment, Simulator};
     pub use tagger_topo::{ClosConfig, Layer, NodeId, Topology};
 }
+
+/// Command-line parsing shared by the seven `tagger-*` binaries: a flag
+/// a binary does not know is refused, never skipped.
+pub mod cli {
+    use std::collections::BTreeMap;
+    use std::str::FromStr;
+
+    /// Flags seen on a command line, keyed by name without the `--`;
+    /// a valueless switch maps to the empty string.
+    pub type Flags = BTreeMap<String, String>;
+
+    /// Splits `rest` into positional arguments and `--flag` options.
+    /// `known` names the flags that take a value, `switches` the
+    /// valueless ones; any other `--name`, or a `known` flag with
+    /// nothing after it, is an error naming the flag.
+    pub fn parse_args(
+        rest: &[String],
+        known: &[&str],
+        switches: &[&str],
+    ) -> Result<(Vec<String>, Flags), String> {
+        let mut positional = Vec::new();
+        let mut flags = Flags::new();
+        let mut args = rest.iter();
+        while let Some(arg) = args.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                positional.push(arg.clone());
+                continue;
+            };
+            if switches.contains(&name) {
+                flags.insert(name.to_string(), String::new());
+            } else if !known.contains(&name) {
+                return Err(format!("unknown flag --{name}"));
+            } else if let Some(value) = args.next() {
+                flags.insert(name.to_string(), value.clone());
+            } else {
+                return Err(format!("--{name} needs a value"));
+            }
+        }
+        Ok((positional, flags))
+    }
+
+    /// The value of `--key` as a number, if the flag was given.
+    pub fn get_opt<T: FromStr>(flags: &Flags, key: &str) -> Result<Option<T>, String> {
+        flags
+            .get(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("--{key} wants a number, got `{v}`"))
+            })
+            .transpose()
+    }
+
+    /// The value of `--key` as a number, or `default` when the flag was
+    /// not given.
+    pub fn get<T: FromStr>(flags: &Flags, key: &str, default: T) -> Result<T, String> {
+        Ok(get_opt(flags, key)?.unwrap_or(default))
+    }
+}

@@ -1,0 +1,46 @@
+//! `tagger-plan` at the process boundary: a flag it does not know, a
+//! flag with no value and a value that is not a number are refused
+//! with the flag named, not skipped or panicked on.
+
+use std::process::{Command, Output};
+
+fn plan(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_tagger-plan"))
+        .args(args)
+        .output()
+        .expect("tagger-plan runs")
+}
+
+/// Exit 1, nothing planned, and a single stderr line containing `needle`.
+fn assert_refused(out: &Output, needle: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "planned anyway");
+    assert_eq!(stderr.lines().count(), 1, "stderr: {stderr}");
+    assert!(stderr.contains(needle), "stderr: {stderr}");
+}
+
+#[test]
+fn unknown_and_malformed_flags_are_refused() {
+    // A misspelt flag used to plan the default 50-switch fabric.
+    assert_refused(&plan(&["jellyfish", "--switchs", "500"]), "--switchs");
+    // Another fabric's flag is as unknown as a misspelt one.
+    assert_refused(&plan(&["jellyfish", "--pods", "3"]), "--pods");
+    // A trailing flag with no value used to be dropped.
+    assert_refused(&plan(&["jellyfish", "--seed"]), "--seed");
+    // A non-numeric value used to panic.
+    assert_refused(&plan(&["jellyfish", "--ports", "x"]), "--ports");
+    assert_refused(&plan(&["clos", "--bounces", "one"]), "--bounces");
+    // The accepted spellings still plan, on the fabric they name.
+    let ok = plan(&["jellyfish", "--switches", "12", "--ports", "6", "--rules"]);
+    assert_eq!(ok.status.code(), Some(0));
+    let shown = String::from_utf8_lossy(&ok.stdout);
+    assert!(
+        shown.contains("jellyfish 12 switches x 6 ports (seed 7)"),
+        "{shown}"
+    );
+    assert!(
+        shown.contains("switch "),
+        "--rules dumps the tables: {shown}"
+    );
+}
