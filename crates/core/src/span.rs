@@ -101,6 +101,30 @@ pub fn spanned_words(raw: &str) -> impl Iterator<Item = (usize, &str)> + '_ {
     })
 }
 
+/// `s` as a quoted JSON string: quote, backslash and control
+/// characters escaped, everything else verbatim. The one escaper behind
+/// every byte-stable JSON report (lint, fleet, scenario).
+pub fn json_str(s: &str) -> String {
+    use fmt::Write as _;
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -126,5 +150,14 @@ mod tests {
         assert_eq!(spanned_words("   ").count(), 0);
         let one: Vec<_> = spanned_words("resync").collect();
         assert_eq!(one, vec![(1, "resync")]);
+    }
+
+    #[test]
+    fn json_str_escapes_what_json_requires() {
+        assert_eq!(json_str("plain"), "\"plain\"");
+        assert_eq!(
+            json_str("a\"b\\c\nd\re\tf\u{1}g\u{e9}"),
+            "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\u{e9}\""
+        );
     }
 }

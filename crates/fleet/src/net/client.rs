@@ -117,7 +117,7 @@ impl DeliveryReport {
                 out,
                 "    {{ \"index\": {}, \"reason\": {} }}",
                 r.index,
-                crate::report::json_str(&r.reason)
+                tagger_core::span::json_str(&r.reason)
             );
         }
         out.push_str(if self.rejections.is_empty() {

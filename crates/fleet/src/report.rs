@@ -12,6 +12,7 @@
 use crate::fabric::Fabric;
 use std::fmt::Write as _;
 use tagger_audit::AuditMetrics;
+use tagger_core::span::json_str;
 use tagger_ctrl::ControllerMetrics;
 
 /// Point-in-time status of one fabric, decoupled from the live
@@ -232,27 +233,6 @@ pub fn percentile_us(series: &[u64], p: usize) -> u64 {
     sorted.sort_unstable();
     let rank = (p * sorted.len()).div_ceil(100).clamp(1, sorted.len());
     sorted[rank - 1]
-}
-
-/// JSON string escaping (quotes, backslashes, control characters).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

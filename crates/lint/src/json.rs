@@ -8,6 +8,7 @@
 //! `\u`, no trailing commas.
 
 use std::fmt::Write as _;
+use tagger_core::span::json_str;
 
 /// A JSON value. Numbers are `i64` — diagnostics only carry counts and
 /// coordinates. Object member order is preserved (and significant for
@@ -62,7 +63,7 @@ impl Value {
             Value::Num(n) => {
                 let _ = write!(out, "{n}");
             }
-            Value::Str(s) => escape_into(s, out),
+            Value::Str(s) => out.push_str(&json_str(s)),
             Value::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -85,7 +86,7 @@ impl Value {
                 out.push_str("{\n");
                 for (i, (k, v)) in members.iter().enumerate() {
                     out.push_str(&pad);
-                    escape_into(k, out);
+                    out.push_str(&json_str(k));
                     out.push_str(": ");
                     v.render_into(out, depth + 1);
                     out.push_str(if i + 1 < members.len() { ",\n" } else { "\n" });
@@ -107,24 +108,6 @@ impl Value {
         }
         Ok(value)
     }
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {

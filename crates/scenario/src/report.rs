@@ -6,6 +6,7 @@
 use crate::asserts::AssertOutcome;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use tagger_core::span::json_str;
 
 /// Seed-stable counters extracted from one finished run. Integers only:
 /// no floats, no wall-clock values, so the JSON is diffable.
@@ -221,27 +222,6 @@ fn render_vars(vars: &BTreeMap<String, u64>) -> String {
     }
     let body: Vec<String> = vars.iter().map(|(k, v)| format!("{k}={v}")).collect();
     format!(" [{}]", body.join(" "))
-}
-
-/// Minimal JSON string escaping (control chars, quote, backslash).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
