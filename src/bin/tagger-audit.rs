@@ -27,10 +27,10 @@
 use std::process::ExitCode;
 
 use tagger::audit::{checkpoint, whatif, Auditor, Counterexample, DepGraph};
-use tagger::cli::{get, get_opt, parse_args, Flags};
+use tagger::cli::{clos_config, get, get_opt, parse_args, Flags};
 use tagger::core::RuleSet;
 use tagger::ctrl::{recover, ElpPolicy};
-use tagger::topo::{ClosConfig, FailureSet, Topology};
+use tagger::topo::{FailureSet, Topology};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -62,13 +62,7 @@ fn load_checkpoint(path: &str) -> Result<checkpoint::Checkpoint, String> {
 /// journal-recovered controller.
 fn load_tables(positional: &[String], flags: &Flags) -> Result<(Topology, RuleSet, u64), String> {
     if let Some(journal_path) = flags.get("journal") {
-        let config = ClosConfig {
-            pods: get(flags, "pods", 2)?,
-            leaves_per_pod: get(flags, "leaves", 2)?,
-            tors_per_pod: get(flags, "tors", 2)?,
-            spines: get(flags, "spines", 2)?,
-            hosts_per_tor: get(flags, "hosts", 4)?,
-        };
+        let config = clos_config(flags)?;
         let policy = ElpPolicy::with_bounces(get(flags, "bounces", 1)?);
         let budget = get_opt(flags, "tcam-budget")?;
         let topo = config.build();

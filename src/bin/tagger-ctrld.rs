@@ -63,7 +63,7 @@
 use std::process::ExitCode;
 
 use tagger::audit::{checkpoint, Auditor};
-use tagger::cli::{get, get_opt, parse_args, Flags};
+use tagger::cli::{clos_config, get, get_opt, parse_args, Flags};
 use tagger::ctrl::{
     coalesce_flaps, parse_trace, recover, ChaosConfig, ChaosSouthbound, CommitObserver,
     CommitReport, Controller, CtrlEvent, ElpPolicy, EpochOutcome, InstallPolicy, Journal,
@@ -71,9 +71,10 @@ use tagger::ctrl::{
 };
 use tagger::topo::{ClosConfig, Topology};
 
-type Args = (Option<String>, Flags, bool);
+/// The trace file (if any), the flags, and what the fabric flags build.
+type Setup = (Option<String>, Flags, ClosConfig, ElpPolicy, Option<usize>);
 
-fn setup(args: &[String]) -> Result<(Args, ClosConfig, ElpPolicy, Option<usize>), String> {
+fn setup(args: &[String]) -> Result<Setup, String> {
     let (mut positional, flags) = parse_args(
         args,
         &[
@@ -94,17 +95,10 @@ fn setup(args: &[String]) -> Result<(Args, ClosConfig, ElpPolicy, Option<usize>)
         ],
         &["verbose", "audit"],
     )?;
-    let config = ClosConfig {
-        pods: get(&flags, "pods", 2)?,
-        leaves_per_pod: get(&flags, "leaves", 2)?,
-        tors_per_pod: get(&flags, "tors", 2)?,
-        spines: get(&flags, "spines", 2)?,
-        hosts_per_tor: get(&flags, "hosts", 4)?,
-    };
+    let config = clos_config(&flags)?;
     let policy = ElpPolicy::with_bounces(get(&flags, "bounces", 1)?);
     let budget = get_opt(&flags, "tcam-budget")?;
-    let verbose = flags.contains_key("verbose");
-    Ok(((positional.pop(), flags, verbose), config, policy, budget))
+    Ok((positional.pop(), flags, config, policy, budget))
 }
 
 fn batch_label(batch: &[&CtrlEvent]) -> String {
@@ -455,7 +449,7 @@ fn watchdog_drill(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let ((trace_file, flags, verbose), config, policy, budget) = match setup(&args) {
+    let (trace_file, flags, config, policy, budget) = match setup(&args) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("{e}");
@@ -463,6 +457,7 @@ fn main() -> ExitCode {
         }
     };
     let topo = config.build();
+    let verbose = flags.contains_key("verbose");
 
     let chaos = match flags.get("chaos").map(|s| ChaosConfig::parse(s)) {
         None => None,

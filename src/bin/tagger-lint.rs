@@ -25,9 +25,8 @@
 
 use std::process::ExitCode;
 
-use tagger::cli::{get, get_opt, parse_args};
+use tagger::cli::{clos_config, get_opt, parse_args};
 use tagger::lint::{codes, lint_files, render_json, ElpSpec, LintOptions};
-use tagger::topo::ClosConfig;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -72,14 +71,7 @@ fn cmd_check(rest: &[String]) -> Result<ExitCode, String> {
             None => return Err(format!("--elp wants `updown` or `bounces=K`, got {spec:?}")),
         },
     };
-    let trace_topo = ClosConfig {
-        pods: get(&flags, "pods", 2)?,
-        leaves_per_pod: get(&flags, "leaves", 2)?,
-        tors_per_pod: get(&flags, "tors", 2)?,
-        spines: get(&flags, "spines", 2)?,
-        hosts_per_tor: get(&flags, "hosts", 4)?,
-    }
-    .build();
+    let trace_topo = clos_config(&flags)?.build();
     let opts = LintOptions {
         elp,
         audit_cross_check: !flags.contains_key("no-audit"),

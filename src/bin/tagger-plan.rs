@@ -29,11 +29,11 @@
 
 use std::process::ExitCode;
 
-use tagger::cli::{get, parse_args, Flags};
+use tagger::cli::{clos_config, get, parse_args, Flags};
 use tagger::core::clos::clos_tagging;
 use tagger::core::tcam::{Compression, TcamProgram};
 use tagger::core::{decide, dscp::DscpCodec, Elp, Tagging, Verdict};
-use tagger::topo::{fat_tree, ClosConfig, JellyfishConfig, Topology};
+use tagger::topo::{fat_tree, JellyfishConfig, Topology};
 
 fn report(topo: &Topology, tagging: &Tagging, oracle_line: &str, dump_rules: bool) {
     tagging
@@ -208,13 +208,7 @@ fn plan_shortest(topo: &Topology, elp: &Elp, budget: Option<usize>, dump_rules: 
 }
 
 fn plan_clos(flags: &Flags, dump_rules: bool) -> Result<ExitCode, String> {
-    let cfg = ClosConfig {
-        pods: get(flags, "pods", 2)?,
-        leaves_per_pod: get(flags, "leaves", 2)?,
-        tors_per_pod: get(flags, "tors", 2)?,
-        spines: get(flags, "spines", 2)?,
-        hosts_per_tor: get(flags, "hosts", 4)?,
-    };
+    let cfg = clos_config(flags)?;
     let k = get(flags, "bounces", 1)?;
     println!("plan: clos {cfg:?}, {k}-bounce lossless service\n");
     Ok(plan_layered(&cfg.build(), k, None, dump_rules))

@@ -104,6 +104,20 @@ pub mod cli {
         Ok((positional, flags))
     }
 
+    /// The small Clos the `--pods`/`--leaves`/`--tors`/`--spines`/
+    /// `--hosts` family describes; every binary that takes the family
+    /// shares these defaults, so a trace replays on the same fabric in
+    /// `tagger-ctrld`, `tagger-audit` and `tagger-lint`.
+    pub fn clos_config(flags: &Flags) -> Result<tagger_topo::ClosConfig, String> {
+        Ok(tagger_topo::ClosConfig {
+            pods: get(flags, "pods", 2)?,
+            leaves_per_pod: get(flags, "leaves", 2)?,
+            tors_per_pod: get(flags, "tors", 2)?,
+            spines: get(flags, "spines", 2)?,
+            hosts_per_tor: get(flags, "hosts", 4)?,
+        })
+    }
+
     /// The value of `--key` as a number, if the flag was given.
     pub fn get_opt<T: FromStr>(flags: &Flags, key: &str) -> Result<Option<T>, String> {
         flags
