@@ -304,24 +304,7 @@ impl Controller {
         policy: ElpPolicy,
         tcam_budget: Option<usize>,
     ) -> Result<Self, CtrlError> {
-        let state = NetworkState::initial();
-        let (snapshot, _) = stage(&topo, &policy, &state, 0).map_err(CtrlError::Bootstrap)?;
-        if let Some(budget) = tcam_budget {
-            if snapshot.tcam_worst_switch > budget {
-                return Err(CtrlError::BootstrapBudget {
-                    worst_switch_entries: snapshot.tcam_worst_switch,
-                    budget,
-                });
-            }
-        }
-        Ok(Controller {
-            topo,
-            policy,
-            tcam_budget,
-            state,
-            committed: snapshot,
-            metrics: ControllerMetrics::default(),
-        })
+        Self::resume(topo, policy, tcam_budget, NetworkState::initial(), 0)
     }
 
     /// Rebuilds a controller from a recovered network state, as read
@@ -386,36 +369,19 @@ impl Controller {
         self.metrics.checkpoints += 1;
     }
 
-    /// Counts link transitions absorbed by flap damping. Public so
-    /// external batching layers that run their own [`DampingPolicy`]
-    /// (e.g. a fleet ingest queue) and call
-    /// [`Controller::handle_batch_via`] directly can keep this metric
-    /// truthful: bump by `batch.len() - 1` per damped batch, matching
-    /// what [`Controller::replay_damped_via`] records.
-    ///
-    /// [`DampingPolicy`]: crate::DampingPolicy
-    pub fn bump_flaps_damped(&mut self, n: u64) {
-        self.metrics.flaps_damped += n;
-    }
-
     /// Records how many events the most recent crash recovery replayed.
     pub(crate) fn set_recovery_replays(&mut self, n: u64) {
         self.metrics.recovery_replays = n;
     }
 
-    /// Processes one event through the two-phase rollout, assuming a
-    /// perfectly reliable install path (PR 1 semantics: the commit *is*
-    /// the install). Production callers that own a real southbound
-    /// should use [`Controller::handle_via`] instead.
-    pub fn handle(&mut self, event: &CtrlEvent) -> Result<EpochOutcome, CtrlError> {
-        self.handle_batch(std::slice::from_ref(event))
-    }
-
-    /// Like [`Controller::handle`] but staging one recompute for a whole
-    /// batch of events — the primitive flap damping is built from. All
-    /// state mutations land (the version bumps once per event), but only
-    /// one epoch is staged, validated and committed; on rollback the
-    /// entire batch's mutations are abandoned together.
+    /// Processes a batch of events through the two-phase rollout as one
+    /// epoch, assuming a perfectly reliable install path (the commit
+    /// *is* the install): what journal recovery replays with, and what a
+    /// planner without a southbound calls. All state mutations land (the
+    /// version bumps once per event), but only one recompute is staged,
+    /// validated and committed — the primitive flap damping is built
+    /// from; on rollback the entire batch's mutations are abandoned
+    /// together.
     pub fn handle_batch(&mut self, events: &[CtrlEvent]) -> Result<EpochOutcome, CtrlError> {
         match self.plan(events)? {
             Plan::Reject(outcome) => Ok(outcome),
@@ -443,17 +409,10 @@ impl Controller {
     /// of epochs; the outcome is then a rollback with
     /// [`RollbackReason::InstallAborted`] and the controller's own state
     /// does not advance either.
-    pub fn handle_via(
-        &mut self,
-        event: &CtrlEvent,
-        southbound: &mut dyn Southbound,
-        policy: &InstallPolicy,
-    ) -> Result<EpochOutcome, CtrlError> {
-        self.handle_batch_via(std::slice::from_ref(event), southbound, policy)
-    }
-
-    /// Batch form of [`Controller::handle_via`]; see
-    /// [`Controller::handle_batch`] for batch semantics.
+    ///
+    /// Batch semantics are [`Controller::handle_batch`]'s. Callers that
+    /// journal, audit or checkpoint go through
+    /// [`Journal::step`](crate::Journal::step), which wraps this call.
     pub fn handle_batch_via(
         &mut self,
         events: &[CtrlEvent],
@@ -524,55 +483,6 @@ impl Controller {
         Ok(EpochOutcome::Committed(report))
     }
 
-    /// Replays a whole trace, stopping at the first malformed event.
-    pub fn replay<'a>(
-        &mut self,
-        events: impl IntoIterator<Item = &'a CtrlEvent>,
-    ) -> Result<Vec<EpochOutcome>, CtrlError> {
-        events.into_iter().map(|e| self.handle(e)).collect()
-    }
-
-    /// Replays a trace through a southbound with **flap damping**: a
-    /// maximal run of consecutive link events on the *same* link (a
-    /// flapping transceiver re-announcing down/up/down/up…) is debounced
-    /// into a single recompute of its net effect, instead of staging a
-    /// full tagging per transition. Returns one outcome per damped
-    /// batch; [`ControllerMetrics::flaps_damped`] counts the recomputes
-    /// saved.
-    pub fn replay_damped_via<'a>(
-        &mut self,
-        events: impl IntoIterator<Item = &'a CtrlEvent>,
-        southbound: &mut dyn Southbound,
-        policy: &InstallPolicy,
-    ) -> Result<Vec<EpochOutcome>, CtrlError> {
-        self.replay_damped_via_observed(events, southbound, policy, &mut crate::NoopObserver)
-    }
-
-    /// Like [`Controller::replay_damped_via`], but invoking `observer`
-    /// after every committed epoch (rollbacks are not observed) — the
-    /// entry point for running an independent audit of each epoch's
-    /// installed tables alongside the replay.
-    pub fn replay_damped_via_observed<'a>(
-        &mut self,
-        events: impl IntoIterator<Item = &'a CtrlEvent>,
-        southbound: &mut dyn Southbound,
-        policy: &InstallPolicy,
-        observer: &mut dyn crate::CommitObserver,
-    ) -> Result<Vec<EpochOutcome>, CtrlError> {
-        let events: Vec<&CtrlEvent> = events.into_iter().collect();
-        let mut outcomes = Vec::new();
-        for batch in coalesce_flaps(&events) {
-            self.metrics.flaps_damped += batch.len() as u64 - 1;
-            let owned: Vec<CtrlEvent> = batch.iter().map(|&e| e.clone()).collect();
-            let outcome = self.handle_batch_via(&owned, southbound, policy)?;
-            if let EpochOutcome::Committed(report) = &outcome {
-                observer.on_commit(&self.topo, &self.committed, report);
-            }
-            outcomes.push(outcome);
-        }
-        Ok(outcomes)
-    }
-
     /// Drives the fleet to the committed tables: diffs what the
     /// southbound reports the switches are running against the committed
     /// snapshot and installs the difference (with unbounded retries —
@@ -600,6 +510,7 @@ impl Controller {
             staged_state.apply(&self.topo, event)?;
         }
         self.metrics.events += events.len() as u64;
+        self.metrics.flaps_damped += events.len().saturating_sub(1) as u64;
         // Classify watchdog activity against the quarantine set as it
         // evolves through the batch: cause-directed vs victim-fallback
         // quarantines, and trips whose effective hop was already masked.
@@ -773,32 +684,6 @@ enum Plan {
     },
 }
 
-/// Splits an event stream into damping batches: maximal runs of
-/// consecutive link events on the same link collapse into one batch
-/// (one recompute of the run's net effect); every other event is its
-/// own singleton batch.
-pub fn coalesce_flaps<'a>(events: &'a [&'a CtrlEvent]) -> Vec<&'a [&'a CtrlEvent]> {
-    fn link_of(e: &CtrlEvent) -> Option<LinkId> {
-        match e {
-            CtrlEvent::LinkDown(l) | CtrlEvent::LinkUp(l) => Some(*l),
-            _ => None,
-        }
-    }
-    let mut batches = Vec::new();
-    let mut start = 0;
-    while start < events.len() {
-        let mut end = start + 1;
-        if let Some(link) = link_of(events[start]) {
-            while end < events.len() && link_of(events[end]) == Some(link) {
-                end += 1;
-            }
-        }
-        batches.push(&events[start..end]);
-        start = end;
-    }
-    batches
-}
-
 /// Stage step: recompute the tagging for a state and certify it.
 ///
 /// Returns the candidate snapshot and the ELP size. The version stamped
@@ -845,6 +730,15 @@ mod tests {
         Controller::new(ClosConfig::small().build(), ElpPolicy::with_bounces(1)).unwrap()
     }
 
+    /// One event, one epoch, no southbound.
+    fn handle(ctrl: &mut Controller, event: &CtrlEvent) -> Result<EpochOutcome, CtrlError> {
+        ctrl.handle_batch(std::slice::from_ref(event))
+    }
+
+    fn replay(ctrl: &mut Controller, events: &[CtrlEvent]) -> Vec<EpochOutcome> {
+        events.iter().map(|e| handle(ctrl, e).unwrap()).collect()
+    }
+
     #[test]
     fn bootstrap_commits_a_verified_epoch_zero() {
         let ctrl = small_controller();
@@ -862,7 +756,7 @@ mod tests {
         let mut ctrl = small_controller();
         let full_before = ctrl.committed().rules.num_rules();
         let events = parse_trace(ctrl.topo(), "down L1 T1").unwrap();
-        let outcome = ctrl.handle(&events[0]).unwrap();
+        let outcome = handle(&mut ctrl, &events[0]).unwrap();
         let report = outcome.committed().expect("single link down must commit");
         assert_eq!(report.epoch, 1);
         assert!(!report.deltas.is_empty(), "reroute must change some tables");
@@ -881,7 +775,7 @@ mod tests {
         let mut ctrl = small_controller();
         let original = ctrl.committed().rules.clone();
         let events = parse_trace(ctrl.topo(), "down L1 T1\nup L1 T1").unwrap();
-        let outcomes = ctrl.replay(events.iter()).unwrap();
+        let outcomes = replay(&mut ctrl, &events);
         assert!(outcomes.iter().all(|o| o.committed().is_some()));
         assert_eq!(ctrl.committed().epoch, 2);
         assert_eq!(
@@ -897,7 +791,7 @@ mod tests {
         let mut mirror = ctrl.committed().rules.clone();
         let trace = "down L1 T1\ndown L3 T3\nup L1 T1\nresync\nup L3 T3";
         let events = parse_trace(ctrl.topo(), trace).unwrap();
-        for outcome in ctrl.replay(events.iter()).unwrap() {
+        for outcome in replay(&mut ctrl, &events) {
             if let Some(report) = outcome.committed() {
                 for delta in &report.deltas {
                     mirror.apply_delta(delta);
@@ -920,7 +814,7 @@ mod tests {
         let before_rules = ctrl.committed().rules.clone();
         let before_version = ctrl.state().version;
         let events = parse_trace(ctrl.topo(), "down L1 T1").unwrap();
-        match ctrl.handle(&events[0]).unwrap() {
+        match handle(&mut ctrl, &events[0]).unwrap() {
             EpochOutcome::RolledBack { reason, .. } => {
                 assert!(matches!(reason, RollbackReason::BudgetExceeded { .. }));
             }
@@ -962,7 +856,7 @@ mod tests {
         let trace = "elp-add H1 T1 L1 T2 L2 S1 L3 T3 L4 T4 H13\n\
                      elp-remove H1 T1 L1 T2 L2 S1 L3 T3 L4 T4 H13";
         let events = parse_trace(ctrl.topo(), trace).unwrap();
-        let outcomes = ctrl.replay(events.iter()).unwrap();
+        let outcomes = replay(&mut ctrl, &events);
         assert_eq!(outcomes.len(), 2);
         assert!(outcomes.iter().all(|o| o.committed().is_some()));
         assert_eq!(ctrl.committed().rules, original);
@@ -974,7 +868,7 @@ mod tests {
         let mut ctrl = small_controller();
         let original = ctrl.committed().rules.clone();
         let events = parse_trace(ctrl.topo(), "watchdog L1 0 2").unwrap();
-        let outcome = ctrl.handle(&events[0]).unwrap();
+        let outcome = handle(&mut ctrl, &events[0]).unwrap();
         let report = outcome.committed().expect("quarantine must commit");
         assert_eq!(report.epoch, 1);
         assert!(
@@ -986,7 +880,7 @@ mod tests {
         assert_eq!(ctrl.metrics().watchdog_trips, 1);
 
         let events = parse_trace(ctrl.topo(), "watchdog-clear L1 0 2").unwrap();
-        let outcome = ctrl.handle(&events[0]).unwrap();
+        let outcome = handle(&mut ctrl, &events[0]).unwrap();
         assert!(outcome.committed().is_some());
         assert!(ctrl.state().quarantines.is_empty());
         assert_eq!(
@@ -1005,7 +899,9 @@ mod tests {
         let policy = InstallPolicy::default();
         let events = parse_trace(ctrl.topo(), "down L1 T1\nup L1 T1").unwrap();
         for e in &events {
-            let outcome = ctrl.handle_via(e, &mut sb, &policy).unwrap();
+            let outcome = ctrl
+                .handle_batch_via(std::slice::from_ref(e), &mut sb, &policy)
+                .unwrap();
             let report = outcome.committed().expect("reliable installs commit");
             assert_eq!(report.install_attempts, report.deltas.len() as u64);
             assert_eq!(report.install_backoff, Duration::ZERO);
@@ -1027,7 +923,10 @@ mod tests {
         let events = parse_trace(ctrl.topo(), trace).unwrap();
         let mut aborted = 0;
         for e in &events {
-            match ctrl.handle_via(e, &mut sb, &policy).unwrap() {
+            match ctrl
+                .handle_batch_via(std::slice::from_ref(e), &mut sb, &policy)
+                .unwrap()
+            {
                 EpochOutcome::Committed(_) => {}
                 EpochOutcome::RolledBack { reason, .. } => {
                     assert!(matches!(reason, RollbackReason::InstallAborted { .. }));
@@ -1062,7 +961,8 @@ mod tests {
         let policy = InstallPolicy::default();
         let events = parse_trace(ctrl.topo(), "down L1 T1\nup L1 T1\nresync").unwrap();
         for e in &events {
-            ctrl.handle_via(e, &mut sb, &policy).unwrap();
+            ctrl.handle_batch_via(std::slice::from_ref(e), &mut sb, &policy)
+                .unwrap();
         }
         let m = ctrl.metrics();
         assert!(m.install_retries > 0, "60% chaos must force retries");
@@ -1088,9 +988,17 @@ mod tests {
         // 4 down/up pairs on one link then a real failure elsewhere.
         let events = parse_trace(ctrl.topo(), "flap L1 T1 4\ndown L2 T2").unwrap();
         assert_eq!(events.len(), 9);
-        let outcomes = ctrl
-            .replay_damped_via(events.iter(), &mut sb, &InstallPolicy::default())
-            .unwrap();
+        let outcomes = crate::Journal::detached()
+            .drive(
+                &mut ctrl,
+                &events,
+                &mut sb,
+                &InstallPolicy::default(),
+                None,
+                None,
+            )
+            .unwrap()
+            .outcomes;
         assert_eq!(outcomes.len(), 2, "8 flap events + 1 failure → 2 epochs");
         assert_eq!(ctrl.metrics().flaps_damped, 7);
         assert_eq!(ctrl.metrics().epochs_staged, 2);
@@ -1107,7 +1015,7 @@ mod tests {
     fn resume_rebuilds_the_same_snapshot() {
         let mut ctrl = small_controller();
         let events = parse_trace(ctrl.topo(), "down L1 T1\ndown L2 T2").unwrap();
-        ctrl.replay(events.iter()).unwrap();
+        replay(&mut ctrl, &events);
         let resumed = Controller::resume(
             ctrl.topo().clone(),
             ctrl.policy(),
@@ -1138,7 +1046,7 @@ mod tests {
     fn malformed_event_is_a_hard_error_not_a_rollback() {
         let mut ctrl = small_controller();
         let bogus = tagger_topo::LinkId(ctrl.topo().num_links() as u32 + 7);
-        let err = ctrl.handle(&CtrlEvent::LinkDown(bogus)).unwrap_err();
+        let err = handle(&mut ctrl, &CtrlEvent::LinkDown(bogus)).unwrap_err();
         assert_eq!(err, CtrlError::UnknownLink(bogus));
         assert_eq!(ctrl.metrics().events, 0);
         assert_eq!(ctrl.committed().epoch, 0);

@@ -1,79 +1,79 @@
-//! Pluggable event damping: how a stream of control-plane events is
-//! split into recompute batches.
+//! Event damping: how a stream of control-plane events is split into
+//! recompute batches.
 //!
-//! PR 2 hard-coded one policy — flap damping, where a maximal run of
-//! consecutive link events on the same link collapses into a single
-//! recompute of its net effect. A multi-fabric daemon wants that policy
-//! *per fabric* (never across fabrics — one tenant's flapping
-//! transceiver must not change another tenant's batching), and wants to
-//! swap it: a soak harness may batch aggressively, a latency-sensitive
-//! fabric may want every event staged alone. [`DampingPolicy`] is that
-//! seam; [`coalesce_flaps`](crate::coalesce_flaps) remains as the
-//! default policy's implementation.
+//! A flapping transceiver re-announces down/up/down/up…; staging a full
+//! tagging per transition would recompute the same tables over and
+//! over. [`Damping::Flap`] collapses a maximal run of consecutive link
+//! events on the same link into one batch — one recompute of the run's
+//! net effect — and the controller counts the `len − 1` recomputes each
+//! batch saved in
+//! [`ControllerMetrics::flaps_damped`](crate::ControllerMetrics), where
+//! it counts `events`. The policy is chosen *per fabric*, never across
+//! fabrics: one tenant's flapping link must not change another tenant's
+//! batching.
 //!
-//! Every policy must be **suffix-closed**: splitting a stream, removing
-//! the first batch, and re-splitting the remainder must yield the
-//! remaining batches unchanged. This is what lets an ingest queue drain
-//! a bounded number of batches per cycle and leave the rest queued
-//! without changing how they will eventually be batched — the property
-//! the interleaving-equivalence tests pin down.
+//! Every variant is **suffix-closed**: splitting a stream, removing the
+//! first batch, and re-splitting the remainder yields the remaining
+//! batches unchanged. That is what lets an ingest queue drain a bounded
+//! number of batches per cycle and leave the rest queued, and what lets
+//! a recovered controller re-split `tail + rest` after a crash, without
+//! changing how anything is eventually batched.
 
 use crate::event::CtrlEvent;
 use std::ops::Range;
 use tagger_topo::LinkId;
 
-/// Splits an ordered event stream into contiguous recompute batches.
-///
-/// `Send` is a supertrait so a boxed policy can live inside a fabric
-/// that is itself shared across threads — the networked ingest front
-/// (`tagger-fleetd serve`) drains fabrics from a drain thread while
-/// connection reader threads enqueue, and the whole fleet sits behind
-/// one mutex. Policies are stateless splitters, so the bound costs
-/// implementors nothing.
-pub trait DampingPolicy: Send {
-    /// Partition `events` into contiguous, in-order, non-empty ranges
-    /// covering the whole slice. Each range becomes one staged batch
-    /// (one recompute of the range's net effect).
-    fn split(&self, events: &[CtrlEvent]) -> Vec<Range<usize>>;
-
-    /// A short name for reports.
-    fn name(&self) -> &'static str;
+/// How an ordered event stream is split into recompute batches.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Damping {
+    /// Every event stages its own epoch.
+    None,
+    /// A maximal run of consecutive link events on the *same* link is
+    /// one batch; everything else is a singleton (the default).
+    Flap,
+    /// Flap damping with a ceiling on batch size: a longer same-link run
+    /// is chopped into pieces of at most this many events, bounding the
+    /// state one epoch can move at the cost of extra recomputes on very
+    /// long flap storms.
+    FlapCapped(usize),
 }
 
-/// No damping: every event stages its own epoch.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoDamping;
-
-impl DampingPolicy for NoDamping {
-    fn split(&self, events: &[CtrlEvent]) -> Vec<Range<usize>> {
-        (0..events.len()).map(|i| i..i + 1).collect()
+impl Damping {
+    /// Parses the CLI syntax: `none`, `flap`, or `flap:N` (cap N ≥ 1).
+    pub fn parse(spec: &str) -> Result<Self, String> {
+        match spec {
+            "none" => Ok(Damping::None),
+            "flap" => Ok(Damping::Flap),
+            _ => match spec.strip_prefix("flap:").map(str::parse) {
+                Some(Ok(n)) if n >= 1 => Ok(Damping::FlapCapped(n)),
+                _ => Err(format!(
+                    "damping {spec:?} is not none | flap | flap:N (N >= 1)"
+                )),
+            },
+        }
     }
 
-    fn name(&self) -> &'static str {
-        "none"
-    }
-}
-
-/// The PR 2 policy: a maximal run of consecutive link events on the
-/// *same* link is one batch; everything else is a singleton.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FlapDamping;
-
-fn link_of(e: &CtrlEvent) -> Option<LinkId> {
-    match e {
-        CtrlEvent::LinkDown(l) | CtrlEvent::LinkUp(l) => Some(*l),
-        _ => None,
-    }
-}
-
-impl DampingPolicy for FlapDamping {
-    fn split(&self, events: &[CtrlEvent]) -> Vec<Range<usize>> {
+    /// Partitions `events` into contiguous, in-order, non-empty ranges
+    /// covering the whole slice. Each range becomes one staged batch.
+    pub fn split(self, events: &[CtrlEvent]) -> Vec<Range<usize>> {
+        fn link_of(e: &CtrlEvent) -> Option<LinkId> {
+            match e {
+                CtrlEvent::LinkDown(l) | CtrlEvent::LinkUp(l) => Some(*l),
+                _ => None,
+            }
+        }
+        let cap = match self {
+            Damping::None => 1,
+            Damping::Flap => usize::MAX,
+            Damping::FlapCapped(n) => n.max(1),
+        };
         let mut batches = Vec::new();
         let mut start = 0;
         while start < events.len() {
             let mut end = start + 1;
             if let Some(link) = link_of(&events[start]) {
-                while end < events.len() && link_of(&events[end]) == Some(link) {
+                while end < events.len() && end - start < cap && link_of(&events[end]) == Some(link)
+                {
                     end += 1;
                 }
             }
@@ -81,71 +81,6 @@ impl DampingPolicy for FlapDamping {
             start = end;
         }
         batches
-    }
-
-    fn name(&self) -> &'static str {
-        "flap"
-    }
-}
-
-/// Flap damping with a ceiling on batch size: a same-link run longer
-/// than `max_batch` is chopped into `max_batch`-sized pieces (each still
-/// one recompute). Bounds the state a single batch can move through one
-/// epoch, at the cost of extra recomputes on very long flap storms.
-#[derive(Clone, Copy, Debug)]
-pub struct CappedFlapDamping {
-    /// Largest number of events a single batch may hold (>= 1).
-    pub max_batch: usize,
-}
-
-impl CappedFlapDamping {
-    /// A capped policy; `max_batch` is clamped to at least 1.
-    pub fn new(max_batch: usize) -> Self {
-        CappedFlapDamping {
-            max_batch: max_batch.max(1),
-        }
-    }
-}
-
-impl DampingPolicy for CappedFlapDamping {
-    fn split(&self, events: &[CtrlEvent]) -> Vec<Range<usize>> {
-        let mut out = Vec::new();
-        for run in FlapDamping.split(events) {
-            let mut s = run.start;
-            while s < run.end {
-                let e = (s + self.max_batch).min(run.end);
-                out.push(s..e);
-                s = e;
-            }
-        }
-        out
-    }
-
-    fn name(&self) -> &'static str {
-        "flap-capped"
-    }
-}
-
-/// Parses the `--damping` flag syntax: `none`, `flap`, or `flap:N`
-/// (capped at N events per batch).
-pub fn parse_damping(spec: &str) -> Result<Box<dyn DampingPolicy>, String> {
-    match spec {
-        "none" => Ok(Box::new(NoDamping)),
-        "flap" => Ok(Box::new(FlapDamping)),
-        other => match other.strip_prefix("flap:") {
-            Some(n) => {
-                let cap: usize = n
-                    .parse()
-                    .map_err(|_| format!("damping cap wants a number, got {n:?}"))?;
-                if cap == 0 {
-                    return Err("damping cap must be at least 1".into());
-                }
-                Ok(Box::new(CappedFlapDamping::new(cap)))
-            }
-            None => Err(format!(
-                "unknown damping policy {other:?} (want none, flap, or flap:N)"
-            )),
-        },
     }
 }
 
@@ -170,14 +105,14 @@ mod tests {
         assert_eq!(at, events.len(), "ranges must cover the stream");
     }
 
-    fn assert_suffix_closed(policy: &dyn DampingPolicy, events: &[CtrlEvent]) {
-        let full = policy.split(events);
+    fn assert_suffix_closed(damping: Damping, events: &[CtrlEvent]) {
+        let full = damping.split(events);
         assert_covering(events, &full);
         if full.len() < 2 {
             return;
         }
         let cut = full[0].end;
-        let rest = policy.split(&events[cut..]);
+        let rest = damping.split(&events[cut..]);
         let shifted: Vec<Range<usize>> = rest.iter().map(|r| r.start + cut..r.end + cut).collect();
         assert_eq!(
             &full[1..],
@@ -187,23 +122,17 @@ mod tests {
     }
 
     #[test]
-    fn flap_damping_matches_coalesce_flaps() {
+    fn flap_damping_batches_same_link_runs_only() {
         let evs = events("flap L1 T1 3\ndown L2 T2\nresync\nup L2 T2");
-        let refs: Vec<&CtrlEvent> = evs.iter().collect();
-        let legacy = crate::coalesce_flaps(&refs);
-        let split = FlapDamping.split(&evs);
-        assert_eq!(legacy.len(), split.len());
-        for (batch, range) in legacy.iter().zip(&split) {
-            assert_eq!(batch.len(), range.len());
-        }
-        // 6 flap events, then three singletons.
-        assert_eq!(split[0], 0..6);
+        // 6 flap events, then three singletons: the resync keeps the two
+        // L2-T2 transitions apart.
+        assert_eq!(Damping::Flap.split(&evs), vec![0..6, 6..7, 7..8, 8..9]);
     }
 
     #[test]
     fn no_damping_is_all_singletons() {
         let evs = events("flap L1 T1 2\nresync");
-        let split = NoDamping.split(&evs);
+        let split = Damping::None.split(&evs);
         assert_eq!(split.len(), evs.len());
         assert_covering(&evs, &split);
     }
@@ -211,7 +140,7 @@ mod tests {
     #[test]
     fn capped_damping_chops_long_runs() {
         let evs = events("flap L1 T1 4"); // 8 events on one link
-        let split = CappedFlapDamping::new(3).split(&evs);
+        let split = Damping::FlapCapped(3).split(&evs);
         assert_eq!(
             split,
             vec![0..3, 3..6, 6..8],
@@ -222,22 +151,23 @@ mod tests {
     #[test]
     fn policies_are_suffix_closed() {
         let evs = events("flap L1 T1 4\ndown L2 T2\nresync\nflap L3 T3 2\nup L2 T2");
-        for policy in [
-            &NoDamping as &dyn DampingPolicy,
-            &FlapDamping,
-            &CappedFlapDamping::new(3),
-            &CappedFlapDamping::new(1),
+        for damping in [
+            Damping::None,
+            Damping::Flap,
+            Damping::FlapCapped(3),
+            Damping::FlapCapped(1),
         ] {
-            assert_suffix_closed(policy, &evs);
+            assert_suffix_closed(damping, &evs);
         }
     }
 
     #[test]
-    fn parse_damping_round_trips() {
-        assert_eq!(parse_damping("none").unwrap().name(), "none");
-        assert_eq!(parse_damping("flap").unwrap().name(), "flap");
-        assert_eq!(parse_damping("flap:4").unwrap().name(), "flap-capped");
-        assert!(parse_damping("flap:0").is_err());
-        assert!(parse_damping("window").is_err());
+    fn parse_accepts_the_three_spellings_and_refuses_the_rest() {
+        assert_eq!(Damping::parse("none"), Ok(Damping::None));
+        assert_eq!(Damping::parse("flap"), Ok(Damping::Flap));
+        assert_eq!(Damping::parse("flap:4"), Ok(Damping::FlapCapped(4)));
+        assert!(Damping::parse("flap:0").is_err());
+        assert!(Damping::parse("flap:x").is_err());
+        assert!(Damping::parse("window").is_err());
     }
 }

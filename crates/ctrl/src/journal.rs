@@ -1,4 +1,5 @@
-//! Write-ahead event journal with snapshot checkpoints.
+//! Write-ahead event journal with snapshot checkpoints, and the one
+//! rollout step that writes it ([`Journal::step`]).
 //!
 //! The controller's durability story: every event is journaled *before*
 //! it is processed, every epoch outcome is journaled after, and every
@@ -36,11 +37,13 @@
 //! checkpointing) is ignored and recovery falls back to the previous
 //! complete one.
 
-use crate::controller::coalesce_flaps;
 use crate::controller::{Controller, CtrlError, EpochOutcome, InstallPolicy};
+use crate::damping::Damping;
 use crate::event::{parse_trace, CtrlEvent, TraceError};
+use crate::observer::CommitObserver;
 use crate::southbound::Southbound;
 use crate::state::{ElpPolicy, NetworkState};
+use std::collections::VecDeque;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write as _};
@@ -100,11 +103,20 @@ impl From<CtrlError> for JournalError {
     }
 }
 
-/// An append-only journal file.
+/// An append-only journal file, and the one rollout step that writes it.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    file: File,
+    /// `None` for [`Journal::detached`]: nothing is kept.
+    file: Option<File>,
+    checkpoint_every: u64,
+    /// Outcome records in the file — what the checkpoint cadence counts.
+    outcomes: u64,
+    /// `event` lines [`Journal::open_append`] found on disk with no
+    /// outcome after them (line number, trace text): the batch a crashed
+    /// controller had in flight. The next step resolves them instead of
+    /// writing them a second time.
+    unresolved: VecDeque<(usize, String)>,
 }
 
 impl Journal {
@@ -113,14 +125,54 @@ impl Journal {
         let path = path.into();
         let mut file = File::create(&path)?;
         writeln!(file, "# tagger-ctrl journal v1")?;
-        Ok(Journal { path, file })
+        Ok(Journal {
+            path,
+            file: Some(file),
+            ..Journal::detached()
+        })
     }
 
-    /// Reopens an existing journal for appending (after recovery).
+    /// Reopens an existing journal for appending, after [`recover`]: the
+    /// outcome count carries on where the file stops, and the trailing
+    /// `event` lines without an outcome — [`Recovery::tail`], one event
+    /// a line as [`Journal::record_event`] writes them — are remembered
+    /// so that finishing them writes only their outcome.
     pub fn open_append(path: impl Into<PathBuf>) -> Result<Self, JournalError> {
-        let path = path.into();
-        let file = OpenOptions::new().append(true).open(&path)?;
-        Ok(Journal { path, file })
+        let mut journal = Journal {
+            path: path.into(),
+            ..Journal::detached()
+        };
+        let text = std::fs::read_to_string(&journal.path)?;
+        for (lineno, line) in text.lines().enumerate().map(|(i, l)| (i + 1, l.trim())) {
+            if let Some(event) = line.strip_prefix("event ") {
+                journal.unresolved.push_back((lineno, event.to_string()));
+            } else if let Some((_, n)) = outcome_record(lineno, line)? {
+                journal.outcomes += 1;
+                journal.unresolved.drain(..n.min(journal.unresolved.len()));
+            }
+        }
+        journal.file = Some(OpenOptions::new().append(true).open(&journal.path)?);
+        Ok(journal)
+    }
+
+    /// A journal that keeps nothing: [`Journal::step`] and
+    /// [`Journal::drive`] run the same rollout with every write skipped —
+    /// the un-journaled replay.
+    pub fn detached() -> Self {
+        Journal {
+            path: PathBuf::new(),
+            file: None,
+            checkpoint_every: 0,
+            outcomes: 0,
+            unresolved: VecDeque::new(),
+        }
+    }
+
+    /// Has [`Journal::step`] write a checkpoint every `outcomes` outcome
+    /// records (0, the default, never).
+    pub fn checkpoint_every(mut self, outcomes: u64) -> Self {
+        self.checkpoint_every = outcomes;
+        self
     }
 
     /// The file this journal appends to.
@@ -130,8 +182,11 @@ impl Journal {
 
     /// Write-ahead: records one accepted event *before* it is processed.
     pub fn record_event(&mut self, topo: &Topology, event: &CtrlEvent) -> Result<(), JournalError> {
-        writeln!(self.file, "event {}", event.trace_line(topo))?;
-        self.file.sync_data()?;
+        let Some(file) = self.file.as_mut() else {
+            return Ok(());
+        };
+        writeln!(file, "event {}", event.trace_line(topo))?;
+        file.sync_data()?;
         Ok(())
     }
 
@@ -142,33 +197,40 @@ impl Journal {
         outcome: &EpochOutcome,
         batch: usize,
     ) -> Result<(), JournalError> {
+        self.outcomes += 1;
+        let Some(file) = self.file.as_mut() else {
+            return Ok(());
+        };
         let marker = match outcome {
             EpochOutcome::Committed(_) => "!ok",
             EpochOutcome::RolledBack { .. } => "!rollback",
         };
-        writeln!(self.file, "{marker} {batch}")?;
-        self.file.sync_data()?;
+        writeln!(file, "{marker} {batch}")?;
+        file.sync_data()?;
         Ok(())
     }
 
     /// Snapshots the controller's committed state so recovery can start
     /// here instead of replaying from the beginning of time.
     pub fn checkpoint(&mut self, ctrl: &mut Controller) -> Result<(), JournalError> {
-        let state = ctrl.state().clone();
+        let Some(file) = self.file.as_mut() else {
+            return Ok(());
+        };
+        let state = ctrl.state();
         let topo = ctrl.topo();
         writeln!(
-            self.file,
+            file,
             "!checkpoint epoch={} version={}",
             ctrl.committed().epoch,
             state.version
         )?;
         for link in state.failures.iter() {
             let line = CtrlEvent::LinkDown(link).trace_line(topo);
-            writeln!(self.file, "!state {line}")?;
+            writeln!(file, "!state {line}")?;
         }
         for path in &state.extra_paths {
             let line = CtrlEvent::ElpAdd(path.clone()).trace_line(topo);
-            writeln!(self.file, "!state {line}")?;
+            writeln!(file, "!state {line}")?;
         }
         for &(switch, port, tag) in &state.quarantines {
             // Checkpoints record quarantines by their effective hop; the
@@ -181,18 +243,77 @@ impl Journal {
                 trigger: None,
             }
             .trace_line(topo);
-            writeln!(self.file, "!state {line}")?;
+            writeln!(file, "!state {line}")?;
         }
-        writeln!(self.file, "!checkpoint-end")?;
-        self.file.sync_data()?;
+        writeln!(file, "!checkpoint-end")?;
+        file.sync_data()?;
         ctrl.bump_checkpoints();
         Ok(())
     }
 
-    /// Drives a journaled, flap-damped, southbound-installed replay:
-    /// each damped batch is journaled write-ahead, processed through
-    /// [`Controller::handle_batch_via`], its outcome journaled, and a
-    /// checkpoint written every `checkpoint_every` outcomes (0 = never).
+    /// The write-ahead half of [`Journal::step`]: one `event` line per
+    /// event of the batch, unless the line is already on disk from before
+    /// a crash — then it is only checked to be the event being finished.
+    fn write_ahead(&mut self, topo: &Topology, batch: &[CtrlEvent]) -> Result<(), JournalError> {
+        for event in batch {
+            match self.unresolved.pop_front() {
+                None => self.record_event(topo, event)?,
+                Some((line, on_disk)) => {
+                    let offered = event.trace_line(topo);
+                    if on_disk != offered {
+                        return Err(JournalError::Corrupt {
+                            line,
+                            why: format!(
+                                "unresolved event {on_disk:?} is being finished as {offered:?}"
+                            ),
+                        });
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// **The rollout step** — the only way a batch reaches the switches
+    /// with the durability, audit and checkpoint policy applied, and the
+    /// only caller of [`Journal::record_event`] and
+    /// [`Journal::record_outcome`]:
+    ///
+    /// 1. write-ahead: every event of the batch is on disk before any of
+    ///    it is processed;
+    /// 2. [`Controller::handle_batch_via`]: stage, validate, install
+    ///    behind the commit barrier, commit or roll back fleet-wide;
+    /// 3. the outcome record (`!ok n` / `!rollback n`);
+    /// 4. on a commit — never on a rollback — `observer` sees the new
+    ///    snapshot (the independent audit rides here);
+    /// 5. a checkpoint when the outcome count reaches the cadence.
+    ///
+    /// A crash between 1 and 3 leaves `event` lines with no outcome;
+    /// [`recover`] hands them back as [`Recovery::tail`], and the step
+    /// that finishes them on the journal [`Journal::open_append`] reopened
+    /// writes only the outcome.
+    pub fn step(
+        &mut self,
+        ctrl: &mut Controller,
+        batch: &[CtrlEvent],
+        southbound: &mut dyn Southbound,
+        policy: &InstallPolicy,
+        observer: Option<&mut (dyn CommitObserver + '_)>,
+    ) -> Result<EpochOutcome, JournalError> {
+        self.write_ahead(ctrl.topo(), batch)?;
+        let outcome = ctrl.handle_batch_via(batch, southbound, policy)?;
+        self.record_outcome(&outcome, batch.len())?;
+        if let (EpochOutcome::Committed(report), Some(observer)) = (&outcome, observer) {
+            observer.on_commit(ctrl.topo(), ctrl.committed(), report);
+        }
+        if self.checkpoint_every > 0 && self.outcomes.is_multiple_of(self.checkpoint_every) {
+            self.checkpoint(ctrl)?;
+        }
+        Ok(outcome)
+    }
+
+    /// Replays `events` flap-damped ([`Damping::Flap`]): one
+    /// [`Journal::step`] per batch.
     ///
     /// `crash_after` simulates a controller crash for recovery drills:
     /// after that many outcomes, the *next* batch's events are journaled
@@ -204,65 +325,43 @@ impl Journal {
         events: &[CtrlEvent],
         southbound: &mut dyn Southbound,
         policy: &InstallPolicy,
-        checkpoint_every: u64,
         crash_after: Option<u64>,
+        mut observer: Option<&mut (dyn CommitObserver + '_)>,
     ) -> Result<DriveReport, JournalError> {
-        self.drive_observed(
-            ctrl,
-            events,
-            southbound,
-            policy,
-            checkpoint_every,
-            crash_after,
-            &mut crate::NoopObserver,
-        )
-    }
-
-    /// Like [`Journal::drive`], but invoking `observer` after every
-    /// committed epoch's outcome has been journaled, so an independent
-    /// audit of the installed tables rides along with the journaled
-    /// replay. Rollbacks and the simulated crash are not observed.
-    #[allow(clippy::too_many_arguments)]
-    pub fn drive_observed(
-        &mut self,
-        ctrl: &mut Controller,
-        events: &[CtrlEvent],
-        southbound: &mut dyn Southbound,
-        policy: &InstallPolicy,
-        checkpoint_every: u64,
-        crash_after: Option<u64>,
-        observer: &mut dyn crate::CommitObserver,
-    ) -> Result<DriveReport, JournalError> {
-        let refs: Vec<&CtrlEvent> = events.iter().collect();
-        let mut outcomes = Vec::new();
-        for batch in coalesce_flaps(&refs) {
-            let crash_now = crash_after.is_some_and(|n| outcomes.len() as u64 >= n);
-            for event in batch {
-                self.record_event(ctrl.topo(), event)?;
-            }
-            if crash_now {
-                return Ok(DriveReport {
-                    outcomes,
-                    crashed: true,
-                });
-            }
-            ctrl.bump_flaps_damped(batch.len() as u64 - 1);
-            let owned: Vec<CtrlEvent> = batch.iter().map(|&e| e.clone()).collect();
-            let outcome = ctrl.handle_batch_via(&owned, southbound, policy)?;
-            self.record_outcome(&outcome, batch.len())?;
-            if let EpochOutcome::Committed(report) = &outcome {
-                let topo = ctrl.topo().clone();
-                observer.on_commit(&topo, ctrl.committed(), report);
-            }
-            outcomes.push(outcome);
-            if checkpoint_every > 0 && (outcomes.len() as u64).is_multiple_of(checkpoint_every) {
-                self.checkpoint(ctrl)?;
-            }
-        }
-        Ok(DriveReport {
-            outcomes,
+        let mut report = DriveReport {
+            outcomes: Vec::new(),
+            consumed: 0,
             crashed: false,
-        })
+        };
+        for range in Damping::Flap.split(events) {
+            report.consumed = range.end;
+            let batch = &events[range];
+            if crash_after.is_some_and(|n| report.outcomes.len() as u64 >= n) {
+                self.write_ahead(ctrl.topo(), batch)?;
+                report.crashed = true;
+                break;
+            }
+            let outcome = self.step(ctrl, batch, southbound, policy, observer.as_deref_mut())?;
+            report.outcomes.push(outcome);
+        }
+        Ok(report)
+    }
+}
+
+/// Parses an `!ok <n>` / `!rollback <n>` record into whether the batch
+/// committed and how many events it covers; `None` for any other line.
+fn outcome_record(lineno: usize, line: &str) -> Result<Option<(bool, usize)>, JournalError> {
+    let (committed, rest) = match (line.strip_prefix("!ok "), line.strip_prefix("!rollback ")) {
+        (Some(rest), _) => (true, rest),
+        (_, Some(rest)) => (false, rest),
+        _ => return Ok(None),
+    };
+    match rest.trim().parse() {
+        Ok(n) => Ok(Some((committed, n))),
+        Err(_) => Err(JournalError::Corrupt {
+            line: lineno,
+            why: format!("bad batch size {rest:?}"),
+        }),
     }
 }
 
@@ -271,6 +370,9 @@ impl Journal {
 pub struct DriveReport {
     /// One outcome per damped batch that was fully processed.
     pub outcomes: Vec<EpochOutcome>,
+    /// How many of the events were processed or at least written ahead;
+    /// `events[consumed..]` never reached the journal.
+    pub consumed: usize,
     /// Whether the drive stopped at the simulated crash point.
     pub crashed: bool,
 }
@@ -378,14 +480,7 @@ pub fn recover(
         let corrupt = |why: String| JournalError::Corrupt { line: *lineno, why };
         if let Some(rest) = line.strip_prefix("event ") {
             pending.extend(parse_trace(controller.topo(), rest)?);
-        } else if let Some(rest) = line
-            .strip_prefix("!ok ")
-            .or_else(|| line.strip_prefix("!rollback "))
-        {
-            let n: usize = rest
-                .trim()
-                .parse()
-                .map_err(|_| corrupt(format!("bad batch size {rest:?}")))?;
+        } else if let Some((committed, n)) = outcome_record(*lineno, line)? {
             if pending.len() < n {
                 return Err(corrupt(format!(
                     "outcome covers {n} events but only {} are pending",
@@ -393,7 +488,7 @@ pub fn recover(
                 )));
             }
             let batch: Vec<CtrlEvent> = pending.drain(..n).collect();
-            if line.starts_with("!ok") {
+            if committed {
                 match controller.handle_batch(&batch)? {
                     EpochOutcome::Committed(_) => replayed += n as u64,
                     EpochOutcome::RolledBack { reason, .. } => {
@@ -427,6 +522,7 @@ pub fn recover(
 mod tests {
     use super::*;
     use crate::chaos::{ChaosConfig, ChaosSouthbound};
+    use crate::controller::{CommitReport, Snapshot};
     use crate::southbound::ReliableSouthbound;
     use tagger_topo::ClosConfig;
 
@@ -438,28 +534,113 @@ mod tests {
         Controller::new(ClosConfig::small().build(), ElpPolicy::with_bounces(1)).unwrap()
     }
 
+    fn reliable(ctrl: &Controller) -> ReliableSouthbound {
+        let mut sb = ReliableSouthbound::new();
+        sb.bootstrap(&ctrl.committed().rules);
+        sb
+    }
+
+    /// The journal's records, header dropped.
+    fn records(path: &FsPath) -> Vec<String> {
+        let text = std::fs::read_to_string(path).unwrap();
+        text.lines().skip(1).map(str::to_string).collect()
+    }
+
+    /// Counts the commits it is shown.
+    struct Seen(Vec<u64>);
+
+    impl CommitObserver for Seen {
+        fn on_commit(&mut self, _topo: &Topology, snapshot: &Snapshot, _report: &CommitReport) {
+            self.0.push(snapshot.epoch);
+        }
+    }
+
     const TRACE: &str = "down L1 T1\nflap L2 T2 2\nup L1 T1\nresync";
+    const INSTALL: InstallPolicy = InstallPolicy {
+        max_attempts: 5,
+        base_backoff: std::time::Duration::from_millis(1),
+        max_backoff: std::time::Duration::from_millis(64),
+    };
+    /// Pinning this path needs 12 TCAM entries on the worst switch; the
+    /// healthy small Clos needs 11.
+    const PINNED: &str = "elp-add H1 T1 L2 T2 L1 S1 L3 T3 L4 T4 H13";
+
+    #[test]
+    fn step_records_in_order_across_commit_rollback_and_checkpoint() {
+        let path = tmp("order");
+        let topo = ClosConfig::small().build();
+        let mut ctrl =
+            Controller::with_budget(topo.clone(), ElpPolicy::with_bounces(1), Some(11)).unwrap();
+        let mut sb = reliable(&ctrl);
+        let mut journal = Journal::create(&path).unwrap().checkpoint_every(2);
+        let mut seen = Seen(Vec::new());
+        for (line, commits) in [("flap L1 T1 1", true), (PINNED, false), ("resync", true)] {
+            let batch = parse_trace(&topo, line).unwrap();
+            let outcome = journal
+                .step(&mut ctrl, &batch, &mut sb, &INSTALL, Some(&mut seen))
+                .unwrap();
+            assert_eq!(outcome.committed().is_some(), commits, "{line}");
+        }
+        assert_eq!(
+            records(&path),
+            [
+                "event down T1 L1",
+                "event up T1 L1",
+                "!ok 2",
+                &format!("event {PINNED}"),
+                "!rollback 1",
+                // Two outcomes, committed or not, make the cadence.
+                "!checkpoint epoch=1 version=2",
+                "!checkpoint-end",
+                "event resync",
+                "!ok 1",
+            ]
+        );
+        assert_eq!(seen.0, [1, 2], "the observer never sees the rollback");
+        assert_eq!(ctrl.metrics().checkpoints, 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn flaps_damped_is_the_same_whichever_caller_drove_the_batch() {
+        let path = tmp("damped");
+        let topo = ClosConfig::small().build();
+        let batch = parse_trace(&topo, "flap L1 T1 3").unwrap();
+        let (mut direct, mut journaled, mut detached) = (controller(), controller(), controller());
+        let mut sb = reliable(&direct);
+        direct.handle_batch_via(&batch, &mut sb, &INSTALL).unwrap();
+        let mut sb = reliable(&journaled);
+        Journal::create(&path)
+            .unwrap()
+            .step(&mut journaled, &batch, &mut sb, &INSTALL, None)
+            .unwrap();
+        let mut sb = reliable(&detached);
+        Journal::detached()
+            .drive(&mut detached, &batch, &mut sb, &INSTALL, None, None)
+            .unwrap();
+        for ctrl in [&direct, &journaled, &detached] {
+            assert_eq!(ctrl.metrics().flaps_damped, 5);
+            assert_eq!(ctrl.metrics().events, 6);
+        }
+        // Recovery replays the batch through the same counter.
+        let rec = recover(&path, topo, ElpPolicy::with_bounces(1), None).unwrap();
+        assert_eq!(rec.controller.metrics().flaps_damped, 5);
+        std::fs::remove_file(&path).ok();
+    }
 
     #[test]
     fn recover_reproduces_committed_tables_byte_for_byte() {
         let path = tmp("roundtrip");
         let mut live = controller();
-        let mut sb = ReliableSouthbound::new();
-        sb.bootstrap(&live.committed().rules);
+        let mut sb = reliable(&live);
         let events = parse_trace(live.topo(), TRACE).unwrap();
 
-        let mut journal = Journal::create(&path).unwrap();
+        let mut journal = Journal::create(&path).unwrap().checkpoint_every(2);
         let report = journal
-            .drive(
-                &mut live,
-                &events,
-                &mut sb,
-                &InstallPolicy::default(),
-                2,
-                None,
-            )
+            .drive(&mut live, &events, &mut sb, &INSTALL, None, None)
             .unwrap();
         assert!(!report.crashed);
+        assert_eq!(report.consumed, events.len());
         assert!(
             live.metrics().checkpoints > 0,
             "checkpoint_every=2 must fire"
@@ -479,32 +660,33 @@ mod tests {
     }
 
     #[test]
-    fn mid_epoch_crash_recovers_and_reconciles() {
+    fn mid_epoch_crash_recovers_reconciles_and_keeps_journaling() {
         let path = tmp("crash");
         let mut live = controller();
         let mut sb = ChaosSouthbound::new(ChaosConfig::new(11, 0.3));
         sb.bootstrap(&live.committed().rules);
         let events = parse_trace(live.topo(), TRACE).unwrap();
 
-        let mut journal = Journal::create(&path).unwrap();
+        let mut journal = Journal::create(&path).unwrap().checkpoint_every(1);
         let report = journal
-            .drive(
-                &mut live,
-                &events,
-                &mut sb,
-                &InstallPolicy::default(),
-                1,
-                Some(2),
-            )
+            .drive(&mut live, &events, &mut sb, &INSTALL, Some(2), None)
             .unwrap();
         assert!(report.crashed);
         assert_eq!(report.outcomes.len(), 2);
+        // down L1 T1, the four flap legs, then the batch in flight.
+        assert_eq!(report.consumed, 6);
+        let at_crash = records(&path);
+        assert_eq!(
+            at_crash.last().unwrap(),
+            "event up T1 L1",
+            "the crash leaves the write-ahead line with no outcome"
+        );
         let pre_crash_rules = live.committed().rules.clone();
         let pre_crash_epoch = live.committed().epoch;
-        drop(live); // the crash
+        drop((live, journal)); // the crash
 
         let topo = ClosConfig::small().build();
-        let rec = recover(&path, topo, ElpPolicy::with_bounces(1), None).unwrap();
+        let rec = recover(&path, topo.clone(), ElpPolicy::with_bounces(1), None).unwrap();
         let mut recovered = rec.controller;
         assert_eq!(
             recovered.committed().rules,
@@ -512,20 +694,63 @@ mod tests {
             "recovery must reconverge to the crashed controller's tables"
         );
         assert_eq!(recovered.committed().epoch, pre_crash_epoch);
-        assert!(
-            !rec.tail.is_empty(),
+        assert_eq!(
+            rec.tail,
+            events[5..6],
             "the in-flight batch must surface as the tail"
         );
 
         // The fleet may hold anything the crash left behind; reconcile
-        // repairs it, then the tail can be processed normally.
+        // repairs it, then the tail and the rest of the trace go through
+        // the reopened journal: the tail's event line is resolved, not
+        // written again.
         recovered.reconcile(&mut sb);
         assert_eq!(sb.fleet(), &recovered.committed().rules);
-        let outcomes = recovered
-            .replay_damped_via(rec.tail.iter(), &mut sb, &InstallPolicy::default())
+        let remaining = [rec.tail.as_slice(), &events[report.consumed..]].concat();
+        let mut journal = Journal::open_append(&path).unwrap().checkpoint_every(1);
+        let finished = journal
+            .drive(&mut recovered, &remaining, &mut sb, &INSTALL, None, None)
             .unwrap();
-        assert!(!outcomes.is_empty());
+        assert_eq!(finished.outcomes.len(), 2);
         assert_eq!(sb.fleet(), &recovered.committed().rules);
+        let after = records(&path);
+        assert_eq!(after[..at_crash.len()], at_crash[..]);
+        assert!(
+            after[at_crash.len()].starts_with('!'),
+            "the tail's event line must not be written twice: {after:?}"
+        );
+
+        let again = recover(&path, topo, ElpPolicy::with_bounces(1), None).unwrap();
+        assert!(again.tail.is_empty());
+        assert_eq!(
+            again.controller.committed().epoch,
+            recovered.committed().epoch
+        );
+        assert_eq!(
+            again.controller.committed().rules,
+            recovered.committed().rules
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn finishing_a_different_event_than_the_unresolved_one_is_refused() {
+        let path = tmp("mismatch");
+        let mut live = controller();
+        let mut sb = reliable(&live);
+        let events = parse_trace(live.topo(), "down L1 T1\nresync").unwrap();
+        Journal::create(&path)
+            .unwrap()
+            .drive(&mut live, &events, &mut sb, &INSTALL, Some(0), None)
+            .unwrap();
+        let mut journal = Journal::open_append(&path).unwrap();
+        let err = journal
+            .step(&mut live, &events[1..], &mut sb, &INSTALL, None)
+            .unwrap_err();
+        assert!(
+            matches!(err, JournalError::Corrupt { line: 2, .. }),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -533,19 +758,11 @@ mod tests {
     fn recovery_without_checkpoints_replays_from_genesis() {
         let path = tmp("genesis");
         let mut live = controller();
-        let mut sb = ReliableSouthbound::new();
-        sb.bootstrap(&live.committed().rules);
+        let mut sb = reliable(&live);
         let events = parse_trace(live.topo(), "down L1 T1\nup L1 T1").unwrap();
         let mut journal = Journal::create(&path).unwrap();
         journal
-            .drive(
-                &mut live,
-                &events,
-                &mut sb,
-                &InstallPolicy::default(),
-                0,
-                None,
-            )
+            .drive(&mut live, &events, &mut sb, &INSTALL, None, None)
             .unwrap();
 
         let topo = ClosConfig::small().build();
@@ -560,21 +777,13 @@ mod tests {
     fn quarantines_survive_crash_recovery() {
         let path = tmp("watchdog");
         let mut live = controller();
-        let mut sb = ReliableSouthbound::new();
-        sb.bootstrap(&live.committed().rules);
+        let mut sb = reliable(&live);
         // A watchdog quarantine lands, then an unrelated failure whose
         // checkpoint must carry the quarantine forward.
         let events = parse_trace(live.topo(), "watchdog L1 0 2\ndown L3 T3").unwrap();
-        let mut journal = Journal::create(&path).unwrap();
+        let mut journal = Journal::create(&path).unwrap().checkpoint_every(1);
         journal
-            .drive(
-                &mut live,
-                &events,
-                &mut sb,
-                &InstallPolicy::default(),
-                1,
-                None,
-            )
+            .drive(&mut live, &events, &mut sb, &INSTALL, None, None)
             .unwrap();
         assert_eq!(live.state().quarantines.len(), 1);
         let pre_crash = live.committed().rules.clone();

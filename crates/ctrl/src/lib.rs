@@ -11,36 +11,41 @@
 //! The moving parts:
 //!
 //! - [`CtrlEvent`] — the event vocabulary (`LinkDown`, `LinkUp`,
-//!   `ElpAdd`, `ElpRemove`, `Resync`), parseable from a plain-text trace
-//!   with [`parse_trace`] so recorded incidents can be replayed.
+//!   `ElpAdd`, `ElpRemove`, `Resync`, watchdog trips and clears),
+//!   parseable from a plain-text trace with [`parse_trace`] so recorded
+//!   incidents can be replayed.
 //! - [`NetworkState`] — the controller's versioned view of the world: a
 //!   topology overlaid with a live [`tagger_topo::FailureSet`] plus any
-//!   operator-added ELPs.
-//! - [`Controller`] — consumes events and runs a **two-phase rollout**
-//!   per epoch: *stage* (recompute the tagging against the new state),
+//!   operator-added ELPs and watchdog quarantines.
+//! - [`Controller`] — one batch of events is one epoch of a **two-phase
+//!   rollout**: *stage* (recompute the tagging against the new state),
 //!   *validate* (Theorem 5.1 verification plus a per-switch TCAM
-//!   budget), then either *commit* — emitting per-switch [`RuleDelta`]s
-//!   diffed against the last committed snapshot — or *roll back*,
-//!   leaving the previous verified tables untouched.
-//! - [`ControllerMetrics`] — counters and recompute latencies with a
-//!   plain-text [`ControllerMetrics::report`].
-//! - [`Southbound`] — the install transport between commits and the
-//!   fleet's running tables, with a [`ReliableSouthbound`] and a
-//!   seeded fault-injecting [`ChaosSouthbound`]. Commits through
-//!   [`Controller::handle_via`] retry per switch with exponential
-//!   backoff under an [`InstallPolicy`] and enforce a commit barrier:
+//!   budget), then either *commit* — per-switch [`RuleDelta`]s diffed
+//!   against the last committed snapshot — or *roll back*, leaving the
+//!   previous verified tables untouched.
+//!   [`Controller::handle_batch_via`] pushes the deltas through a
+//!   [`Southbound`] ([`ReliableSouthbound`], or the seeded
+//!   fault-injecting [`ChaosSouthbound`]) with per-switch retry and
+//!   backoff under an [`InstallPolicy`] and enforces a commit barrier:
 //!   an epoch lands everywhere or is rolled back everywhere — the fleet
 //!   is never left running a mix of epochs.
-//! - [`DampingPolicy`] — pluggable event batching ([`NoDamping`],
-//!   [`FlapDamping`], [`CappedFlapDamping`]): how a stream of events is
-//!   split into recompute batches. Policies are suffix-closed, so a
-//!   bounded ingest queue can drain a few batches per cycle without
-//!   changing how the remainder will batch — what lets `tagger-fleetd`
-//!   damp each fabric independently, never across fabrics.
-//! - [`Journal`] — a write-ahead event journal with snapshot
-//!   checkpoints; [`recover`] rebuilds a crashed controller to
-//!   byte-identical committed tables and [`Controller::reconcile`]
-//!   repairs whatever a mid-epoch crash left on the switches.
+//! - [`Damping`] — how an event stream is split into those batches
+//!   (none, per-link flap runs, capped flap runs). Every variant is
+//!   suffix-closed, so a bounded ingest queue can drain a few batches
+//!   per cycle without changing how the remainder will batch.
+//! - [`Journal`] — the write-ahead journal with snapshot checkpoints,
+//!   and **the one rollout step**, [`Journal::step`]: write-ahead →
+//!   [`Controller::handle_batch_via`] → outcome record →
+//!   [`CommitObserver`] on commit → checkpoint on cadence. Trace replay
+//!   ([`Journal::drive`]), the fleet's drain and the daemons are loops
+//!   over it; an un-journaled replay is the same step on
+//!   [`Journal::detached`]. [`recover`] rebuilds a crashed controller to
+//!   byte-identical committed tables, [`Controller::reconcile`] repairs
+//!   whatever a mid-epoch crash left on the switches, and
+//!   [`Journal::open_append`] lets the recovered controller finish the
+//!   batch that was in flight and keep journaling.
+//! - [`ControllerMetrics`] — counters and recompute latencies with a
+//!   plain-text [`ControllerMetrics::report`].
 //!
 //! The invariant the controller maintains is the one that matters for
 //! PFC safety: **every committed snapshot is a verified tagged graph**
@@ -66,14 +71,13 @@ mod state;
 
 pub use chaos::{ChaosConfig, ChaosSouthbound};
 pub use controller::{
-    coalesce_flaps, CommitReport, Controller, CtrlError, EpochOutcome, InstallPolicy,
-    RollbackReason, Snapshot,
+    CommitReport, Controller, CtrlError, EpochOutcome, InstallPolicy, RollbackReason, Snapshot,
 };
-pub use damping::{parse_damping, CappedFlapDamping, DampingPolicy, FlapDamping, NoDamping};
+pub use damping::Damping;
 pub use event::{parse_trace, CtrlEvent, TraceError, TraceErrorKind, TriggerInfo};
 pub use journal::{recover, DriveReport, Journal, JournalError, Recovery};
 pub use metrics::ControllerMetrics;
-pub use observer::{CommitObserver, FnObserver, NoopObserver, Tee};
+pub use observer::CommitObserver;
 pub use southbound::{ReliableSouthbound, Southbound};
 pub use state::{ElpPolicy, NetworkState};
 

@@ -6,8 +6,9 @@
 //! commit report — which is where an independent verifier (one that
 //! re-derives safety from the installed tables rather than trusting the
 //! staging pipeline) plugs in. The controller itself does not depend on
-//! any particular verifier; it only promises to call the hook once per
-//! committed epoch, after the commit barrier, never for rollbacks.
+//! any particular verifier; [`Journal::step`](crate::Journal::step)
+//! calls the hook once per committed epoch, after the commit barrier and
+//! the outcome record, never for rollbacks.
 
 use crate::controller::{CommitReport, Snapshot};
 use tagger_topo::Topology;
@@ -25,47 +26,13 @@ pub trait CommitObserver {
     fn on_commit(&mut self, topo: &Topology, snapshot: &Snapshot, report: &CommitReport);
 }
 
-/// The do-nothing observer the unobserved entry points use.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopObserver;
-
-impl CommitObserver for NoopObserver {
-    fn on_commit(&mut self, _topo: &Topology, _snapshot: &Snapshot, _report: &CommitReport) {}
-}
-
-/// Adapts a closure into a [`CommitObserver`], so callers that only
-/// want to siphon commit data (a fleet supervisor recording per-epoch
-/// latencies, a test collecting epochs) don't need a named type.
-pub struct FnObserver<F: FnMut(&Topology, &Snapshot, &CommitReport)>(pub F);
-
-impl<F: FnMut(&Topology, &Snapshot, &CommitReport)> CommitObserver for FnObserver<F> {
-    fn on_commit(&mut self, topo: &Topology, snapshot: &Snapshot, report: &CommitReport) {
-        (self.0)(topo, snapshot, report)
-    }
-}
-
-/// Fans one commit out to two observers in order — how a daemon chains
-/// an audit bridge with its own bookkeeping without either knowing
-/// about the other.
-pub struct Tee<'a>(
-    /// Observed first.
-    pub &'a mut dyn CommitObserver,
-    /// Observed second.
-    pub &'a mut dyn CommitObserver,
-);
-
-impl CommitObserver for Tee<'_> {
-    fn on_commit(&mut self, topo: &Topology, snapshot: &Snapshot, report: &CommitReport) {
-        self.0.on_commit(topo, snapshot, report);
-        self.1.on_commit(topo, snapshot, report);
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::{Controller, CtrlEvent, ElpPolicy, InstallPolicy, ReliableSouthbound, Southbound};
+    use crate::{
+        Controller, CtrlEvent, ElpPolicy, InstallPolicy, Journal, ReliableSouthbound, Southbound,
+    };
     use tagger_topo::ClosConfig;
 
     /// Records what the controller showed it, for assertions.
@@ -104,15 +71,18 @@ mod tests {
             epochs: Vec::new(),
             exports: Vec::new(),
         };
-        let outcomes = ctrl
-            .replay_damped_via_observed(
-                events.iter(),
+        let report = Journal::detached()
+            .drive(
+                &mut ctrl,
+                &events,
                 &mut southbound,
                 &InstallPolicy::default(),
-                &mut rec,
+                None,
+                Some(&mut rec),
             )
             .unwrap();
-        let committed = outcomes
+        let committed = report
+            .outcomes
             .iter()
             .filter(|o| matches!(o, crate::EpochOutcome::Committed(_)))
             .count();

@@ -53,7 +53,9 @@ proptest! {
         let mut last_epoch = ctrl.committed().epoch;
         for op in ops {
             let event = decode(&links, op);
-            let outcome = ctrl.handle(&event).expect("in-range links never hard-error");
+            let outcome = ctrl
+                .handle_batch(std::slice::from_ref(&event))
+                .expect("in-range links never hard-error");
             match outcome {
                 EpochOutcome::Committed(report) => {
                     prop_assert_eq!(report.epoch, last_epoch + 1);

@@ -89,6 +89,17 @@ impl From<std::io::Error> for FleetError {
     }
 }
 
+impl From<JournalError> for FleetError {
+    /// A controller error that surfaced through the journaled rollout
+    /// step stays a controller error.
+    fn from(e: JournalError) -> Self {
+        match e {
+            JournalError::Ctrl(e) => FleetError::Ctrl(e),
+            e => FleetError::Journal(e),
+        }
+    }
+}
+
 impl From<TraceError> for FleetError {
     fn from(e: TraceError) -> Self {
         FleetError::Trace(e)

@@ -6,7 +6,10 @@
 //! southbound, its `Auditor`, its ingest queue and damping policy. No
 //! state is shared across fabrics — the ownership boundary ROADMAP
 //! item 4 demands — so one fabric's flap storm, chaos schedule, or audit
-//! failure cannot perturb another's batching or verdicts.
+//! failure cannot perturb another's batching or verdicts. The fabric
+//! owns the queue and the counters; each batch it takes off the queue
+//! reaches the switches through [`Journal::step`], like every other
+//! rollout in the tree.
 
 use crate::error::FleetError;
 use std::collections::VecDeque;
@@ -14,8 +17,8 @@ use std::path::{Path, PathBuf};
 use tagger_audit::{AuditMetrics, Auditor};
 use tagger_ctrl::{
     recover, ChaosConfig, ChaosSouthbound, CommitObserver, CommitReport, Controller, CtrlEvent,
-    DampingPolicy, ElpPolicy, EpochOutcome, FlapDamping, InstallPolicy, Journal, NoDamping,
-    ReliableSouthbound, Snapshot, Southbound,
+    Damping, ElpPolicy, EpochOutcome, InstallPolicy, Journal, ReliableSouthbound, Snapshot,
+    Southbound,
 };
 use tagger_topo::Topology;
 
@@ -28,46 +31,6 @@ impl FabricId {
     /// The id as a usize index.
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-}
-
-/// Which damping policy a fabric batches its ingest queue with.
-///
-/// A plain enum (rather than a boxed trait object in the spec) keeps
-/// `FabricSpec` clonable and comparable; the fabric materializes the
-/// actual [`DampingPolicy`] at registration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Damping {
-    /// Every event stages its own epoch.
-    None,
-    /// Maximal same-link runs collapse into one recompute (the default).
-    Flap,
-    /// Flap damping with a per-batch event ceiling.
-    FlapCapped(usize),
-}
-
-impl Damping {
-    /// Parses the CLI syntax: `none`, `flap`, or `flap:N` (cap N ≥ 1).
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        match spec {
-            "none" => Ok(Damping::None),
-            "flap" => Ok(Damping::Flap),
-            _ => match spec.strip_prefix("flap:").map(str::parse) {
-                Some(Ok(n)) if n >= 1 => Ok(Damping::FlapCapped(n)),
-                _ => Err(format!(
-                    "damping {spec:?} is not none | flap | flap:N (N >= 1)"
-                )),
-            },
-        }
-    }
-
-    /// Materializes the policy.
-    pub fn policy(self) -> Box<dyn DampingPolicy> {
-        match self {
-            Damping::None => Box::new(NoDamping),
-            Damping::Flap => Box::new(FlapDamping),
-            Damping::FlapCapped(n) => Box::new(tagger_ctrl::CappedFlapDamping::new(n)),
-        }
     }
 }
 
@@ -179,19 +142,14 @@ pub struct Fabric {
     ctrl: Controller,
     southbound: FabricSouthbound,
     journal: Journal,
-    journal_path: PathBuf,
     audit: AuditBridge,
-    damping: Box<dyn DampingPolicy>,
     install: InstallPolicy,
     queue: VecDeque<CtrlEvent>,
     queue_cap: usize,
-    // Counters. `outcomes` drives the checkpoint cadence.
     ingested: u64,
     queue_rejections: u64,
-    batches: u64,
     commits: u64,
     rollbacks: u64,
-    outcomes: u64,
     epoch_latencies_us: Vec<u64>,
 }
 
@@ -212,7 +170,7 @@ impl Fabric {
             None => FabricSouthbound::Reliable(ReliableSouthbound::new()),
         };
         southbound.as_dyn().bootstrap(&ctrl.committed().rules);
-        let journal = Journal::create(&journal_path).map_err(FleetError::Journal)?;
+        let journal = Journal::create(journal_path)?.checkpoint_every(spec.checkpoint_every);
         let mut audit = AuditBridge {
             auditor: Auditor::new(spec.topo.clone()),
             violations: 0,
@@ -222,25 +180,20 @@ impl Fabric {
         if !report.is_certified() {
             audit.violations += 1;
         }
-        let damping = spec.damping.policy();
         Ok(Fabric {
             id,
             spec,
             ctrl,
             southbound,
             journal,
-            journal_path,
             audit,
-            damping,
             install,
             queue: VecDeque::new(),
             queue_cap,
             ingested: 0,
             queue_rejections: 0,
-            batches: 0,
             commits: 0,
             rollbacks: 0,
-            outcomes: 0,
             epoch_latencies_us: Vec::new(),
         })
     }
@@ -273,7 +226,7 @@ impl Fabric {
 
     /// Where this fabric journals.
     pub fn journal_path(&self) -> &Path {
-        &self.journal_path
+        self.journal.path()
     }
 
     /// Independent-audit violations observed so far (0 on a healthy
@@ -318,9 +271,9 @@ impl Fabric {
         self.queue_rejections
     }
 
-    /// Batches staged so far.
+    /// Batches staged so far: each one committed or rolled back.
     pub fn batches(&self) -> u64 {
-        self.batches
+        self.commits + self.rollbacks
     }
 
     /// Epochs committed so far (excluding the bootstrap epoch 0).
@@ -408,61 +361,34 @@ impl Fabric {
         hold_last: bool,
     ) -> Result<Vec<EpochOutcome>, FleetError> {
         let mut outcomes = Vec::new();
-        if max_batches == 0 || self.queue.is_empty() {
-            return Ok(outcomes);
-        }
         let events = self.queue.make_contiguous();
-        let ranges = self.damping.split(events);
+        let ranges = self.spec.damping.split(events);
         let settled = if hold_last {
             ranges.len().saturating_sub(1)
         } else {
             ranges.len()
         };
-        let take = settled.min(max_batches);
-        let mut consumed = 0;
-        let mut batches: Vec<Vec<CtrlEvent>> = Vec::with_capacity(take);
-        for range in &ranges[..take] {
-            batches.push(events[range.clone()].to_vec());
-            consumed = range.end;
-        }
-        self.queue.drain(..consumed);
+        let taken = &ranges[..settled.min(max_batches)];
+        let Some(last) = taken.last() else {
+            return Ok(outcomes);
+        };
+        let drained: Vec<CtrlEvent> = self.queue.drain(..last.end).collect();
 
-        for batch in batches {
-            for event in &batch {
-                self.journal
-                    .record_event(self.ctrl.topo(), event)
-                    .map_err(FleetError::Journal)?;
-            }
-            let outcome = self
-                .ctrl
-                .handle_batch_via(&batch, self.southbound.as_dyn(), &self.install)
-                .map_err(FleetError::Ctrl)?;
-            // The fabric ran the damping itself, so it keeps the
-            // controller's damping metric truthful: a k-event damped
-            // batch absorbed k-1 recomputes.
-            self.ctrl.bump_flaps_damped(batch.len() as u64 - 1);
-            self.journal
-                .record_outcome(&outcome, batch.len())
-                .map_err(FleetError::Journal)?;
-            self.batches += 1;
-            self.outcomes += 1;
+        for range in taken {
+            let outcome = self.journal.step(
+                &mut self.ctrl,
+                &drained[range.clone()],
+                self.southbound.as_dyn(),
+                &self.install,
+                Some(&mut self.audit),
+            )?;
             match &outcome {
                 EpochOutcome::Committed(report) => {
                     self.commits += 1;
                     self.epoch_latencies_us
                         .push(report.recompute.as_micros() as u64);
-                    let topo = self.ctrl.topo().clone();
-                    let observer: &mut dyn CommitObserver = &mut self.audit;
-                    observer.on_commit(&topo, self.ctrl.committed(), report);
                 }
                 EpochOutcome::RolledBack { .. } => self.rollbacks += 1,
-            }
-            if self.spec.checkpoint_every > 0
-                && self.outcomes.is_multiple_of(self.spec.checkpoint_every)
-            {
-                self.journal
-                    .checkpoint(&mut self.ctrl)
-                    .map_err(FleetError::Journal)?;
             }
             outcomes.push(outcome);
         }
@@ -484,7 +410,7 @@ impl Fabric {
     /// unprocessed tail. Returns `(recoverable, quarantine_consistent)`.
     pub fn verify_recovery(&self) -> (bool, bool) {
         let rec = match recover(
-            &self.journal_path,
+            self.journal.path(),
             self.ctrl.topo().clone(),
             self.spec.policy,
             self.spec.tcam_budget,

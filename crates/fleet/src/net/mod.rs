@@ -26,6 +26,7 @@ pub mod client;
 pub mod server;
 pub mod wire;
 
+pub use crate::registry::chaos_for;
 pub use chaos::{ChaosStats, ChaosTransport, NetChaosConfig};
 pub use client::{send_lines, ClientConfig, DeliveryReport, Rejection};
-pub use server::{chaos_for, ServeConfig, Server, ServerStats, ShutdownOutcome};
+pub use server::{ServeConfig, Server, ServerStats, ShutdownOutcome};

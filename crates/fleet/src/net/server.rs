@@ -34,7 +34,7 @@
 //! accepted is ever dropped.
 
 use crate::error::FleetError;
-use crate::fabric::{Damping, FabricSpec};
+use crate::fabric::FabricSpec;
 use crate::registry::{Fleet, FleetConfig};
 use crate::report::FleetReport;
 
@@ -47,7 +47,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use tagger_ctrl::ChaosConfig;
+use tagger_ctrl::{ChaosConfig, Damping};
 use tagger_topo::Topology;
 
 /// Everything the ingest front needs to run.
@@ -77,8 +77,9 @@ pub struct ServeConfig {
     pub retry_after_ms: u32,
     /// Damping policy for auto-registered fabrics.
     pub damping: Damping,
-    /// Southbound chaos schedule for auto-registered fabrics (per-fabric
-    /// seed offset, like the in-process daemon); `None` = reliable.
+    /// Southbound chaos schedule for auto-registered fabrics, re-seeded
+    /// per fabric name ([`chaos_for`](crate::chaos_for)); `None` =
+    /// reliable.
     pub chaos: Option<ChaosConfig>,
     /// Topology template for auto-registered fabrics.
     pub topo: Topology,
@@ -129,6 +130,8 @@ pub struct ServerStats {
 
 struct Shared {
     cfg: ServeConfig,
+    /// What a fabric is registered from on first mention.
+    template: FabricSpec,
     fleet: Mutex<Fleet>,
     /// client id → next expected event seq (everything below it is
     /// applied).
@@ -172,7 +175,10 @@ impl Server {
         let mut fleet_cfg = FleetConfig::new(&cfg.dir);
         fleet_cfg.queue_cap = cfg.queue_cap;
         fleet_cfg.drain_quantum = cfg.drain_quantum;
+        let mut template = FabricSpec::new("", cfg.topo.clone()).with_damping(cfg.damping);
+        template.chaos = cfg.chaos;
         let shared = Arc::new(Shared {
+            template,
             fleet: Mutex::new(Fleet::new(fleet_cfg)),
             clients: Mutex::new(BTreeMap::new()),
             stats: ServerStats::default(),
@@ -304,24 +310,6 @@ impl Drop for Server {
     }
 }
 
-/// Derives a fabric's southbound chaos schedule from the serve-wide
-/// base config and the fabric's *name* (FNV-1a over the name, XORed
-/// into the seed). Registration order depends on which client connects
-/// first, so it must never pick a fabric's fault schedule — a solo
-/// replay with the same derivation reproduces the same faults, which is
-/// what keeps networked journals byte-identical to in-process ones.
-pub fn chaos_for(base: &ChaosConfig, fabric: &str) -> ChaosConfig {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in fabric.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    ChaosConfig {
-        seed: base.seed ^ h,
-        ..*base
-    }
-}
-
 /// Per-connection session state.
 struct Session {
     /// Set by `Hello`; events before it are rejected.
@@ -442,6 +430,14 @@ fn poisoned() -> Msg {
     }
 }
 
+/// The committed epoch of the fabric a stream line names (0 when the
+/// line names none the fleet hosts) — what an `Ok` reply reports.
+fn committed_epoch(fleet: &Fleet, line: &str) -> u64 {
+    line.split_once(':')
+        .and_then(|(fabric, _)| fleet.fabric(fabric.trim()).ok())
+        .map_or(0, |f| f.controller().committed().epoch)
+}
+
 fn handle_event(shared: &Arc<Shared>, session: &mut Session, seq: u64, line: &str) -> Msg {
     let Some(client) = session.client else {
         shared.stats.rejects.fetch_add(1, Ordering::Relaxed);
@@ -494,16 +490,9 @@ fn handle_event(shared: &Arc<Shared>, session: &mut Session, seq: u64, line: &st
             .stats
             .duplicates_dropped
             .fetch_add(1, Ordering::Relaxed);
-        let epoch = line
-            .split_once(':')
-            .and_then(|(fabric, _)| {
-                fleet
-                    .fabric(fabric.trim())
-                    .ok()
-                    .map(|f| f.controller().committed().epoch)
-            })
-            .unwrap_or(0);
-        return Msg::Ok { epoch };
+        return Msg::Ok {
+            epoch: committed_epoch(&fleet, line),
+        };
     }
     if seq > expected {
         // A gap means an earlier event was lost in transit (torn frame,
@@ -513,45 +502,10 @@ fn handle_event(shared: &Arc<Shared>, session: &mut Session, seq: u64, line: &st
         return Msg::Rewind { expected };
     }
 
-    let Some((fabric, rest)) = line.split_once(':') else {
-        // Permanently malformed: consume the seq or the client would
-        // ping-pong between Reject here and Rewind on its next event.
-        clients.insert(client, expected + 1);
-        shared.stats.rejects.fetch_add(1, Ordering::Relaxed);
-        return Msg::Reject {
-            line: 0,
-            col: 0,
-            len: 0,
-            reason: "want '<fabric>: <trace-line>'".into(),
-        };
-    };
-    let fabric = fabric.trim();
-
-    // Register on first mention, like the in-process daemon.
-    if fleet.fabric(fabric).is_err() {
-        let mut spec =
-            FabricSpec::new(fabric, shared.cfg.topo.clone()).with_damping(shared.cfg.damping);
-        if let Some(base) = shared.cfg.chaos {
-            spec = spec.with_chaos(chaos_for(&base, fabric));
-        }
-        if let Err(e) = fleet.register(spec) {
-            clients.insert(client, expected + 1);
-            shared.stats.rejects.fetch_add(1, Ordering::Relaxed);
-            return Msg::Reject {
-                line: 0,
-                col: 0,
-                len: 0,
-                reason: format!("cannot register fabric {fabric:?}: {e}"),
-            };
-        }
-    }
-
-    match fleet.ingest_line(fabric, rest.trim()) {
+    // Registers the fabric on first mention, like every stream front.
+    match fleet.ingest_stream_line(&shared.template, line) {
         Ok(_) => {
-            let epoch = fleet
-                .fabric(fabric)
-                .map(|f| f.controller().committed().epoch)
-                .unwrap_or(0);
+            let epoch = committed_epoch(&fleet, line);
             clients.insert(client, expected + 1);
             session.used += 1;
             shared.stats.events_applied.fetch_add(1, Ordering::Relaxed);
@@ -574,9 +528,11 @@ fn handle_event(shared: &Arc<Shared>, session: &mut Session, seq: u64, line: &st
             }
         }
         Err(e) => {
-            // Permanent refusal: consume the seq (the client must not
-            // retry a line the fabric can never parse) and carry the
-            // span so the operator sees where.
+            // Permanent refusal — no `<fabric>:`, a fabric that cannot
+            // register, a line its topology cannot parse: consume the
+            // seq (the client must not retry it, or it would ping-pong
+            // between Reject here and Rewind on its next event) and
+            // carry the span so the operator sees where.
             shared.stats.rejects.fetch_add(1, Ordering::Relaxed);
             let (sl, sc, sn) = match &e {
                 FleetError::Trace(t) => (t.span.line as u32, t.span.col as u32, t.span.len as u32),

@@ -6,7 +6,7 @@ use crate::fabric::{Fabric, FabricId, FabricSpec};
 use crate::report::{FabricStatus, FleetReport};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use tagger_ctrl::{parse_trace, CtrlEvent, EpochOutcome, InstallPolicy};
+use tagger_ctrl::{parse_trace, ChaosConfig, CtrlEvent, EpochOutcome, InstallPolicy};
 
 /// Fleet-wide knobs, applied to every fabric at registration.
 #[derive(Clone, Debug)]
@@ -54,6 +54,28 @@ fn sanitize(name: &str) -> String {
             }
         })
         .collect()
+}
+
+/// FNV-1a, 64-bit: the name hash behind [`chaos_for`] and the journal
+/// fingerprint the ingest drill prints.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Derives a fabric's southbound chaos schedule from a fleet-wide base
+/// config and the fabric's *name* ([`fnv64`] of it, XORed into the
+/// seed). Registration order depends on which line or which client
+/// arrives first, so it must never pick a fabric's fault schedule — any
+/// replay of the same per-fabric streams then reproduces the same
+/// faults, which is what keeps networked journals byte-identical to
+/// in-process ones.
+pub fn chaos_for(base: &ChaosConfig, fabric: &str) -> ChaosConfig {
+    ChaosConfig {
+        seed: base.seed ^ fnv64(fabric.as_bytes()),
+        ..*base
+    }
 }
 
 /// N independent fabrics behind one process: registration (with journal
@@ -200,18 +222,39 @@ impl Fleet {
         Ok(n)
     }
 
+    /// Accepts one `<fabric>: <trace-line>` stream line, registering the
+    /// fabric on first mention: `template` with the fabric's name, and
+    /// its chaos schedule (if any) re-seeded by [`chaos_for`]. Every
+    /// stream front — `tagger-fleetd ingest`, the network server, the
+    /// drills' solo replay — registers through here, so one stream means
+    /// one set of fabrics whichever front carried it. Capacity handling
+    /// is [`Fleet::ingest_line`]'s.
+    pub fn ingest_stream_line(
+        &mut self,
+        template: &FabricSpec,
+        line: &str,
+    ) -> Result<usize, FleetError> {
+        let (fabric, rest) = line
+            .split_once(':')
+            .ok_or_else(|| FleetError::Protocol("want '<fabric>: <trace-line>'".into()))?;
+        let fabric = fabric.trim();
+        if !self.by_name.contains_key(fabric) {
+            self.register(FabricSpec {
+                name: fabric.to_string(),
+                chaos: template.chaos.map(|base| chaos_for(&base, fabric)),
+                ..template.clone()
+            })?;
+        }
+        self.ingest_line(fabric, rest.trim())
+    }
+
     /// One fair drain cycle: every fabric, in id order, processes up to
     /// [`FleetConfig::drain_quantum`] damped batches from its own queue.
     /// Returns the total batches processed. A fabric with a million
     /// queued flaps gets exactly the same turn as one with a single
     /// event — the starvation bound the ingest front promises.
     pub fn drain_cycle(&mut self) -> Result<u64, FleetError> {
-        let quantum = self.cfg.drain_quantum.max(1);
-        let mut processed = 0u64;
-        for fabric in &mut self.fabrics {
-            processed += fabric.drain(quantum)?.len() as u64;
-        }
-        Ok(processed)
+        self.cycle(Fabric::drain)
     }
 
     /// Like [`Fleet::drain_cycle`], but every fabric holds back its
@@ -221,10 +264,17 @@ impl Fleet {
     /// depend only on the event stream, never on where drain ticks land
     /// relative to arrivals. See [`Fabric::drain_settled`].
     pub fn drain_cycle_settled(&mut self) -> Result<u64, FleetError> {
+        self.cycle(Fabric::drain_settled)
+    }
+
+    fn cycle(
+        &mut self,
+        drain: fn(&mut Fabric, usize) -> Result<Vec<EpochOutcome>, FleetError>,
+    ) -> Result<u64, FleetError> {
         let quantum = self.cfg.drain_quantum.max(1);
         let mut processed = 0u64;
         for fabric in &mut self.fabrics {
-            processed += fabric.drain_settled(quantum)?.len() as u64;
+            processed += drain(fabric, quantum)?.len() as u64;
         }
         Ok(processed)
     }

@@ -23,13 +23,13 @@
 //! a seed — CI pins one and diffs.
 
 use crate::error::FleetError;
-use crate::fabric::{Damping, FabricSpec};
+use crate::fabric::FabricSpec;
 use crate::registry::{Fleet, FleetConfig};
 use crate::report::FleetReport;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use std::fmt::Write as _;
-use std::path::PathBuf;
-use tagger_ctrl::{ChaosConfig, CtrlEvent};
+use std::path::{Path, PathBuf};
+use tagger_ctrl::{ChaosConfig, CtrlEvent, Damping};
 use tagger_topo::{ClosConfig, Topology};
 
 /// Soak drill parameters.
@@ -185,7 +185,7 @@ pub struct SoakOutcome {
 
 /// Derives fabric `i`'s private seed from the master seed
 /// (SplitMix64-style, so neighbouring fabrics get unrelated streams).
-fn fabric_seed(master: u64, i: u64) -> u64 {
+pub fn fabric_seed(master: u64, i: u64) -> u64 {
     let mut z = master.wrapping_add(i.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -205,6 +205,36 @@ pub fn soak_schedule(topo: &Topology, seed: u64, events: usize) -> Vec<CtrlEvent
     let baseline = tagger_scenario::schedule::by_name("baseline")
         .expect("scenario schedule library always ships a baseline mix");
     tagger_scenario::schedule::events(baseline, topo, seed, events)
+}
+
+/// One fabric's seeded schedule as `<fabric>: <trace-line>` stream lines,
+/// drawn from the scenario mix library (mix `mix_index`, cycling) exactly
+/// like [`run_soak`] draws its schedules — what the network drills send.
+pub fn fabric_lines(
+    topo: &Topology,
+    name: &str,
+    seed: u64,
+    mix_index: usize,
+    events: usize,
+) -> Vec<String> {
+    let mixes = tagger_scenario::schedule::library();
+    let mix = &mixes[mix_index % mixes.len()];
+    tagger_scenario::schedule::events(mix, topo, seed, events)
+        .iter()
+        .map(|e| format!("{name}: {}", e.trace_line(topo)))
+        .collect()
+}
+
+/// Replays stream lines through a solo in-process fleet rooted at `dir`
+/// (default caps, fabrics registered from `template` on first mention,
+/// one drain at the end) — the baseline the network drills compare
+/// journals against, byte for byte.
+pub fn solo_replay(dir: &Path, template: &FabricSpec, lines: &[String]) -> Result<(), FleetError> {
+    let mut fleet = Fleet::new(FleetConfig::new(dir));
+    for line in lines {
+        fleet.ingest_stream_line(template, line)?;
+    }
+    fleet.drain_all().map(|_| ())
 }
 
 /// Runs the drill: registers `cfg.fabrics` fabrics (each with a derived

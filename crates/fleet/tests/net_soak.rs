@@ -8,12 +8,12 @@
 
 use std::path::PathBuf;
 use std::time::Duration;
-use tagger_ctrl::{ChaosConfig, CtrlEvent};
+use tagger_ctrl::ChaosConfig;
 use tagger_fleet::net::{
-    chaos_for, send_lines, ChaosTransport, ClientConfig, NetChaosConfig, ServeConfig, Server,
+    send_lines, ChaosTransport, ClientConfig, NetChaosConfig, ServeConfig, Server,
 };
-use tagger_fleet::{Damping, FabricSpec, Fleet, FleetConfig};
-use tagger_topo::{ClosConfig, Topology};
+use tagger_fleet::{fabric_lines, fabric_seed, solo_replay, FabricSpec, Fleet, FleetConfig};
+use tagger_topo::ClosConfig;
 
 const SOAK_SEED: u64 = 0xC0FFEE;
 const FABRICS: usize = 8;
@@ -21,53 +21,6 @@ const EVENTS_PER_FABRIC: usize = 24;
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("tagger-netsoak-{}-{name}", std::process::id()))
-}
-
-/// SplitMix64 — the same per-fabric seed derivation idiom the in-process
-/// soak uses, reproduced here so the test pins its own streams.
-fn fabric_seed(master: u64, i: u64) -> u64 {
-    let mut z = master.wrapping_add(i.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// One fabric's schedule as `<fabric>: <trace-line>` wire lines, drawn
-/// from the scenario mix library exactly like the in-process soak.
-fn fabric_lines(topo: &Topology, name: &str, seed: u64, mix_index: usize) -> Vec<String> {
-    let mixes = tagger_scenario::schedule::library();
-    let mix = &mixes[mix_index % mixes.len()];
-    tagger_scenario::schedule::events(mix, topo, seed, EVENTS_PER_FABRIC)
-        .iter()
-        .map(|e: &CtrlEvent| format!("{name}: {}", e.trace_line(topo)))
-        .collect()
-}
-
-/// Replays every fabric's lines through an in-process fleet configured
-/// identically to the server (same caps, same damping, same name-derived
-/// chaos seeds) — the byte-equality baseline.
-fn solo_replay(dir: &PathBuf, topo: &Topology, base_chaos: &ChaosConfig, lines: &[Vec<String>]) {
-    let mut cfg = FleetConfig::new(dir);
-    cfg.queue_cap = 1024;
-    cfg.drain_quantum = 4;
-    let mut fleet = Fleet::new(cfg);
-    for (i, fabric_lines) in lines.iter().enumerate() {
-        let name = format!("net-{i}");
-        fleet
-            .register(
-                FabricSpec::new(&name, topo.clone())
-                    .with_damping(Damping::Flap)
-                    .with_chaos(chaos_for(base_chaos, &name)),
-            )
-            .expect("solo registration");
-        for line in fabric_lines {
-            let (_, rest) = line.split_once(':').expect("well-formed line");
-            fleet
-                .ingest_line(&name, rest.trim())
-                .expect("solo ingest within cap");
-        }
-    }
-    fleet.drain_all().expect("solo drain");
 }
 
 #[test]
@@ -86,6 +39,7 @@ fn chaos_proxy_loopback_soak_matches_solo_replay() {
                 &format!("net-{i}"),
                 fabric_seed(SOAK_SEED, i as u64),
                 i,
+                EVENTS_PER_FABRIC,
             )
         })
         .collect();
@@ -174,7 +128,8 @@ fn chaos_proxy_loopback_soak_matches_solo_replay() {
     }
 
     // The decisive assertion: journals byte-identical to solo replay.
-    solo_replay(&dir_solo, &topo, &base_chaos, &lines);
+    let template = FabricSpec::new("", topo).with_chaos(base_chaos);
+    solo_replay(&dir_solo, &template, &lines.concat()).expect("solo replay");
     for i in 0..FABRICS {
         let name = format!("net-{i}.journal");
         let networked = std::fs::read(dir_net.join(&name)).expect("networked journal");
@@ -258,4 +213,74 @@ fn backpressure_is_graceful_and_starves_nobody() {
     assert_eq!(cold_status.queued, 0);
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One stream, three fronts: the lines `tagger-fleetd ingest` style
+/// (in-process, drained as the stream arrives), through `Server` +
+/// `send_lines`, and through the drills' `solo_replay`. All three
+/// register fabrics on first mention through `Fleet::ingest_stream_line`
+/// — chaos seeded by fabric *name*, never by registration order — so
+/// the journals must come out byte-identical.
+#[test]
+fn one_stream_leaves_the_same_journals_in_process_and_over_the_wire() {
+    let dirs = ["stream-inproc", "stream-net", "stream-solo"].map(tmp);
+    for dir in &dirs {
+        std::fs::remove_dir_all(dir).ok();
+    }
+    let topo = ClosConfig::small().build();
+    let chaos = ChaosConfig::new(9, 0.3);
+    let template = FabricSpec::new("", topo.clone()).with_chaos(chaos);
+    // "beta" is mentioned second here but would register first under
+    // any other interleaving of the same per-fabric streams.
+    let stream: Vec<String> = [
+        "alpha: down L1 T1",
+        "beta: flap L2 T2 2",
+        "alpha: resync",
+        "beta: down L3 T3",
+        "alpha: up L1 T1",
+        "beta: watchdog L1 0 2",
+        "beta: up L3 T3",
+        "alpha: resync",
+    ]
+    .map(String::from)
+    .to_vec();
+
+    let mut fleet = Fleet::new(FleetConfig::new(&dirs[0]));
+    for (i, line) in stream.iter().enumerate() {
+        fleet
+            .ingest_stream_line(&template, line)
+            .expect("in-process ingest");
+        if i % 3 == 2 {
+            fleet.drain_cycle_settled().expect("settled drain");
+        }
+    }
+    fleet.drain_all().expect("in-process drain");
+
+    let mut serve = ServeConfig::new(&dirs[1], topo);
+    serve.chaos = Some(chaos);
+    let server = Server::start("127.0.0.1:0", serve).expect("server start");
+    let report =
+        send_lines(&ClientConfig::new(server.addr().to_string(), 1), &stream).expect("delivery");
+    assert_eq!(report.delivered, stream.len() as u64);
+    let outcome = server.shutdown().expect("graceful shutdown");
+    assert!(outcome.report.healthy(), "{}", outcome.report.render());
+
+    // Reversed interleaving of the fabrics: registration order flips.
+    let reversed: Vec<String> = ["beta", "alpha"]
+        .iter()
+        .flat_map(|f| stream.iter().filter(move |l| l.starts_with(f)).cloned())
+        .collect();
+    solo_replay(&dirs[2], &template, &reversed).expect("solo replay");
+
+    for name in ["alpha.journal", "beta.journal"] {
+        let inproc = std::fs::read(dirs[0].join(name)).expect("in-process journal");
+        assert!(inproc.len() > 60, "{name} journaled nothing");
+        for dir in &dirs[1..] {
+            let other = std::fs::read(dir.join(name)).expect("journal");
+            assert_eq!(inproc, other, "{name} differs under {}", dir.display());
+        }
+    }
+    for dir in &dirs {
+        std::fs::remove_dir_all(dir).ok();
+    }
 }

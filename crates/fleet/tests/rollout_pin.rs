@@ -42,12 +42,13 @@ fn drive_and_one_fabric_fleet_leave_identical_journals_and_counters() {
     southbound.bootstrap(&ctrl.committed().rules);
     let report = Journal::create(&solo_path)
         .expect("solo journal")
+        .checkpoint_every(CHECKPOINT_EVERY)
         .drive(
             &mut ctrl,
             &events,
             &mut southbound,
             &InstallPolicy::default(),
-            CHECKPOINT_EVERY,
+            None,
             None,
         )
         .expect("solo drive");
@@ -68,7 +69,10 @@ fn drive_and_one_fabric_fleet_leave_identical_journals_and_counters() {
     let solo = std::fs::read_to_string(&solo_path).expect("solo journal bytes");
     let fleet_bytes = std::fs::read_to_string(fabric.journal_path()).expect("fleet journal bytes");
     assert_eq!(solo, fleet_bytes, "the two drivers journal differently");
-    assert_eq!(solo, GOLDEN, "journal differs from results/ctrld_chaos.journal");
+    assert_eq!(
+        solo, GOLDEN,
+        "journal differs from results/ctrld_chaos.journal"
+    );
     assert_eq!(
         counters(ctrl.metrics()),
         counters(fabric.controller().metrics()),

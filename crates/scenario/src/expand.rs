@@ -396,6 +396,31 @@ enum Resolved {
     Mask(NodeId, tagger_topo::PortId),
 }
 
+/// One link transition through the controller, when the scenario has
+/// one: behind the chaos southbound if there is one (`reconverge` then
+/// ships whatever tables the fleet holds), otherwise plan-only with the
+/// committed deltas held back for `reconverge`.
+fn controller_reacts(
+    controller: &mut Option<tagger_ctrl::Controller>,
+    chaos_sb: &mut Option<tagger_ctrl::ChaosSouthbound>,
+    event: &tagger_ctrl::CtrlEvent,
+    pending_deltas: &mut Vec<tagger_core::RuleDelta>,
+) -> Result<(), ExpandError> {
+    let Some(ctrl) = controller else {
+        return Ok(());
+    };
+    let batch = std::slice::from_ref(event);
+    let outcome = match chaos_sb {
+        Some(sb) => ctrl.handle_batch_via(batch, sb, &tagger_ctrl::InstallPolicy::default()),
+        None => ctrl.handle_batch(batch),
+    }
+    .map_err(|e| err(format!("controller: {e}")))?;
+    if let (None, Some(report)) = (chaos_sb, outcome.committed()) {
+        pending_deltas.extend(report.deltas.iter().cloned());
+    }
+    Ok(())
+}
+
 #[allow(clippy::too_many_arguments)]
 fn schedule_events(
     s: &Scenario,
@@ -528,48 +553,14 @@ fn schedule_events(
                 // Pre-reconvergence: stale routes with local detours —
                 // the paper's §3.2 transient window.
                 sim.at(t, Action::ReplaceFib(Fib::local_reroute(topo, &failures)));
-                if let Some(ctrl) = controller.as_mut() {
-                    let outcome = match chaos_sb.as_mut() {
-                        Some(sb) => ctrl
-                            .handle_via(
-                                &tagger_ctrl::CtrlEvent::LinkDown(l),
-                                sb,
-                                &tagger_ctrl::InstallPolicy::default(),
-                            )
-                            .map_err(|e| err(format!("controller: {e}")))?,
-                        None => ctrl
-                            .handle(&tagger_ctrl::CtrlEvent::LinkDown(l))
-                            .map_err(|e| err(format!("controller: {e}")))?,
-                    };
-                    if chaos_sb.is_none() {
-                        if let Some(report) = outcome.committed() {
-                            pending_deltas.extend(report.deltas.iter().cloned());
-                        }
-                    }
-                }
+                let down = tagger_ctrl::CtrlEvent::LinkDown(l);
+                controller_reacts(&mut controller, &mut chaos_sb, &down, &mut pending_deltas)?;
             }
             Resolved::Restore(l) => {
                 failures.restore(l);
                 sim.at(t, Action::RestoreLink { link: l });
-                if let Some(ctrl) = controller.as_mut() {
-                    let outcome = match chaos_sb.as_mut() {
-                        Some(sb) => ctrl
-                            .handle_via(
-                                &tagger_ctrl::CtrlEvent::LinkUp(l),
-                                sb,
-                                &tagger_ctrl::InstallPolicy::default(),
-                            )
-                            .map_err(|e| err(format!("controller: {e}")))?,
-                        None => ctrl
-                            .handle(&tagger_ctrl::CtrlEvent::LinkUp(l))
-                            .map_err(|e| err(format!("controller: {e}")))?,
-                    };
-                    if chaos_sb.is_none() {
-                        if let Some(report) = outcome.committed() {
-                            pending_deltas.extend(report.deltas.iter().cloned());
-                        }
-                    }
-                }
+                let up = tagger_ctrl::CtrlEvent::LinkUp(l);
+                controller_reacts(&mut controller, &mut chaos_sb, &up, &mut pending_deltas)?;
             }
             Resolved::Reconverge => {
                 let mut fib = Fib::shortest_path(topo, &failures);

@@ -27,13 +27,17 @@
 //! mixed-epoch). Consecutive events on the same link are flap-damped
 //! into one recompute.
 //!
-//! With `--journal` every event is write-ahead journaled and a snapshot
-//! checkpoint is taken every `--checkpoint-every` outcomes (default 4).
+//! Every batch goes through `Journal::step`. With `--journal` that
+//! write-ahead journals every event and takes a snapshot checkpoint
+//! every `--checkpoint-every` outcomes (default 4); without it the same
+//! step runs on a detached journal that keeps nothing.
 //! `--crash-after N` runs the crash-recovery drill: the controller
 //! "crashes" after N epochs (mid-epoch — the next batch is journaled
 //! but unprocessed), is rebuilt from the journal, and the drill verifies
 //! the recovered committed tables are byte-for-byte the crashed
-//! controller's before reconciling the fleet and finishing the trace.
+//! controller's before reconciling the fleet, reopening the journal and
+//! finishing the trace through it — the finished journal is the one an
+//! uninterrupted run writes.
 //!
 //! `--watchdog WINDOW_US` runs the data-plane safety-net drill instead
 //! of a trace replay: the embedded corrupted tables from
@@ -63,45 +67,15 @@
 use std::process::ExitCode;
 
 use tagger::audit::{checkpoint, Auditor};
-use tagger::cli::{clos_config, get, get_opt, parse_args, Flags};
+use tagger::cli::{clos_config, get, get_opt, parse_args};
 use tagger::ctrl::{
-    coalesce_flaps, parse_trace, recover, ChaosConfig, ChaosSouthbound, CommitObserver,
-    CommitReport, Controller, CtrlEvent, ElpPolicy, EpochOutcome, InstallPolicy, Journal,
-    NoopObserver, ReliableSouthbound, Snapshot, Southbound,
+    parse_trace, recover, ChaosConfig, ChaosSouthbound, CommitObserver, CommitReport, Controller,
+    CtrlEvent, Damping, DriveReport, ElpPolicy, EpochOutcome, InstallPolicy, Journal,
+    ReliableSouthbound, Snapshot, Southbound,
 };
-use tagger::topo::{ClosConfig, Topology};
+use tagger::topo::Topology;
 
-/// The trace file (if any), the flags, and what the fabric flags build.
-type Setup = (Option<String>, Flags, ClosConfig, ElpPolicy, Option<usize>);
-
-fn setup(args: &[String]) -> Result<Setup, String> {
-    let (mut positional, flags) = parse_args(
-        args,
-        &[
-            "pods",
-            "leaves",
-            "tors",
-            "spines",
-            "hosts",
-            "bounces",
-            "tcam-budget",
-            "chaos",
-            "journal",
-            "checkpoint-every",
-            "crash-after",
-            "export-checkpoint",
-            "watchdog",
-            "watchdog-policy",
-        ],
-        &["verbose", "audit"],
-    )?;
-    let config = clos_config(&flags)?;
-    let policy = ElpPolicy::with_bounces(get(&flags, "bounces", 1)?);
-    let budget = get_opt(&flags, "tcam-budget")?;
-    Ok((positional.pop(), flags, config, policy, budget))
-}
-
-fn batch_label(batch: &[&CtrlEvent]) -> String {
+fn batch_label(batch: &[CtrlEvent]) -> String {
     if batch.len() == 1 {
         batch[0].label().to_string()
     } else {
@@ -168,27 +142,6 @@ fn print_outcome(topo: &Topology, label: &str, outcome: &EpochOutcome, verbose: 
     }
 }
 
-/// Tallies the incremental-promise check over processed batches.
-fn tally(
-    batches: &[&[&CtrlEvent]],
-    outcomes: &[EpochOutcome],
-    single_link_commits: &mut usize,
-    incremental_wins: &mut usize,
-) {
-    for (batch, outcome) in batches.iter().zip(outcomes) {
-        let single_link =
-            batch.len() == 1 && matches!(batch[0], CtrlEvent::LinkDown(_) | CtrlEvent::LinkUp(_));
-        if let EpochOutcome::Committed(report) = outcome {
-            if single_link && !report.deltas.is_empty() {
-                *single_link_commits += 1;
-                if report.delta_ops() < report.full_reinstall_ops() {
-                    *incremental_wins += 1;
-                }
-            }
-        }
-    }
-}
-
 /// Runs the independent verifier over every committed epoch and keeps
 /// score. The controller never sees the auditor (the hook is the
 /// [`CommitObserver`] trait); violations only surface here, as prints
@@ -207,7 +160,6 @@ impl AuditObserver {
     }
 
     fn audit_epoch(&mut self, epoch: u64, rules: &tagger::core::RuleSet) {
-        let topo = self.auditor.topo().clone();
         let report = self.auditor.audit(epoch, rules);
         if report.is_certified() {
             let cert = report.certificate.as_ref().expect("certified");
@@ -217,7 +169,7 @@ impl AuditObserver {
             );
         } else {
             self.violations += 1;
-            print!("{}", report.render(&topo));
+            print!("{}", report.render(self.auditor.topo()));
         }
     }
 }
@@ -225,6 +177,112 @@ impl AuditObserver {
 impl CommitObserver for AuditObserver {
     fn on_commit(&mut self, _topo: &Topology, snapshot: &Snapshot, _report: &CommitReport) {
         self.audit_epoch(snapshot.epoch, &snapshot.rules);
+    }
+}
+
+/// The crash half of both drills. The crashed controller is dropped and
+/// rebuilt from the journal at `path`, which must reconverge byte for
+/// byte — tables, epoch, quarantines; the fleet is reconciled onto the
+/// recovered tables and the journal reopened. Returns the recovered
+/// controller, the journal to keep writing, and the events still to
+/// run: the journaled-but-unresolved tail (exactly the batch in flight
+/// at the crash), then `unreached`, what the crashed drive never saw.
+fn crash_and_recover(
+    indent: &str,
+    crashed: Controller,
+    path: &str,
+    checkpoint_every: u64,
+    budget: Option<usize>,
+    southbound: &mut dyn Southbound,
+    unreached: &[CtrlEvent],
+) -> Result<(Controller, Journal, Vec<CtrlEvent>), String> {
+    let rec = recover(path, crashed.topo().clone(), crashed.policy(), budget)
+        .map_err(|e| format!("recovery failed: {e}"))?;
+    let mut ctrl = rec.controller;
+    let (was, now) = (crashed.committed(), ctrl.committed());
+    if now.epoch != was.epoch
+        || now.rules != was.rules
+        || ctrl.state().quarantines != crashed.state().quarantines
+    {
+        return Err(format!(
+            "recovery diverged: epoch {} vs {} pre-crash, tables {}, quarantines {:?} vs {:?}",
+            now.epoch,
+            was.epoch,
+            if now.rules == was.rules {
+                "equal"
+            } else {
+                "DIFFER"
+            },
+            ctrl.state().quarantines,
+            crashed.state().quarantines,
+        ));
+    }
+    drop(crashed);
+    let repaired = ctrl.reconcile(southbound);
+    println!(
+        "{indent}recovered: {} event(s) replayed, committed tables byte-identical \
+         (epoch {}, {} quarantine(s)); reconcile repaired {repaired} switch(es); \
+         {} tail event(s)",
+        rec.replayed,
+        ctrl.committed().epoch,
+        ctrl.state().quarantines.len(),
+        rec.tail.len(),
+    );
+    let journal = Journal::open_append(path)
+        .map_err(|e| format!("cannot reopen journal {path}: {e}"))?
+        .checkpoint_every(checkpoint_every);
+    Ok((ctrl, journal, [rec.tail.as_slice(), unreached].concat()))
+}
+
+/// What outlives a crash: the fleet behind its southbound, the auditor,
+/// and the incremental-promise tally.
+struct Replay {
+    southbound: Box<dyn Southbound>,
+    audit: Option<AuditObserver>,
+    verbose: bool,
+    single_link_commits: usize,
+    incremental_wins: usize,
+}
+
+impl Replay {
+    /// Drives `events` through the journal, printing every outcome and
+    /// tallying which single-link commits beat a full reinstall.
+    fn leg(
+        &mut self,
+        journal: &mut Journal,
+        ctrl: &mut Controller,
+        events: &[CtrlEvent],
+        crash_after: Option<u64>,
+    ) -> Result<DriveReport, String> {
+        let report = journal
+            .drive(
+                ctrl,
+                events,
+                self.southbound.as_mut(),
+                &InstallPolicy::default(),
+                crash_after,
+                self.audit.as_mut().map(|a| a as &mut dyn CommitObserver),
+            )
+            .map_err(|e| format!("replay failed: {e}"))?;
+        for (range, outcome) in Damping::Flap
+            .split(events)
+            .into_iter()
+            .zip(&report.outcomes)
+        {
+            let batch = &events[range];
+            print_outcome(ctrl.topo(), &batch_label(batch), outcome, self.verbose);
+            if let ([CtrlEvent::LinkDown(_) | CtrlEvent::LinkUp(_)], Some(commit)) =
+                (batch, outcome.committed())
+            {
+                if !commit.deltas.is_empty() {
+                    self.single_link_commits += 1;
+                    if commit.delta_ops() < commit.full_reinstall_ops() {
+                        self.incremental_wins += 1;
+                    }
+                }
+            }
+        }
+        Ok(report)
     }
 }
 
@@ -360,48 +418,27 @@ fn watchdog_drill(
             .to_string_lossy()
             .into_owned()
     });
-    let mut journal =
-        Journal::create(&jpath).map_err(|e| format!("cannot create journal {jpath}: {e}"))?;
+    let mut journal = Journal::create(&jpath)
+        .map_err(|e| format!("cannot create journal {jpath}: {e}"))?
+        .checkpoint_every(1);
     let drive = journal
-        .drive(&mut ctrl, &events, &mut sb, &install, 1, Some(1))
+        .drive(&mut ctrl, &events, &mut sb, &install, Some(1), None)
         .map_err(|e| format!("journaled quarantine replay: {e}"))?;
-    let pre_quarantines = ctrl.state().quarantines.clone();
-    let pre_rules = ctrl.committed().rules.clone();
-    drop(ctrl);
     println!(
         "    -- crash after {} quarantine epoch(s); recovering from {jpath} --",
         drive.outcomes.len()
     );
-    let rec =
-        recover(&jpath, topo.clone(), policy_elp, None).map_err(|e| format!("recovery: {e}"))?;
-    let mut ctrl = rec.controller;
-    if ctrl.state().quarantines != pre_quarantines {
-        return Err(format!(
-            "recovery lost quarantines: {:?} vs pre-crash {:?}",
-            ctrl.state().quarantines,
-            pre_quarantines
-        ));
-    }
-    if ctrl.committed().rules != pre_rules {
-        return Err("recovered tables differ from the crashed controller's".into());
-    }
-    println!(
-        "    recovered: {} event(s) replayed, {} quarantine(s) intact",
-        rec.replayed,
-        pre_quarantines.len()
-    );
-    ctrl.reconcile(&mut sb);
-    // Finish the interrupted work: the in-flight batch the journal
-    // preserved, plus the quarantines that were never journaled
-    // (watchdog events are singleton batches, so batch i == event i).
-    let processed = drive.outcomes.len() + 1;
-    let remaining: Vec<CtrlEvent> = rec
-        .tail
-        .iter()
-        .cloned()
-        .chain(events.iter().skip(processed.min(events.len())).cloned())
-        .collect();
-    ctrl.replay_damped_via(remaining.iter(), &mut sb, &install)
+    let (mut ctrl, mut journal, remaining) = crash_and_recover(
+        "    ",
+        ctrl,
+        &jpath,
+        1,
+        None,
+        &mut sb,
+        &events[drive.consumed..],
+    )?;
+    journal
+        .drive(&mut ctrl, &remaining, &mut sb, &install, None, None)
         .map_err(|e| format!("post-recovery replay: {e}"))?;
     // Trip events sharing one attributed trigger dedupe into a single
     // quarantine of the trigger hop, so count distinct effective
@@ -449,104 +486,80 @@ fn watchdog_drill(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (trace_file, flags, config, policy, budget) = match setup(&args) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let topo = config.build();
-    let verbose = flags.contains_key("verbose");
+    run(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::FAILURE
+    })
+}
 
-    let chaos = match flags.get("chaos").map(|s| ChaosConfig::parse(s)) {
-        None => None,
-        Some(Ok(cfg)) => Some(cfg),
-        Some(Err(e)) => {
-            eprintln!("--chaos: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn run(args: &[String]) -> Result<ExitCode, String> {
+    let (mut positional, flags) = parse_args(
+        args,
+        &[
+            "pods",
+            "leaves",
+            "tors",
+            "spines",
+            "hosts",
+            "bounces",
+            "tcam-budget",
+            "chaos",
+            "journal",
+            "checkpoint-every",
+            "crash-after",
+            "export-checkpoint",
+            "watchdog",
+            "watchdog-policy",
+        ],
+        &["verbose", "audit"],
+    )?;
+    let trace_file = positional.pop();
+    let config = clos_config(&flags)?;
+    let policy = ElpPolicy::with_bounces(get(&flags, "bounces", 1)?);
+    let budget = get_opt(&flags, "tcam-budget")?;
+    let topo = config.build();
+
+    let chaos = flags
+        .get("chaos")
+        .map(|s| ChaosConfig::parse(s).map_err(|e| format!("--chaos: {e}")))
+        .transpose()?;
     let journal_path = flags.get("journal").cloned();
-    let (checkpoint_every, crash_after) = match (
-        get(&flags, "checkpoint-every", 4u64),
-        get_opt::<u64>(&flags, "crash-after"),
-    ) {
-        (Ok(every), Ok(after)) => (every, after),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let checkpoint_every = get(&flags, "checkpoint-every", 4u64)?;
+    let crash_after = get_opt::<u64>(&flags, "crash-after")?;
     if crash_after.is_some() && journal_path.is_none() {
-        eprintln!("--crash-after needs --journal (recovery replays the journal)");
-        return ExitCode::FAILURE;
+        return Err("--crash-after needs --journal (recovery replays the journal)".into());
     }
     if let Some(w) = flags.get("watchdog") {
-        let window_us: u64 = match w.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--watchdog wants a window in microseconds, got {w:?}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let window_us: u64 = w
+            .parse()
+            .map_err(|_| format!("--watchdog wants a window in microseconds, got {w:?}"))?;
         let policy = match flags.get("watchdog-policy").map(|s| s.as_str()) {
             None | Some("demote") => tagger::switch::WatchdogPolicy::Demote,
             Some("drop") => tagger::switch::WatchdogPolicy::Drop,
             Some(other) => {
-                eprintln!("--watchdog-policy wants drop or demote, got {other:?}");
-                return ExitCode::FAILURE;
+                return Err(format!(
+                    "--watchdog-policy wants drop or demote, got {other:?}"
+                ));
             }
         };
-        return match watchdog_drill(window_us, policy, journal_path) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("watchdog drill FAILED: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        watchdog_drill(window_us, policy, journal_path)
+            .map_err(|e| format!("watchdog drill FAILED: {e}"))?;
+        return Ok(ExitCode::SUCCESS);
     }
     let mut audit: Option<AuditObserver> = flags
         .contains_key("audit")
         .then(|| AuditObserver::new(topo.clone()));
-    let mut noop = NoopObserver;
-    // Picks the live observer for a drive call without borrowing `audit`
-    // for longer than the call.
-    fn obs<'a>(
-        audit: &'a mut Option<AuditObserver>,
-        noop: &'a mut NoopObserver,
-    ) -> &'a mut dyn CommitObserver {
-        match audit.as_mut() {
-            Some(a) => a,
-            None => noop,
-        }
-    }
 
     let text = match &trace_file {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(path) => {
+            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?
+        }
         None => "down L1 T1\nup L1 T1\n".to_string(),
     };
-    let events = match parse_trace(&topo, &text) {
-        Ok(ev) => ev,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let events = parse_trace(&topo, &text).map_err(|e| e.to_string())?;
 
-    let mut ctrl = match Controller::with_budget(topo.clone(), policy, budget) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("bootstrap failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut ctrl = Controller::with_budget(topo.clone(), policy, budget)
+        .map_err(|e| format!("bootstrap failed: {e}"))?;
     let epoch0 = ctrl.committed();
     println!(
         "epoch 0 (bootstrap): {} switches, {} links, {} ELP paths -> {} rules, \
@@ -570,155 +583,46 @@ fn main() -> ExitCode {
         None => Box::new(ReliableSouthbound::new()),
     };
     southbound.bootstrap(&ctrl.committed().rules);
-    let install_policy = InstallPolicy::default();
 
-    let refs: Vec<&CtrlEvent> = events.iter().collect();
-    let batches = coalesce_flaps(&refs);
-    let mut single_link_commits = 0usize;
-    let mut incremental_wins = 0usize;
-    let mut failed = false;
-
-    if let Some(path) = &journal_path {
-        let mut journal = match Journal::create(path) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("cannot create journal {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let report = match journal.drive_observed(
-            &mut ctrl,
-            &events,
-            southbound.as_mut(),
-            &install_policy,
-            checkpoint_every,
-            crash_after,
-            obs(&mut audit, &mut noop),
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("journaled replay failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        for (batch, outcome) in batches.iter().zip(&report.outcomes) {
-            print_outcome(&topo, &batch_label(batch), outcome, verbose);
-        }
-        tally(
-            &batches,
-            &report.outcomes,
-            &mut single_link_commits,
-            &mut incremental_wins,
+    let mut replay = Replay {
+        southbound,
+        audit,
+        verbose: flags.contains_key("verbose"),
+        single_link_commits: 0,
+        incremental_wins: 0,
+    };
+    // The whole trace: one leg, or — when `--crash-after` stops the
+    // first — the crash-recovery drill and a second leg through the
+    // reopened journal. Without `--journal` the journal is detached.
+    let mut journal = match &journal_path {
+        Some(path) => Journal::create(path)
+            .map_err(|e| format!("cannot create journal {path}: {e}"))?
+            .checkpoint_every(checkpoint_every),
+        None => Journal::detached(),
+    };
+    let report = replay.leg(&mut journal, &mut ctrl, &events, crash_after)?;
+    if let (true, Some(path)) = (report.crashed, &journal_path) {
+        println!(
+            "-- simulated crash after {} epoch(s); recovering from {path} --",
+            report.outcomes.len()
         );
-
-        if report.crashed {
-            // The crash-recovery drill: remember what the controller had
-            // committed, kill it, rebuild from the journal, and demand
-            // byte-for-byte reconvergence.
-            let pre_rules = ctrl.committed().rules.clone();
-            let pre_epoch = ctrl.committed().epoch;
-            drop(ctrl);
-            println!(
-                "-- simulated crash after {} epoch(s); recovering from {path} --",
-                report.outcomes.len()
-            );
-            let recovery = match recover(path, topo.clone(), policy, budget) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("recovery failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            ctrl = recovery.controller;
-            if ctrl.committed().rules != pre_rules || ctrl.committed().epoch != pre_epoch {
-                eprintln!(
-                    "FAIL: recovery diverged (epoch {} vs {}, tables {})",
-                    ctrl.committed().epoch,
-                    pre_epoch,
-                    if ctrl.committed().rules == pre_rules {
-                        "equal"
-                    } else {
-                        "DIFFER"
-                    }
-                );
-                return ExitCode::FAILURE;
-            }
-            let repaired = ctrl.reconcile(southbound.as_mut());
-            println!(
-                "recovered: {} event(s) replayed, committed tables byte-identical \
-                 (epoch {}); reconcile repaired {} switch(es); {} tail event(s)",
-                recovery.replayed,
-                ctrl.committed().epoch,
-                repaired,
-                recovery.tail.len(),
-            );
-            // Finish the interrupted work: the journaled-but-unresolved
-            // tail (which is exactly the batch in flight at the crash)
-            // plus everything after it.
-            let tail_refs: Vec<&CtrlEvent> = recovery.tail.iter().collect();
-            let processed = report.outcomes.len() + 1;
-            let rest: Vec<&CtrlEvent> = batches[processed.min(batches.len())..]
-                .iter()
-                .flat_map(|b| b.iter().copied())
-                .collect();
-            let remaining: Vec<CtrlEvent> = tail_refs
-                .iter()
-                .chain(rest.iter())
-                .map(|&e| e.clone())
-                .collect();
-            match ctrl.replay_damped_via_observed(
-                remaining.iter(),
-                southbound.as_mut(),
-                &install_policy,
-                obs(&mut audit, &mut noop),
-            ) {
-                Ok(outcomes) => {
-                    let rrefs: Vec<&CtrlEvent> = remaining.iter().collect();
-                    let rbatches = coalesce_flaps(&rrefs);
-                    for (batch, outcome) in rbatches.iter().zip(&outcomes) {
-                        print_outcome(&topo, &batch_label(batch), outcome, verbose);
-                    }
-                    tally(
-                        &rbatches,
-                        &outcomes,
-                        &mut single_link_commits,
-                        &mut incremental_wins,
-                    );
-                }
-                Err(e) => {
-                    eprintln!("post-recovery replay failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    } else {
-        match ctrl.replay_damped_via_observed(
-            events.iter(),
-            southbound.as_mut(),
-            &install_policy,
-            obs(&mut audit, &mut noop),
-        ) {
-            Ok(outcomes) => {
-                for (batch, outcome) in batches.iter().zip(&outcomes) {
-                    print_outcome(&topo, &batch_label(batch), outcome, verbose);
-                }
-                tally(
-                    &batches,
-                    &outcomes,
-                    &mut single_link_commits,
-                    &mut incremental_wins,
-                );
-            }
-            Err(e) => {
-                eprintln!("replay failed: {e}");
-                failed = true;
-            }
-        }
+        let (recovered, mut journal, remaining) = crash_and_recover(
+            "",
+            ctrl,
+            path,
+            checkpoint_every,
+            budget,
+            replay.southbound.as_mut(),
+            &events[report.consumed..],
+        )?;
+        ctrl = recovered;
+        replay.leg(&mut journal, &mut ctrl, &remaining, None)?;
     }
+    let mut failed = false;
 
     println!();
     print!("{}", ctrl.metrics().report());
-    if let Some(a) = &audit {
+    if let Some(a) = &replay.audit {
         print!("{}", a.auditor.metrics.report());
     }
     if let Some(path) = flags.get("export-checkpoint") {
@@ -734,7 +638,7 @@ fn main() -> ExitCode {
 
     // The invariant the southbound layer exists for: whatever faults
     // were injected, the fleet runs exactly the committed tables.
-    if southbound.fleet() != &ctrl.committed().rules {
+    if replay.southbound.fleet() != &ctrl.committed().rules {
         eprintln!("FAIL: fleet diverged from the committed tables");
         failed = true;
     }
@@ -746,7 +650,7 @@ fn main() -> ExitCode {
         );
         failed = true;
     }
-    if let Some(a) = &audit {
+    if let Some(a) = &replay.audit {
         if a.violations > 0 {
             eprintln!(
                 "FAIL: independent audit found violations in {} epoch(s)",
@@ -755,16 +659,16 @@ fn main() -> ExitCode {
             failed = true;
         }
     }
-    if single_link_commits > 0 && incremental_wins < single_link_commits {
+    if replay.incremental_wins < replay.single_link_commits {
         eprintln!(
-            "FAIL: only {incremental_wins}/{single_link_commits} single-link commits \
-             beat a full-table reinstall"
+            "FAIL: only {}/{} single-link commits beat a full-table reinstall",
+            replay.incremental_wins, replay.single_link_commits
         );
         failed = true;
     }
-    if failed {
+    Ok(if failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }

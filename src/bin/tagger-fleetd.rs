@@ -31,7 +31,9 @@
 //! line is `<fabric>: <trace-line>` in the `tagger-ctrld` trace syntax
 //! (`down L1 T1`, `flap L2 S1 3`, `watchdog L1 2 2`, `resync`, ...);
 //! fabrics are registered on first mention (small Clos, `--damping`
-//! policy, `--chaos` schedule with a per-fabric seed offset). Lines are
+//! policy, `--chaos` schedule re-seeded per fabric *name*, exactly as
+//! `serve` does, so one stream means one set of fault schedules
+//! whichever front carried it). Lines are
 //! enqueued as they arrive and drained fairly every few lines, exactly
 //! like the live daemon. A full queue is backpressure, not an error:
 //! the replay drains a fair cycle and retries the line, and the
@@ -127,7 +129,8 @@ fn run_ingest(stream: Option<String>, flags: &Flags) -> Result<ExitCode, String>
     fleet_cfg.drain_quantum = get(flags, "quantum", 4usize)?.max(1);
     fleet_cfg.queue_cap = get(flags, "queue-cap", fleet_cfg.queue_cap)?.max(1);
     let mut fleet = Fleet::new(fleet_cfg);
-    let topo = ClosConfig::small().build();
+    let mut template = FabricSpec::new("", ClosConfig::small().build()).with_damping(damping);
+    template.chaos = chaos;
 
     let text = match &stream {
         Some(path) => {
@@ -150,41 +153,17 @@ fn run_ingest(stream: Option<String>, flags: &Flags) -> Result<ExitCode, String>
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let (fabric, rest) = line
-            .split_once(':')
-            .ok_or_else(|| format!("line {}: want '<fabric>: <event>'", lineno + 1))?;
-        let fabric = fabric.trim();
-        if fleet.fabric(fabric).is_err() {
-            let mut spec = FabricSpec::new(fabric, topo.clone()).with_damping(damping);
-            if let Some(base) = chaos {
-                // Same rates for every fabric, but a per-fabric seed
-                // offset so their fault schedules are independent.
-                spec = spec.with_chaos(ChaosConfig {
-                    seed: base.seed.wrapping_add(fleet.len() as u64),
-                    ..base
-                });
-            }
-            let id = fleet.register(spec).map_err(|e| e.to_string())?;
-            println!(
-                "registered fabric [{}] {fabric} (journal {})",
-                id.0,
-                fleet
-                    .fabric(fabric)
-                    .map_err(|e| e.to_string())?
-                    .journal_path()
-                    .display()
-            );
-        }
         // A full queue is backpressure, not a stream error: drain a
-        // fair cycle to make room and retry the same line. `ingest_line`
-        // is all-or-nothing, so a rejected line never half-lands and is
+        // fair cycle to make room and retry the same line. Ingest is
+        // all-or-nothing, so a rejected line never half-lands and is
         // always safe to retry; the fabric counts each rejection in the
         // report's `pushback` column.
+        let registered = fleet.len();
         loop {
-            match fleet.ingest_line(fabric, rest.trim()) {
+            match fleet.ingest_stream_line(&template, line) {
                 Ok(_) => break,
-                Err(FleetError::QueueFull { cap, .. }) => {
-                    let queued = fleet.fabric(fabric).map_err(|e| e.to_string())?.queued();
+                Err(FleetError::QueueFull { fabric, cap }) => {
+                    let queued = fleet.fabric(&fabric).map_err(|e| e.to_string())?.queued();
                     if queued == 0 {
                         // The queue is empty and the line still does not
                         // fit: no amount of draining will ever admit it.
@@ -200,11 +179,21 @@ fn run_ingest(stream: Option<String>, flags: &Flags) -> Result<ExitCode, String>
                 Err(e) => return Err(format!("line {}: {e}", lineno + 1)),
             }
         }
+        if let Some(fabric) = fleet.fabrics().get(registered) {
+            println!(
+                "registered fabric [{}] {} (journal {})",
+                fabric.id().0,
+                fabric.name(),
+                fabric.journal_path().display()
+            );
+        }
         lines += 1;
         // Drain as the stream arrives, like the live daemon: a fair
-        // cycle every few lines keeps every fabric making progress.
+        // cycle every few lines keeps every fabric making progress, and
+        // a settled one (trailing batches held back) keeps the journals
+        // what `serve` writes for the same stream.
         if lines.is_multiple_of(8) {
-            fleet.drain_cycle().map_err(|e| e.to_string())?;
+            fleet.drain_cycle_settled().map_err(|e| e.to_string())?;
         }
     }
     fleet.drain_all().map_err(|e| e.to_string())?;

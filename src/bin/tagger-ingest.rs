@@ -24,8 +24,9 @@
 //! scenario-schedule mix through the proxy from one client thread per
 //! fabric, then replays the identical lines through a solo in-process
 //! fleet and compares write-ahead journals **byte for byte**. Stdout is
-//! deterministic at a fixed seed (CI runs the drill twice and `cmp`s
-//! the outputs); timing-dependent transport counters go to stderr.
+//! deterministic at a fixed seed (CI `cmp`s it against
+//! `results/ingest_drill.txt`); timing-dependent transport counters go
+//! to stderr.
 //! Exits non-zero on any lost, double-applied or rejected event, or any
 //! journal divergence.
 
@@ -35,12 +36,12 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use tagger::cli::{get, parse_args, Flags};
-use tagger::ctrl::{ChaosConfig, CtrlEvent};
+use tagger::ctrl::ChaosConfig;
 use tagger::fleet::net::{
-    chaos_for, send_lines, ChaosTransport, ClientConfig, NetChaosConfig, ServeConfig, Server,
+    send_lines, ChaosTransport, ClientConfig, NetChaosConfig, ServeConfig, Server,
 };
-use tagger::fleet::{Damping, FabricSpec, Fleet, FleetConfig};
-use tagger::topo::{ClosConfig, Topology};
+use tagger::fleet::{fabric_lines, fabric_seed, fnv64, solo_replay, FabricSpec};
+use tagger::topo::ClosConfig;
 
 const USAGE: &str = "usage: tagger-ingest <send|drill> [options]
   send  [stream-file] --addr HOST:PORT --client N --seed S
@@ -92,80 +93,6 @@ fn run_send(stream: Option<String>, flags: &Flags) -> Result<ExitCode, String> {
     } else {
         ExitCode::from(1)
     })
-}
-
-/// SplitMix64 — the same per-fabric seed derivation the in-process soak
-/// and the loopback soak test use, so the drill pins identical streams.
-fn fabric_seed(master: u64, i: u64) -> u64 {
-    let mut z = master.wrapping_add(i.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// FNV-1a over a byte slice — the journal fingerprint the drill prints.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// One fabric's schedule as `<fabric>: <trace-line>` wire lines, drawn
-/// from the scenario mix library exactly like the fleet soak.
-fn fabric_lines(
-    topo: &Topology,
-    name: &str,
-    seed: u64,
-    mix_index: usize,
-    events: usize,
-) -> Vec<String> {
-    let mixes = tagger::scenario::schedule::library();
-    let mix = &mixes[mix_index % mixes.len()];
-    tagger::scenario::schedule::events(mix, topo, seed, events)
-        .iter()
-        .map(|e: &CtrlEvent| format!("{name}: {}", e.trace_line(topo)))
-        .collect()
-}
-
-/// Replays every fabric's lines through a solo in-process fleet
-/// configured identically to the drill server — the byte-equality
-/// baseline.
-fn solo_replay(
-    dir: &PathBuf,
-    topo: &Topology,
-    base_chaos: &ChaosConfig,
-    lines: &[Vec<String>],
-) -> Result<(), String> {
-    let mut cfg = FleetConfig::new(dir);
-    cfg.queue_cap = 1024;
-    cfg.drain_quantum = 4;
-    let mut fleet = Fleet::new(cfg);
-    for (i, fabric_lines) in lines.iter().enumerate() {
-        let name = format!("net-{i}");
-        fleet
-            .register(
-                FabricSpec::new(&name, topo.clone())
-                    .with_damping(Damping::Flap)
-                    .with_chaos(chaos_for(base_chaos, &name)),
-            )
-            .map_err(|e| format!("solo register {name}: {e}"))?;
-        for line in fabric_lines {
-            let rest = line
-                .split_once(':')
-                .map(|(_, r)| r.trim())
-                .ok_or_else(|| format!("malformed drill line {line:?}"))?;
-            fleet
-                .ingest_line(&name, rest)
-                .map_err(|e| format!("solo ingest {name}: {e}"))?;
-        }
-    }
-    fleet
-        .drain_all()
-        .map(|_| ())
-        .map_err(|e| format!("solo drain: {e}"))
 }
 
 fn run_drill(flags: &Flags) -> Result<ExitCode, String> {
@@ -258,8 +185,10 @@ fn run_drill(flags: &Flags) -> Result<ExitCode, String> {
         return Err("chaos proxy injected no faults at this seed; the drill proved nothing".into());
     }
 
-    // The solo leg, then the verdicts.
-    solo_replay(&dir_solo, &topo, &base_chaos, &lines)?;
+    // The solo leg — same template the server registers fabrics from —
+    // then the verdicts.
+    let template = FabricSpec::new("", topo).with_chaos(base_chaos);
+    solo_replay(&dir_solo, &template, &lines.concat()).map_err(|e| format!("solo replay: {e}"))?;
     let mut failed = false;
     for (i, report) in reports.iter().enumerate() {
         let name = format!("net-{i}");

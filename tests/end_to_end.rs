@@ -193,9 +193,9 @@ fn watchdog_safety_net_closes_the_loop() {
     let install = InstallPolicy::default();
     let jpath = std::env::temp_dir().join("tagger-e2e-watchdog.journal");
     let jpath = jpath.to_str().unwrap();
-    let mut journal = Journal::create(jpath).unwrap();
+    let mut journal = Journal::create(jpath).unwrap().checkpoint_every(1);
     let drive = journal
-        .drive(&mut ctrl, &events, &mut sb, &install, 1, Some(1))
+        .drive(&mut ctrl, &events, &mut sb, &install, Some(1), None)
         .unwrap();
     let EpochOutcome::Committed(corrective) = &drive.outcomes[0] else {
         panic!("quarantine must commit, got {:?}", drive.outcomes[0]);
@@ -216,14 +216,21 @@ fn watchdog_safety_net_closes_the_loop() {
         "quarantines must be replayed from the journal"
     );
     ctrl.reconcile(&mut sb);
-    let remaining: Vec<_> = rec
-        .tail
-        .iter()
-        .cloned()
-        .chain(events.iter().skip(drive.outcomes.len() + 1).cloned())
-        .collect();
-    ctrl.replay_damped_via(remaining.iter(), &mut sb, &install)
+    // The tail, then what the crashed drive never reached, through the
+    // reopened journal: afterwards it recovers with nothing in flight.
+    let remaining = [rec.tail.as_slice(), &events[drive.consumed..]].concat();
+    Journal::open_append(jpath)
+        .unwrap()
+        .checkpoint_every(1)
+        .drive(&mut ctrl, &remaining, &mut sb, &install, None, None)
         .unwrap();
+    let again = recover(jpath, topo.clone(), policy, None).unwrap();
+    assert!(again.tail.is_empty());
+    assert_eq!(again.controller.committed().epoch, ctrl.committed().epoch);
+    assert_eq!(
+        again.controller.state().quarantines,
+        ctrl.state().quarantines
+    );
     // Cause-directed dedupe: trips sharing one attributed trigger
     // collapse into a single quarantine of the trigger hop.
     let effective: std::collections::BTreeSet<_> = events
