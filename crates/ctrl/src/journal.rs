@@ -556,11 +556,6 @@ mod tests {
     }
 
     const TRACE: &str = "down L1 T1\nflap L2 T2 2\nup L1 T1\nresync";
-    const INSTALL: InstallPolicy = InstallPolicy {
-        max_attempts: 5,
-        base_backoff: std::time::Duration::from_millis(1),
-        max_backoff: std::time::Duration::from_millis(64),
-    };
     /// Pinning this path needs 12 TCAM entries on the worst switch; the
     /// healthy small Clos needs 11.
     const PINNED: &str = "elp-add H1 T1 L2 T2 L1 S1 L3 T3 L4 T4 H13";
@@ -577,7 +572,13 @@ mod tests {
         for (line, commits) in [("flap L1 T1 1", true), (PINNED, false), ("resync", true)] {
             let batch = parse_trace(&topo, line).unwrap();
             let outcome = journal
-                .step(&mut ctrl, &batch, &mut sb, &INSTALL, Some(&mut seen))
+                .step(
+                    &mut ctrl,
+                    &batch,
+                    &mut sb,
+                    &InstallPolicy::default(),
+                    Some(&mut seen),
+                )
                 .unwrap();
             assert_eq!(outcome.committed().is_some(), commits, "{line}");
         }
@@ -608,15 +609,30 @@ mod tests {
         let batch = parse_trace(&topo, "flap L1 T1 3").unwrap();
         let (mut direct, mut journaled, mut detached) = (controller(), controller(), controller());
         let mut sb = reliable(&direct);
-        direct.handle_batch_via(&batch, &mut sb, &INSTALL).unwrap();
+        direct
+            .handle_batch_via(&batch, &mut sb, &InstallPolicy::default())
+            .unwrap();
         let mut sb = reliable(&journaled);
         Journal::create(&path)
             .unwrap()
-            .step(&mut journaled, &batch, &mut sb, &INSTALL, None)
+            .step(
+                &mut journaled,
+                &batch,
+                &mut sb,
+                &InstallPolicy::default(),
+                None,
+            )
             .unwrap();
         let mut sb = reliable(&detached);
         Journal::detached()
-            .drive(&mut detached, &batch, &mut sb, &INSTALL, None, None)
+            .drive(
+                &mut detached,
+                &batch,
+                &mut sb,
+                &InstallPolicy::default(),
+                None,
+                None,
+            )
             .unwrap();
         for ctrl in [&direct, &journaled, &detached] {
             assert_eq!(ctrl.metrics().flaps_damped, 5);
@@ -637,7 +653,14 @@ mod tests {
 
         let mut journal = Journal::create(&path).unwrap().checkpoint_every(2);
         let report = journal
-            .drive(&mut live, &events, &mut sb, &INSTALL, None, None)
+            .drive(
+                &mut live,
+                &events,
+                &mut sb,
+                &InstallPolicy::default(),
+                None,
+                None,
+            )
             .unwrap();
         assert!(!report.crashed);
         assert_eq!(report.consumed, events.len());
@@ -669,7 +692,14 @@ mod tests {
 
         let mut journal = Journal::create(&path).unwrap().checkpoint_every(1);
         let report = journal
-            .drive(&mut live, &events, &mut sb, &INSTALL, Some(2), None)
+            .drive(
+                &mut live,
+                &events,
+                &mut sb,
+                &InstallPolicy::default(),
+                Some(2),
+                None,
+            )
             .unwrap();
         assert!(report.crashed);
         assert_eq!(report.outcomes.len(), 2);
@@ -709,7 +739,14 @@ mod tests {
         let remaining = [rec.tail.as_slice(), &events[report.consumed..]].concat();
         let mut journal = Journal::open_append(&path).unwrap().checkpoint_every(1);
         let finished = journal
-            .drive(&mut recovered, &remaining, &mut sb, &INSTALL, None, None)
+            .drive(
+                &mut recovered,
+                &remaining,
+                &mut sb,
+                &InstallPolicy::default(),
+                None,
+                None,
+            )
             .unwrap();
         assert_eq!(finished.outcomes.len(), 2);
         assert_eq!(sb.fleet(), &recovered.committed().rules);
@@ -741,11 +778,24 @@ mod tests {
         let events = parse_trace(live.topo(), "down L1 T1\nresync").unwrap();
         Journal::create(&path)
             .unwrap()
-            .drive(&mut live, &events, &mut sb, &INSTALL, Some(0), None)
+            .drive(
+                &mut live,
+                &events,
+                &mut sb,
+                &InstallPolicy::default(),
+                Some(0),
+                None,
+            )
             .unwrap();
         let mut journal = Journal::open_append(&path).unwrap();
         let err = journal
-            .step(&mut live, &events[1..], &mut sb, &INSTALL, None)
+            .step(
+                &mut live,
+                &events[1..],
+                &mut sb,
+                &InstallPolicy::default(),
+                None,
+            )
             .unwrap_err();
         assert!(
             matches!(err, JournalError::Corrupt { line: 2, .. }),
@@ -762,7 +812,14 @@ mod tests {
         let events = parse_trace(live.topo(), "down L1 T1\nup L1 T1").unwrap();
         let mut journal = Journal::create(&path).unwrap();
         journal
-            .drive(&mut live, &events, &mut sb, &INSTALL, None, None)
+            .drive(
+                &mut live,
+                &events,
+                &mut sb,
+                &InstallPolicy::default(),
+                None,
+                None,
+            )
             .unwrap();
 
         let topo = ClosConfig::small().build();
@@ -783,7 +840,14 @@ mod tests {
         let events = parse_trace(live.topo(), "watchdog L1 0 2\ndown L3 T3").unwrap();
         let mut journal = Journal::create(&path).unwrap().checkpoint_every(1);
         journal
-            .drive(&mut live, &events, &mut sb, &INSTALL, None, None)
+            .drive(
+                &mut live,
+                &events,
+                &mut sb,
+                &InstallPolicy::default(),
+                None,
+                None,
+            )
             .unwrap();
         assert_eq!(live.state().quarantines.len(), 1);
         let pre_crash = live.committed().rules.clone();

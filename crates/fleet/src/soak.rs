@@ -207,9 +207,18 @@ pub fn soak_schedule(topo: &Topology, seed: u64, events: usize) -> Vec<CtrlEvent
     tagger_scenario::schedule::events(baseline, topo, seed, events)
 }
 
-/// One fabric's seeded schedule as `<fabric>: <trace-line>` stream lines,
-/// drawn from the scenario mix library (mix `mix_index`, cycling) exactly
-/// like [`run_soak`] draws its schedules — what the network drills send.
+/// Fabric `index`'s seeded schedule. Event mixes cycle through the
+/// scenario library by fabric index, so one drill exercises every shipped
+/// storm profile (baseline, flap-storm, partition-prone, watchdog-churn)
+/// across the fleet.
+fn mixed_schedule(topo: &Topology, seed: u64, index: usize, events: usize) -> Vec<CtrlEvent> {
+    let mixes = tagger_scenario::schedule::library();
+    tagger_scenario::schedule::events(&mixes[index % mixes.len()], topo, seed, events)
+}
+
+/// One fabric's schedule — the one [`run_soak`] would feed fabric
+/// `mix_index` — as `<fabric>: <trace-line>` stream lines: what the
+/// network drills send.
 pub fn fabric_lines(
     topo: &Topology,
     name: &str,
@@ -217,9 +226,7 @@ pub fn fabric_lines(
     mix_index: usize,
     events: usize,
 ) -> Vec<String> {
-    let mixes = tagger_scenario::schedule::library();
-    let mix = &mixes[mix_index % mixes.len()];
-    tagger_scenario::schedule::events(mix, topo, seed, events)
+    mixed_schedule(topo, seed, mix_index, events)
         .iter()
         .map(|e| format!("{name}: {}", e.trace_line(topo)))
         .collect()
@@ -252,10 +259,6 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakOutcome, FleetError> {
     // exercise all of them, and per-fabric damping must not leak across
     // fabrics.
     let dampings = [Damping::Flap, Damping::FlapCapped(4), Damping::None];
-    // Event mixes cycle through the scenario library, so one drill
-    // exercises every shipped storm profile (baseline, flap-storm,
-    // partition-prone, watchdog-churn) across the fleet.
-    let mixes = tagger_scenario::schedule::library();
     let mut schedules: Vec<(String, Vec<CtrlEvent>)> = Vec::with_capacity(cfg.fabrics);
     for i in 0..cfg.fabrics {
         let seed = fabric_seed(cfg.seed, i as u64);
@@ -264,11 +267,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakOutcome, FleetError> {
             .with_chaos(ChaosConfig::new(seed, cfg.fail_rate))
             .with_damping(dampings[i % dampings.len()]);
         fleet.register(spec)?;
-        let mix = &mixes[i % mixes.len()];
-        schedules.push((
-            name,
-            tagger_scenario::schedule::events(mix, &topo, seed, cfg.events_per_fabric),
-        ));
+        schedules.push((name, mixed_schedule(&topo, seed, i, cfg.events_per_fabric)));
     }
 
     // Interleave: each round feeds every fabric a small seeded slice of
