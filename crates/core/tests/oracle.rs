@@ -7,9 +7,10 @@
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
+use rand::{rngs::StdRng, seq::SliceRandom, RngExt, SeedableRng};
 use tagger_core::{decide, minimize_elp, Elp, Verdict};
 use tagger_routing::{shortest_paths_all_pairs, Path};
-use tagger_topo::{ClosConfig, FailureSet, JellyfishConfig, Layer, Topology};
+use tagger_topo::{ClosConfig, FailureSet, JellyfishConfig, Layer, NodeId, Topology};
 
 /// Tags the construction uses on `elp` (contiguous from 1, so the max
 /// is the count), or `None` if the pipeline's certificate fails.
@@ -285,6 +286,34 @@ fn k4_hamiltonian() -> (Topology, Elp) {
     (t, Elp::from_paths(paths))
 }
 
+/// `half_servers(50, 12, 7)` with its shortest switch-pair paths plus 200
+/// seeded random loop-free walks of up to nine hops: paths long enough
+/// that the greedy peel runs many rounds a layer over several layers and
+/// refuses several edges out of the same port.
+fn jellyfish_with_walks() -> (Topology, Elp) {
+    let topo = JellyfishConfig::half_servers(50, 12, 7).build();
+    let mut paths = shortest_paths_all_pairs(&topo, &FailureSet::none(), 1, false);
+    let switches: Vec<NodeId> = topo.switch_ids().collect();
+    let mut rng = StdRng::seed_from_u64(23);
+    while paths.len() < switches.len() * (switches.len() - 1) + 200 {
+        let mut nodes = vec![*switches.choose(&mut rng).expect("50 switches")];
+        for _ in 0..rng.random_range(3..=9usize) {
+            let here = nodes[nodes.len() - 1];
+            let next: Vec<NodeId> = topo
+                .neighbors(here)
+                .map(|(_, _, n)| n)
+                .filter(|n| switches.contains(n) && !nodes.contains(n))
+                .collect();
+            let Some(&n) = next.choose(&mut rng) else {
+                break;
+            };
+            nodes.push(n);
+        }
+        paths.push(Path::new(&topo, nodes).expect("a loop-free walk over links"));
+    }
+    (topo, Elp::from_paths(paths))
+}
+
 /// Golden values recorded from the tree before the acyclicity routines
 /// moved behind one kernel: everything `decide` publishes — bounds,
 /// layer orders, per-hop assignment, kernel, quoted cycle — on a
@@ -303,6 +332,25 @@ fn published_verdicts_are_pinned() {
     assert_eq!(
         feasible_pin(&topo, &elp, None),
         (2, 3, 4669667867662929271, 9936822776852784963)
+    );
+    // At a budget of two the peel (three layers) misses and the fabric
+    // is too large for the exact search: the construction settles it.
+    assert_eq!(
+        feasible_pin(&topo, &elp, Some(2)),
+        (2, 2, 5663801322042734492, 15553311728148187706)
+    );
+    for (seed, pin) in [
+        (2, (2, 3, 3614079522266692173, 10891958633055394427)),
+        (3, (2, 3, 3232597420080386863, 6925500539723989349)),
+    ] {
+        let topo = JellyfishConfig::half_servers(100, 16, seed).build();
+        let elp = Elp::shortest(&topo, 1, false);
+        assert_eq!(feasible_pin(&topo, &elp, None), pin, "seed {seed}");
+    }
+    let (t, e) = jellyfish_with_walks();
+    assert_eq!(
+        feasible_pin(&t, &e, None),
+        (2, 3, 15405404382147982889, 10638686808126514937)
     );
     let (t, e) = fig10();
     assert_eq!(
