@@ -26,37 +26,10 @@
 //! the closure of what the final rules can express. See `DESIGN.md`.
 
 use crate::digraph::Digraph;
+use crate::ports::PortIndexer;
 use crate::{Tag, TaggedGraph, TaggedNode};
 use std::collections::BTreeMap;
-use tagger_topo::{GlobalPort, Topology};
-
-/// Dense indexing of every port in the topology, so the hot cycle-check
-/// loop runs on integer ids instead of `GlobalPort` maps.
-struct PortIndexer {
-    offsets: Vec<u32>,
-}
-
-impl PortIndexer {
-    fn new(topo: &Topology) -> Self {
-        let mut offsets = Vec::with_capacity(topo.num_nodes() + 1);
-        let mut acc = 0u32;
-        for n in topo.node_ids() {
-            offsets.push(acc);
-            acc += topo.node(n).num_ports() as u32;
-        }
-        offsets.push(acc);
-        PortIndexer { offsets }
-    }
-
-    fn total(&self) -> usize {
-        // `offsets` always ends with the grand total pushed above.
-        self.offsets.last().copied().unwrap_or(0) as usize
-    }
-
-    fn pid(&self, p: GlobalPort) -> u32 {
-        self.offsets[p.node.index()] + p.port.0 as u32
-    }
-}
+use tagger_topo::Topology;
 
 /// Runs Algorithm 2 and returns the node-level re-tagging: for every node
 /// of the input graph, the new (merged) tag it was assigned.

@@ -40,6 +40,7 @@ mod elp;
 mod graph;
 pub mod multiclass;
 pub mod oracle;
+mod ports;
 mod rules;
 pub mod span;
 pub mod tcam;

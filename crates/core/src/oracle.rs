@@ -50,8 +50,11 @@
 //! completed.
 
 use crate::digraph::Digraph;
+use crate::ports::PortIndexer;
 use crate::Elp;
 use std::collections::BTreeMap;
+use std::convert::Infallible;
+use std::rc::Rc;
 use tagger_topo::{GlobalPort, Topology};
 
 /// The 802.1Qbb hard ceiling: PFC distinguishes eight priority
@@ -226,32 +229,53 @@ impl WitnessOrder {
 /// Dense buffer-dependency view of an ELP: ingress ports interned to
 /// `u32` ids, each path a sequence of ids. Edges are consecutive pairs.
 struct Dep {
-    ports: Vec<GlobalPort>,
+    /// Shared with every [`Dep::restrict`]ion: the ids keep their meaning.
+    ports: Rc<[GlobalPort]>,
     paths: Vec<Vec<u32>>,
 }
 
 impl Dep {
+    /// One sweep of the ELP's tree interns each hop's ingress port, then
+    /// each path reads its ids off the tree. Ids are handed out in order
+    /// of first appearance over the paths in ELP order — the order the
+    /// sweep visits hops in — because `find_cycle`'s start order and
+    /// `topo_order`'s smallest-ready-id rule turn ids into the published
+    /// cycles and layer orders.
     fn build(topo: &Topology, elp: &Elp) -> Dep {
-        let mut index: BTreeMap<GlobalPort, u32> = BTreeMap::new();
+        const UNSEEN: u32 = u32::MAX;
+        let tree = elp.tree();
+        let index = PortIndexer::new(topo);
+        let mut id_of = vec![UNSEEN; index.total()];
         let mut ports = Vec::new();
-        let mut paths = Vec::with_capacity(elp.len());
-        for p in elp.paths() {
-            let mut ids = Vec::with_capacity(p.hops());
-            for port in p.ingress_ports(topo) {
-                let id = *index.entry(port).or_insert_with(|| {
-                    ports.push(port);
-                    (ports.len() - 1) as u32
-                });
-                ids.push(id);
+        // Per tree node, the id of the hop that ends there.
+        let mut hop = vec![UNSEEN; tree.num_nodes()];
+        let Ok(()) = tree.sweep(|i, _, here, next| {
+            let port = topo.hop_ends(here, next).1;
+            let id = &mut id_of[index.pid(port) as usize];
+            if *id == UNSEEN {
+                *id = ports.len() as u32;
+                ports.push(port);
             }
-            paths.push(ids);
+            hop[i] = *id;
+            Ok::<(), Infallible>(())
+        });
+        let paths = (0..tree.len())
+            .map(|p| {
+                let mut ids: Vec<u32> = tree.walk_up(p).map(|i| hop[i]).collect();
+                ids.pop(); // the source: no hop ends there
+                ids.reverse();
+                ids
+            })
+            .collect();
+        Dep {
+            ports: ports.into(),
+            paths,
         }
-        Dep { ports, paths }
     }
 
     fn restrict(&self, subset: &[usize]) -> Dep {
         Dep {
-            ports: self.ports.clone(),
+            ports: Rc::clone(&self.ports),
             paths: subset.iter().map(|&i| self.paths[i].clone()).collect(),
         }
     }
@@ -282,10 +306,16 @@ fn union_cycle(dep: &Dep) -> Option<Vec<u32>> {
 /// Greedy layering: round-robin single-hop prefix extension per layer
 /// with incremental acyclicity. Each unfinished path always places at
 /// least the (edge-free) first hop of its layer segment, so this
-/// terminates within `max_hops` layers and, with no budget, always
-/// succeeds. With a budget, `Err(())` means "greedy needed more" — not
-/// a proof of infeasibility.
-fn peel(dep: &Dep, budget: Option<usize>) -> Result<Vec<Vec<u16>>, ()> {
+/// terminates within `max_hops` layers. It is deterministic and takes
+/// no budget: whether it fits in `b` is [`num_layers`] `<= b`, and
+/// needing more is not a proof of infeasibility.
+///
+/// Within a layer the graph only gains edges, so an edge once refused
+/// (its head reaches its tail) stays refused until the layer ends: the
+/// refusals are remembered per tail port and cleared with the graph,
+/// and each distinct edge is put to [`Digraph::reaches`] at most once
+/// per layer however many paths and rounds ask again.
+fn peel(dep: &Dep) -> Vec<Vec<u16>> {
     let n = dep.paths.len();
     let mut assign: Vec<Vec<u16>> = dep
         .paths
@@ -294,16 +324,13 @@ fn peel(dep: &Dep, budget: Option<usize>) -> Result<Vec<Vec<u16>>, ()> {
         .collect();
     let mut f = vec![0usize; n];
     let mut g = Digraph::new(dep.ports.len());
+    let mut refused: Vec<Vec<u32>> = vec![Vec::new(); dep.ports.len()];
     let mut t = 0usize;
     while (0..n).any(|p| f[p] < dep.paths[p].len()) {
         t += 1;
-        if let Some(b) = budget {
-            if t > b {
-                return Err(());
-            }
-        }
         let seg_start = f.clone();
         g.clear();
+        refused.iter_mut().for_each(Vec::clear);
         loop {
             let mut progressed = false;
             for p in 0..n {
@@ -320,7 +347,11 @@ fn peel(dep: &Dep, budget: Option<usize>) -> Result<Vec<Vec<u16>>, ()> {
                     // layer costs nothing to traverse again.
                     if g.has_edge(u, v) {
                         true
+                    } else if refused[u as usize].contains(&v) {
+                        debug_assert!(g.reaches(v, u), "a refusal outlived its cycle");
+                        false
                     } else if g.reaches(v, u) {
+                        refused[u as usize].push(v);
                         false
                     } else {
                         g.add(u, v);
@@ -338,7 +369,12 @@ fn peel(dep: &Dep, budget: Option<usize>) -> Result<Vec<Vec<u16>>, ()> {
             }
         }
     }
-    Ok(assign)
+    assign
+}
+
+/// Layers (tags) an assignment uses.
+fn num_layers(assign: &[Vec<u16>]) -> usize {
+    assign.iter().flatten().copied().max().unwrap_or(0) as usize
 }
 
 enum Res {
@@ -489,26 +525,26 @@ enum Tri {
     Unknown,
 }
 
-/// Decides feasibility of `dep` within `b` tags. `Yes` is always
+/// Decides feasibility of `dep` within `b` tags, `cyclic` being whether
+/// its edge union has a cycle ([`union_cycle`]). `Yes` is always
 /// certified by the returned assignment; `No` is a completed proof;
 /// `Unknown` means the exhaustive search was skipped or capped.
-fn feasible_within(dep: &Dep, b: usize, exact_ok: bool) -> Tri {
-    if dep.total_hops() == 0 {
-        return Tri::Yes(dep.paths.iter().map(|_| Vec::new()).collect());
-    }
-    if union_cycle(dep).is_none() {
-        // Acyclic union: one tag suffices; the greedy peel realizes it.
-        return match peel(dep, Some(1)) {
-            Ok(a) => Tri::Yes(a),
-            Err(()) => Tri::Unknown,
-        };
-    }
-    if b <= 1 {
+fn feasible_within(dep: &Dep, cyclic: bool, b: usize, exact_ok: bool) -> Tri {
+    if cyclic && b <= 1 {
         return Tri::No;
     }
-    if let Ok(a) = peel(dep, Some(b)) {
-        return Tri::Yes(a);
+    // On an acyclic union the peel refuses nothing: one layer (none for
+    // an ELP without hops), which fits every budget.
+    let assign = peel(dep);
+    if num_layers(&assign) <= b {
+        return Tri::Yes(assign);
     }
+    exact_within(dep, b, exact_ok)
+}
+
+/// The exhaustive layer search as a [`Tri`]: `Unknown` when the instance
+/// is too large for it (`!exact_ok`) or the search hit its cap.
+fn exact_within(dep: &Dep, b: usize, exact_ok: bool) -> Tri {
     if !exact_ok {
         return Tri::Unknown;
     }
@@ -521,7 +557,7 @@ fn feasible_within(dep: &Dep, b: usize, exact_ok: bool) -> Tri {
 
 /// Builds the per-layer topological orders for a valid assignment.
 fn witness_from(dep: &Dep, assign: Vec<Vec<u16>>) -> WitnessOrder {
-    let num_layers = assign.iter().flatten().copied().max().unwrap_or(0) as usize;
+    let num_layers = num_layers(&assign);
     let mut g = Digraph::new(dep.ports.len());
     let mut layers = Vec::with_capacity(num_layers);
     for t in 1..=num_layers as u16 {
@@ -559,12 +595,15 @@ fn witness_from(dep: &Dep, assign: Vec<Vec<u16>>) -> WitnessOrder {
 }
 
 /// Tightens a found layering toward the true minimum: climbs from the
-/// proven floor (1 or 2 via the exact single-tag test), re-deciding at
-/// each rung. Returns `(lower_bound, best_assignment)` with the
-/// invariant `lower_bound ≤ layers(best)`, equal when settled exactly.
-fn tighten(dep: &Dep, best: Vec<Vec<u16>>, exact_ok: bool) -> (usize, Vec<Vec<u16>>) {
-    let used = best.iter().flatten().copied().max().unwrap_or(0) as usize;
-    let mut lower = if union_cycle(dep).is_some() { 2 } else { 1 };
+/// proven floor (1 or 2 via the exact single-tag test, `cyclic`),
+/// deciding each rung by the exhaustive search alone — `best` is the
+/// peel's own layering or one found because the peel missed the budget,
+/// so the peel fits no rung below it. Returns `(lower_bound,
+/// best_assignment)` with the invariant `lower_bound ≤ layers(best)`,
+/// equal when settled exactly.
+fn tighten(dep: &Dep, cyclic: bool, best: Vec<Vec<u16>>, exact_ok: bool) -> (usize, Vec<Vec<u16>>) {
+    let used = num_layers(&best);
+    let mut lower = if cyclic { 2 } else { 1 };
     if used == 0 {
         return (0, best);
     }
@@ -572,7 +611,7 @@ fn tighten(dep: &Dep, best: Vec<Vec<u16>>, exact_ok: bool) -> (usize, Vec<Vec<u1
     let mut used = used;
     let mut t = lower;
     while t < used {
-        match feasible_within(dep, t, exact_ok) {
+        match exact_within(dep, t, exact_ok) {
             Tri::Yes(a) => {
                 best = a;
                 used = t;
@@ -653,8 +692,7 @@ fn construction_witness(topo: &Topology, elp: &Elp, b: usize) -> Option<Vec<Vec<
         }
         assign.push(layers);
     }
-    let used = assign.iter().flatten().copied().max().unwrap_or(0) as usize;
-    (used <= b).then_some(assign)
+    (num_layers(&assign) <= b).then_some(assign)
 }
 
 /// Decides whether a deadlock-free tagging of `elp` on `topo` exists
@@ -665,8 +703,9 @@ pub fn decide(topo: &Topology, elp: &Elp, budget: Option<usize>) -> Verdict {
     let dep = Dep::build(topo, elp);
     let b = budget.unwrap_or(HARDWARE_TAG_CEILING).max(1);
     let exact_ok = dep.total_hops() <= EXACT_SEARCH_HOP_LIMIT;
+    let cycle = union_cycle(&dep);
     let feasible = |assign: Vec<Vec<u16>>| {
-        let (lower, best) = tighten(&dep, assign, exact_ok);
+        let (lower, best) = tighten(&dep, cycle.is_some(), assign, exact_ok);
         let witness = witness_from(&dep, best);
         Verdict::Feasible(Feasible {
             lower_bound_tags: lower,
@@ -674,9 +713,9 @@ pub fn decide(topo: &Topology, elp: &Elp, budget: Option<usize>) -> Verdict {
             witness,
         })
     };
-    match feasible_within(&dep, b, exact_ok) {
+    match feasible_within(&dep, cycle.is_some(), b, exact_ok) {
         Tri::Yes(assign) => feasible(assign),
-        Tri::No => infeasible_verdict(&dep, b, exact_ok, true),
+        Tri::No => infeasible_verdict(&dep, cycle.as_deref(), b, exact_ok, true),
         Tri::Unknown => {
             // The peel missed and the exact search was unavailable or
             // capped — try the two constructive upper-bound provers
@@ -687,7 +726,7 @@ pub fn decide(topo: &Topology, elp: &Elp, budget: Option<usize>) -> Verdict {
                 .or_else(|| construction_witness(topo, elp, b));
             match candidate {
                 Some(assign) => feasible(assign),
-                None => infeasible_verdict(&dep, b, exact_ok, false),
+                None => infeasible_verdict(&dep, cycle.as_deref(), b, exact_ok, false),
             }
         }
     }
@@ -715,22 +754,27 @@ fn cycle_cover(dep: &Dep, cycle: &[u32]) -> Vec<usize> {
     set.into_iter().collect()
 }
 
-fn infeasible_verdict(dep: &Dep, b: usize, exact_ok: bool, exhaustive: bool) -> Verdict {
+fn infeasible_verdict(
+    dep: &Dep,
+    cycle: Option<&[u32]>,
+    b: usize,
+    exact_ok: bool,
+    exhaustive: bool,
+) -> Verdict {
     let n = dep.paths.len();
     let mut alive: Vec<usize> = (0..n).filter(|&i| !dep.paths[i].is_empty()).collect();
+    let still_infeasible = |subset: &[usize]| {
+        let sub = dep.restrict(subset);
+        let cyclic = union_cycle(&sub).is_some();
+        !matches!(feasible_within(&sub, cyclic, b, exact_ok), Tri::Yes(_))
+    };
     // Pre-reduce: a cover of one dependency cycle (one path per cycle
     // edge) is a small sub-ELP that is certainly infeasible at one tag;
     // when it is also infeasible at `b`, shrink that instead of the
     // full set — this keeps the shrink cheap on huge ELPs.
-    if let Some(cyc) = union_cycle(dep) {
-        let cover = cycle_cover(dep, &cyc);
-        if cover.len() < alive.len()
-            && (b == 1
-                || !matches!(
-                    feasible_within(&dep.restrict(&cover), b, exact_ok),
-                    Tri::Yes(_)
-                ))
-        {
+    if let Some(cyc) = cycle {
+        let cover = cycle_cover(dep, cyc);
+        if cover.len() < alive.len() && (b == 1 || still_infeasible(&cover)) {
             alive = cover;
         }
     }
@@ -749,10 +793,7 @@ fn infeasible_verdict(dep: &Dep, b: usize, exact_ok: bool, exhaustive: bool) -> 
                 continue;
             }
             let trial: Vec<usize> = alive.iter().copied().filter(|&j| j != i).collect();
-            if !matches!(
-                feasible_within(&dep.restrict(&trial), b, exact_ok),
-                Tri::Yes(_)
-            ) {
+            if still_infeasible(&trial) {
                 alive = trial;
             }
         }
@@ -821,6 +862,41 @@ mod tests {
             })
             .collect();
         (t, Elp::from_paths(paths))
+    }
+
+    /// Layer 1: paths 0 and 1 put `0→1` and `3→4` in the graph; path 2's
+    /// `1→0` is searched and refused, path 3 asks for the same edge in the
+    /// same round and path 4 a round later; path 5's `4→3` is refused.
+    /// Layer 2 starts from an empty graph, where path 5 crosses `1→0`
+    /// mid-segment: a refusal that outlived its layer would push that hop
+    /// to a third.
+    #[test]
+    fn refusals_are_forgotten_with_the_layer() {
+        use tagger_topo::{NodeId, PortId};
+        let dep = Dep {
+            ports: (0..5)
+                .map(|i| GlobalPort::new(NodeId(i), PortId(0)))
+                .collect(),
+            paths: vec![
+                vec![0, 1],
+                vec![3, 4],
+                vec![1, 0],
+                vec![1, 0],
+                vec![2, 1, 0],
+                vec![4, 3, 1, 0],
+            ],
+        };
+        assert_eq!(
+            peel(&dep),
+            vec![
+                vec![1, 1],
+                vec![1, 1],
+                vec![1, 2],
+                vec![1, 2],
+                vec![1, 1, 2],
+                vec![1, 2, 2, 2],
+            ]
+        );
     }
 
     #[test]

@@ -263,6 +263,16 @@ impl PathTree {
         Path { nodes }
     }
 
+    /// The tree nodes of the `index`-th path, last node first: the walk
+    /// [`PathTree::path`] makes, for a pass that keeps a value per tree
+    /// node (a [`PathTree::sweep`]'s, say) and wants them along one path.
+    ///
+    /// # Panics
+    /// Panics if `index >= self.len()`.
+    pub fn walk_up(&self, index: usize) -> impl Iterator<Item = usize> + '_ {
+        self.ancestors(self.leaves[index]).map(|t| t as usize)
+    }
+
     /// The paths, in the order they were pushed.
     pub fn paths(&self) -> impl ExactSizeIterator<Item = Path> + '_ {
         (0..self.len()).map(|i| self.path(i))
