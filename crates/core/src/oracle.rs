@@ -229,7 +229,7 @@ impl WitnessOrder {
 /// Dense buffer-dependency view of an ELP: ingress ports interned to
 /// `u32` ids, each path a sequence of ids. Edges are consecutive pairs.
 struct Dep {
-    /// Shared with every [`Dep::restrict`]ion: the ids keep their meaning.
+    /// Shared, not copied, by [`Dep::restrict`]: ids keep their meaning.
     ports: Rc<[GlobalPort]>,
     paths: Vec<Vec<u32>>,
 }
