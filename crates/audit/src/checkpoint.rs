@@ -18,7 +18,7 @@
 //! round-trips through [`render`] / [`parse`] losslessly.
 
 use std::fmt;
-use tagger_core::RuleSet;
+use tagger_core::{RuleSet, Span};
 use tagger_topo::{ClosConfig, Topology};
 
 /// A parsed checkpoint: rebuilt topology plus the tables to audit.
@@ -88,27 +88,20 @@ pub fn parse_header(text: &str) -> Result<CheckpointHeader, CheckpointError> {
         if let Some(rest) = line.strip_prefix("topo ") {
             config = Some(parse_topo(rest, lineno)?);
         } else if let Some(rest) = line.strip_prefix("epoch ") {
-            epoch = Some(rest.trim().parse().map_err(|_| CheckpointError {
-                line: lineno,
-                why: format!("epoch wants a number, got {rest:?}"),
+            epoch = Some(rest.trim().parse().map_err(|_| {
+                CheckpointError::at(lineno, format!("epoch wants a number, got {rest:?}"))
             })?);
             body_started = true;
             body_line = lineno + 1;
         } else {
-            return Err(CheckpointError {
-                line: lineno,
-                why: format!("expected `topo` or `epoch`, got {line:?}"),
-            });
+            return Err(CheckpointError::at(
+                lineno,
+                format!("expected `topo` or `epoch`, got {line:?}"),
+            ));
         }
     }
-    let config = config.ok_or(CheckpointError {
-        line: 0,
-        why: "missing `topo clos ...` header".into(),
-    })?;
-    let epoch = epoch.ok_or(CheckpointError {
-        line: 0,
-        why: "missing `epoch N` header".into(),
-    })?;
+    let config = config.ok_or_else(|| CheckpointError::at(0, "missing `topo clos ...` header"))?;
+    let epoch = epoch.ok_or_else(|| CheckpointError::at(0, "missing `epoch N` header"))?;
     Ok(CheckpointHeader {
         config,
         epoch,
@@ -123,10 +116,10 @@ pub fn parse(text: &str) -> Result<Checkpoint, CheckpointError> {
     let header = parse_header(text)?;
     let topo = header.config.build();
     let rules = RuleSet::from_table_text(&topo, &header.body).map_err(|e| {
-        let file_span = e.span.offset_lines(header.body_line.saturating_sub(1));
+        let span = e.span.offset_lines(header.body_line.saturating_sub(1));
         CheckpointError {
-            line: file_span.line,
-            why: format!("table body: col {}: {}", file_span.col, e.why),
+            span,
+            why: format!("table body: col {}: {}", span.col, e.kind),
         }
     })?;
     Ok(Checkpoint {
@@ -142,10 +135,10 @@ fn parse_topo(rest: &str, line: usize) -> Result<ClosConfig, CheckpointError> {
     let mut parts = rest.split_whitespace();
     let kind = parts.next().unwrap_or_default();
     if kind != "clos" {
-        return Err(CheckpointError {
+        return Err(CheckpointError::at(
             line,
-            why: format!("only `topo clos` checkpoints are supported, got {kind:?}"),
-        });
+            format!("only `topo clos` checkpoints are supported, got {kind:?}"),
+        ));
     }
     let mut config = ClosConfig {
         pods: 0,
@@ -155,13 +148,11 @@ fn parse_topo(rest: &str, line: usize) -> Result<ClosConfig, CheckpointError> {
         hosts_per_tor: 0,
     };
     for kv in parts {
-        let (key, value) = kv.split_once('=').ok_or_else(|| CheckpointError {
-            line,
-            why: format!("expected key=value, got {kv:?}"),
-        })?;
-        let value: usize = value.parse().map_err(|_| CheckpointError {
-            line,
-            why: format!("{key} wants a number, got {value:?}"),
+        let (key, value) = kv
+            .split_once('=')
+            .ok_or_else(|| CheckpointError::at(line, format!("expected key=value, got {kv:?}")))?;
+        let value: usize = value.parse().map_err(|_| {
+            CheckpointError::at(line, format!("{key} wants a number, got {value:?}"))
         })?;
         match key {
             "pods" => config.pods = value,
@@ -170,38 +161,55 @@ fn parse_topo(rest: &str, line: usize) -> Result<ClosConfig, CheckpointError> {
             "spines" => config.spines = value,
             "hosts_per_tor" => config.hosts_per_tor = value,
             other => {
-                return Err(CheckpointError {
+                return Err(CheckpointError::at(
                     line,
-                    why: format!("unknown clos dimension {other:?}"),
-                })
+                    format!("unknown clos dimension {other:?}"),
+                ))
             }
         }
     }
     if config.pods == 0 || config.leaves_per_pod == 0 || config.tors_per_pod == 0 {
-        return Err(CheckpointError {
+        return Err(CheckpointError::at(
             line,
-            why: "clos dimensions must all be non-zero".into(),
-        });
+            "clos dimensions must all be non-zero",
+        ));
     }
     Ok(config)
 }
 
-/// A malformed checkpoint, with the offending line (0 for whole-file
-/// problems).
+/// A malformed checkpoint, spanned to the offending line (or, in the
+/// table body, token).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckpointError {
-    /// 1-based line number, 0 when no single line is to blame.
-    pub line: usize,
+    /// Where it went wrong: a line start for header problems, the
+    /// token for table-body ones, [`Span::whole_file`] when no single
+    /// line is to blame.
+    pub span: Span,
     /// What went wrong.
     pub why: String,
 }
 
+impl CheckpointError {
+    /// A whole-line error on 1-based `line` (0 = the whole file).
+    fn at(line: usize, why: impl Into<String>) -> CheckpointError {
+        let span = if line == 0 {
+            Span::whole_file()
+        } else {
+            Span::line_start(line)
+        };
+        CheckpointError {
+            span,
+            why: why.into(),
+        }
+    }
+}
+
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
+        if self.span.is_whole_file() {
             write!(f, "checkpoint: {}", self.why)
         } else {
-            write!(f, "checkpoint line {}: {}", self.line, self.why)
+            write!(f, "checkpoint line {}: {}", self.span.line, self.why)
         }
     }
 }
@@ -231,9 +239,23 @@ mod tests {
     #[test]
     fn malformed_checkpoints_are_rejected_with_line_numbers() {
         assert!(parse("").is_err());
-        assert!(parse("epoch 1\n").is_err(), "missing topo");
         let e = parse("topo clos pods=2 leaves_per_pod=x\n").unwrap_err();
-        assert_eq!(e.line, 1);
+        assert_eq!(e.span, Span::line_start(1));
+        assert_eq!(
+            e.to_string(),
+            "checkpoint line 1: leaves_per_pod wants a number, got \"x\""
+        );
+        let e = parse("epoch 1\n").unwrap_err();
+        assert_eq!(e.span, Span::whole_file());
+        assert_eq!(e.to_string(), "checkpoint: missing `topo clos ...` header");
+        // A table-body error keeps the table parser's token span, in
+        // file coordinates.
+        let e = parse("topo clos pods=1 leaves_per_pod=1 tors_per_pod=1 spines=1 hosts_per_tor=1\nepoch 1\nswitch NOPE\n").unwrap_err();
+        assert_eq!(e.span, Span::new(3, 8, 4));
+        assert_eq!(
+            e.to_string(),
+            "checkpoint line 3: table body: col 8: unknown switch \"NOPE\""
+        );
         let e = parse("topo mesh\nepoch 1\n").unwrap_err();
         assert!(e.why.contains("topo clos"));
     }

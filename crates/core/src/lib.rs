@@ -24,6 +24,8 @@
 //! - [`oracle`] — does *any* deadlock-free tagging fit a tag budget?
 //! - [`digraph`] — the acyclicity kernel all of the above (and the
 //!   simulator's deadlock detector) ask their cycle questions of.
+//! - [`json`] — the one JSON value, renderer and parser behind every
+//!   byte-stable report (lint, fleet, scenario, ingest).
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Library code paths reachable from user-supplied artifacts (table
@@ -38,11 +40,11 @@ pub mod digraph;
 pub mod dscp;
 mod elp;
 mod graph;
+pub mod json;
 pub mod multiclass;
 pub mod oracle;
 mod ports;
 mod rules;
-pub mod span;
 pub mod tcam;
 mod turn;
 
@@ -53,6 +55,9 @@ pub use graph::{Tag, TaggedEdge, TaggedGraph, TaggedNode, VerifyError};
 pub use oracle::{decide, Feasible, Infeasible, Verdict, WitnessOrder, HARDWARE_TAG_CEILING};
 pub use rules::{
     InstallError, RuleDelta, RuleError, RuleSet, SpannedRule, SwitchRule, TableTextError,
-    TableTextParse, TagDecision, Tagging,
+    TableTextErrorKind, TableTextParse, TagDecision, Tagging,
 };
-pub use span::Span;
+/// Source spans, from `tagger-topo` so the topology spec parser below
+/// this crate reports the same coordinates as every parser above it.
+pub use tagger_topo::span;
+pub use tagger_topo::span::Span;

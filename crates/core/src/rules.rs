@@ -602,23 +602,24 @@ impl RuleSet {
                 continue;
             }
             let words: Vec<(usize, &str)> = spanned_words(raw).collect();
-            let err = |out: &mut TableTextParse, (col, tok): (usize, &str), why: String| {
+            let err = |out: &mut TableTextParse, (col, tok): (usize, &str), kind| {
                 out.errors.push(TableTextError {
                     span: Span::new(lineno, col, tok.len()),
-                    why,
+                    kind,
                 });
             };
             match words[0].1 {
                 "switch" => {
                     let Some(&name) = words.get(1) else {
-                        err(&mut out, words[0], "switch wants a node name".to_string());
+                        err(&mut out, words[0], TableTextErrorKind::SwitchWithoutName);
                         current = Some(None);
                         continue;
                     };
                     match topo.node_by_name(name.1) {
                         Some(sw) => current = Some(Some(sw)),
                         None => {
-                            err(&mut out, name, format!("unknown switch {:?}", name.1));
+                            let kind = TableTextErrorKind::UnknownSwitch(name.1.to_string());
+                            err(&mut out, name, kind);
                             current = Some(None);
                         }
                     }
@@ -626,57 +627,56 @@ impl RuleSet {
                 "rule" => {
                     let sw = match current {
                         None => {
-                            err(
-                                &mut out,
-                                words[0],
-                                "rule before any switch line".to_string(),
-                            );
+                            err(&mut out, words[0], TableTextErrorKind::RuleBeforeSwitch);
                             continue;
                         }
                         Some(None) => continue, // section header already errored
                         Some(Some(sw)) => sw,
                     };
                     if words.len() != 5 {
-                        err(
-                            &mut out,
-                            words[0],
-                            format!(
-                                "rule wants <tag> <in> <out> <new-tag>, got {} argument(s)",
-                                words.len() - 1
-                            ),
-                        );
+                        let kind = TableTextErrorKind::RuleArity(words.len() - 1);
+                        err(&mut out, words[0], kind);
                         continue;
                     }
-                    let num = |out: &mut TableTextParse, w: (usize, &str), what: &str| {
+                    let bad = |what, w: (usize, &str)| TableTextErrorKind::BadNumber {
+                        what,
+                        token: w.1.to_string(),
+                    };
+                    let num = |out: &mut TableTextParse, w: (usize, &str), what| {
                         let v: Option<u16> = w.1.parse().ok();
                         if v.is_none() {
-                            err(out, w, format!("bad {what} {:?}", w.1));
+                            err(out, w, bad(what, w));
                         }
                         v
                     };
                     let port = |out: &mut TableTextParse, w: (usize, &str)| -> Option<PortId> {
                         if let Some(n) = w.1.strip_prefix('#') {
-                            let Ok(p) = n.parse::<u16>() else {
-                                err(out, w, format!("bad port {:?}", w.1));
+                            let Ok(port) = n.parse::<u16>() else {
+                                err(out, w, bad("port", w));
                                 return None;
                             };
-                            if p as usize >= topo.node(sw).num_ports() {
-                                err(out, w, format!("{} has no port {p}", topo.node(sw).name));
+                            if port as usize >= topo.node(sw).num_ports() {
+                                let switch = topo.node(sw).name.clone();
+                                err(out, w, TableTextErrorKind::NoSuchPort { switch, port });
                                 return None;
                             }
-                            return Some(PortId(p));
+                            return Some(PortId(port));
                         }
                         let Some(peer) = topo.node_by_name(w.1) else {
-                            err(out, w, format!("unknown neighbour {:?}", w.1));
+                            err(
+                                out,
+                                w,
+                                TableTextErrorKind::UnknownNeighbour(w.1.to_string()),
+                            );
                             return None;
                         };
                         let towards = topo.port_towards(sw, peer);
                         if towards.is_none() {
-                            err(
-                                out,
-                                w,
-                                format!("{} has no port towards {}", topo.node(sw).name, w.1),
-                            );
+                            let kind = TableTextErrorKind::NotAdjacent {
+                                switch: topo.node(sw).name.clone(),
+                                neighbour: w.1.to_string(),
+                            };
+                            err(out, w, kind);
                         }
                         towards
                     };
@@ -701,7 +701,11 @@ impl RuleSet {
                         span: Span::new(lineno, words[0].0, last.0 + last.1.len() - words[0].0),
                     });
                 }
-                _ => err(&mut out, words[0], format!("unrecognized line {line:?}")),
+                _ => err(
+                    &mut out,
+                    words[0],
+                    TableTextErrorKind::Unrecognized(line.to_string()),
+                ),
             }
         }
         out
@@ -736,12 +740,72 @@ pub struct TableTextError {
     /// Where the offending token sits.
     pub span: Span,
     /// What was wrong with it.
-    pub why: String,
+    pub kind: TableTextErrorKind,
+}
+
+/// What was wrong with a table-text line; `Display` is the message.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TableTextErrorKind {
+    /// A `switch` line with no name after it.
+    SwitchWithoutName,
+    /// A `switch` line naming no node of the topology.
+    UnknownSwitch(String),
+    /// A `rule` line above every `switch` line.
+    RuleBeforeSwitch,
+    /// A `rule` line without exactly four arguments (the count given).
+    RuleArity(usize),
+    /// A tag, new tag or `#port` index that is not a `u16`.
+    BadNumber {
+        /// `tag`, `new-tag` or `port`.
+        what: &'static str,
+        /// The token as written.
+        token: String,
+    },
+    /// A `#port` index past the switch's last port.
+    NoSuchPort {
+        /// The switch's name.
+        switch: String,
+        /// The index as written.
+        port: u16,
+    },
+    /// A neighbour name that is no node of the topology.
+    UnknownNeighbour(String),
+    /// A neighbour the switch has no port towards.
+    NotAdjacent {
+        /// The switch's name.
+        switch: String,
+        /// The neighbour as written.
+        neighbour: String,
+    },
+    /// A line that is neither `switch` nor `rule` (trimmed).
+    Unrecognized(String),
+}
+
+impl fmt::Display for TableTextErrorKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use TableTextErrorKind as K;
+        match self {
+            K::SwitchWithoutName => write!(f, "switch wants a node name"),
+            K::UnknownSwitch(name) => write!(f, "unknown switch {name:?}"),
+            K::RuleBeforeSwitch => write!(f, "rule before any switch line"),
+            K::RuleArity(n) => write!(
+                f,
+                "rule wants <tag> <in> <out> <new-tag>, got {n} argument(s)"
+            ),
+            K::BadNumber { what, token } => write!(f, "bad {what} {token:?}"),
+            K::NoSuchPort { switch, port } => write!(f, "{switch} has no port {port}"),
+            K::UnknownNeighbour(name) => write!(f, "unknown neighbour {name:?}"),
+            K::NotAdjacent { switch, neighbour } => {
+                write!(f, "{switch} has no port towards {neighbour}")
+            }
+            K::Unrecognized(line) => write!(f, "unrecognized line {line:?}"),
+        }
+    }
 }
 
 impl fmt::Display for TableTextError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "table text line {}: {}", self.span, self.why)
+        write!(f, "table text line {}: {}", self.span, self.kind)
     }
 }
 
@@ -1238,6 +1302,103 @@ mod tests {
             assert_eq!(err.span.line, line, "{text:?}: {err}");
             assert_eq!(err.span.col, col, "{text:?}: {err}");
         }
+    }
+
+    /// The one error `text` produces on the small Clos, rendered.
+    fn table_error(text: &str) -> (TableTextErrorKind, Span, String) {
+        let topo = ClosConfig::small().build();
+        let e = RuleSet::from_table_text(&topo, text).unwrap_err();
+        let shown = e.to_string();
+        (e.kind, e.span, shown)
+    }
+
+    #[test]
+    fn table_error_switch_without_name() {
+        let (kind, span, shown) = table_error("switch\n");
+        assert_eq!(kind, TableTextErrorKind::SwitchWithoutName);
+        assert_eq!(span, Span::new(1, 1, 6));
+        assert_eq!(shown, "table text line 1:1: switch wants a node name");
+    }
+
+    #[test]
+    fn table_error_unknown_switch() {
+        let (kind, span, shown) = table_error("switch NOPE\n");
+        assert_eq!(kind, TableTextErrorKind::UnknownSwitch("NOPE".into()));
+        assert_eq!(span, Span::new(1, 8, 4));
+        assert_eq!(shown, "table text line 1:8: unknown switch \"NOPE\"");
+    }
+
+    #[test]
+    fn table_error_rule_before_switch() {
+        let (kind, span, shown) = table_error("rule 1 T1 S1 1\n");
+        assert_eq!(kind, TableTextErrorKind::RuleBeforeSwitch);
+        assert_eq!(span, Span::new(1, 1, 4));
+        assert_eq!(shown, "table text line 1:1: rule before any switch line");
+    }
+
+    #[test]
+    fn table_error_rule_arity() {
+        let (kind, span, shown) = table_error("switch L1\nrule 1 T1 S1\n");
+        assert_eq!(kind, TableTextErrorKind::RuleArity(3));
+        assert_eq!(span, Span::new(2, 1, 4));
+        assert_eq!(
+            shown,
+            "table text line 2:1: rule wants <tag> <in> <out> <new-tag>, got 3 argument(s)"
+        );
+    }
+
+    #[test]
+    fn table_error_bad_number() {
+        let (kind, span, shown) = table_error("switch L1\nrule 1 T1 S1 x\n");
+        let token = "x".to_string();
+        assert_eq!(
+            kind,
+            TableTextErrorKind::BadNumber {
+                what: "new-tag",
+                token
+            }
+        );
+        assert_eq!(span, Span::new(2, 14, 1));
+        assert_eq!(shown, "table text line 2:14: bad new-tag \"x\"");
+        let (_, _, shown) = table_error("switch L1\nrule 1 #p S1 1\n");
+        assert_eq!(shown, "table text line 2:8: bad port \"#p\"");
+    }
+
+    #[test]
+    fn table_error_no_such_port() {
+        let (kind, span, shown) = table_error("switch L1\nrule 1 #99 S1 1\n");
+        let switch = "L1".to_string();
+        assert_eq!(kind, TableTextErrorKind::NoSuchPort { switch, port: 99 });
+        assert_eq!(span, Span::new(2, 8, 3));
+        assert_eq!(shown, "table text line 2:8: L1 has no port 99");
+    }
+
+    #[test]
+    fn table_error_unknown_neighbour() {
+        let (kind, span, shown) = table_error("switch L1\nrule 1 NOPE S1 1\n");
+        assert_eq!(kind, TableTextErrorKind::UnknownNeighbour("NOPE".into()));
+        assert_eq!(span, Span::new(2, 8, 4));
+        assert_eq!(shown, "table text line 2:8: unknown neighbour \"NOPE\"");
+    }
+
+    #[test]
+    fn table_error_not_adjacent() {
+        let (kind, span, shown) = table_error("switch L1\nrule 1 T3 S1 1\n");
+        let (switch, neighbour) = ("L1".to_string(), "T3".to_string());
+        assert_eq!(kind, TableTextErrorKind::NotAdjacent { switch, neighbour });
+        assert_eq!(span, Span::new(2, 8, 2));
+        assert_eq!(shown, "table text line 2:8: L1 has no port towards T3");
+    }
+
+    #[test]
+    fn table_error_unrecognized() {
+        let (kind, span, shown) = table_error("switch L1\n  junk here\n");
+        assert_eq!(kind, TableTextErrorKind::Unrecognized("junk here".into()));
+        assert_eq!(span, Span::new(2, 3, 4));
+        assert_eq!(
+            shown,
+            "table text line 2:3: unrecognized line \"junk here\""
+        );
     }
 
     #[test]

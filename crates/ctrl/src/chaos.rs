@@ -111,7 +111,6 @@ pub struct ChaosSouthbound {
     cfg: ChaosConfig,
     rng: StdRng,
     faults: u64,
-    attempts: u64,
 }
 
 impl ChaosSouthbound {
@@ -122,7 +121,6 @@ impl ChaosSouthbound {
             rng: StdRng::seed_from_u64(cfg.seed),
             cfg,
             faults: 0,
-            attempts: 0,
         }
     }
 
@@ -135,16 +133,10 @@ impl ChaosSouthbound {
     pub fn faults_injected(&self) -> u64 {
         self.faults
     }
-
-    /// Install attempts observed so far (faulted or not).
-    pub fn attempts_seen(&self) -> u64 {
-        self.attempts
-    }
 }
 
 impl Southbound for ChaosSouthbound {
     fn install(&mut self, _epoch: u64, delta: &RuleDelta) -> Result<(), InstallError> {
-        self.attempts += 1;
         let draw: f64 = self.rng.random();
         let c = self.cfg;
         if draw < c.fail_rate {

@@ -22,6 +22,7 @@ use super::wire::{Decoder, Msg};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
+use tagger_core::json::Value;
 
 /// Client knobs. All timing is bounded: no retry loop is infinite.
 #[derive(Clone, Debug)]
@@ -105,28 +106,17 @@ impl DeliveryReport {
     /// trailing newline — byte-identical across runs at a fixed input,
     /// regardless of transport faults.
     pub fn stable_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"client_id\": {},", self.client_id);
-        let _ = writeln!(out, "  \"offered\": {},", self.offered);
-        let _ = writeln!(out, "  \"delivered\": {},", self.delivered);
-        out.push_str("  \"rejections\": [");
-        for (i, r) in self.rejections.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                out,
-                "    {{ \"index\": {}, \"reason\": {} }}",
-                r.index,
-                tagger_core::span::json_str(&r.reason)
-            );
-        }
-        out.push_str(if self.rejections.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        out.push_str("}\n");
-        out
+        let rejections = self
+            .rejections
+            .iter()
+            .map(|r| Value::obj([("index", r.index.into()), ("reason", Value::str(&r.reason))]));
+        Value::obj([
+            ("client_id", self.client_id.into()),
+            ("offered", self.offered.into()),
+            ("delivered", self.delivered.into()),
+            ("rejections", rejections.collect()),
+        ])
+        .render()
     }
 
     /// One operator summary line (includes timing-dependent counters, so
@@ -408,6 +398,23 @@ mod tests {
         assert!(a.contains("\\\"L9\\\""));
         assert!(!a.contains("reconnect"));
         assert!(a.ends_with("}\n"));
+        let parsed = Value::parse(&a).unwrap();
+        assert_eq!(parsed.render(), a, "byte-stable round trip");
+        assert_eq!(
+            parsed.get("rejections"),
+            Some(&Value::Arr(vec![Value::obj([
+                ("index", Value::Num(4)),
+                ("reason", Value::str("unknown node \"L9\"")),
+            ])]))
+        );
+        // A client id above i64::MAX prints exactly.
+        r.client_id = u64::MAX;
+        let big = r.stable_json();
+        assert!(
+            big.contains("\"client_id\": 18446744073709551615,"),
+            "{big}"
+        );
+        assert_eq!(Value::parse(&big).unwrap().render(), big);
     }
 
     #[test]

@@ -50,6 +50,14 @@ use std::time::Duration;
 use tagger_ctrl::{ChaosConfig, Damping};
 use tagger_topo::Topology;
 
+/// Socket read deadline; also the stop-flag poll interval for reader
+/// threads.
+const READ_TIMEOUT: Duration = Duration::from_millis(50);
+/// Socket write deadline for replies.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
+/// Suggested client retry delay carried in `Backpressure` replies, ms.
+const RETRY_AFTER_MS: u32 = 2;
+
 /// Everything the ingest front needs to run.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -63,18 +71,10 @@ pub struct ServeConfig {
     pub drain_quantum: usize,
     /// How often the drain thread runs a fair cycle.
     pub drain_interval: Duration,
-    /// Socket read deadline; also the stop-flag poll interval for
-    /// reader threads.
-    pub read_timeout: Duration,
-    /// Socket write deadline for replies.
-    pub write_timeout: Duration,
     /// Events one connection may land per drain tick before being
     /// pushed back — the budget that keeps one chatty peer from
     /// starving the fair cycle.
     pub conn_budget: usize,
-    /// Suggested client retry delay carried in `Backpressure` replies,
-    /// ms.
-    pub retry_after_ms: u32,
     /// Damping policy for auto-registered fabrics.
     pub damping: Damping,
     /// Southbound chaos schedule for auto-registered fabrics, re-seeded
@@ -87,8 +87,7 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Defaults rooted at `dir` over `topo`: queue cap 1024, quantum 4,
-    /// 2 ms drain tick, 50 ms read deadline, 1 s write deadline, budget
-    /// 64 events per connection per tick, 2 ms suggested retry, flap
+    /// 2 ms drain tick, budget 64 events per connection per tick, flap
     /// damping, reliable southbound.
     pub fn new(dir: impl Into<PathBuf>, topo: Topology) -> Self {
         ServeConfig {
@@ -96,10 +95,7 @@ impl ServeConfig {
             queue_cap: 1024,
             drain_quantum: 4,
             drain_interval: Duration::from_millis(2),
-            read_timeout: Duration::from_millis(50),
-            write_timeout: Duration::from_secs(1),
             conn_budget: 64,
-            retry_after_ms: 2,
             damping: Damping::Flap,
             chaos: None,
             topo,
@@ -321,8 +317,8 @@ struct Session {
 }
 
 fn reader_loop(socket: TcpStream, shared: Arc<Shared>) {
-    let _ = socket.set_read_timeout(Some(shared.cfg.read_timeout));
-    let _ = socket.set_write_timeout(Some(shared.cfg.write_timeout));
+    let _ = socket.set_read_timeout(Some(READ_TIMEOUT));
+    let _ = socket.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = socket.set_nodelay(true);
     let mut reader = socket;
     let mut dec = Decoder::new();
@@ -463,7 +459,7 @@ fn handle_event(shared: &Arc<Shared>, session: &mut Session, seq: u64, line: &st
             .fetch_add(1, Ordering::Relaxed);
         return Msg::Backpressure {
             queue_depth: 0,
-            retry_after_ms: shared.cfg.retry_after_ms,
+            retry_after_ms: RETRY_AFTER_MS,
         };
     }
 
@@ -524,7 +520,7 @@ fn handle_event(shared: &Arc<Shared>, session: &mut Session, seq: u64, line: &st
                 .fetch_add(1, Ordering::Relaxed);
             Msg::Backpressure {
                 queue_depth: depth,
-                retry_after_ms: shared.cfg.retry_after_ms,
+                retry_after_ms: RETRY_AFTER_MS,
             }
         }
         Err(e) => {

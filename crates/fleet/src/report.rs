@@ -12,7 +12,7 @@
 use crate::fabric::Fabric;
 use std::fmt::Write as _;
 use tagger_audit::AuditMetrics;
-use tagger_core::span::json_str;
+use tagger_core::json::Value;
 use tagger_ctrl::ControllerMetrics;
 
 /// Point-in-time status of one fabric, decoupled from the live
@@ -177,49 +177,42 @@ impl FleetReport {
     /// Machine JSON, two-space indented with a trailing newline.
     /// Deterministic: only seed-stable fields, no wall-clock values.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"fabrics\": [");
-        for (i, f) in self.fabrics.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"id\": {},", f.id);
-            let _ = writeln!(out, "      \"name\": {},", json_str(&f.name));
-            let _ = writeln!(out, "      \"epoch\": {},", f.epoch);
-            let _ = writeln!(out, "      \"rules\": {},", f.rules);
-            let _ = writeln!(out, "      \"quarantines\": {},", f.quarantines);
-            let _ = writeln!(out, "      \"queued\": {},", f.queued);
-            let _ = writeln!(out, "      \"ingested\": {},", f.ingested);
-            let _ = writeln!(out, "      \"queue_rejections\": {},", f.queue_rejections);
-            let _ = writeln!(out, "      \"batches\": {},", f.batches);
-            let _ = writeln!(out, "      \"commits\": {},", f.commits);
-            let _ = writeln!(out, "      \"rollbacks\": {},", f.rollbacks);
-            let _ = writeln!(out, "      \"flaps_damped\": {},", f.ctrl.flaps_damped);
-            let _ = writeln!(out, "      \"faults_injected\": {},", f.faults_injected);
-            let _ = writeln!(out, "      \"audit_violations\": {},", f.audit_violations);
-            let _ = writeln!(
-                out,
-                "      \"certificates_issued\": {},",
-                f.audit.certificates_issued
-            );
-            let _ = writeln!(out, "      \"converged\": {}", f.converged);
-            out.push_str("    }");
-        }
-        out.push_str("\n  ],\n");
-        let _ = writeln!(
-            out,
-            "  \"rollup\": {{\n    \"events\": {},\n    \"epochs_committed\": {},\n    \
-             \"rollbacks\": {},\n    \"flaps_damped\": {},\n    \"epochs_audited\": {},\n    \
-             \"certificates_issued\": {},\n    \"counterexamples_found\": {}\n  }},",
-            self.ctrl_rollup.events,
-            self.ctrl_rollup.epochs_committed,
-            self.ctrl_rollup.rollbacks,
-            self.ctrl_rollup.flaps_damped,
-            self.audit_rollup.epochs_audited,
-            self.audit_rollup.certificates_issued,
-            self.audit_rollup.counterexamples_found,
-        );
-        let _ = writeln!(out, "  \"healthy\": {}", self.healthy());
-        out.push_str("}\n");
-        out
+        let fabrics = self.fabrics.iter().map(|f| {
+            Value::obj([
+                ("id", f.id.into()),
+                ("name", Value::str(&f.name)),
+                ("epoch", f.epoch.into()),
+                ("rules", f.rules.into()),
+                ("quarantines", f.quarantines.into()),
+                ("queued", f.queued.into()),
+                ("ingested", f.ingested.into()),
+                ("queue_rejections", f.queue_rejections.into()),
+                ("batches", f.batches.into()),
+                ("commits", f.commits.into()),
+                ("rollbacks", f.rollbacks.into()),
+                ("flaps_damped", f.ctrl.flaps_damped.into()),
+                ("faults_injected", f.faults_injected.into()),
+                ("audit_violations", f.audit_violations.into()),
+                ("certificates_issued", f.audit.certificates_issued.into()),
+                ("converged", f.converged.into()),
+            ])
+        });
+        let (ctrl, audit) = (&self.ctrl_rollup, &self.audit_rollup);
+        let rollup = Value::obj([
+            ("events", ctrl.events.into()),
+            ("epochs_committed", ctrl.epochs_committed.into()),
+            ("rollbacks", ctrl.rollbacks.into()),
+            ("flaps_damped", ctrl.flaps_damped.into()),
+            ("epochs_audited", audit.epochs_audited.into()),
+            ("certificates_issued", audit.certificates_issued.into()),
+            ("counterexamples_found", audit.counterexamples_found.into()),
+        ]);
+        Value::obj([
+            ("fabrics", fabrics.collect()),
+            ("rollup", rollup),
+            ("healthy", self.healthy().into()),
+        ])
+        .render()
     }
 }
 
@@ -301,6 +294,11 @@ mod tests {
         assert!(a.contains("\"healthy\": true"));
         assert!(!a.contains("latency"), "JSON must stay seed-stable:\n{a}");
         assert!(a.ends_with("}\n"));
+        let parsed = Value::parse(&a).unwrap();
+        assert_eq!(parsed.render(), a, "byte-stable round trip");
+        // An empty fleet renders its fabric list as `[]`.
+        let empty = FleetReport::capture(std::iter::empty()).to_json();
+        assert!(empty.starts_with("{\n  \"fabrics\": [],\n"), "{empty}");
     }
 
     #[test]

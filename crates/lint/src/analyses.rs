@@ -3,8 +3,8 @@
 use crate::diag::{codes, Diagnostic, Severity};
 use std::collections::{BTreeMap, BTreeSet};
 use tagger_core::tcam::{Compression, Tcam, TcamProgram};
-use tagger_core::{Elp, RuleSet, Span, Tag, TagDecision, TaggedNode};
-use tagger_topo::{nearest_names, GlobalPort, NodeId, PortId, Topology};
+use tagger_core::{Elp, RuleSet, Span, TableTextErrorKind, Tag, TagDecision, TaggedNode};
+use tagger_topo::{did_you_mean, nearest_names, GlobalPort, NodeId, PortId, Topology};
 
 /// Where each final (last-write-wins) rule was defined in the text, so
 /// semantic findings can point back at source lines.
@@ -42,11 +42,6 @@ fn key_name(topo: &Topology, sw: NodeId, tag: Tag, in_port: PortId, out_port: Po
     )
 }
 
-fn did_you_mean(topo: &Topology, name: &str) -> Option<String> {
-    let nearest = nearest_names(topo, name);
-    (!nearest.is_empty()).then(|| format!("did you mean {}?", nearest.join(", ")))
-}
-
 /// Lints the *text* of a rule table: malformed lines (with the parser's
 /// exact spans) and duplicate match keys — the analysis that catches a
 /// table whose first-match TCAM semantics disagree with what the
@@ -56,29 +51,27 @@ pub fn lint_table_text(topo: &Topology, text: &str, line_offset: usize) -> Table
     let parse = RuleSet::parse_table_text_lenient(topo, text);
     let mut diagnostics = Vec::new();
     for e in &parse.errors {
-        let span = e.span.offset_lines(line_offset);
-        let named = || e.why.split('"').nth(1).unwrap_or_default();
-        let d = if e.why.starts_with("unknown switch") {
-            let mut d = Diagnostic::new(codes::UNKNOWN_SWITCH, Severity::Error, e.why.clone());
-            if let Some(hint) = did_you_mean(topo, named()) {
-                d = d.with_hint(hint);
+        let message = e.kind.to_string();
+        let unknown = |code, name: &str| {
+            let d = Diagnostic::new(code, Severity::Error, message.clone());
+            match did_you_mean(&nearest_names(topo, name)) {
+                Some(hint) => d.with_hint(hint),
+                None => d,
             }
-            d
-        } else if e.why.starts_with("unknown neighbour") {
-            let mut d = Diagnostic::new(codes::UNKNOWN_NEIGHBOUR, Severity::Error, e.why.clone());
-            if let Some(hint) = did_you_mean(topo, named()) {
-                d = d.with_hint(hint);
-            }
-            d
-        } else if e.why.contains("has no port towards") {
-            Diagnostic::new(codes::NOT_ADJACENT, Severity::Error, e.why.clone())
-        } else if e.why.starts_with("rule before any switch") {
-            Diagnostic::new(codes::RULE_BEFORE_SWITCH, Severity::Error, e.why.clone())
-                .with_hint("add a `switch <name>` line above this rule")
-        } else {
-            Diagnostic::new(codes::MALFORMED_RULE, Severity::Error, e.why.clone())
         };
-        diagnostics.push(d.with_span(span));
+        let d = match &e.kind {
+            TableTextErrorKind::UnknownSwitch(name) => unknown(codes::UNKNOWN_SWITCH, name),
+            TableTextErrorKind::UnknownNeighbour(name) => unknown(codes::UNKNOWN_NEIGHBOUR, name),
+            TableTextErrorKind::NotAdjacent { .. } => {
+                Diagnostic::new(codes::NOT_ADJACENT, Severity::Error, message)
+            }
+            TableTextErrorKind::RuleBeforeSwitch => {
+                Diagnostic::new(codes::RULE_BEFORE_SWITCH, Severity::Error, message)
+                    .with_hint("add a `switch <name>` line above this rule")
+            }
+            _ => Diagnostic::new(codes::MALFORMED_RULE, Severity::Error, message),
+        };
+        diagnostics.push(d.with_span(e.span.offset_lines(line_offset)));
     }
 
     // Duplicate match keys, in file order. The TCAM is first-match, the

@@ -246,8 +246,6 @@ pub enum ArtifactKind {
     Checkpoint,
     /// A `tagger-ctrld` plain-text event trace (ELP spec + link events).
     Trace,
-    /// An in-memory rule table (no file behind it).
-    Rules,
     /// A declarative `.scn` scenario (`tagger-scenario` DSL).
     Scenario,
     /// A plain-text `.topo` topology spec (`tagger-plan custom` input).
@@ -260,7 +258,6 @@ impl ArtifactKind {
         match self {
             ArtifactKind::Checkpoint => "checkpoint",
             ArtifactKind::Trace => "trace",
-            ArtifactKind::Rules => "rules",
             ArtifactKind::Scenario => "scenario",
             ArtifactKind::Topology => "topology",
         }
@@ -270,7 +267,7 @@ impl ArtifactKind {
 /// Everything lint found in one artifact.
 #[derive(Clone, Debug)]
 pub struct ArtifactReport {
-    /// The file name as given (or a synthetic label for in-memory lint).
+    /// The file name as given.
     pub file: String,
     /// What the artifact was recognised as.
     pub kind: ArtifactKind,
@@ -361,7 +358,7 @@ mod tests {
             .with_span(Span::new(2, 9, 1));
         let report = ArtifactReport {
             file: "f".into(),
-            kind: ArtifactKind::Rules,
+            kind: ArtifactKind::Checkpoint,
             diagnostics: vec![a.clone(), b.clone(), c.clone()],
         }
         .finish();

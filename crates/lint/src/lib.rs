@@ -63,7 +63,7 @@
 
 pub mod analyses;
 pub mod diag;
-pub mod json;
+pub use tagger_core::json;
 
 pub use diag::{codes, ArtifactKind, ArtifactReport, Diagnostic, LintReport, Severity};
 
@@ -73,7 +73,7 @@ use json::Value;
 use tagger_audit::checkpoint;
 use tagger_core::{minimize_elp, oracle, Elp, RuleSet, Span};
 use tagger_ctrl::{parse_trace, CtrlEvent, TraceErrorKind};
-use tagger_topo::{nearest_names, ClosConfig, GlobalPort, LinkLookupError, Topology};
+use tagger_topo::{did_you_mean, nearest_names, ClosConfig, GlobalPort, LinkLookupError, Topology};
 
 /// Which expected-lossless-path set to check coverage against.
 ///
@@ -137,14 +137,9 @@ pub fn lint_checkpoint_text(file: &str, text: &str, opts: &LintOptions) -> Artif
     let header = match checkpoint::parse_header(text) {
         Ok(h) => h,
         Err(e) => {
-            let span = if e.line == 0 {
-                Span::whole_file()
-            } else {
-                Span::line_start(e.line)
-            };
             report.diagnostics.push(
                 Diagnostic::new(C::BAD_HEADER, Severity::Error, e.why)
-                    .with_span(span)
+                    .with_span(e.span)
                     .with_hint(
                         "a checkpoint needs a `topo clos key=value...` line and an \
                          `epoch N` line before the table body",
@@ -347,15 +342,8 @@ pub fn lint_topology_text(file: &str, text: &str, opts: &LintOptions) -> Artifac
     let spec = match Topology::parse_spec(text) {
         Ok(spec) => spec,
         Err(e) => {
-            let span = if e.line == 0 {
-                Span::whole_file()
-            } else if e.len == 0 {
-                Span::line_start(e.line)
-            } else {
-                Span::new(e.line, e.col, e.len)
-            };
             let mut d =
-                Diagnostic::new(C::TOPO_SPEC_ERROR, Severity::Error, e.message).with_span(span);
+                Diagnostic::new(C::TOPO_SPEC_ERROR, Severity::Error, e.message).with_span(e.span);
             if let Some(hint) = e.hint {
                 d = d.with_hint(hint);
             }
@@ -461,14 +449,10 @@ pub fn lint_trace_text_budget(
                         ),
                     ),
                     TraceErrorKind::BadArity { .. } => (C::TRACE_ARITY, None),
-                    TraceErrorKind::UnknownNode(name) => {
-                        let nearest = nearest_names(topo, name);
-                        (
-                            C::TRACE_UNKNOWN_NODE,
-                            (!nearest.is_empty())
-                                .then(|| format!("did you mean {}?", nearest.join(", "))),
-                        )
-                    }
+                    TraceErrorKind::UnknownNode(name) => (
+                        C::TRACE_UNKNOWN_NODE,
+                        did_you_mean(&nearest_names(topo, name)),
+                    ),
                     TraceErrorKind::PortOutOfRange { node, .. } => (
                         C::TRACE_PORT_RANGE,
                         topo.node_by_name(node)
@@ -477,9 +461,7 @@ pub fn lint_trace_text_budget(
                     TraceErrorKind::Path(..) => (C::TRACE_BAD_PATH, None),
                     TraceErrorKind::Link(link) => {
                         let hint = match link {
-                            LinkLookupError::UnknownNode { nearest, .. } if !nearest.is_empty() => {
-                                Some(format!("did you mean {}?", nearest.join(", ")))
-                            }
+                            LinkLookupError::UnknownNode { nearest, .. } => did_you_mean(nearest),
                             LinkLookupError::NotAdjacent { a, candidates, .. }
                                 if !candidates.is_empty() =>
                             {
@@ -599,28 +581,6 @@ pub fn lint_scenario_text(file: &str, text: &str) -> ArtifactReport {
     .finish()
 }
 
-/// Lints an in-memory rule set (no file behind it) — the library entry
-/// point controllers can call before staging an epoch.
-pub fn lint_rules(
-    label: &str,
-    topo: &Topology,
-    rules: &RuleSet,
-    opts: &LintOptions,
-) -> ArtifactReport {
-    let mut report = ArtifactReport {
-        file: label.to_string(),
-        kind: ArtifactKind::Rules,
-        diagnostics: lint_ruleset(topo, rules, &analyses::SpanIndex::new()),
-    };
-    if let Some(spec) = opts.elp {
-        report
-            .diagnostics
-            .extend(lint_elp_coverage(topo, rules, &spec.build(topo)));
-    }
-    report.diagnostics.extend(redundancy_note(topo, rules));
-    report.finish()
-}
-
 /// Guesses what kind of artifact `text` is, preferring content over the
 /// `name` extension: checkpoints self-identify via their header.
 pub fn sniff_kind(name: &str, text: &str) -> ArtifactKind {
@@ -686,76 +646,79 @@ pub fn lint_files(paths: &[String], opts: &LintOptions) -> LintReport {
 /// Encodes a report as a JSON [`Value`] (see [`render_json`] for the
 /// schema).
 pub fn report_to_json(report: &LintReport) -> Value {
-    let artifacts = report
-        .artifacts
-        .iter()
-        .map(|a| {
-            let diagnostics = a
-                .diagnostics
-                .iter()
-                .map(|d| {
-                    let mut members = vec![
-                        ("code".to_string(), Value::str(d.code)),
-                        ("severity".to_string(), Value::str(d.severity.label())),
-                    ];
-                    if let Some(s) = d.span {
-                        if !s.is_whole_file() {
-                            members.push(("line".into(), Value::Num(s.line as i64)));
-                            members.push(("col".into(), Value::Num(s.col as i64)));
-                            members.push(("len".into(), Value::Num(s.len as i64)));
-                        }
-                    }
-                    members.push(("message".into(), Value::str(&d.message)));
-                    if let Some(locus) = &d.locus {
-                        members.push(("locus".into(), Value::str(locus)));
-                    }
-                    if let Some(hint) = &d.hint {
-                        members.push(("hint".into(), Value::str(hint)));
-                    }
-                    Value::Obj(members)
-                })
-                .collect();
-            Value::Obj(vec![
-                ("file".into(), Value::str(&a.file)),
-                ("kind".into(), Value::str(a.kind.label())),
-                ("diagnostics".into(), Value::Arr(diagnostics)),
-            ])
-        })
-        .collect();
-    Value::Obj(vec![
-        ("version".into(), Value::Num(1)),
+    let diagnostic = |d: &Diagnostic| {
+        let mut members = vec![
+            ("code", Value::str(d.code)),
+            ("severity", Value::str(d.severity.label())),
+        ];
+        if let Some(s) = d.span.filter(|s| !s.is_whole_file()) {
+            members.extend([
+                ("line", s.line.into()),
+                ("col", s.col.into()),
+                ("len", s.len.into()),
+            ]);
+        }
+        members.push(("message", Value::str(&d.message)));
+        if let Some(locus) = &d.locus {
+            members.push(("locus", Value::str(locus)));
+        }
+        if let Some(hint) = &d.hint {
+            members.push(("hint", Value::str(hint)));
+        }
+        Value::obj(members)
+    };
+    let artifacts = report.artifacts.iter().map(|a| {
+        Value::obj([
+            ("file", Value::str(&a.file)),
+            ("kind", Value::str(a.kind.label())),
+            (
+                "diagnostics",
+                a.diagnostics.iter().map(diagnostic).collect(),
+            ),
+        ])
+    });
+    Value::obj([
+        ("version", Value::Num(1)),
         (
-            "summary".into(),
-            Value::Obj(vec![
-                (
-                    "errors".into(),
-                    Value::Num(report.count(Severity::Error) as i64),
-                ),
-                (
-                    "warnings".into(),
-                    Value::Num(report.count(Severity::Warning) as i64),
-                ),
-                (
-                    "notes".into(),
-                    Value::Num(report.count(Severity::Note) as i64),
-                ),
+            "summary",
+            Value::obj([
+                ("errors", report.count(Severity::Error).into()),
+                ("warnings", report.count(Severity::Warning).into()),
+                ("notes", report.count(Severity::Note).into()),
             ]),
         ),
-        ("artifacts".into(), Value::Arr(artifacts)),
+        ("artifacts", artifacts.collect()),
     ])
 }
 
-/// The byte-stable JSON rendering of a report:
+/// The byte-stable JSON rendering of a report, one member per line
+/// with two-space indentation:
 ///
 /// ```json
 /// {
 ///   "version": 1,
-///   "summary": {"errors": 2, "warnings": 1, "notes": 1},
+///   "summary": {
+///     "errors": 2,
+///     "warnings": 1,
+///     "notes": 1
+///   },
 ///   "artifacts": [
-///     {"file": "...", "kind": "checkpoint", "diagnostics": [
-///       {"code": "T0201", "severity": "error", "line": 146, "col": 1,
-///        "len": 15, "message": "...", "locus": "switch L1", "hint": "..."}
-///     ]}
+///     {
+///       "file": "...",
+///       "kind": "checkpoint",
+///       "diagnostics": [
+///         {
+///           "code": "T0201",
+///           "severity": "error",
+///           "line": 146,
+///           "col": 1,
+///           "len": 15,
+///           "message": "...",
+///           "locus": "switch L1",
+///           "hint": "..."
+///         }
+///       ]
+///     }
 ///   ]
 /// }
 /// ```

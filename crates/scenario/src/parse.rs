@@ -10,7 +10,7 @@
 use crate::model::*;
 use std::collections::BTreeMap;
 use tagger_core::span::{spanned_words, Span};
-use tagger_topo::nearest_names;
+use tagger_topo::{did_you_mean, nearest_names};
 
 /// Stable issue categories; `tagger-lint` maps these onto its `T06xx`
 /// diagnostic codes.
@@ -1045,14 +1045,13 @@ fn validate(s: &Scenario) -> Vec<ScnIssue> {
     if let Some(topo) = topo {
         let mut check = |name: &str| {
             if topo.node_by_name(name).is_none() {
-                let nearest = nearest_names(&topo, name);
                 let mut issue = ScnIssue::new(
                     IssueCode::UnknownNode,
                     Span::whole_file(),
                     format!("unknown node `{name}` in this topology"),
                 );
-                if !nearest.is_empty() {
-                    issue = issue.hint(format!("did you mean {}?", nearest.join(", ")));
+                if let Some(hint) = did_you_mean(&nearest_names(&topo, name)) {
+                    issue = issue.hint(hint);
                 }
                 issues.push(issue);
             }

@@ -1,12 +1,13 @@
 //! Suite results: per-scenario, per-sweep-point pass/fail with the
-//! metrics that justify the verdict. The JSON rendering is hand-rolled
-//! and byte-stable — same scenarios, same seed, same bytes — so CI can
-//! diff two runs directly (the determinism gate).
+//! metrics that justify the verdict. The JSON rendering is a
+//! [`Value`] tree and byte-stable — same scenarios, same seed, same
+//! bytes — so CI can `cmp` a run against the committed report (the
+//! determinism gate).
 
 use crate::asserts::AssertOutcome;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use tagger_core::span::json_str;
+use tagger_core::json::Value;
 
 /// Seed-stable counters extracted from one finished run. Integers only:
 /// no floats, no wall-clock values, so the JSON is diffable.
@@ -143,77 +144,62 @@ impl SuiteReport {
 
     /// Machine JSON, two-space indented, trailing newline, byte-stable.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"version\": 1,\n  \"scenarios\": [");
-        for (i, s) in self.scenarios.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"name\": {},", json_str(&s.name));
-            let _ = writeln!(out, "      \"file\": {},", json_str(&s.file));
-            let _ = writeln!(out, "      \"seed\": {},", s.seed);
-            let _ = writeln!(out, "      \"pass\": {},", s.pass());
+        let scenarios = self.scenarios.iter().map(|s| {
+            let mut members = vec![
+                ("name", Value::str(&s.name)),
+                ("file", Value::str(&s.file)),
+                ("seed", s.seed.into()),
+                ("pass", s.pass().into()),
+            ];
             if let Some(e) = &s.error {
-                let _ = writeln!(out, "      \"error\": {},", json_str(e));
+                members.push(("error", Value::str(e)));
             }
-            out.push_str("      \"points\": [");
-            for (j, p) in s.points.iter().enumerate() {
-                out.push_str(if j == 0 { "\n" } else { ",\n" });
-                out.push_str("        {\n");
-                out.push_str("          \"vars\": {");
-                for (k, (var, val)) in p.vars.iter().enumerate() {
-                    if k > 0 {
-                        out.push_str(", ");
-                    }
-                    let _ = write!(out, "{}: {val}", json_str(var));
-                }
-                out.push_str("},\n");
-                let _ = writeln!(out, "          \"pass\": {},", p.pass());
-                out.push_str("          \"asserts\": [");
-                for (k, a) in p.asserts.iter().enumerate() {
-                    out.push_str(if k == 0 { "\n" } else { ",\n" });
-                    let _ = write!(
-                        out,
-                        "            {{\"label\": {}, \"line\": {}, \"pass\": {}, \"detail\": {}}}",
-                        json_str(&a.label),
-                        a.span.line,
-                        a.pass,
-                        json_str(&a.detail)
-                    );
-                }
-                out.push_str("\n          ],\n");
-                let m = &p.metrics;
-                out.push_str("          \"metrics\": {\n");
-                let _ = writeln!(
-                    out,
-                    "            \"events_processed\": {},",
-                    m.events_processed
-                );
-                let _ = writeln!(
-                    out,
-                    "            \"delivered_bytes\": {},",
-                    m.delivered_bytes
-                );
-                let _ = writeln!(out, "            \"pauses_sent\": {},", m.pauses_sent);
-                let _ = writeln!(out, "            \"lossless_drops\": {},", m.lossless_drops);
-                let _ = writeln!(out, "            \"lossy_drops\": {},", m.lossy_drops);
-                let _ = writeln!(out, "            \"watchdog_trips\": {},", m.watchdog_trips);
-                let _ = writeln!(out, "            \"episodes\": {},", m.episodes);
-                let _ = writeln!(out, "            \"recoveries\": {},", m.recoveries);
-                let _ = writeln!(out, "            \"max_pause_ns\": {},", m.max_pause_ns);
-                match m.deadlock_at_ns {
-                    Some(t) => {
-                        let _ = writeln!(out, "            \"deadlock_at_ns\": {t}");
-                    }
-                    None => out.push_str("            \"deadlock_at_ns\": null\n"),
-                }
-                out.push_str("          }\n        }");
-            }
-            out.push_str("\n      ]\n    }");
-        }
-        out.push_str("\n  ],\n");
-        let _ = writeln!(out, "  \"pass\": {}", self.pass());
-        out.push_str("}\n");
-        out
+            members.push(("points", s.points.iter().map(point_json).collect()));
+            Value::obj(members)
+        });
+        Value::obj([
+            ("version", Value::Num(1)),
+            ("scenarios", scenarios.collect()),
+            ("pass", self.pass().into()),
+        ])
+        .render()
     }
+}
+
+fn point_json(p: &PointResult) -> Value {
+    let asserts = p.asserts.iter().map(|a| {
+        Value::obj([
+            ("label", Value::str(&a.label)),
+            ("line", a.span.line.into()),
+            ("pass", a.pass.into()),
+            ("detail", Value::str(&a.detail)),
+        ])
+    });
+    let m = &p.metrics;
+    let metrics = Value::obj([
+        ("events_processed", m.events_processed.into()),
+        ("delivered_bytes", m.delivered_bytes.into()),
+        ("pauses_sent", m.pauses_sent.into()),
+        ("lossless_drops", m.lossless_drops.into()),
+        ("lossy_drops", m.lossy_drops.into()),
+        ("watchdog_trips", m.watchdog_trips.into()),
+        ("episodes", m.episodes.into()),
+        ("recoveries", m.recoveries.into()),
+        ("max_pause_ns", m.max_pause_ns.into()),
+        (
+            "deadlock_at_ns",
+            m.deadlock_at_ns.map_or(Value::Null, Value::from),
+        ),
+    ]);
+    Value::obj([
+        (
+            "vars",
+            Value::obj(p.vars.iter().map(|(k, &v)| (k.as_str(), v.into()))),
+        ),
+        ("pass", p.pass().into()),
+        ("asserts", asserts.collect()),
+        ("metrics", metrics),
+    ])
 }
 
 fn render_vars(vars: &BTreeMap<String, u64>) -> String {
@@ -258,6 +244,30 @@ mod tests {
     fn json_is_deterministic() {
         assert_eq!(sample().to_json(), sample().to_json());
         assert!(sample().to_json().ends_with("\"pass\": true\n}\n"));
+    }
+
+    #[test]
+    fn json_round_trips_through_the_shared_value() {
+        let mut r = sample();
+        r.scenarios[0].seed = u64::MAX;
+        r.scenarios[0].points[0].metrics.deadlock_at_ns = Some(42);
+        r.scenarios.push(ScenarioResult {
+            name: "broken \"one\"".into(),
+            file: "b.scn".into(),
+            seed: 0,
+            points: Vec::new(),
+            error: Some("unknown node `H99`".into()),
+        });
+        let text = r.to_json();
+        let parsed = Value::parse(&text).unwrap();
+        assert_eq!(parsed.render(), text, "byte-stable round trip");
+        assert!(text.contains("\"seed\": 18446744073709551615,"), "{text}");
+        let Some(Value::Arr(scenarios)) = parsed.get("scenarios") else {
+            panic!("scenarios array");
+        };
+        assert_eq!(scenarios[0].get("seed"), Some(&Value::UNum(u64::MAX)));
+        assert_eq!(scenarios[1].get("points"), Some(&Value::Arr(Vec::new())));
+        assert_eq!(parsed.get("pass"), Some(&Value::Bool(false)));
     }
 
     #[test]

@@ -55,12 +55,6 @@ impl FlowSpec {
         self
     }
 
-    /// Sets the initial tag (multi-class experiments).
-    pub fn with_initial_tag(mut self, tag: Tag) -> FlowSpec {
-        self.initial_tag = tag;
-        self
-    }
-
     /// Caps the flow at a total byte count.
     pub fn with_limit(mut self, bytes: u64) -> FlowSpec {
         self.limit_bytes = Some(bytes);

@@ -281,13 +281,6 @@ impl Simulator {
         self.actions.push((time, action));
     }
 
-    /// Arms the per-queue PFC watchdog on an already-built simulator
-    /// (equivalent to setting [`SimConfig::watchdog`]; must be called
-    /// before [`Simulator::run`], which schedules the poll ticks).
-    pub fn arm_watchdog(&mut self, cfg: WatchdogConfig) {
-        self.cfg.watchdog = Some(cfg);
-    }
-
     /// Read-only view of one node's data plane, for post-run inspection
     /// (queue occupancy, held trigger stamps, PFC gating).
     pub fn switch_state(&self, node: NodeId) -> Option<&SwitchState> {

@@ -478,11 +478,6 @@ impl SwitchState {
         self.total_bytes
     }
 
-    /// The head-of-line packet on an egress queue, if any.
-    pub fn peek(&self, port: PortId, queue: u8) -> Option<&QueuedPacket> {
-        self.queues[self.eq(port, queue)].front()
-    }
-
     /// Ingress PFC occupancy for `(port, prio)`.
     pub fn ingress_occupancy(&self, port: PortId, prio: u8) -> u64 {
         self.ingress_occ[self.iq(port, prio)]

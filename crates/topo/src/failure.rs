@@ -45,8 +45,8 @@ impl fmt::Display for LinkLookupError {
         match self {
             LinkLookupError::UnknownNode { name, nearest } => {
                 write!(f, "unknown node {name:?}")?;
-                if !nearest.is_empty() {
-                    write!(f, " (did you mean {}?)", nearest.join(", "))?;
+                if let Some(hint) = did_you_mean(nearest) {
+                    write!(f, " ({hint})")?;
                 }
                 Ok(())
             }
@@ -95,6 +95,13 @@ pub fn nearest_names(topo: &Topology, name: &str) -> Vec<String> {
         .collect();
     scored.sort();
     scored.into_iter().take(3).map(|(_, n)| n.into()).collect()
+}
+
+/// `did you mean A, B?` over [`nearest_names`]' suggestions — the one
+/// wording every tool's unknown-name hint uses; `None` when there is
+/// nothing to suggest.
+pub fn did_you_mean(nearest: &[String]) -> Option<String> {
+    (!nearest.is_empty()).then(|| format!("did you mean {}?", nearest.join(", ")))
 }
 
 /// A set of failed links, overlaid on a [`Topology`] without mutating it.

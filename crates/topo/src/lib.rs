@@ -30,12 +30,13 @@ mod failure;
 mod fattree;
 mod ids;
 mod jellyfish;
+pub mod span;
 mod spec;
 mod topology;
 
 pub use bcube::{bcube, BCubeConfig};
 pub use clos::{clos2, ClosConfig};
-pub use failure::{nearest_names, resolve_link, FailureSet, LinkLookupError};
+pub use failure::{did_you_mean, nearest_names, resolve_link, FailureSet, LinkLookupError};
 pub use fattree::fat_tree;
 pub use ids::{GlobalPort, LinkId, NodeId, PortId};
 pub use jellyfish::JellyfishConfig;

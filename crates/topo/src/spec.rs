@@ -20,18 +20,17 @@
 //! (`tagger-plan custom`, `tagger-lint`) can render compiler-style
 //! diagnostics pointing at the offending token.
 
-use crate::{nearest_names, Layer, NodeKind, Topology};
+use crate::span::{spanned_words, Span};
+use crate::{did_you_mean, nearest_names, Layer, NodeKind, Topology};
 use std::fmt;
 
-/// Parse errors, with 1-based line/column coordinates.
+/// A parse error, spanned to the offending token.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpecError {
-    /// Line the error occurred on (1-based; 0 = whole file).
-    pub line: usize,
-    /// Column of the offending token (1-based; 1 when unknown).
-    pub col: usize,
-    /// Length of the offending token in characters (0 when unknown).
-    pub len: usize,
+    /// The offending token: 1-based line and byte column, byte length.
+    /// A line start when no single token is to blame (a missing
+    /// argument), [`Span::whole_file`] for whole-file problems.
+    pub span: Span,
     /// What went wrong.
     pub message: String,
     /// A fix-it suggestion, when one is known (did-you-mean for node
@@ -39,12 +38,28 @@ pub struct SpecError {
     pub hint: Option<String>,
 }
 
+impl SpecError {
+    fn new(span: Span, message: impl Into<String>) -> SpecError {
+        SpecError {
+            span,
+            message: message.into(),
+            hint: None,
+        }
+    }
+
+    fn with_hint(mut self, hint: impl Into<String>) -> SpecError {
+        self.hint = Some(hint.into());
+        self
+    }
+}
+
 impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.col > 1 {
-            write!(f, "line {}:{}: {}", self.line, self.col, self.message)?;
+        let Span { line, col, .. } = self.span;
+        if col > 1 {
+            write!(f, "line {line}:{col}: {}", self.message)?;
         } else {
-            write!(f, "line {}: {}", self.line, self.message)?;
+            write!(f, "line {line}: {}", self.message)?;
         }
         if let Some(hint) = &self.hint {
             write!(f, " ({hint})")?;
@@ -55,78 +70,11 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// The 1-based character column of the `idx`-th whitespace-separated
-/// token of `raw`, with its character length — mirrors the tokenizer
-/// the parser splits with, so coordinates always land on the token.
-fn token_span(raw: &str, idx: usize) -> (usize, usize) {
-    let mut in_word = false;
-    let mut word = 0usize;
-    let mut start = 1usize;
-    let mut len = 0usize;
-    for (i, c) in raw.chars().enumerate() {
-        if c.is_whitespace() {
-            if in_word {
-                if word == idx + 1 {
-                    return (start, len);
-                }
-                in_word = false;
-            }
-        } else {
-            if !in_word {
-                in_word = true;
-                word += 1;
-                start = i + 1;
-                len = 0;
-            }
-            len += 1;
-        }
-    }
-    if in_word && word == idx + 1 {
-        return (start, len);
-    }
-    (1, 0)
-}
-
-fn err(line: usize, message: impl Into<String>) -> SpecError {
-    SpecError {
-        line,
-        col: 1,
-        len: 0,
-        message: message.into(),
-        hint: None,
-    }
-}
-
-fn err_at(raw: &str, line: usize, field: usize, message: impl Into<String>) -> SpecError {
-    let (col, len) = token_span(raw, field);
-    SpecError {
-        line,
-        col,
-        len,
-        message: message.into(),
-        hint: None,
-    }
-}
-
-fn with_hint(mut e: SpecError, hint: impl Into<String>) -> SpecError {
-    e.hint = Some(hint.into());
-    e
-}
-
-fn unknown_node_err(
-    topo: &Topology,
-    raw: &str,
-    line: usize,
-    field: usize,
-    name: &str,
-) -> SpecError {
-    let e = err_at(raw, line, field, format!("unknown node {name:?}"));
-    let nearest = nearest_names(topo, name);
-    if nearest.is_empty() {
-        with_hint(e, "declare the node with a `node` line before linking it")
-    } else {
-        with_hint(e, format!("did you mean {}?", nearest.join(", ")))
-    }
+fn unknown_node_err(topo: &Topology, span: Span, name: &str) -> SpecError {
+    SpecError::new(span, format!("unknown node {name:?}")).with_hint(
+        did_you_mean(&nearest_names(topo, name))
+            .unwrap_or_else(|| "declare the node with a `node` line before linking it".into()),
+    )
 }
 
 fn layer_to_text(layer: Layer) -> String {
@@ -140,7 +88,7 @@ fn layer_to_text(layer: Layer) -> String {
     }
 }
 
-fn layer_from_text(s: &str, raw: &str, line: usize) -> Result<Layer, SpecError> {
+fn layer_from_text(s: &str, span: Span) -> Result<Layer, SpecError> {
     match s {
         "tor" => Ok(Layer::Tor),
         "leaf" => Ok(Layer::Leaf),
@@ -150,12 +98,10 @@ fn layer_from_text(s: &str, raw: &str, line: usize) -> Result<Layer, SpecError> 
             if let Some(n) = other.strip_prefix("level:") {
                 n.parse::<u8>()
                     .map(Layer::Level)
-                    .map_err(|_| err_at(raw, line, 3, format!("bad level in {other:?}")))
+                    .map_err(|_| SpecError::new(span, format!("bad level in {other:?}")))
             } else {
-                Err(with_hint(
-                    err_at(raw, line, 3, format!("unknown layer {other:?}")),
-                    "layers: tor, leaf, spine, flat, level:N",
-                ))
+                Err(SpecError::new(span, format!("unknown layer {other:?}"))
+                    .with_hint("layers: tor, leaf, spine, flat, level:N"))
             }
         }
     }
@@ -195,59 +141,63 @@ impl Topology {
         let mut link_lines = Vec::new();
         for (i, raw) in text.lines().enumerate() {
             let line = i + 1;
-            // Strip trailing comments, then whitespace.
-            let trimmed = raw.split('#').next().unwrap_or("").trim();
-            if trimmed.is_empty() {
+            // Trailing comments are stripped; columns stay those of `raw`.
+            let words: Vec<(usize, &str)> =
+                spanned_words(raw.split('#').next().unwrap_or("")).collect();
+            let Some(&(_, directive)) = words.first() else {
                 continue;
-            }
-            let fields: Vec<&str> = trimmed.split_whitespace().collect();
-            match fields[0] {
+            };
+            let fields: Vec<&str> = words.iter().map(|&(_, w)| w).collect();
+            let at = |field: usize| {
+                words
+                    .get(field)
+                    .map_or(Span::line_start(line), |&(col, w)| {
+                        Span::new(line, col, w.len())
+                    })
+            };
+            match directive {
                 "node" => match fields.as_slice() {
                     ["node", name, "host"] => {
                         if topo.node_by_name(name).is_some() {
-                            return Err(err_at(raw, line, 1, format!("duplicate node {name:?}")));
+                            return Err(SpecError::new(at(1), format!("duplicate node {name:?}")));
                         }
                         topo.add_host(*name);
                     }
                     ["node", name, "switch", layer] => {
                         if topo.node_by_name(name).is_some() {
-                            return Err(err_at(raw, line, 1, format!("duplicate node {name:?}")));
+                            return Err(SpecError::new(at(1), format!("duplicate node {name:?}")));
                         }
-                        topo.add_switch(*name, layer_from_text(layer, raw, line)?);
+                        topo.add_switch(*name, layer_from_text(layer, at(3))?);
                     }
                     _ => {
-                        return Err(with_hint(
-                            err_at(raw, line, 0, "malformed node declaration"),
-                            "write `node <name> host` or `node <name> switch <layer>`",
-                        ))
+                        return Err(SpecError::new(at(0), "malformed node declaration")
+                            .with_hint("write `node <name> host` or `node <name> switch <layer>`"))
                     }
                 },
                 "link" => {
                     if fields.len() < 3 || fields.len() > 5 {
-                        return Err(with_hint(
-                            err_at(raw, line, 0, "malformed link declaration"),
-                            "write `link <a> <b> [capacity_bps] [latency_ns]`",
-                        ));
+                        return Err(SpecError::new(at(0), "malformed link declaration")
+                            .with_hint("write `link <a> <b> [capacity_bps] [latency_ns]`"));
                     }
                     let a = topo
                         .node_by_name(fields[1])
-                        .ok_or_else(|| unknown_node_err(&topo, raw, line, 1, fields[1]))?;
+                        .ok_or_else(|| unknown_node_err(&topo, at(1), fields[1]))?;
                     let b = topo
                         .node_by_name(fields[2])
-                        .ok_or_else(|| unknown_node_err(&topo, raw, line, 2, fields[2]))?;
+                        .ok_or_else(|| unknown_node_err(&topo, at(2), fields[2]))?;
                     if a == b {
-                        return Err(err_at(raw, line, 2, "self-links are not allowed"));
+                        return Err(SpecError::new(at(2), "self-links are not allowed"));
                     }
                     let capacity = match fields.get(3) {
                         Some(c) => c
                             .parse()
-                            .map_err(|_| err_at(raw, line, 3, format!("bad capacity {c:?}")))?,
+                            .map_err(|_| SpecError::new(at(3), format!("bad capacity {c:?}")))?,
                         None => crate::topology::DEFAULT_CAPACITY_BPS,
                     };
                     let latency = match fields.get(4) {
                         Some(l) => l
                             .parse()
-                            .map_err(|_| err_at(raw, line, 4, format!("bad latency {l:?}")))?,
+                            .map_err(|_| SpecError::new(at(4), format!("bad latency {l:?}")))?,
                         None => crate::topology::DEFAULT_LATENCY_NS,
                     };
                     topo.connect_with(a, b, capacity, latency);
@@ -255,10 +205,8 @@ impl Topology {
                 }
                 "priorities" => {
                     if priorities.is_some() {
-                        return Err(with_hint(
-                            err_at(raw, line, 0, "duplicate `priorities` declaration"),
-                            format!("first declared on line {priorities_line}"),
-                        ));
+                        return Err(SpecError::new(at(0), "duplicate `priorities` declaration")
+                            .with_hint(format!("first declared on line {priorities_line}")));
                     }
                     let n = match fields.get(1) {
                         Some(v) => v.parse::<u16>().ok().filter(|&n| (1..=64).contains(&n)),
@@ -270,23 +218,22 @@ impl Topology {
                             priorities_line = line;
                         }
                         None => {
-                            return Err(with_hint(
-                                err_at(raw, line, 1, "bad priority budget"),
-                                "write `priorities <N>` with N in 1..=64",
-                            ))
+                            return Err(SpecError::new(at(1), "bad priority budget")
+                                .with_hint("write `priorities <N>` with N in 1..=64"))
                         }
                     }
                 }
                 other => {
-                    return Err(with_hint(
-                        err_at(raw, line, 0, format!("unknown directive {other:?}")),
-                        "directives: node, link, priorities",
-                    ))
+                    return Err(
+                        SpecError::new(at(0), format!("unknown directive {other:?}"))
+                            .with_hint("directives: node, link, priorities"),
+                    )
                 }
             }
         }
-        topo.check_consistency()
-            .map_err(|m| err(0, format!("inconsistent topology: {m}")))?;
+        topo.check_consistency().map_err(|m| {
+            SpecError::new(Span::whole_file(), format!("inconsistent topology: {m}"))
+        })?;
         Ok(SpecFile {
             topo,
             priorities,
@@ -423,15 +370,37 @@ mod tests {
     fn errors_carry_token_coordinates() {
         // The bad layer is the 4th token on line 2; columns are 1-based.
         let e = Topology::from_spec_text("node A host\nnode B switch nowhere\n").unwrap_err();
-        assert_eq!(e.line, 2);
-        assert_eq!(e.col, 15);
-        assert_eq!(e.len, "nowhere".len());
+        assert_eq!(e.span, Span::new(2, 15, "nowhere".len()));
         // Unknown link endpoint: the 2nd token.
         let e = Topology::from_spec_text("node A host\nlink A Bx\n").unwrap_err();
-        assert_eq!((e.line, e.col, e.len), (2, 8, 2));
+        assert_eq!(e.span, Span::new(2, 8, 2));
         // Bad capacity: the 4th token.
         let e = Topology::from_spec_text("node A host\nnode B host\nlink A B pig\n").unwrap_err();
-        assert_eq!((e.line, e.col, e.len), (3, 10, 3));
+        assert_eq!(e.span, Span::new(3, 10, 3));
+        // A missing argument points at the line; a whole-file problem
+        // at no line.
+        let e = Topology::from_spec_text("priorities\n").unwrap_err();
+        assert_eq!(e.span, Span::line_start(1));
+        assert_eq!(
+            e.to_string(),
+            "line 1: bad priority budget (write `priorities <N>` with N in 1..=64)"
+        );
+    }
+
+    #[test]
+    fn error_columns_are_byte_columns() {
+        // `Ä` is two bytes: the column is the byte column the shared
+        // tokenizer reports, not the character column.
+        let text = "node Ä switch nowhere";
+        let e = Topology::from_spec_text(text).unwrap_err();
+        let (col, word) = spanned_words(text).nth(3).unwrap();
+        assert_eq!(word, "nowhere");
+        assert_eq!(e.span, Span::new(1, col, word.len()));
+        assert_eq!(col, 16);
+        assert_eq!(
+            e.to_string(),
+            "line 1:16: unknown layer \"nowhere\" (layers: tor, leaf, spine, flat, level:N)"
+        );
     }
 
     #[test]

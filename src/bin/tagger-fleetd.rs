@@ -57,7 +57,7 @@
 use std::io::BufRead;
 use std::process::ExitCode;
 
-use tagger::cli::{get, parse_args, Flags};
+use tagger::cli::{get, parse_args, read_input, Flags};
 use tagger::ctrl::ChaosConfig;
 use tagger::fleet::net::{ServeConfig, Server};
 use tagger::fleet::{Damping, FabricSpec, Fleet, FleetConfig, FleetError, SoakConfig};
@@ -132,19 +132,7 @@ fn run_ingest(stream: Option<String>, flags: &Flags) -> Result<ExitCode, String>
     let mut template = FabricSpec::new("", ClosConfig::small().build()).with_damping(damping);
     template.chaos = chaos;
 
-    let text = match &stream {
-        Some(path) => {
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?
-        }
-        None => {
-            let mut buf = String::new();
-            for line in std::io::stdin().lock().lines() {
-                buf.push_str(&line.map_err(|e| e.to_string())?);
-                buf.push('\n');
-            }
-            buf
-        }
-    };
+    let text = read_input(stream.as_deref())?;
 
     let mut lines = 0u64;
     let mut stalls = 0u64;

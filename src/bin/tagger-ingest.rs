@@ -30,12 +30,11 @@
 //! Exits non-zero on any lost, double-applied or rejected event, or any
 //! journal divergence.
 
-use std::io::BufRead;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use tagger::cli::{get, parse_args, Flags};
+use tagger::cli::{get, parse_args, read_input, Flags};
 use tagger::ctrl::ChaosConfig;
 use tagger::fleet::net::{
     send_lines, ChaosTransport, ClientConfig, NetChaosConfig, ServeConfig, Server,
@@ -57,20 +56,7 @@ fn run_send(stream: Option<String>, flags: &Flags) -> Result<ExitCode, String> {
     cfg.max_attempts = get(flags, "attempts", cfg.max_attempts)?.max(1);
     cfg.max_reconnects = get(flags, "reconnects", cfg.max_reconnects)?;
 
-    let text = match &stream {
-        Some(path) => {
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?
-        }
-        None => {
-            let mut buf = String::new();
-            for line in std::io::stdin().lock().lines() {
-                buf.push_str(&line.map_err(|e| e.to_string())?);
-                buf.push('\n');
-            }
-            buf
-        }
-    };
-    let lines: Vec<String> = text
+    let lines: Vec<String> = read_input(stream.as_deref())?
         .lines()
         .map(str::trim)
         .filter(|l| !l.is_empty() && !l.starts_with('#'))

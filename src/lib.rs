@@ -134,4 +134,15 @@ pub mod cli {
     pub fn get<T: FromStr>(flags: &Flags, key: &str, default: T) -> Result<T, String> {
         Ok(get_opt(flags, key)?.unwrap_or(default))
     }
+
+    /// The text of the file at `path`, or all of stdin when no path was
+    /// given — how the stream-reading subcommands take their input.
+    pub fn read_input(path: Option<&str>) -> Result<String, String> {
+        match path {
+            Some(path) => {
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+            }
+            None => std::io::read_to_string(std::io::stdin()).map_err(|e| e.to_string()),
+        }
+    }
 }
