@@ -13,7 +13,8 @@
 //!   (paper §4.3): paths that violate the up-down rule at most `k` times,
 //!   the result of failures and reroutes.
 //! - [`shortest_paths_between`] / [`ShortestPaths`] — BFS shortest-path
-//!   enumeration for unstructured (Jellyfish) fabrics.
+//!   enumeration for unstructured (Jellyfish) fabrics, and
+//!   [`random_paths`], the random walks Table 5 adds to that ELP.
 //! - [`bcube_paths`] — BCube's default single-path routing.
 //! - [`Fib`] — per-switch destination-based forwarding tables with ECMP
 //!   and override entries (used to inject the routing loop of the paper's
@@ -41,6 +42,7 @@ pub use fib::{EcmpMode, Fib};
 pub use path::{Path, PathError, PathTree};
 pub use shortest::enumerate_from_dag;
 pub use shortest::{
-    shortest_path_dag, shortest_paths_all_pairs, shortest_paths_between, ShortestPaths,
+    random_paths, shortest_path_dag, shortest_paths_all_pairs, shortest_paths_between,
+    ShortestPaths,
 };
 pub use updown::{updown_paths, updown_paths_between, updown_paths_between_switches};

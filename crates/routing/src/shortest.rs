@@ -1,4 +1,5 @@
-//! BFS shortest-path computation and enumeration.
+//! BFS shortest-path computation and enumeration, plus the random walks
+//! Table 5 adds to a shortest-path ELP.
 //!
 //! Used for unstructured fabrics (Jellyfish, paper Table 5) where up-down
 //! routing does not exist, and for post-failure reroute computation on any
@@ -143,6 +144,41 @@ pub fn shortest_paths_all_pairs(
     out
 }
 
+/// `count` seeded random loop-free switch-to-switch walks of 2 to 6
+/// switches — the Table 5 footnote's "additional 1000 random paths", the
+/// operator-chosen redundant routes added to a shortest-path ELP.
+pub fn random_paths(topo: &Topology, count: usize, seed: u64) -> Vec<Path> {
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let switches: Vec<_> = topo.switch_ids().collect();
+    let mut out = Vec::with_capacity(count);
+    let mut guard = 0usize;
+    while out.len() < count && guard < count * 100 {
+        guard += 1;
+        let start = switches[rng.random_range(0..switches.len())];
+        let mut nodes = vec![start];
+        for _ in 0..rng.random_range(2..6usize) {
+            let here = *nodes.last().expect("walk starts non-empty");
+            let candidates: Vec<_> = topo
+                .neighbors(here)
+                .map(|(_, _, n)| n)
+                .filter(|n| topo.node(*n).kind == NodeKind::Switch && !nodes.contains(n))
+                .collect();
+            if candidates.is_empty() {
+                break;
+            }
+            nodes.push(candidates[rng.random_range(0..candidates.len())]);
+        }
+        if nodes.len() >= 2 {
+            if let Ok(p) = Path::new(topo, nodes) {
+                out.push(p);
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
@@ -244,6 +280,15 @@ mod tests {
         let paths = shortest_paths_all_pairs(&t, &f, 1, false);
         // One path per ordered switch pair (graph is connected).
         assert_eq!(paths.len(), 10 * 9);
+    }
+
+    #[test]
+    fn random_paths_are_valid_and_deterministic() {
+        let topo = JellyfishConfig::half_servers(15, 6, 9).build();
+        let a = random_paths(&topo, 50, 1);
+        let b = random_paths(&topo, 50, 1);
+        assert_eq!(a, b);
+        assert_eq!(a.len(), 50);
     }
 
     #[test]

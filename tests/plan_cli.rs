@@ -1,6 +1,7 @@
 //! `tagger-plan` at the process boundary: a flag it does not know, a
 //! flag with no value and a value that is not a number are refused
-//! with the flag named, not skipped or panicked on.
+//! with the flag named, not skipped or panicked on; `tagger-plan table`
+//! reproduces the committed planner tables byte for byte.
 
 use std::process::{Command, Output};
 
@@ -43,4 +44,34 @@ fn unknown_and_malformed_flags_are_refused() {
         shown.contains("switch "),
         "--rules dumps the tables: {shown}"
     );
+}
+
+#[test]
+fn planner_tables_match_their_goldens() {
+    // The cheap tables; CI's planner-goldens job also runs Table 1 and
+    // Table 5, whose runs take seconds.
+    for table in [
+        "table34_rules",
+        "clos_optimality",
+        "bcube_tags",
+        "multiclass_tags",
+        "rule_compression",
+    ] {
+        let out = plan(&["table", table]);
+        assert_eq!(out.status.code(), Some(0), "{table}");
+        let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("results")
+            .join(format!("{table}.txt"));
+        let golden = std::fs::read_to_string(golden).expect("golden");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), golden, "{table}");
+    }
+}
+
+#[test]
+fn table_arguments_are_refused() {
+    // `--large` used to be spotted anywhere in argv, so a misspelling ran
+    // the default table.
+    assert_refused(&plan(&["table", "table5_jellyfish", "--larg"]), "--larg");
+    assert_refused(&plan(&["table", "clos_optimality", "--large"]), "--large");
+    assert_refused(&plan(&["table", "tabel5"]), "\"tabel5\"");
 }
