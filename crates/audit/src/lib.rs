@@ -252,8 +252,7 @@ impl Auditor {
         if counterexample.is_some() {
             self.metrics.counterexamples_found += 1;
         }
-        self.metrics
-            .record_latency_us(t0.elapsed().as_micros() as u64);
+        self.metrics.audit_us.push(t0.elapsed().as_micros() as u64);
 
         AuditReport {
             epoch,
@@ -283,7 +282,8 @@ mod tests {
         assert!(report.rules_decompiled > 0);
         assert_eq!(auditor.metrics.certificates_issued, 1);
         assert_eq!(auditor.metrics.epochs_audited, 1);
-        assert!(auditor.metrics.last_latency_us().is_some());
+        assert_eq!(auditor.metrics.audit_us.as_slice().len(), 1);
+        assert_eq!(auditor.metrics.violations(), 0);
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Audit counters and latency accounting, styled after
-//! `tagger_ctrl::ControllerMetrics` so `tagger-ctrld` can print both
-//! reports side by side.
+//! What an [`crate::Auditor`] has done: audit counters and the series of
+//! audit latencies. The auditor owns every audit fact; a caller that
+//! wants to know how many epochs failed audit asks
+//! [`AuditMetrics::violations`] rather than counting beside it.
 
 use std::fmt::Write as _;
+use tagger_core::Samples;
 
 /// Counters accumulated across every audit an [`crate::Auditor`] runs.
 #[derive(Clone, Debug, Default)]
@@ -17,20 +19,20 @@ pub struct AuditMetrics {
     pub counterexamples_found: u64,
     /// Total findings of any kind.
     pub findings: u64,
-    latencies_us: Vec<u64>,
+    /// Wall-clock latency of every audit, µs, in audit order.
+    pub audit_us: Samples,
 }
 
 impl std::ops::AddAssign for AuditMetrics {
-    /// Fleet rollup: counters add and latency samples concatenate, so a
-    /// fleet-wide mean/max is computed over every fabric's audits —
-    /// mirroring `SwitchStats` / `ControllerMetrics` one-place rollups.
+    /// Fleet rollup: counters add and latency series concatenate, so a
+    /// fleet-wide mean/max is computed over every fabric's audits.
     fn add_assign(&mut self, rhs: AuditMetrics) {
         self.epochs_audited += rhs.epochs_audited;
         self.rules_decompiled += rhs.rules_decompiled;
         self.certificates_issued += rhs.certificates_issued;
         self.counterexamples_found += rhs.counterexamples_found;
         self.findings += rhs.findings;
-        self.latencies_us.extend(rhs.latencies_us);
+        self.audit_us += rhs.audit_us;
     }
 }
 
@@ -44,30 +46,15 @@ impl std::iter::Sum for AuditMetrics {
 }
 
 impl AuditMetrics {
-    /// Records one audit's wall-clock latency.
-    pub fn record_latency_us(&mut self, us: u64) {
-        self.latencies_us.push(us);
+    /// Epochs the audit refused to certify. A certificate is issued
+    /// exactly when an audit has no findings, so this is every audit
+    /// without one.
+    pub fn violations(&self) -> u64 {
+        self.epochs_audited - self.certificates_issued
     }
 
-    /// Latency of the most recent audit, µs.
-    pub fn last_latency_us(&self) -> Option<u64> {
-        self.latencies_us.last().copied()
-    }
-
-    /// Mean audit latency, µs.
-    pub fn mean_latency_us(&self) -> Option<u64> {
-        if self.latencies_us.is_empty() {
-            return None;
-        }
-        Some(self.latencies_us.iter().sum::<u64>() / self.latencies_us.len() as u64)
-    }
-
-    /// Worst audit latency, µs.
-    pub fn max_latency_us(&self) -> Option<u64> {
-        self.latencies_us.iter().max().copied()
-    }
-
-    /// Plain-text report in the `ControllerMetrics::report` style.
+    /// Plain-text report, laid out like `ControllerMetrics::report` so
+    /// `tagger-ctrld` can print both side by side.
     pub fn report(&self) -> String {
         let mut out = String::from("audit metrics\n");
         let _ = writeln!(out, "  epochs audited      {:>8}", self.epochs_audited);
@@ -79,11 +66,9 @@ impl AuditMetrics {
             self.counterexamples_found
         );
         let _ = writeln!(out, "  findings            {:>8}", self.findings);
-        if let (Some(last), Some(mean), Some(max)) = (
-            self.last_latency_us(),
-            self.mean_latency_us(),
-            self.max_latency_us(),
-        ) {
+        let lat = &self.audit_us;
+        if let (Some(last), Some(mean), Some(max)) = (lat.as_slice().last(), lat.mean(), lat.max())
+        {
             let _ = writeln!(
                 out,
                 "  audit latency µs    last {last} / mean {mean} / max {max}"
@@ -108,12 +93,13 @@ mod tests {
             findings: 4,
             ..AuditMetrics::default()
         };
-        m.record_latency_us(100);
-        m.record_latency_us(300);
+        m.audit_us.push(100);
+        m.audit_us.push(300);
         let r = m.report();
         assert!(r.contains("epochs audited"));
         assert!(r.contains("120"));
         assert!(r.contains("last 300 / mean 200 / max 300"));
+        assert_eq!(m.violations(), 1);
     }
 
     #[test]
@@ -124,7 +110,7 @@ mod tests {
             rules_decompiled: 40,
             ..AuditMetrics::default()
         };
-        a.record_latency_us(10);
+        a.audit_us.push(10);
         let mut b = AuditMetrics {
             epochs_audited: 1,
             counterexamples_found: 1,
@@ -132,17 +118,19 @@ mod tests {
             rules_decompiled: 7,
             ..AuditMetrics::default()
         };
-        b.record_latency_us(30);
+        b.audit_us.push(30);
         let total: AuditMetrics = [a, b].into_iter().sum();
         assert_eq!(total.epochs_audited, 3);
         assert_eq!(total.certificates_issued, 2);
+        assert_eq!(total.violations(), 1);
         assert_eq!(total.counterexamples_found, 1);
         assert_eq!(total.findings, 2);
         assert_eq!(total.rules_decompiled, 47);
-        assert_eq!(total.mean_latency_us(), Some(20));
-        assert_eq!(total.max_latency_us(), Some(30));
+        assert_eq!(total.audit_us.as_slice(), &[10, 30]);
+        assert_eq!(total.audit_us.mean(), Some(20));
+        assert_eq!(total.audit_us.max(), Some(30));
         let zero: AuditMetrics = std::iter::empty().sum();
         assert_eq!(zero.epochs_audited, 0);
-        assert_eq!(zero.mean_latency_us(), None);
+        assert_eq!(zero.audit_us.mean(), None);
     }
 }

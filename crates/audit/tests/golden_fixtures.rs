@@ -18,6 +18,10 @@ fn corrupted_checkpoint_yields_exactly_the_known_cycle() {
     let mut auditor = Auditor::new(ckpt.topo.clone());
     let report = auditor.audit(ckpt.epoch, &ckpt.rules);
     assert!(!report.is_certified());
+    // The auditor's own metrics count the refusal: one audit, no
+    // certificate, one violation.
+    assert_eq!(auditor.metrics.epochs_audited, 1);
+    assert_eq!(auditor.metrics.violations(), 1);
 
     // The exact non-monotone edge.
     let decreases: Vec<String> = report

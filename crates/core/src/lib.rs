@@ -26,6 +26,8 @@
 //!   simulator's deadlock detector) ask their cycle questions of.
 //! - [`json`] — the one JSON value, renderer and parser behind every
 //!   byte-stable report (lint, fleet, scenario, ingest).
+//! - [`Samples`] — the one µs latency series (controller stage times,
+//!   audit times) and its nearest-rank percentile.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Library code paths reachable from user-supplied artifacts (table
@@ -45,6 +47,7 @@ pub mod multiclass;
 pub mod oracle;
 mod ports;
 mod rules;
+mod samples;
 pub mod tcam;
 mod turn;
 
@@ -57,6 +60,7 @@ pub use rules::{
     InstallError, RuleDelta, RuleError, RuleSet, SpannedRule, SwitchRule, TableTextError,
     TableTextErrorKind, TableTextParse, TagDecision, Tagging,
 };
+pub use samples::Samples;
 /// Source spans, from `tagger-topo` so the topology spec parser below
 /// this crate reports the same coordinates as every parser above it.
 pub use tagger_topo::span;

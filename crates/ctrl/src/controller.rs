@@ -547,7 +547,7 @@ impl Controller {
         );
         let dt = t0.elapsed();
         self.metrics.epochs_staged += 1;
-        self.metrics.record_recompute(dt);
+        self.metrics.stage_us.push(dt.as_micros() as u64);
 
         let (candidate, elp_len) = match staged {
             Ok(ok) => ok,

@@ -44,8 +44,9 @@
 //!   whatever a mid-epoch crash left on the switches, and
 //!   [`Journal::open_append`] lets the recovered controller finish the
 //!   batch that was in flight and keep journaling.
-//! - [`ControllerMetrics`] — counters and recompute latencies with a
-//!   plain-text [`ControllerMetrics::report`].
+//! - [`ControllerMetrics`] — counters and the stage-latency series with a
+//!   plain-text [`ControllerMetrics::report`]; the fleet reads its
+//!   batch, commit and rollback counts from here.
 //!
 //! The invariant the controller maintains is the one that matters for
 //! PFC safety: **every committed snapshot is a verified tagged graph**

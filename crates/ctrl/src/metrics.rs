@@ -1,7 +1,9 @@
-//! Controller observability: counters, latencies, and a text report.
+//! Controller observability: counters, the stage-latency series, and a
+//! text report.
 
 use std::fmt::Write as _;
 use std::time::Duration;
+use tagger_core::Samples;
 
 /// Counters the [`Controller`](crate::Controller) maintains across its
 /// lifetime. All counters are cumulative; latencies cover the *stage*
@@ -67,19 +69,16 @@ pub struct ControllerMetrics {
     /// Events replayed from the journal during the most recent crash
     /// recovery.
     pub recovery_replays: u64,
-    /// Stage latency of the most recent epoch.
-    pub last_recompute: Duration,
-    /// Worst stage latency seen.
-    pub max_recompute: Duration,
-    /// Sum of all stage latencies (for the mean).
-    pub total_recompute: Duration,
+    /// Stage latency of every staged epoch, µs, in staging order:
+    /// committed and rolled-back stages alike, so it holds
+    /// [`ControllerMetrics::epochs_staged`] samples.
+    pub stage_us: Samples,
 }
 
 impl std::ops::AddAssign for ControllerMetrics {
-    /// Fleet rollup: counters and cumulative durations add; worst-case
-    /// latency takes the max; `last_recompute` takes the right-hand
-    /// side's sample when it staged anything (the most recently merged
-    /// fabric wins), mirroring `SwitchStats`'s one-place rollup.
+    /// Fleet rollup: counters and cumulative durations add, and the
+    /// stage-latency series concatenate, so fleet percentiles are taken
+    /// over every fabric's stages.
     fn add_assign(&mut self, rhs: ControllerMetrics) {
         self.events += rhs.events;
         self.epochs_staged += rhs.epochs_staged;
@@ -103,11 +102,7 @@ impl std::ops::AddAssign for ControllerMetrics {
         self.watchdog_clears += rhs.watchdog_clears;
         self.checkpoints += rhs.checkpoints;
         self.recovery_replays += rhs.recovery_replays;
-        if rhs.epochs_staged > 0 {
-            self.last_recompute = rhs.last_recompute;
-        }
-        self.max_recompute = self.max_recompute.max(rhs.max_recompute);
-        self.total_recompute += rhs.total_recompute;
+        self.stage_us += rhs.stage_us;
     }
 }
 
@@ -121,22 +116,6 @@ impl std::iter::Sum for ControllerMetrics {
 }
 
 impl ControllerMetrics {
-    /// Mean stage latency over all staged epochs.
-    pub fn mean_recompute(&self) -> Duration {
-        if self.epochs_staged == 0 {
-            Duration::ZERO
-        } else {
-            self.total_recompute / self.epochs_staged as u32
-        }
-    }
-
-    /// Records one stage latency sample.
-    pub(crate) fn record_recompute(&mut self, d: Duration) {
-        self.last_recompute = d;
-        self.max_recompute = self.max_recompute.max(d);
-        self.total_recompute += d;
-    }
-
     /// Plain-text report, one metric per line.
     pub fn report(&self) -> String {
         let mut out = String::new();
@@ -167,12 +146,13 @@ impl ControllerMetrics {
         let _ = writeln!(out, "  watchdog clears     {:>8}", self.watchdog_clears);
         let _ = writeln!(out, "  checkpoints written {:>8}", self.checkpoints);
         let _ = writeln!(out, "  recovery replays    {:>8}", self.recovery_replays);
+        let stage = &self.stage_us;
         let _ = writeln!(
             out,
-            "  recompute last/mean/max  {:?} / {:?} / {:?}",
-            self.last_recompute,
-            self.mean_recompute(),
-            self.max_recompute
+            "  recompute µs        last {} / mean {} / max {}",
+            stage.as_slice().last().copied().unwrap_or(0),
+            stage.mean().unwrap_or(0),
+            stage.max().unwrap_or(0)
         );
         out
     }
@@ -193,8 +173,8 @@ mod tests {
             budget_rejections: 1,
             ..ControllerMetrics::default()
         };
-        m.record_recompute(Duration::from_millis(3));
-        m.record_recompute(Duration::from_millis(1));
+        m.stage_us.push(3000);
+        m.stage_us.push(1000);
         let r = m.report();
         for needle in [
             "events processed",
@@ -223,12 +203,7 @@ mod tests {
         ] {
             assert!(r.contains(needle), "report missing {needle:?}:\n{r}");
         }
-        assert_eq!(m.max_recompute, Duration::from_millis(3));
-        assert_eq!(m.last_recompute, Duration::from_millis(1));
-        assert_eq!(
-            m.mean_recompute(),
-            Duration::from_micros(666) + Duration::from_nanos(666)
-        )
+        assert!(r.contains("last 1000 / mean 2000 / max 3000"), "{r}");
     }
 
     #[test]
@@ -241,7 +216,7 @@ mod tests {
             install_backoff: Duration::from_millis(4),
             ..ControllerMetrics::default()
         };
-        a.record_recompute(Duration::from_millis(5));
+        a.stage_us.push(5000);
         let mut b = ControllerMetrics {
             events: 4,
             epochs_staged: 1,
@@ -251,7 +226,7 @@ mod tests {
             install_backoff: Duration::from_millis(1),
             ..ControllerMetrics::default()
         };
-        b.record_recompute(Duration::from_millis(2));
+        b.stage_us.push(2000);
         let total: ControllerMetrics = [a.clone(), b.clone()].into_iter().sum();
         assert_eq!(total.events, 7);
         assert_eq!(total.epochs_staged, 3);
@@ -259,12 +234,10 @@ mod tests {
         assert_eq!(total.rollbacks, 1);
         assert_eq!(total.rules_added, 11);
         assert_eq!(total.install_backoff, Duration::from_millis(5));
-        assert_eq!(total.max_recompute, Duration::from_millis(5));
-        assert_eq!(total.last_recompute, b.last_recompute);
-        assert_eq!(total.total_recompute, Duration::from_millis(7));
+        assert_eq!(total.stage_us.as_slice(), &[5000, 2000]);
         // Empty sum is the identity.
         let zero: ControllerMetrics = std::iter::empty().sum();
         assert_eq!(zero.events, 0);
-        assert_eq!(zero.total_recompute, Duration::ZERO);
+        assert!(zero.stage_us.as_slice().is_empty());
     }
 }

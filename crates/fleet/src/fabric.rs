@@ -7,9 +7,11 @@
 //! state is shared across fabrics — the ownership boundary ROADMAP
 //! item 4 demands — so one fabric's flap storm, chaos schedule, or audit
 //! failure cannot perturb another's batching or verdicts. The fabric
-//! owns the queue and the counters; each batch it takes off the queue
-//! reaches the switches through [`Journal::step`], like every other
-//! rollout in the tree.
+//! owns the queue and its two counters (`ingested`, `queue_rejections`);
+//! every other number it reports is read from its controller's
+//! `ControllerMetrics` or its auditor's `AuditMetrics`. Each batch it
+//! takes off the queue reaches the switches through [`Journal::step`],
+//! like every other rollout in the tree.
 
 use crate::error::FleetError;
 use std::collections::VecDeque;
@@ -120,18 +122,13 @@ impl FabricSouthbound {
 /// The independent verifier riding the fabric's commit stream through
 /// the [`CommitObserver`] bridge: every committed epoch's tables are
 /// decompiled and re-proven deadlock-free by `tagger-audit`, which
-/// shares no verdict logic with the controller.
-struct AuditBridge {
-    auditor: Auditor,
-    violations: u64,
-}
+/// shares no verdict logic with the controller. Its verdicts are kept in
+/// the auditor's [`AuditMetrics`].
+struct AuditBridge(Auditor);
 
 impl CommitObserver for AuditBridge {
     fn on_commit(&mut self, _topo: &Topology, snapshot: &Snapshot, _report: &CommitReport) {
-        let report = self.auditor.audit(snapshot.epoch, &snapshot.rules);
-        if !report.is_certified() {
-            self.violations += 1;
-        }
+        self.0.audit(snapshot.epoch, &snapshot.rules);
     }
 }
 
@@ -148,9 +145,6 @@ pub struct Fabric {
     queue_cap: usize,
     ingested: u64,
     queue_rejections: u64,
-    commits: u64,
-    rollbacks: u64,
-    epoch_latencies_us: Vec<u64>,
 }
 
 impl Fabric {
@@ -171,15 +165,9 @@ impl Fabric {
         };
         southbound.as_dyn().bootstrap(&ctrl.committed().rules);
         let journal = Journal::create(journal_path)?.checkpoint_every(spec.checkpoint_every);
-        let mut audit = AuditBridge {
-            auditor: Auditor::new(spec.topo.clone()),
-            violations: 0,
-        };
+        let mut audit = AuditBridge(Auditor::new(spec.topo.clone()));
         // Epoch 0 is a commit like any other: audit it.
-        let report = audit.auditor.audit(0, &ctrl.committed().rules);
-        if !report.is_certified() {
-            audit.violations += 1;
-        }
+        audit.0.audit(0, &ctrl.committed().rules);
         Ok(Fabric {
             id,
             spec,
@@ -192,9 +180,6 @@ impl Fabric {
             queue_cap,
             ingested: 0,
             queue_rejections: 0,
-            commits: 0,
-            rollbacks: 0,
-            epoch_latencies_us: Vec::new(),
         })
     }
 
@@ -232,12 +217,12 @@ impl Fabric {
     /// Independent-audit violations observed so far (0 on a healthy
     /// fabric: every committed epoch re-certified from its tables).
     pub fn audit_violations(&self) -> u64 {
-        self.audit.violations
+        self.audit_metrics().violations()
     }
 
     /// The audit loop's cumulative metrics.
     pub fn audit_metrics(&self) -> &AuditMetrics {
-        &self.audit.auditor.metrics
+        &self.audit.0.metrics
     }
 
     /// Southbound faults injected so far (0 for a reliable southbound).
@@ -273,23 +258,26 @@ impl Fabric {
 
     /// Batches staged so far: each one committed or rolled back.
     pub fn batches(&self) -> u64 {
-        self.commits + self.rollbacks
+        self.ctrl.metrics().epochs_staged
     }
 
     /// Epochs committed so far (excluding the bootstrap epoch 0).
     pub fn commits(&self) -> u64 {
-        self.commits
+        self.ctrl.metrics().epochs_committed
     }
 
     /// Batches rolled back so far.
     pub fn rollbacks(&self) -> u64 {
-        self.rollbacks
+        self.ctrl.metrics().rollbacks
     }
 
-    /// Stage latency of every committed epoch, µs, in commit order —
-    /// the raw series fleet-wide percentiles are computed from.
+    /// Stage latency of every staged batch, µs, in staging order — the
+    /// controller's series, which fleet-wide percentiles are computed
+    /// from. A batch that rolled back was staged too, so its stage time
+    /// is here as well: the slice holds [`Fabric::batches`] samples, one
+    /// per commit only when nothing rolled back.
     pub fn epoch_latencies_us(&self) -> &[u64] {
-        &self.epoch_latencies_us
+        self.ctrl.metrics().stage_us.as_slice()
     }
 
     /// True while the southbound's tables equal the committed snapshot —
@@ -375,22 +363,13 @@ impl Fabric {
         let drained: Vec<CtrlEvent> = self.queue.drain(..last.end).collect();
 
         for range in taken {
-            let outcome = self.journal.step(
+            outcomes.push(self.journal.step(
                 &mut self.ctrl,
                 &drained[range.clone()],
                 self.southbound.as_dyn(),
                 &self.install,
                 Some(&mut self.audit),
-            )?;
-            match &outcome {
-                EpochOutcome::Committed(report) => {
-                    self.commits += 1;
-                    self.epoch_latencies_us
-                        .push(report.recompute.as_micros() as u64);
-                }
-                EpochOutcome::RolledBack { .. } => self.rollbacks += 1,
-            }
-            outcomes.push(outcome);
+            )?);
         }
         Ok(outcomes)
     }

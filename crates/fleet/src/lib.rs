@@ -51,7 +51,7 @@ mod soak;
 pub use error::FleetError;
 pub use fabric::{Fabric, FabricId, FabricSpec};
 pub use registry::{chaos_for, fnv64, Fleet, FleetConfig};
-pub use report::{percentile_us, FabricStatus, FleetReport};
+pub use report::{FabricStatus, FleetReport};
 pub use soak::{
     fabric_lines, fabric_seed, run_soak, soak_schedule, solo_replay, FabricReadiness,
     ReadinessReport, SoakConfig, SoakOutcome,

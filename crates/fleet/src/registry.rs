@@ -210,8 +210,14 @@ impl Fleet {
     /// [`FleetError::QueueFull`] rejection is always safely retryable —
     /// no prefix of the line is left behind to double-apply on retry.
     pub fn ingest_line(&mut self, fabric: &str, line: &str) -> Result<usize, FleetError> {
+        let events = parse_trace(self.fabric(fabric)?.topo(), line)?;
+        self.admit(fabric, events)
+    }
+
+    /// Queues a parsed line's events, all or none (see
+    /// [`Fleet::ingest_line`]).
+    fn admit(&mut self, fabric: &str, events: Vec<CtrlEvent>) -> Result<usize, FleetError> {
         let fab = self.fabric_mut(fabric)?;
-        let events = parse_trace(fab.topo(), line)?;
         let n = events.len();
         if n > fab.queue_free() {
             return Err(fab.reject_line(n));
@@ -229,6 +235,10 @@ impl Fleet {
     /// drills' solo replay — registers through here, so one stream means
     /// one set of fabrics whichever front carried it. Capacity handling
     /// is [`Fleet::ingest_line`]'s.
+    ///
+    /// The line is parsed before anything is registered, against
+    /// `template`'s topology (which every fabric registered here runs),
+    /// so a refused line leaves no fabric, journal or audit behind.
     pub fn ingest_stream_line(
         &mut self,
         template: &FabricSpec,
@@ -238,6 +248,7 @@ impl Fleet {
             .split_once(':')
             .ok_or_else(|| FleetError::Protocol("want '<fabric>: <trace-line>'".into()))?;
         let fabric = fabric.trim();
+        let events = parse_trace(&template.topo, rest.trim())?;
         if !self.by_name.contains_key(fabric) {
             self.register(FabricSpec {
                 name: fabric.to_string(),
@@ -245,7 +256,7 @@ impl Fleet {
                 ..template.clone()
             })?;
         }
-        self.ingest_line(fabric, rest.trim())
+        self.admit(fabric, events)
     }
 
     /// One fair drain cycle: every fabric, in id order, processes up to
@@ -422,6 +433,28 @@ mod tests {
         // Draining frees capacity.
         fleet.drain_cycle().unwrap();
         fleet.ingest_line("a", "resync").unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_refused_stream_line_registers_nothing() {
+        let dir = tmp("refused");
+        let mut fleet = Fleet::new(FleetConfig::new(&dir));
+        let template = spec("template");
+        assert_eq!(
+            fleet
+                .ingest_stream_line(&template, "alpha: down L1 T1")
+                .unwrap(),
+            1
+        );
+        assert!(matches!(
+            fleet.ingest_stream_line(&template, "ghost: donw L1 T1"),
+            Err(FleetError::Trace(_))
+        ));
+        assert_eq!(fleet.len(), 1, "the bad line must not register `ghost`");
+        assert!(fleet.fabric("ghost").is_err());
+        assert!(!dir.join("ghost.journal").exists());
+        assert_eq!(fleet.snapshot().fabrics.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

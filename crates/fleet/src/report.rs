@@ -8,6 +8,12 @@
 //! specs and seeds it is byte-identical across runs, so it can be
 //! diffed, golden-tested, and asserted on in CI. Timing belongs to the
 //! repo benchmark (`benchmark/`), not here.
+//!
+//! A status keeps each fact once. Batches, commits, rollbacks and the
+//! stage-latency series are the controller's (`ControllerMetrics`),
+//! audit violations the auditor's (`AuditMetrics`); the status carries
+//! both whole and reads its counters there, and the rollups are their
+//! `Sum`s, so the per-fabric lines and the rollup cannot disagree.
 
 use crate::fabric::Fabric;
 use std::fmt::Write as _;
@@ -36,14 +42,6 @@ pub struct FabricStatus {
     /// Ingest attempts refused with `QueueFull` (backpressure pushes the
     /// caller absorbed and retried).
     pub queue_rejections: u64,
-    /// Damped batches processed.
-    pub batches: u64,
-    /// Epochs committed (excluding bootstrap).
-    pub commits: u64,
-    /// Batches rolled back.
-    pub rollbacks: u64,
-    /// Commits the independent audit refused to certify.
-    pub audit_violations: u64,
     /// Southbound faults the chaos schedule injected.
     pub faults_injected: u64,
     /// Southbound tables equal the committed snapshot.
@@ -52,9 +50,6 @@ pub struct FabricStatus {
     pub ctrl: ControllerMetrics,
     /// The fabric audit loop's cumulative metrics.
     pub audit: AuditMetrics,
-    /// Stage latency per committed epoch, µs (wall-clock; excluded from
-    /// the JSON render).
-    pub epoch_latencies_us: Vec<u64>,
 }
 
 impl FabricStatus {
@@ -69,15 +64,10 @@ impl FabricStatus {
             queued: fabric.queued(),
             ingested: fabric.ingested(),
             queue_rejections: fabric.queue_rejections(),
-            batches: fabric.batches(),
-            commits: fabric.commits(),
-            rollbacks: fabric.rollbacks(),
-            audit_violations: fabric.audit_violations(),
             faults_injected: fabric.faults_injected(),
             converged: fabric.converged(),
             ctrl: fabric.controller().metrics().clone(),
             audit: fabric.audit_metrics().clone(),
-            epoch_latencies_us: fabric.epoch_latencies_us().to_vec(),
         }
     }
 }
@@ -112,16 +102,13 @@ impl FleetReport {
     pub fn healthy(&self) -> bool {
         self.fabrics
             .iter()
-            .all(|f| f.converged && f.audit_violations == 0)
+            .all(|f| f.converged && f.audit.violations() == 0)
     }
 
-    /// Every fabric's epoch latencies, concatenated in id order — the
+    /// Every fabric's stage latencies, concatenated in id order — the
     /// series fleet percentiles are taken over.
     pub fn all_latencies_us(&self) -> Vec<u64> {
-        self.fabrics
-            .iter()
-            .flat_map(|f| f.epoch_latencies_us.iter().copied())
-            .collect()
+        self.ctrl_rollup.stage_us.as_slice().to_vec()
     }
 
     /// Operator text: one status line per fabric plus the rollups.
@@ -143,10 +130,10 @@ impl FleetReport {
                 f.quarantines,
                 f.queued,
                 f.queue_rejections,
-                f.commits,
-                f.rollbacks,
+                f.ctrl.epochs_committed,
+                f.ctrl.rollbacks,
                 f.faults_injected,
-                if f.audit_violations == 0 {
+                if f.audit.violations() == 0 {
                     "ok"
                 } else {
                     "FAIL"
@@ -154,14 +141,13 @@ impl FleetReport {
                 if f.converged { "converged" } else { "DIVERGED" },
             );
         }
-        let lat = self.all_latencies_us();
-        if !lat.is_empty() {
+        let lat = &self.ctrl_rollup.stage_us;
+        if let Some(max) = lat.max() {
             let _ = writeln!(
                 out,
-                "  epoch latency µs    p50 {} / p99 {} / max {}",
-                percentile_us(&lat, 50),
-                percentile_us(&lat, 99),
-                lat.iter().max().copied().unwrap_or(0),
+                "  epoch latency µs    p50 {} / p99 {} / max {max}",
+                lat.percentile(50),
+                lat.percentile(99),
             );
         }
         out.push_str("\nfleet rollup\n");
@@ -187,12 +173,12 @@ impl FleetReport {
                 ("queued", f.queued.into()),
                 ("ingested", f.ingested.into()),
                 ("queue_rejections", f.queue_rejections.into()),
-                ("batches", f.batches.into()),
-                ("commits", f.commits.into()),
-                ("rollbacks", f.rollbacks.into()),
+                ("batches", f.ctrl.epochs_staged.into()),
+                ("commits", f.ctrl.epochs_committed.into()),
+                ("rollbacks", f.ctrl.rollbacks.into()),
                 ("flaps_damped", f.ctrl.flaps_damped.into()),
                 ("faults_injected", f.faults_injected.into()),
-                ("audit_violations", f.audit_violations.into()),
+                ("audit_violations", f.audit.violations().into()),
                 ("certificates_issued", f.audit.certificates_issued.into()),
                 ("converged", f.converged.into()),
             ])
@@ -216,25 +202,13 @@ impl FleetReport {
     }
 }
 
-/// Nearest-rank percentile over an unsorted series (`p` in 0..=100).
-/// Returns 0 for an empty series.
-pub fn percentile_us(series: &[u64], p: usize) -> u64 {
-    if series.is_empty() {
-        return 0;
-    }
-    let mut sorted = series.to_vec();
-    sorted.sort_unstable();
-    let rank = (p * sorted.len()).div_ceil(100).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
     fn status(id: u32, name: &str) -> FabricStatus {
-        FabricStatus {
+        let mut s = FabricStatus {
             id,
             name: name.to_string(),
             epoch: 3,
@@ -243,27 +217,26 @@ mod tests {
             queued: 0,
             ingested: 9,
             queue_rejections: 2,
-            batches: 4,
-            commits: 3,
-            rollbacks: 1,
-            audit_violations: 0,
             faults_injected: 2,
             converged: true,
             ctrl: ControllerMetrics {
                 events: 9,
+                epochs_staged: 4,
                 epochs_committed: 3,
                 rollbacks: 1,
                 flaps_damped: 5,
                 ..ControllerMetrics::default()
             },
-            audit: {
-                let mut m = AuditMetrics::default();
-                m.epochs_audited = 4;
-                m.certificates_issued = 4;
-                m
+            audit: AuditMetrics {
+                epochs_audited: 4,
+                certificates_issued: 4,
+                ..AuditMetrics::default()
             },
-            epoch_latencies_us: vec![10, 30, 20],
+        };
+        for us in [10, 30, 20, 40] {
+            s.ctrl.stage_us.push(us);
         }
+        s
     }
 
     #[test]
@@ -273,13 +246,22 @@ mod tests {
         assert_eq!(report.ctrl_rollup.epochs_committed, 6);
         assert_eq!(report.audit_rollup.certificates_issued, 8);
         assert!(report.healthy());
-        assert_eq!(report.all_latencies_us().len(), 6);
+        assert_eq!(
+            report.all_latencies_us(),
+            [10, 30, 20, 40, 10, 30, 20, 40],
+            "one fabric's series after the other, in id order"
+        );
+        assert!(report.render().contains("p50 20 / p99 40 / max 40"));
+        let json = report.to_json();
+        for field in ["\"batches\": 4", "\"commits\": 3", "\"rollbacks\": 1"] {
+            assert!(json.contains(field), "{field} missing:\n{json}");
+        }
     }
 
     #[test]
     fn unhealthy_when_any_fabric_diverges_or_fails_audit() {
         let mut bad = status(1, "b");
-        bad.audit_violations = 1;
+        bad.audit.certificates_issued -= 1;
         let report = FleetReport::capture([status(0, "a"), bad].into_iter());
         assert!(!report.healthy());
         assert!(report.render().contains("FAIL"));
@@ -299,15 +281,5 @@ mod tests {
         // An empty fleet renders its fabric list as `[]`.
         let empty = FleetReport::capture(std::iter::empty()).to_json();
         assert!(empty.starts_with("{\n  \"fabrics\": [],\n"), "{empty}");
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        assert_eq!(percentile_us(&[], 99), 0);
-        assert_eq!(percentile_us(&[7], 50), 7);
-        let series: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_us(&series, 50), 50);
-        assert_eq!(percentile_us(&series, 99), 99);
-        assert_eq!(percentile_us(&series, 100), 100);
     }
 }

@@ -18,14 +18,16 @@
 //!
 //! Every schedule ends with a healing tail (links restored, quarantines
 //! cleared, final resync), so "ready" is decidable: an unhealed fabric
-//! would legitimately carry quarantines. The [`ReadinessReport`] carries
-//! only seed-deterministic fields, so its rendering is byte-stable given
-//! a seed — CI pins one and diffs.
+//! would legitimately carry quarantines. Each fabric's grade is its
+//! final [`FabricStatus`] — the same capture the drill's fleet snapshot
+//! holds — plus the three gates only the drill checks. The
+//! [`ReadinessReport`] renders only seed-deterministic fields, so it is
+//! byte-stable given a seed — CI pins one and diffs.
 
 use crate::error::FleetError;
 use crate::fabric::FabricSpec;
 use crate::registry::{Fleet, FleetConfig};
-use crate::report::FleetReport;
+use crate::report::{FabricStatus, FleetReport};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -64,41 +66,29 @@ impl SoakConfig {
     }
 }
 
-/// One fabric's final grade.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One fabric's final grade: its status (counters, audit trail and
+/// convergence) and the gates the drill adds to it.
+#[derive(Clone, Debug)]
 pub struct FabricReadiness {
-    /// Fabric name.
-    pub name: String,
-    /// Events the schedule fed it.
-    pub ingested: u64,
-    /// Damped batches processed.
-    pub batches: u64,
-    /// Epochs committed.
-    pub commits: u64,
-    /// Batches rolled back.
-    pub rollbacks: u64,
-    /// Southbound faults its chaos schedule injected.
-    pub faults_injected: u64,
-    /// Commits the riding audit refused to certify (must be 0).
-    pub audit_violations: u64,
+    /// The fabric's final status.
+    pub status: FabricStatus,
     /// Final tables re-certified by a fresh independent auditor.
     pub certified: bool,
     /// Journal replays to the live epoch/tables with no tail.
     pub recoverable: bool,
     /// Recovered quarantines equal live quarantines.
     pub quarantine_consistent: bool,
-    /// Southbound tables equal the committed snapshot.
-    pub converged: bool,
 }
 
 impl FabricReadiness {
-    /// All four gates plus a clean audit trail.
+    /// All four gates (the three above plus convergence) and a clean
+    /// audit trail.
     pub fn ready(&self) -> bool {
-        self.audit_violations == 0
+        self.status.audit.violations() == 0
             && self.certified
             && self.recoverable
             && self.quarantine_consistent
-            && self.converged
+            && self.status.converged
     }
 }
 
@@ -138,21 +128,22 @@ impl ReadinessReport {
         );
         for f in &self.fabrics {
             let yn = |b: bool| if b { "yes" } else { "NO" };
+            let s = &f.status;
             let _ = writeln!(
                 out,
                 "  {:<10} ingested {:>4}  batches {:>4}  commits {:>4}  rollbacks {:>3}  \
                  faults {:>4}  certified {}  recoverable {}  quarantine-consistent {}  \
                  converged {}  {}",
-                f.name,
-                f.ingested,
-                f.batches,
-                f.commits,
-                f.rollbacks,
-                f.faults_injected,
+                s.name,
+                s.ingested,
+                s.ctrl.epochs_staged,
+                s.ctrl.epochs_committed,
+                s.ctrl.rollbacks,
+                s.faults_injected,
                 yn(f.certified),
                 yn(f.recoverable),
                 yn(f.quarantine_consistent),
-                yn(f.converged),
+                yn(s.converged),
                 if f.ready() { "READY" } else { "NOT-READY" },
             );
         }
@@ -172,8 +163,7 @@ impl ReadinessReport {
 }
 
 /// Everything the drill produced: the verdict, the final fleet snapshot
-/// (for metrics rollups and latency series), and the drained fleet
-/// itself for further inspection.
+/// (for metrics rollups and latency series) and the drain-cycle count.
 pub struct SoakOutcome {
     /// The graded verdict.
     pub readiness: ReadinessReport,
@@ -298,30 +288,28 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakOutcome, FleetError> {
         drain_cycles += 1;
     }
 
-    let mut fabrics = Vec::with_capacity(fleet.len());
-    for fabric in fleet.fabrics() {
-        let (recoverable, quarantine_consistent) = fabric.verify_recovery();
-        fabrics.push(FabricReadiness {
-            name: fabric.name().to_string(),
-            ingested: fabric.ingested(),
-            batches: fabric.batches(),
-            commits: fabric.commits(),
-            rollbacks: fabric.rollbacks(),
-            faults_injected: fabric.faults_injected(),
-            audit_violations: fabric.audit_violations(),
-            certified: fabric.certify(),
-            recoverable,
-            quarantine_consistent,
-            converged: fabric.converged(),
-        });
-    }
+    let snapshot = fleet.snapshot();
+    let fabrics = fleet
+        .fabrics()
+        .iter()
+        .zip(&snapshot.fabrics)
+        .map(|(fabric, status)| {
+            let (recoverable, quarantine_consistent) = fabric.verify_recovery();
+            FabricReadiness {
+                status: status.clone(),
+                certified: fabric.certify(),
+                recoverable,
+                quarantine_consistent,
+            }
+        })
+        .collect();
     Ok(SoakOutcome {
         readiness: ReadinessReport {
             seed: cfg.seed,
             fail_rate: cfg.fail_rate,
             fabrics,
         },
-        snapshot: fleet.snapshot(),
+        snapshot,
         drain_cycles,
     })
 }

@@ -3,9 +3,9 @@
 //! damping, same chaos schedule, same checkpoint cadence) must leave
 //! byte-identical journal files — both equal to the committed
 //! `results/ctrld_chaos.journal`, which `tagger-ctrld` writes for the
-//! same command — and equal `ControllerMetrics` counters.
+//! same command — and equal `ControllerMetrics` counters, which are the
+//! counters the fabric reports.
 
-use std::time::Duration;
 use tagger_ctrl::{
     parse_trace, ChaosConfig, ChaosSouthbound, Controller, ControllerMetrics, ElpPolicy,
     InstallPolicy, Journal, Southbound,
@@ -18,12 +18,10 @@ const GOLDEN: &str = include_str!("../../../results/ctrld_chaos.journal");
 const CHAOS: &str = "seed=7,fail_rate=0.3,timeout_rate=0.1,partial_rate=0.1";
 const CHECKPOINT_EVERY: u64 = 2;
 
-/// The counters, with the wall-clock stage latencies zeroed.
+/// The counters, with the wall-clock stage latencies cleared.
 fn counters(metrics: &ControllerMetrics) -> String {
     let mut m = metrics.clone();
-    m.last_recompute = Duration::ZERO;
-    m.max_recompute = Duration::ZERO;
-    m.total_recompute = Duration::ZERO;
+    m.stage_us = Default::default();
     format!("{m:?}")
 }
 
@@ -79,5 +77,21 @@ fn drive_and_one_fabric_fleet_leave_identical_journals_and_counters() {
         "the two drivers count differently"
     );
     assert!(ctrl.metrics().flaps_damped > 0 && ctrl.metrics().rollbacks > 0);
+
+    // The fabric's own counters are the controller's: they match what
+    // the solo drive's outcomes say happened.
+    let committed = report
+        .outcomes
+        .iter()
+        .filter(|o| o.committed().is_some())
+        .count() as u64;
+    let total = report.outcomes.len() as u64;
+    assert_eq!(fabric.commits(), committed);
+    assert_eq!(fabric.rollbacks(), total - committed);
+    assert_eq!(fabric.batches(), total);
+    // One stage latency per staged batch, rolled-back ones included.
+    let staged = fabric.controller().metrics().epochs_staged;
+    assert_eq!(staged, total);
+    assert_eq!(fabric.epoch_latencies_us().len() as u64, staged);
     std::fs::remove_dir_all(&dir).ok();
 }

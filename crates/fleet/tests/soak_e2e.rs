@@ -41,7 +41,7 @@ fn eight_fabric_soak_certifies_and_is_byte_stable() {
         .readiness
         .fabrics
         .iter()
-        .map(|f| f.faults_injected)
+        .map(|f| f.status.faults_injected)
         .sum();
     assert!(
         faults > 0,
@@ -52,7 +52,7 @@ fn eight_fabric_soak_certifies_and_is_byte_stable() {
         .readiness
         .fabrics
         .iter()
-        .map(|f| (f.ingested, f.faults_injected))
+        .map(|f| (f.status.ingested, f.status.faults_injected))
         .collect();
     assert!(
         ingests.len() > 1,

@@ -227,7 +227,7 @@ pub fn evaluate(
                 )
             }
             AssertSpec::LosslessDrops(cmp, n) => {
-                let actual = report.lossless_drops;
+                let actual = report.switch.lossless_drops;
                 let Some(expect) = n.resolve(point) else {
                     return outcome(spec, *span, false, "unbound sweep variable".into());
                 };
@@ -283,9 +283,7 @@ mod tests {
         SimReport {
             flows: Vec::new(),
             deadlock: None,
-            pauses_sent: 0,
-            lossy_drops: 0,
-            lossless_drops: 0,
+            switch: Default::default(),
             no_route_drops: 0,
             recoveries: 0,
             recovery_drops: 0,

@@ -672,7 +672,7 @@ assert no-deadlock
         let exp = instantiate(&s, &BTreeMap::new(), &RunOptions::default()).unwrap();
         let (report, _) = exp.run();
         assert!(report.deadlock.is_none());
-        assert_eq!(report.lossless_drops, 0);
+        assert_eq!(report.switch.lossless_drops, 0);
     }
 
     #[test]

@@ -41,9 +41,9 @@ impl PointMetrics {
         PointMetrics {
             events_processed: report.events_processed,
             delivered_bytes: report.total_delivered_bytes(),
-            pauses_sent: report.pauses_sent,
-            lossless_drops: report.lossless_drops,
-            lossy_drops: report.lossy_drops,
+            pauses_sent: report.switch.pauses_sent,
+            lossless_drops: report.switch.lossless_drops,
+            lossy_drops: report.switch.lossy_drops,
             watchdog_trips: report.watchdog.as_ref().map_or(0, |w| w.stats.trips),
             episodes: report.watchdog.as_ref().map_or(0, |w| w.episodes),
             recoveries: report.recoveries,

@@ -85,7 +85,7 @@ fn fig11_loop_freezes_the_bystander_only_without_tagger() {
     assert!(f2.tail_rate(5) > 5e9, "F2 rate {}", f2.tail_rate(5));
     // F1's packets loop and die (goodput ~0 after the loop).
     assert_eq!(f1.tail_rate(3), 0.0);
-    assert!(f1.ttl_drops > 0 || tagger.lossy_drops > 0);
+    assert!(f1.ttl_drops > 0 || tagger.switch.lossy_drops > 0);
 }
 
 #[test]
@@ -112,7 +112,7 @@ fn bcube_ring_freezes_all_four_flows_without_tagger() {
 
     let tagger = run(&load("bcube_tagger.scn"));
     assert_eq!(tagger.frozen_flows(5), 0);
-    assert_eq!(tagger.lossy_drops, 0); // the ELP covers every route
+    assert_eq!(tagger.switch.lossy_drops, 0); // the ELP covers every route
     for f in &tagger.flows {
         let rate = f.tail_rate(5);
         assert!(rate > 15e9, "flow {} at {rate}", f.flow);
@@ -124,10 +124,10 @@ fn dcqcn_slashes_pause_count_at_similar_goodput() {
     let without = run(&load("dcqcn_off.scn"));
     let with = run(&load("dcqcn_on.scn"));
     assert!(
-        with.pauses_sent * 5 < without.pauses_sent,
+        with.switch.pauses_sent * 5 < without.switch.pauses_sent,
         "expected >5x PAUSE reduction: {} vs {}",
-        with.pauses_sent,
-        without.pauses_sent
+        with.switch.pauses_sent,
+        without.switch.pauses_sent
     );
     let ratio = with.aggregate_goodput_bps() / without.aggregate_goodput_bps();
     assert!(
@@ -157,7 +157,7 @@ fn transient_loop_deadlock_outlives_reconvergence_without_tagger() {
     // after reconvergence.
     for file in ["transient_tagger.scn", "transient_controller.scn"] {
         let report = run(&load(file));
-        assert!(report.lossy_drops > 0, "{file}");
+        assert!(report.switch.lossy_drops > 0, "{file}");
         assert_eq!(report.frozen_flows(5), 0, "{file}");
         for f in &report.flows {
             let rate = f.tail_rate(5);
@@ -182,7 +182,10 @@ fn chaotic_reroute_is_safe_for_every_seed() {
         // The safety floor chaos cannot lower: no deadlock, no lossless
         // drop, the victim (flow 1) never freezes.
         assert!(report.deadlock.is_none(), "seed {seed} deadlocked");
-        assert_eq!(report.lossless_drops, 0, "seed {seed} dropped lossless");
+        assert_eq!(
+            report.switch.lossless_drops, 0,
+            "seed {seed} dropped lossless"
+        );
         assert!(!report.flows[1].stalled(5), "seed {seed}: victim froze");
     }
 }
@@ -200,7 +203,7 @@ fn failure_sweep_vanilla_deadlocks_on_some_seed_tagger_on_none() {
         let (report, _) = expand(&tagger, &two_failures, Some(seed)).run();
         assert!(report.deadlock.is_none(), "seed {seed} deadlocked");
         assert_eq!(report.frozen_flows(3), 0, "seed {seed}: frozen flows");
-        assert_eq!(report.lossless_drops, 0, "seed {seed}");
+        assert_eq!(report.switch.lossless_drops, 0, "seed {seed}");
     }
     assert!(
         vanilla_deadlocks > 0,
@@ -233,7 +236,7 @@ fn incast_guard_engages_pfc_but_never_quarantines() {
     let report = run(&load("incast_guard.scn"));
     let wd = watchdog(&report);
     assert!(wd.trips.is_empty() && wd.first_trip_at.is_none());
-    assert!(report.pauses_sent > 0, "PFC must actually engage");
+    assert!(report.switch.pauses_sent > 0, "PFC must actually engage");
     assert!(quarantine_events(&report).is_empty());
 }
 
@@ -251,9 +254,10 @@ fn watchdog_rescue_clears_the_cycle_within_two_windows() {
         cleared - first
     );
     assert!(
-        wd.stats.demoted_packets + wd.stats.redirected_packets > 0,
-        "demotion must move packets to lossy: {:?}",
-        wd.stats
+        wd.stats.demoted_packets + report.switch.demoted_redirects > 0,
+        "demotion must move packets to lossy: {:?} {:?}",
+        wd.stats,
+        report.switch
     );
     // The off-cycle victim loses nothing to the recovery.
     let vic = labels.iter().position(|l| l == "H3->H4").unwrap();

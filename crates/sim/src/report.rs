@@ -3,7 +3,7 @@
 use crate::deadlock::DeadlockReport;
 use crate::event::SimTime;
 use crate::flow::FlowReport;
-use tagger_switch::WatchdogStats;
+use tagger_switch::{SwitchStats, WatchdogStats};
 use tagger_topo::{NodeId, PortId};
 
 /// One PFC-watchdog trip: the queue whose lossless service was suspended.
@@ -109,12 +109,11 @@ pub struct SimReport {
     pub flows: Vec<FlowReport>,
     /// First persistent deadlock detected, if any.
     pub deadlock: Option<DeadlockReport>,
-    /// Total PFC PAUSE frames emitted across all switches.
-    pub pauses_sent: u64,
-    /// Total lossy tail drops.
-    pub lossy_drops: u64,
-    /// Total lossless drops (0 unless thresholds/transition are broken).
-    pub lossless_drops: u64,
+    /// Every switch's counters, summed: PAUSE/RESUME frames, lossy and
+    /// lossless drops (lossless stays 0 unless thresholds or the
+    /// transition are broken), forwards, trigger stamps and arrivals
+    /// redirected past a watchdog-demoted queue.
+    pub switch: SwitchStats,
     /// Packets dropped for lack of a route (blackholes).
     pub no_route_drops: u64,
     /// Times the detect-and-break recovery fired (0 unless
@@ -218,9 +217,7 @@ mod tests {
         let r = SimReport {
             flows: vec![flow(vec![1e9; 4], 1_000_000), flow(vec![2e9; 4], 2_000_000)],
             deadlock: None,
-            pauses_sent: 0,
-            lossy_drops: 0,
-            lossless_drops: 0,
+            switch: SwitchStats::default(),
             no_route_drops: 0,
             recoveries: 0,
             recovery_drops: 0,
@@ -241,9 +238,7 @@ mod tests {
         let r = SimReport {
             flows: vec![flow(vec![40e9, 0.0], 1000)],
             deadlock: None,
-            pauses_sent: 0,
-            lossy_drops: 0,
-            lossless_drops: 0,
+            switch: SwitchStats::default(),
             no_route_drops: 0,
             recoveries: 0,
             recovery_drops: 0,

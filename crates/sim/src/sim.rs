@@ -11,7 +11,7 @@ use tagger_core::{RuleSet, TagDecision};
 use tagger_routing::{EcmpMode, Fib};
 use tagger_switch::{
     AdmitOutcome, Packet, PacketId, PfcFrame, QueueWatchdog, SwitchConfig, SwitchState,
-    SwitchStats, TransitionMode, WatchdogConfig, WatchdogPolicy, WatchdogStats, WatchdogVerdict,
+    TransitionMode, WatchdogConfig, WatchdogPolicy, WatchdogStats, WatchdogVerdict,
 };
 use tagger_topo::{GlobalPort, NodeId, NodeKind, PortId, Topology};
 
@@ -1085,28 +1085,20 @@ impl Simulator {
                 rate_series: f.rate_series.clone(),
             })
             .collect();
-        // Every per-switch counter is aggregated here, in one place:
-        // `SwitchStats` implements `Sum`, so new counters added to it
-        // flow into the report without another hand-rolled loop.
-        let totals: SwitchStats = self.switches.values().map(|sw| sw.stats).sum();
-        let watchdog = self.cfg.watchdog.map(|_| {
-            let mut stats = self.wd_stats;
-            stats.redirected_packets = totals.demoted_redirects;
-            WatchdogReport {
-                stats,
-                trips: self.wd_trips.clone(),
-                first_trip_at: self.wd_first_trip_at,
-                cleared_at: self.wd_cleared_at,
-                trigger: self.wd_trigger.clone(),
-                episodes: self.wd_episodes,
-            }
+        let watchdog = self.cfg.watchdog.map(|_| WatchdogReport {
+            stats: self.wd_stats,
+            trips: self.wd_trips.clone(),
+            first_trip_at: self.wd_first_trip_at,
+            cleared_at: self.wd_cleared_at,
+            trigger: self.wd_trigger.clone(),
+            episodes: self.wd_episodes,
         });
         SimReport {
             flows,
             deadlock: self.deadlock.clone(),
-            pauses_sent: totals.pauses_sent,
-            lossy_drops: totals.lossy_drops,
-            lossless_drops: totals.lossless_drops,
+            // Every per-switch counter is summed here, in one place, and
+            // reported whole.
+            switch: self.switches.values().map(|sw| sw.stats).sum(),
             no_route_drops: self.no_route_drops,
             recoveries: self.recoveries,
             recovery_drops: self.recovery_drops,
@@ -1160,7 +1152,7 @@ mod tests {
             r.tail_rate(5)
         );
         assert!(report.deadlock.is_none());
-        assert_eq!(report.lossless_drops, 0);
+        assert_eq!(report.switch.lossless_drops, 0);
     }
 
     #[test]
@@ -1185,8 +1177,8 @@ mod tests {
         let ratio = ra / rb;
         assert!((0.8..1.25).contains(&ratio), "unfair split {ratio}");
         // PFC must have throttled the sources.
-        assert!(report.pauses_sent > 0);
-        assert_eq!(report.lossless_drops, 0);
+        assert!(report.switch.pauses_sent > 0);
+        assert_eq!(report.switch.lossless_drops, 0);
     }
 
     #[test]
@@ -1236,7 +1228,7 @@ mod tests {
             (
                 r.flows[0].delivered_bytes,
                 r.flows[1].delivered_bytes,
-                r.pauses_sent,
+                r.switch.pauses_sent,
             )
         };
         assert_eq!(run(), run());
@@ -1274,7 +1266,7 @@ mod tests {
             ));
             let r = sim.run();
             (
-                r.lossless_drops,
+                r.switch.lossless_drops,
                 r.flows[0].tail_rate(5) + r.flows[1].tail_rate(5),
             )
         };
@@ -1315,7 +1307,7 @@ mod tests {
         let report = sim.run();
         assert_eq!(report.flows[a as usize].delivered_bytes, 400_000);
         assert_eq!(report.flows[b as usize].delivered_bytes, 400_000);
-        assert_eq!(report.lossless_drops, 0);
+        assert_eq!(report.switch.lossless_drops, 0);
     }
 
     #[test]

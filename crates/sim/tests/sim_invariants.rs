@@ -40,8 +40,8 @@ proptest! {
             }
         }
         let report = sim.run();
-        prop_assert_eq!(report.lossless_drops, 0);
-        prop_assert_eq!(report.lossy_drops, 0); // nothing is ever demoted
+        prop_assert_eq!(report.switch.lossless_drops, 0);
+        prop_assert_eq!(report.switch.lossy_drops, 0); // nothing is ever demoted
         // 1 ms at 40G is at most 5 MB per flow.
         for f in &report.flows {
             prop_assert!(f.delivered_bytes <= 5_100_000);
@@ -64,7 +64,7 @@ proptest! {
             let r = sim.run();
             (
                 r.total_delivered_bytes(),
-                r.pauses_sent,
+                r.switch.pauses_sent,
                 r.flows.iter().map(|f| f.delivered_packets).collect::<Vec<_>>(),
             )
         };
@@ -150,7 +150,7 @@ fn limited_flows_complete_exactly() {
     for h in handles {
         assert_eq!(report.flows[h as usize].delivered_bytes, 200_000);
     }
-    assert_eq!(report.lossless_drops, 0);
+    assert_eq!(report.switch.lossless_drops, 0);
 }
 
 /// The simulator handles a medium fabric (40 switches, 128 hosts) with a
@@ -186,7 +186,7 @@ fn medium_clos_permutation_with_tagger() {
     }
     let report = sim.run();
     assert!(report.deadlock.is_none());
-    assert_eq!(report.lossless_drops, 0);
+    assert_eq!(report.switch.lossless_drops, 0);
     // 128 flows at up to 40G for 0.5 ms: aggregate goodput must be
     // substantial (permutation traffic is admissible on a Clos).
     assert!(

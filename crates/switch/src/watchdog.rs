@@ -100,7 +100,9 @@ impl Default for WatchdogConfig {
 }
 
 /// Counters a watchdog deployment accumulates; summed across queues and
-/// switches into `SimReport` / `ControllerMetrics`.
+/// switches into `SimReport::watchdog`. Arrivals redirected to the lossy
+/// class while a queue sat demoted are a switch fact,
+/// [`SwitchStats::demoted_redirects`](crate::SwitchStats::demoted_redirects).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WatchdogStats {
     /// Confirmed trips (recovery actions taken).
@@ -115,8 +117,6 @@ pub struct WatchdogStats {
     /// Held packets moved to the lossy class by
     /// [`WatchdogPolicy::Demote`] trips.
     pub demoted_packets: u64,
-    /// Arrivals redirected to the lossy class while a queue sat demoted.
-    pub redirected_packets: u64,
     /// Trips whose queue held an origin attribution — "I started this"
     /// (the tripping queue's own trigger stamp names itself).
     pub origin_trips: u64,
@@ -133,7 +133,6 @@ impl AddAssign for WatchdogStats {
         self.restores += rhs.restores;
         self.drained_packets += rhs.drained_packets;
         self.demoted_packets += rhs.demoted_packets;
-        self.redirected_packets += rhs.redirected_packets;
         self.origin_trips += rhs.origin_trips;
         self.inherited_trips += rhs.inherited_trips;
     }
@@ -144,7 +143,7 @@ impl WatchdogStats {
     pub fn describe(&self) -> String {
         format!(
             "trips {} (suppressed {}, origin {}, inherited {}), restores {}, \
-             drained {} pkt, demoted {} pkt, redirected {} pkt",
+             drained {} pkt, demoted {} pkt",
             self.trips,
             self.suppressions,
             self.origin_trips,
@@ -152,7 +151,6 @@ impl WatchdogStats {
             self.restores,
             self.drained_packets,
             self.demoted_packets,
-            self.redirected_packets,
         )
     }
 }
@@ -361,8 +359,7 @@ mod tests {
             suppressions: 2,
             restores: 1,
             drained_packets: 10,
-            demoted_packets: 0,
-            redirected_packets: 3,
+            demoted_packets: 3,
             origin_trips: 1,
             inherited_trips: 0,
         };

@@ -45,7 +45,7 @@ fn main() {
         }
         println!(
             "lossy drops {}, lossless drops {}\n",
-            report.lossy_drops, report.lossless_drops
+            report.switch.lossy_drops, report.switch.lossless_drops
         );
     }
     println!(

@@ -142,23 +142,15 @@ fn print_outcome(topo: &Topology, label: &str, outcome: &EpochOutcome, verbose: 
     }
 }
 
-/// Runs the independent verifier over every committed epoch and keeps
-/// score. The controller never sees the auditor (the hook is the
-/// [`CommitObserver`] trait); violations only surface here, as prints
-/// and a non-zero exit.
+/// Runs the independent verifier over every committed epoch; the
+/// auditor's metrics keep score. The controller never sees the auditor
+/// (the hook is the [`CommitObserver`] trait); violations only surface
+/// here, as prints and a non-zero exit.
 struct AuditObserver {
     auditor: Auditor,
-    violations: u64,
 }
 
 impl AuditObserver {
-    fn new(topo: Topology) -> AuditObserver {
-        AuditObserver {
-            auditor: Auditor::new(topo),
-            violations: 0,
-        }
-    }
-
     fn audit_epoch(&mut self, epoch: u64, rules: &tagger::core::RuleSet) {
         let report = self.auditor.audit(epoch, rules);
         if report.is_certified() {
@@ -168,7 +160,6 @@ impl AuditObserver {
                 epoch, cert.total_nodes, cert.total_edges, report.rules_decompiled
             );
         } else {
-            self.violations += 1;
             print!("{}", report.render(self.auditor.topo()));
         }
     }
@@ -343,8 +334,9 @@ fn watchdog_drill(
         .clone()
         .ok_or("armed run produced no watchdog report")?;
     println!(
-        "  watchdog on ({window_us} us, {policy:?}): {}",
-        wd.stats.describe()
+        "  watchdog on ({window_us} us, {policy:?}): {}, redirected {} pkt",
+        wd.stats.describe(),
+        report.switch.demoted_redirects
     );
     let first = wd.first_trip_at.ok_or("armed watchdog never tripped")?;
     let cleared = wd.cleared_at.ok_or("cycle never cleared after the trips")?;
@@ -546,9 +538,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             .map_err(|e| format!("watchdog drill FAILED: {e}"))?;
         return Ok(ExitCode::SUCCESS);
     }
-    let mut audit: Option<AuditObserver> = flags
-        .contains_key("audit")
-        .then(|| AuditObserver::new(topo.clone()));
+    let mut audit: Option<AuditObserver> = flags.contains_key("audit").then(|| AuditObserver {
+        auditor: Auditor::new(topo.clone()),
+    });
 
     let text = match &trace_file {
         Some(path) => {
@@ -651,11 +643,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         failed = true;
     }
     if let Some(a) = &replay.audit {
-        if a.violations > 0 {
-            eprintln!(
-                "FAIL: independent audit found violations in {} epoch(s)",
-                a.violations
-            );
+        let violations = a.auditor.metrics.violations();
+        if violations > 0 {
+            eprintln!("FAIL: independent audit found violations in {violations} epoch(s)");
             failed = true;
         }
     }

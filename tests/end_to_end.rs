@@ -47,7 +47,7 @@ fn clos_full_stack_with_reroute() {
     let f = sim.add_flow(FlowSpec::new(h9, h1, 0).pinned(bounce_path));
     let report = sim.run();
     assert!(report.deadlock.is_none());
-    assert_eq!(report.lossless_drops, 0);
+    assert_eq!(report.switch.lossless_drops, 0);
     assert!(report.flows[f as usize].delivered_bytes > 1_000_000);
 }
 
