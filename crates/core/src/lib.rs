@@ -65,3 +65,4 @@ pub use samples::Samples;
 /// this crate reports the same coordinates as every parser above it.
 pub use tagger_topo::span;
 pub use tagger_topo::span::Span;
+pub use turn::TurnHasher;

@@ -28,9 +28,12 @@ pub(crate) type Q = (NodeId, PortId, u8);
 /// Builds the wait-for graph over the current PFC state: one node per
 /// gated, non-empty lossless egress queue, one edge per "the packets I
 /// hold drain into a downstream queue that is itself gated" dependency.
-fn wait_edges(topo: &Topology, switches: &BTreeMap<NodeId, SwitchState>) -> BTreeMap<Q, Vec<Q>> {
+/// `switches` holds the data planes in node order: entry `i` is node
+/// `i`'s, and a node past its end has none.
+fn wait_edges(topo: &Topology, switches: &[SwitchState]) -> BTreeMap<Q, Vec<Q>> {
     let mut edges: BTreeMap<Q, Vec<Q>> = BTreeMap::new();
-    for (&node, sw) in switches {
+    for (i, sw) in switches.iter().enumerate() {
+        let node = NodeId(i as u32);
         let nl = sw.config().num_lossless;
         for port in 0..sw.num_ports() as u16 {
             let port = PortId(port);
@@ -43,7 +46,7 @@ fn wait_edges(topo: &Topology, switches: &BTreeMap<NodeId, SwitchState>) -> BTre
                 let Some(peer) = topo.peer_of(tagger_topo::GlobalPort::new(node, port)) else {
                     continue;
                 };
-                let Some(down) = switches.get(&peer.node) else {
+                let Some(down) = switches.get(peer.node.index()) else {
                     continue; // host paused us: no onward dependency
                 };
                 // Packets accounted at the downstream's congested ingress
@@ -71,7 +74,7 @@ fn wait_edges(topo: &Topology, switches: &BTreeMap<NodeId, SwitchState>) -> BTre
 /// The wait-for graph on dense ids for the acyclicity kernel: the gated
 /// queues in sorted order (a queue's id is its rank) and one edge per
 /// wait on another gated queue, in the order [`wait_edges`] found them.
-fn wait_graph(topo: &Topology, switches: &BTreeMap<NodeId, SwitchState>) -> (Vec<Q>, Digraph) {
+fn wait_graph(topo: &Topology, switches: &[SwitchState]) -> (Vec<Q>, Digraph) {
     let edges = wait_edges(topo, switches);
     let nodes: Vec<Q> = edges.keys().copied().collect();
     let mut g = Digraph::new(nodes.len());
@@ -89,7 +92,7 @@ fn wait_graph(topo: &Topology, switches: &BTreeMap<NodeId, SwitchState>) -> (Vec
 /// queues. Returns a witness cycle if one exists.
 pub(crate) fn detect_deadlock(
     topo: &Topology,
-    switches: &BTreeMap<NodeId, SwitchState>,
+    switches: &[SwitchState],
 ) -> Option<Vec<(NodeId, PortId, u8)>> {
     let (nodes, g) = wait_graph(topo, switches);
     let cycle = g.find_cycle()?;
@@ -104,7 +107,7 @@ pub(crate) fn detect_deadlock(
 /// be demoted.
 pub(crate) fn deadlocked_queues(
     topo: &Topology,
-    switches: &BTreeMap<NodeId, SwitchState>,
+    switches: &[SwitchState],
 ) -> std::collections::BTreeSet<Q> {
     let (nodes, g) = wait_graph(topo, switches);
     g.cyclic_members()
@@ -174,9 +177,7 @@ mod tests {
         swa.on_pfc(PortId(0), pause0(), 0);
         swb.on_pfc(PortId(0), pause0(), 0);
 
-        let mut switches = BTreeMap::new();
-        switches.insert(a, swa);
-        switches.insert(b, swb);
+        let switches = [swa, swb];
         let cycle = detect_deadlock(&topo, &switches).expect("deadlock");
         assert_eq!(cycle.len(), 2);
     }
@@ -246,10 +247,7 @@ mod tests {
         );
         swa.on_pfc(PortId(2), pause0(), 0);
 
-        let mut switches = BTreeMap::new();
-        switches.insert(a, swa);
-        switches.insert(b, swb);
-        switches.insert(c, swc);
+        let switches = [swa, swb, swc];
 
         let cycle = detect_deadlock(&topo, &switches).expect("deadlock");
         // The witness starts at the smallest queue on the cycle and
@@ -299,9 +297,7 @@ mod tests {
             TransitionMode::EgressByNewTag,
         );
         swa.on_pfc(PortId(0), pause0(), 0);
-        let mut switches = BTreeMap::new();
-        switches.insert(a, swa);
-        switches.insert(b, swb);
+        let switches = [swa, swb];
         assert!(detect_deadlock(&topo, &switches).is_none());
         assert!(deadlocked_queues(&topo, &switches).is_empty());
     }

@@ -1,7 +1,6 @@
 //! Flow specifications and per-flow accounting.
 
 use crate::event::SimTime;
-use std::collections::BTreeMap;
 use tagger_core::Tag;
 use tagger_topo::{NodeId, PortId, Topology};
 
@@ -12,8 +11,9 @@ pub enum Route {
     /// per-flow ECMP hashing.
     Fib,
     /// Pinned to an explicit node path (must be loop-free); used to
-    /// reproduce the paper's exact scenarios. Stored as a per-node
-    /// next-hop map, so any switch on the path knows where to send.
+    /// reproduce the paper's exact scenarios. Stored as the path's
+    /// `(node, egress port)` hops, so any switch on the path knows where
+    /// to send.
     Pinned(Vec<NodeId>),
 }
 
@@ -66,8 +66,9 @@ impl FlowSpec {
 #[derive(Clone, Debug)]
 pub(crate) struct FlowState {
     pub spec: FlowSpec,
-    /// Next-hop map for pinned routes: node -> egress port.
-    pub pinned_ports: Option<BTreeMap<NodeId, PortId>>,
+    /// A pinned route's `(node, egress port)` hops, one per node, in
+    /// path order; `None` for FIB routing.
+    pub pinned_ports: Option<Vec<(NodeId, PortId)>>,
     pub started: bool,
     pub injected_bytes: u64,
     pub delivered_bytes: u64,
@@ -86,14 +87,18 @@ impl FlowState {
         let pinned_ports = match &spec.route {
             Route::Fib => None,
             Route::Pinned(path) => {
-                let mut map = BTreeMap::new();
+                let mut hops: Vec<(NodeId, PortId)> = Vec::with_capacity(path.len());
                 for w in path.windows(2) {
                     let port = topo.port_towards(w[0], w[1]).unwrap_or_else(|| {
                         panic!("pinned path hop not adjacent: {} -> {}", w[0], w[1])
                     });
-                    map.insert(w[0], port);
+                    // A node the path revisits leaves by its last hop.
+                    match hops.iter_mut().find(|(n, _)| *n == w[0]) {
+                        Some(hop) => hop.1 = port,
+                        None => hops.push((w[0], port)),
+                    }
                 }
-                Some(map)
+                Some(hops)
             }
         };
         FlowState {
@@ -108,6 +113,14 @@ impl FlowState {
             last_sample_bytes: 0,
             rate_series: Vec::new(),
         }
+    }
+
+    /// The egress port the flow's pinned route takes at `node`; `None`
+    /// if the route does not leave `node` or the flow is FIB-routed.
+    #[inline]
+    pub fn pinned_port(&self, node: NodeId) -> Option<PortId> {
+        let hops = self.pinned_ports.as_deref()?;
+        hops.iter().find(|&&(n, _)| n == node).map(|&(_, p)| p)
     }
 
     /// True if the flow has bytes left to inject at the given time.
@@ -184,13 +197,13 @@ mod tests {
             .collect::<Vec<_>>();
         let spec = FlowSpec::new(path[0], path[6], 0).pinned(path.clone());
         let state = FlowState::new(spec, &topo);
-        let map = state.pinned_ports.unwrap();
-        assert_eq!(map.len(), 6);
+        assert_eq!(state.pinned_ports.as_ref().unwrap().len(), 6);
         assert_eq!(
-            map[&topo.expect_node("T1")],
+            state.pinned_port(topo.expect_node("T1")),
             topo.port_towards(topo.expect_node("T1"), topo.expect_node("L1"))
-                .unwrap()
         );
+        // The destination is not left through any port.
+        assert_eq!(state.pinned_port(path[6]), None);
     }
 
     #[test]

@@ -52,6 +52,7 @@ mod report;
 mod sim;
 
 pub mod queue;
+pub mod tables;
 
 pub mod experiments;
 pub mod probe;

@@ -6,9 +6,10 @@ use crate::flow::{FlowReport, FlowSpec, FlowState, Route};
 use crate::nic::HostNic;
 use crate::queue::TimingWheel;
 use crate::report::{SimReport, TriggerAttribution, WatchdogReport, WatchdogTripRecord};
+use crate::tables::{port_bases, FibTable, RuleIndex};
 use std::collections::{BTreeMap, BTreeSet};
 use tagger_core::{RuleSet, TagDecision};
-use tagger_routing::{EcmpMode, Fib};
+use tagger_routing::Fib;
 use tagger_switch::{
     AdmitOutcome, Packet, PacketId, PfcFrame, QueueWatchdog, SwitchConfig, SwitchState,
     TransitionMode, WatchdogConfig, WatchdogPolicy, WatchdogStats, WatchdogVerdict,
@@ -131,17 +132,32 @@ pub enum Action {
 }
 
 /// The deterministic discrete-event simulator.
+///
+/// Everything an event reads is a dense table: per node by
+/// [`NodeId::index`], per port by a *port slot* (each node's ports
+/// numbered on from the previous node's), per queue by port slot times
+/// the lossless priorities plus the priority, per link by
+/// [`tagger_topo::LinkId::index`]. The FIB and the Tagger rules are held
+/// only compiled (see [`crate::tables`]); the actions that replace or
+/// edit them recompile.
 pub struct Simulator {
     topo: Topology,
     cfg: SimConfig,
-    rules: Option<RuleSet>,
-    fib: Fib,
+    /// The installed Tagger program. `None` is no Tagger at all (tags
+    /// ride unchanged), which is not the empty program (all lossy).
+    rules: Option<RuleIndex>,
+    routes: FibTable,
     flows: Vec<FlowState>,
-    switches: BTreeMap<NodeId, SwitchState>,
-    nics: BTreeMap<NodeId, HostNic>,
-    tx_busy: BTreeSet<GlobalPort>,
-    /// Hosts' forwarded-vs-generated alternation state per port.
-    host_tx_alt: BTreeSet<GlobalPort>,
+    /// Every node's data plane, by node index.
+    switches: Vec<SwitchState>,
+    /// Every host's NIC, by node index; `None` on switches.
+    nics: Vec<Option<HostNic>>,
+    /// Each node's first port slot ([`port_bases`]).
+    port_base: Vec<u32>,
+    /// Ports mid-transmission, by port slot.
+    tx_busy: Vec<bool>,
+    /// Hosts' forwarded-vs-generated alternation state, by port slot.
+    host_tx_alt: Vec<bool>,
     /// Pending events in `(time, push sequence)` order, so simultaneous
     /// events fire in insertion order and runs are deterministic.
     queue: TimingWheel<Ev>,
@@ -149,9 +165,11 @@ pub struct Simulator {
     actions: Vec<(SimTime, Action)>,
     packet_seq: u64,
     no_route_drops: u64,
-    failed_links: BTreeSet<tagger_topo::LinkId>,
-    /// Receiver-side pause deadlines when quanta are modelled.
-    pause_deadline: BTreeMap<(GlobalPort, u8), SimTime>,
+    /// Links taken down, by link index.
+    failed_links: Vec<bool>,
+    /// Receiver-side pause deadlines when quanta are modelled, by queue
+    /// slot.
+    pause_deadline: Vec<Option<SimTime>>,
     /// Per-flow congestion-control state (present when DCQCN is on).
     cc: Vec<crate::dcqcn::FlowCc>,
     deadlock: Option<DeadlockReport>,
@@ -169,10 +187,10 @@ pub struct Simulator {
     wd_cleared_at: Option<SimTime>,
     /// Ground-truth pause log, independent of the in-band stamps it
     /// cross-checks: every pause-bout start per lossless egress queue,
-    /// in time order. Resume does not erase history (a bout's start must
-    /// remain checkable after xoff/xon flaps); watchdog trips and link
-    /// failures reset the affected queue's history.
-    pause_log: BTreeMap<(NodeId, PortId, u8), Vec<SimTime>>,
+    /// in time order, by queue slot. Resume does not erase history (a
+    /// bout's start must remain checkable after xoff/xon flaps); watchdog
+    /// trips and link failures reset the affected queue's history.
+    pause_log: Vec<Vec<SimTime>>,
     /// Initial-trigger attribution of the first confirmed episode.
     wd_trigger: Option<TriggerAttribution>,
     /// Confirmed-SCC empty→non-empty transitions seen at watchdog ticks.
@@ -194,34 +212,37 @@ impl Simulator {
         // forwarding server needs queues and PFC accounting exactly like
         // a switch. Pure-endpoint hosts simply never receive a packet to
         // forward.
-        let mut switches = BTreeMap::new();
-        let mut nics = BTreeMap::new();
+        let mut switches = Vec::with_capacity(topo.num_nodes());
+        let mut nics = Vec::with_capacity(topo.num_nodes());
         for n in topo.node_ids() {
-            switches.insert(n, SwitchState::new(n, topo.node(n).num_ports(), cfg.switch));
-            if topo.node(n).kind == NodeKind::Host {
-                nics.insert(
-                    n,
-                    HostNic::new(topo.node(n).num_ports(), cfg.switch.num_lossless),
-                );
-            }
+            let nports = topo.node(n).num_ports();
+            switches.push(SwitchState::new(n, nports, cfg.switch));
+            nics.push(
+                (topo.node(n).kind == NodeKind::Host)
+                    .then(|| HostNic::new(nports, cfg.switch.num_lossless)),
+            );
         }
+        let port_base = port_bases(&topo);
+        let ports = port_base[topo.num_nodes()] as usize;
+        let queues = ports * cfg.switch.num_lossless as usize;
         Simulator {
+            routes: FibTable::compile(&topo, &fib),
+            rules: rules.map(|rules| RuleIndex::compile(&topo, &rules)),
+            failed_links: vec![false; topo.num_links()],
             topo,
             cfg,
-            rules,
-            fib,
             flows: Vec::new(),
             switches,
             nics,
-            tx_busy: BTreeSet::new(),
-            host_tx_alt: BTreeSet::new(),
+            port_base,
+            tx_busy: vec![false; ports],
+            host_tx_alt: vec![false; ports],
             queue: TimingWheel::default(),
             now: 0,
             actions: Vec::new(),
             packet_seq: 0,
             no_route_drops: 0,
-            failed_links: BTreeSet::new(),
-            pause_deadline: BTreeMap::new(),
+            pause_deadline: vec![None; queues],
             cc: Vec::new(),
             deadlock: None,
             deadlock_streak: 0,
@@ -234,7 +255,7 @@ impl Simulator {
             wd_trips: Vec::new(),
             wd_first_trip_at: None,
             wd_cleared_at: None,
-            pause_log: BTreeMap::new(),
+            pause_log: vec![Vec::new(); queues],
             wd_trigger: None,
             wd_episodes: 0,
             scc_active: false,
@@ -266,8 +287,8 @@ impl Simulator {
             .link_at(PortId(0))
             .map(|l| self.topo.link(l).capacity_bps as f64)
             .unwrap_or(40e9);
-        self.nics
-            .get_mut(&state.spec.src)
+        self.nics[state.spec.src.index()]
+            .as_mut()
             .expect("host nic")
             .flows
             .push(id);
@@ -284,7 +305,7 @@ impl Simulator {
     /// Read-only view of one node's data plane, for post-run inspection
     /// (queue occupancy, held trigger stamps, PFC gating).
     pub fn switch_state(&self, node: NodeId) -> Option<&SwitchState> {
-        self.switches.get(&node)
+        self.switches.get(node.index())
     }
 
     /// The topology (for scenario builders).
@@ -301,11 +322,7 @@ impl Simulator {
             .flows
             .iter()
             .map(|f| {
-                let first_port = f
-                    .pinned_ports
-                    .as_ref()
-                    .and_then(|m| m.get(&f.spec.src).copied())
-                    .unwrap_or(PortId(0));
+                let first_port = f.pinned_port(f.spec.src).unwrap_or(PortId(0));
                 let port = GlobalPort::new(f.spec.src, first_port);
                 (f.spec.start, port)
             })
@@ -349,7 +366,8 @@ impl Simulator {
             match ev {
                 Ev::Kick { port } => self.try_transmit(port),
                 Ev::TxEnd { port } => {
-                    self.tx_busy.remove(&port);
+                    let slot = self.port_slot(port);
+                    self.tx_busy[slot] = false;
                     self.try_transmit(port);
                 }
                 Ev::Arrive { port, packet } => self.on_arrive(port, packet),
@@ -400,38 +418,49 @@ impl Simulator {
             .map(|l| self.topo.link(l))
     }
 
-    fn serialization_ns(&self, port: GlobalPort, bytes: u32) -> u64 {
-        let link = self.link_of(port).expect("wired port");
-        (bytes as u64 * 8).saturating_mul(1_000_000_000) / link.capacity_bps
+    /// `port`'s index into the per-port tables.
+    #[inline]
+    fn port_slot(&self, port: GlobalPort) -> usize {
+        self.port_base[port.node.index()] as usize + port.port.index()
+    }
+
+    /// Lossless queue `(node, port, prio)`'s index into the per-queue
+    /// tables.
+    #[inline]
+    fn queue_slot(&self, (node, port, prio): (NodeId, PortId, u8)) -> usize {
+        let nl = self.cfg.switch.num_lossless;
+        debug_assert!(prio < nl, "priority {prio} is not lossless");
+        self.port_slot(GlobalPort::new(node, port)) * nl as usize + prio as usize
     }
 
     /// Attempts to start a transmission on `port` (idempotent; no-op when
     /// busy or nothing eligible).
     fn try_transmit(&mut self, port: GlobalPort) {
-        if self.tx_busy.contains(&port) {
+        let slot = self.port_slot(port);
+        if self.tx_busy[slot] {
             return;
         }
-        if let Some(l) = self.topo.node(port.node).link_at(port.port) {
-            if self.failed_links.contains(&l) {
-                return; // dead link: nothing leaves this port
-            }
-        }
-        let Some(link) = self.link_of(port) else {
+        let node = self.topo.node(port.node);
+        let Some(l) = node.link_at(port.port) else {
             return;
         };
-        let latency = link.latency_ns;
+        if self.failed_links[l.index()] {
+            return; // dead link: nothing leaves this port
+        }
+        let is_host = node.kind == NodeKind::Host;
+        let link = self.topo.link(l);
+        let (latency, capacity_bps, peer) =
+            (link.latency_ns, link.capacity_bps, link.opposite(port.node));
         // Forwarded (queued) traffic and locally-generated traffic share
         // the port; hosts alternate between the two so neither starves
         // (a forwarding BCube server still gets to send its own flows).
-        let is_host = self.topo.node(port.node).kind == NodeKind::Host;
-        let prefer_generator = is_host && self.host_tx_alt.contains(&port);
+        let prefer_generator = is_host && self.host_tx_alt[slot];
         let mut packet = None;
         if prefer_generator {
             packet = self.next_host_packet(port.node, port.port);
         }
         if packet.is_none() {
-            let sw = self.switches.get_mut(&port.node).expect("dataplane");
-            let qp = sw.dequeue(port.port);
+            let qp = self.switches[port.node.index()].dequeue(port.port);
             self.flush_switch_pfc(port.node);
             packet = qp.map(|q| q.packet);
         }
@@ -439,18 +468,13 @@ impl Simulator {
             packet = self.next_host_packet(port.node, port.port);
         }
         if is_host && packet.is_some() {
-            if prefer_generator {
-                self.host_tx_alt.remove(&port);
-            } else {
-                self.host_tx_alt.insert(port);
-            }
+            self.host_tx_alt[slot] = !prefer_generator;
         }
         let Some(packet) = packet else {
             return;
         };
-        let ser = self.serialization_ns(port, packet.size_bytes);
-        let peer = self.topo.peer_of(port).expect("wired port");
-        self.tx_busy.insert(port);
+        let ser = (packet.size_bytes as u64 * 8).saturating_mul(1_000_000_000) / capacity_bps;
+        self.tx_busy[slot] = true;
         self.queue.push(self.now + ser, Ev::TxEnd { port });
         self.queue
             .push(self.now + ser + latency, Ev::Arrive { port: peer, packet });
@@ -462,7 +486,7 @@ impl Simulator {
     /// the earliest eligible time.
     fn next_host_packet(&mut self, host: NodeId, out_port: PortId) -> Option<Packet> {
         let dcqcn = self.cfg.dcqcn.is_some();
-        let nic = self.nics.get_mut(&host).expect("host nic");
+        let nic = self.nics[host.index()].as_mut().expect("host nic");
         let n = nic.flows.len();
         let mut wake: Option<SimTime> = None;
         let mut chosen: Option<(usize, u32)> = None;
@@ -476,11 +500,7 @@ impl Simulator {
             // Only flows whose first hop leaves via this port (pinned
             // multi-homed hosts pick their route's port; FIB flows use
             // port 0).
-            let first_port = flow
-                .pinned_ports
-                .as_ref()
-                .and_then(|m| m.get(&host).copied())
-                .unwrap_or(PortId(0));
+            let first_port = flow.pinned_port(host).unwrap_or(PortId(0));
             if first_port != out_port {
                 continue;
             }
@@ -517,7 +537,7 @@ impl Simulator {
             }
             return None;
         };
-        self.nics.get_mut(&host).expect("host nic").rr = (idx + 1) % n;
+        self.nics[host.index()].as_mut().expect("host nic").rr = (idx + 1) % n;
         self.packet_seq += 1;
         let flow = &self.flows[fid as usize];
         let mut packet = Packet::new(
@@ -563,18 +583,12 @@ impl Simulator {
         }
         packet.ttl -= 1;
 
-        // Forwarding decision.
+        // Forwarding decision (hosts have no FIB row).
         let flow = &self.flows[packet.flow as usize];
-        let out_port = match &flow.pinned_ports {
-            Some(map) => map.get(&node).copied(),
-            None => {
-                if self.topo.node(node).kind == NodeKind::Switch {
-                    self.fib
-                        .select(node, packet.dst, packet.flow as u64, EcmpMode::FlowHash)
-                } else {
-                    None // hosts have no FIB
-                }
-            }
+        let out_port = if flow.pinned_ports.is_some() {
+            flow.pinned_port(node)
+        } else {
+            self.routes.select(node, packet.dst, packet.flow as u64)
         };
         let Some(out_port) = out_port else {
             self.no_route_drops += 1;
@@ -585,7 +599,7 @@ impl Simulator {
         // rules too in server-centric fabrics).
         let arriving = packet.tag;
         packet.tag = match (&self.rules, arriving) {
-            (Some(rules), Some(t)) => match rules.decide(node, t, port.port, out_port) {
+            (Some(index), Some(t)) => match index.decide(node, t, port.port, out_port) {
                 TagDecision::Lossless(t2) => Some(t2),
                 TagDecision::Lossy => None,
             },
@@ -595,7 +609,7 @@ impl Simulator {
             (None, t) => t,
         };
 
-        let sw = self.switches.get_mut(&node).expect("dataplane");
+        let sw = &mut self.switches[node.index()];
         let outcome = sw.admit(port.port, out_port, arriving, packet, self.cfg.transition);
         self.flush_switch_pfc(node);
         if matches!(outcome, AdmitOutcome::Enqueued { .. }) {
@@ -607,11 +621,7 @@ impl Simulator {
     /// upstream neighbors, after the wire + reaction delay. With quanta
     /// modelling on, every emitted PAUSE also arms the refresh timer.
     fn flush_switch_pfc(&mut self, node: NodeId) {
-        let emitted = self
-            .switches
-            .get_mut(&node)
-            .expect("switch")
-            .take_emitted_pfc();
+        let emitted = self.switches[node.index()].take_emitted_pfc();
         for (port, frame) in emitted {
             let gp = GlobalPort::new(node, port);
             self.send_pfc(gp, frame);
@@ -642,10 +652,11 @@ impl Simulator {
     /// Receiver-side quanta expiry: ungate unless a refresh moved the
     /// deadline.
     fn on_pfc_expire(&mut self, port: GlobalPort, prio: u8, deadline: SimTime) {
-        if self.pause_deadline.get(&(port, prio)) != Some(&deadline) {
+        let slot = self.queue_slot((port.node, port.port, prio));
+        if self.pause_deadline[slot] != Some(deadline) {
             return; // refreshed (or resumed) since this was scheduled
         }
-        self.pause_deadline.remove(&(port, prio));
+        self.pause_deadline[slot] = None;
         self.apply_pfc(port, PfcFrame::Resume { priority: prio });
     }
 
@@ -654,7 +665,7 @@ impl Simulator {
     fn on_pfc_refresh(&mut self, port: GlobalPort, prio: u8) {
         // Every node (forwarding hosts included) pauses from its data
         // plane's ingress accounting.
-        let sw = self.switches.get(&port.node).expect("dataplane");
+        let sw = &self.switches[port.node.index()];
         if sw.pause_outstanding(port.port, prio) {
             // Refreshes carry current attribution: if we have since been
             // gated downstream ourselves, the stamp rides along.
@@ -676,7 +687,8 @@ impl Simulator {
             match frame {
                 PfcFrame::Pause { priority, .. } => {
                     let deadline = self.now + quanta;
-                    self.pause_deadline.insert((port, priority), deadline);
+                    let slot = self.queue_slot((port.node, port.port, priority));
+                    self.pause_deadline[slot] = Some(deadline);
                     self.queue.push(
                         deadline,
                         Ev::PfcExpire {
@@ -687,7 +699,8 @@ impl Simulator {
                     );
                 }
                 PfcFrame::Resume { priority } => {
-                    self.pause_deadline.remove(&(port, priority));
+                    let slot = self.queue_slot((port.node, port.port, priority));
+                    self.pause_deadline[slot] = None;
                 }
             }
         }
@@ -701,32 +714,21 @@ impl Simulator {
     /// for cross-checking the in-band trigger stamps, tracked entirely
     /// outside the switch implementation.
     fn apply_pfc(&mut self, port: GlobalPort, frame: PfcFrame) {
-        let num_lossless = self.cfg.switch.num_lossless;
-        match frame {
-            PfcFrame::Pause { priority, .. } if priority < num_lossless => {
-                let was = self
-                    .switches
-                    .get(&port.node)
-                    .expect("dataplane")
-                    .is_tx_paused(port.port, priority);
-                if !was {
-                    self.pause_log
-                        .entry((port.node, port.port, priority))
-                        .or_default()
-                        .push(self.now);
-                }
+        // A PAUSE landing on an ungated lossless queue starts a bout.
+        // Resume does NOT erase bout history: attribution must be able to
+        // corroborate a claim whose origin bout has since resolved.
+        // Histories are forgotten on watchdog trips (recovery resets a
+        // queue) and on link failure.
+        if let PfcFrame::Pause { priority, .. } = frame {
+            if priority < self.cfg.switch.num_lossless
+                && !self.switches[port.node.index()].is_tx_paused(port.port, priority)
+            {
+                let slot = self.queue_slot((port.node, port.port, priority));
+                self.pause_log[slot].push(self.now);
             }
-            // Resume does NOT erase bout history: attribution must be
-            // able to corroborate a claim whose origin bout has since
-            // resolved. Histories are forgotten on watchdog trips
-            // (recovery resets a queue) and on link failure.
-            _ => {}
         }
-        self.switches
-            .get_mut(&port.node)
-            .expect("dataplane")
-            .on_pfc(port.port, frame, self.now);
-        if let Some(nic) = self.nics.get_mut(&port.node) {
+        self.switches[port.node.index()].on_pfc(port.port, frame, self.now);
+        if let Some(nic) = &mut self.nics[port.node.index()] {
             nic.on_pfc(port.port, frame);
         }
         if matches!(frame, PfcFrame::Resume { .. }) {
@@ -750,7 +752,7 @@ impl Simulator {
                 .iter()
                 .map(|&(node, port, queue)| {
                     self.switches
-                        .get(&node)
+                        .get(node.index())
                         .map(|sw| sw.queue_depth_bytes(port, queue))
                         .unwrap_or(0)
                 })
@@ -789,7 +791,8 @@ impl Simulator {
         };
         // Symptom scan: paused lossless queues holding data.
         let mut stuck: BTreeSet<(NodeId, PortId, u8)> = BTreeSet::new();
-        for (&node, sw) in &self.switches {
+        for sw in &self.switches {
+            let node = sw.node();
             let nl = sw.config().num_lossless;
             for p in 0..sw.num_ports() as u16 {
                 let port = PortId(p);
@@ -841,11 +844,7 @@ impl Simulator {
                     self.wd_first_trip_at.get_or_insert(self.now);
                     // Origin evidence must be read before the flush/demote
                     // below clears the queue's attribution state.
-                    let origin = self
-                        .switches
-                        .get(&node)
-                        .expect("switch")
-                        .is_trigger_origin(port, prio);
+                    let origin = self.switches[node.index()].is_trigger_origin(port, prio);
                     if origin {
                         self.wd_stats.origin_trips += 1;
                     } else {
@@ -858,7 +857,7 @@ impl Simulator {
                         prio,
                         origin,
                     });
-                    let sw = self.switches.get_mut(&node).expect("switch");
+                    let sw = &mut self.switches[node.index()];
                     match wcfg.policy {
                         WatchdogPolicy::Drop => {
                             let flushed = sw.flush_queue(port, prio);
@@ -874,7 +873,8 @@ impl Simulator {
                     // The trip ends this queue's pause episode; the
                     // ground-truth log must forget it so a later re-pause
                     // gets a fresh entry timestamp.
-                    self.pause_log.remove(&q);
+                    let slot = self.queue_slot(q);
+                    self.pause_log[slot].clear();
                     // Dropping/demoting released ingress accounting or
                     // cleared the gate: deliver any RESUMEs and wake the
                     // port so the lossy (or emptied) queue drains.
@@ -883,8 +883,7 @@ impl Simulator {
                 }
                 WatchdogVerdict::Restore => {
                     self.wd_stats.restores += 1;
-                    let sw = self.switches.get_mut(&node).expect("switch");
-                    sw.restore_queue(port, prio);
+                    self.switches[node.index()].restore_queue(port, prio);
                     self.try_transmit(GlobalPort::new(node, port));
                 }
             }
@@ -925,11 +924,7 @@ impl Simulator {
         confirmed: &BTreeSet<(NodeId, PortId, u8)>,
     ) -> Option<TriggerAttribution> {
         // The SCC's oldest claim, by (epoch, origin queue id).
-        let held = |q: &(NodeId, PortId, u8)| {
-            self.switches
-                .get(&q.0)
-                .and_then(|sw| sw.trigger_of(q.1, q.2))
-        };
+        let held = |q: &(NodeId, PortId, u8)| self.switches[q.0.index()].trigger_of(q.1, q.2);
         let (pause_epoch, origin) = confirmed
             .iter()
             .filter_map(|q| held(q).map(|s| (s.pause_epoch, (s.switch, s.port, s.prio))))
@@ -971,14 +966,12 @@ impl Simulator {
         // latest pause entry; members are gated, so the latest bout is
         // the current one) predates the claim, i.e. nothing the claim
         // fails to explain seeded the cycle earlier.
-        let origin_real = self
-            .pause_log
-            .get(&origin)
-            .is_some_and(|bouts| bouts.binary_search(&pause_epoch).is_ok());
-        let no_older_survivor = confirmed.iter().all(|q| {
-            self.pause_log
-                .get(q)
-                .and_then(|bouts| bouts.last())
+        let origin_real = self.pause_log[self.queue_slot(origin)]
+            .binary_search(&pause_epoch)
+            .is_ok();
+        let no_older_survivor = confirmed.iter().all(|&q| {
+            self.pause_log[self.queue_slot(q)]
+                .last()
                 .is_none_or(|&t| t >= pause_epoch)
         });
         let matches_ground_truth = origin_real && no_older_survivor;
@@ -1000,8 +993,7 @@ impl Simulator {
         let Some(&(node, port, prio)) = cycle.first() else {
             return;
         };
-        let sw = self.switches.get_mut(&node).expect("switch");
-        let dropped = sw.flush_queue(port, prio);
+        let dropped = self.switches[node.index()].flush_queue(port, prio);
         self.recoveries += 1;
         self.recovery_drops += dropped.len() as u64;
         self.flush_switch_pfc(node);
@@ -1011,10 +1003,14 @@ impl Simulator {
     fn run_action(&mut self, index: usize) {
         let action = self.actions[index].1.clone();
         match action {
-            Action::ReplaceFib(fib) => self.fib = fib,
-            Action::ReplaceRules(rules) => self.rules = Some(rules),
+            Action::ReplaceFib(fib) => self.routes = FibTable::compile(&self.topo, &fib),
+            Action::ReplaceRules(rules) => {
+                self.rules = Some(RuleIndex::compile(&self.topo, &rules));
+            }
             Action::ApplyRuleDeltas(deltas) => {
-                let rules = self.rules.get_or_insert_with(RuleSet::new);
+                let rules = self
+                    .rules
+                    .get_or_insert_with(|| RuleIndex::empty(&self.topo));
                 for delta in &deltas {
                     rules.apply_delta(delta);
                 }
@@ -1040,25 +1036,26 @@ impl Simulator {
                 f.spec.limit_bytes = Some(f.injected_bytes);
             }
             Action::FailLink { link } => {
-                self.failed_links.insert(link);
+                self.failed_links[link.index()] = true;
                 // Carrier loss: real switches flush packets queued on a
                 // dead interface (they would otherwise pin ingress PFC
                 // accounting forever and freeze their upstreams).
                 let l = self.topo.link(link);
                 for gp in [l.a, l.b] {
                     let queues = self.cfg.switch.queues_per_port() as u8;
-                    let sw = self.switches.get_mut(&gp.node).expect("dataplane");
+                    let sw = &mut self.switches[gp.node.index()];
                     for q in 0..queues {
                         self.link_down_drops += sw.flush_queue(gp.port, q).len() as u64;
                     }
                     for q in 0..self.cfg.switch.num_lossless {
-                        self.pause_log.remove(&(gp.node, gp.port, q));
+                        let slot = self.queue_slot((gp.node, gp.port, q));
+                        self.pause_log[slot].clear();
                     }
                     self.flush_switch_pfc(gp.node);
                 }
             }
             Action::RestoreLink { link } => {
-                if self.failed_links.remove(&link) {
+                if std::mem::take(&mut self.failed_links[link.index()]) {
                     // Wake both transmitters.
                     let l = self.topo.link(link);
                     let (a, b) = (l.a, l.b);
@@ -1098,7 +1095,7 @@ impl Simulator {
             deadlock: self.deadlock.clone(),
             // Every per-switch counter is summed here, in one place, and
             // reported whole.
-            switch: self.switches.values().map(|sw| sw.stats).sum(),
+            switch: self.switches.iter().map(|sw| sw.stats).sum(),
             no_route_drops: self.no_route_drops,
             recoveries: self.recoveries,
             recovery_drops: self.recovery_drops,
@@ -1308,6 +1305,59 @@ mod tests {
         assert_eq!(report.flows[a as usize].delivered_bytes, 400_000);
         assert_eq!(report.flows[b as usize].delivered_bytes, 400_000);
         assert_eq!(report.switch.lossless_drops, 0);
+    }
+
+    /// The FIB and the rule program exist only compiled, so every action
+    /// that replaces or edits one must recompile it: a blackhole override
+    /// starts dropping, a ToR's withdrawn rules send the incast entering
+    /// there lossy, and the reinstalled program brings it back to
+    /// lossless.
+    #[test]
+    fn replaced_and_edited_tables_take_effect_mid_run() {
+        let topo = ClosConfig::small().build();
+        let rules = tagger_core::clos::clos_tagging(&topo, 1)
+            .expect("clos tagging")
+            .rules()
+            .clone();
+        let [t1, t2, h1, h2, h5, h9, h13] =
+            ["T1", "T2", "H1", "H2", "H5", "H9", "H13"].map(|n| topo.expect_node(n));
+        let mut blackhole = Fib::shortest_path(&topo, &FailureSet::none());
+        blackhole.set_override(t2, h13, Vec::new());
+        let withdraw = tagger_core::RuleDelta {
+            switch: t1,
+            add: Vec::new(),
+            remove: rules.rules_for(t1),
+        };
+        // The run is deterministic, so a shorter horizon reports the
+        // counters of a prefix of the same run.
+        let until = |end_us: u64| {
+            let mut sim = small_sim(Some(rules.clone()), 2);
+            sim.cfg.end_time_ns = end_us * 1_000;
+            // A 2:1 incast from T1's hosts into H9, and a flow across T2.
+            sim.add_flow(FlowSpec::new(h1, h9, 0));
+            sim.add_flow(FlowSpec::new(h2, h9, 0));
+            sim.add_flow(FlowSpec::new(h5, h13, 0));
+            sim.at(400_000, Action::ReplaceFib(blackhole.clone()));
+            sim.at(800_000, Action::ApplyRuleDeltas(vec![withdraw.clone()]));
+            sim.at(1_200_000, Action::ReplaceRules(rules.clone()));
+            sim.run()
+        };
+        // Each phase is read just before the next action.
+        let (before, blackholed, withdrawn) = (until(399), until(799), until(1_199));
+        let (reinstalled, end) = (until(1_300), until(2_000));
+        assert_eq!(before.no_route_drops, 0);
+        assert!(blackholed.no_route_drops > 0, "the blackhole drops");
+        assert_eq!(blackholed.switch.lossy_drops, 0, "PFC holds the incast");
+        assert!(
+            withdrawn.switch.lossy_drops > 0,
+            "without T1's rules the incast is lossy"
+        );
+        assert_eq!(
+            end.switch.lossy_drops, reinstalled.switch.lossy_drops,
+            "the reinstalled rules make the incast lossless again"
+        );
+        assert!(end.switch.pauses_sent > reinstalled.switch.pauses_sent);
+        assert_eq!(end.switch.lossless_drops, 0);
     }
 
     #[test]
