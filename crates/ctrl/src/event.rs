@@ -1,5 +1,6 @@
 //! Control-plane events and the plain-text trace format.
 
+use crate::controller::CtrlError;
 use std::fmt;
 use tagger_core::span::spanned_words;
 use tagger_core::{Span, Tag};
@@ -101,6 +102,18 @@ impl CtrlEvent {
                 trigger,
             } => Some(trigger.map_or((*switch, *port, tag.0), |t| (t.switch, t.port, t.tag.0))),
             _ => None,
+        }
+    }
+
+    /// Fails with [`CtrlError::UnknownLink`] if this is a link event
+    /// naming a link outside `topo` — the one malformation that can
+    /// survive trace parsing, since [`LinkId`]s are plain indices.
+    pub fn check(&self, topo: &Topology) -> Result<(), CtrlError> {
+        match self {
+            CtrlEvent::LinkDown(l) | CtrlEvent::LinkUp(l) if l.index() >= topo.num_links() => {
+                Err(CtrlError::UnknownLink(*l))
+            }
+            _ => Ok(()),
         }
     }
 

@@ -255,6 +255,11 @@ impl Journal {
     /// event of the batch, unless the line is already on disk from before
     /// a crash — then it is only checked to be the event being finished.
     fn write_ahead(&mut self, topo: &Topology, batch: &[CtrlEvent]) -> Result<(), JournalError> {
+        // An event the topology cannot name has no on-disk form: refuse
+        // the batch before any of it is written.
+        for event in batch {
+            event.check(topo)?;
+        }
         for event in batch {
             match self.unresolved.pop_front() {
                 None => self.record_event(topo, event)?,
@@ -280,7 +285,8 @@ impl Journal {
     /// [`Journal::record_outcome`]:
     ///
     /// 1. write-ahead: every event of the batch is on disk before any of
-    ///    it is processed;
+    ///    it is processed (a batch naming a link outside the topology is
+    ///    refused with [`CtrlError::UnknownLink`] and writes nothing);
     /// 2. [`Controller::handle_batch_via`]: stage, validate, install
     ///    behind the commit barrier, commit or roll back fleet-wide;
     /// 3. the outcome record (`!ok n` / `!rollback n`);

@@ -116,16 +116,10 @@ impl NetworkState {
     }
 
     /// Applies one event, bumping the version. Fails (leaving state
-    /// untouched) if the event references a link outside the topology —
-    /// the one malformation that can survive trace parsing, since
-    /// [`LinkId`](tagger_topo::LinkId)s are plain indices.
+    /// untouched) where [`CtrlEvent::check`] does: on a link outside the
+    /// topology.
     pub fn apply(&mut self, topo: &Topology, event: &CtrlEvent) -> Result<(), CtrlError> {
-        match event {
-            CtrlEvent::LinkDown(l) | CtrlEvent::LinkUp(l) if l.index() >= topo.num_links() => {
-                return Err(CtrlError::UnknownLink(*l));
-            }
-            _ => {}
-        }
+        event.check(topo)?;
         match event {
             CtrlEvent::LinkDown(l) => {
                 self.failures.fail(*l);

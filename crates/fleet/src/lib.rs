@@ -16,10 +16,12 @@
 //!   [`Journal::step`](tagger_ctrl::Journal::step).
 //! - [`Fleet`] — the registry and fair drain loop. Registration derives
 //!   an isolated journal path per fabric and refuses duplicates even
-//!   across path respellings; draining visits every fabric per cycle
-//!   with a bounded batch quantum, so one flapping fabric cannot starve
-//!   the rest. Because damping is suffix-closed, the bounded interleaved
-//!   drain commits *exactly* the epochs a solo replay would. Stream
+//!   across path respellings; draining gives every fabric with queued
+//!   events one turn per cycle with a bounded batch quantum, so one
+//!   flapping fabric cannot starve the rest, and a cycle's turns run
+//!   across cores. Because damping is suffix-closed, the bounded
+//!   interleaved drain commits *exactly* the epochs a solo replay
+//!   would. Stream
 //!   fronts register fabrics on first mention through
 //!   [`Fleet::ingest_stream_line`], chaos seeded by name ([`chaos_for`]).
 //! - [`FleetReport`] — per-fabric status plus `Sum`-based rollups of

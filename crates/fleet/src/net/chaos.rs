@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use super::reap;
 use super::wire::{encode, Decoder};
 
 /// SplitMix64 — the same generator the fleet derives per-fabric seeds
@@ -212,6 +213,7 @@ impl ChaosTransport {
             while !accept_stop.load(Ordering::Relaxed) {
                 match listener.accept() {
                     Ok((client, _)) => {
+                        reap(&mut relays);
                         accept_stats.connections.fetch_add(1, Ordering::Relaxed);
                         let seed = SplitMix64::new(cfg.seed.wrapping_add(conn_index)).next_u64();
                         conn_index += 1;

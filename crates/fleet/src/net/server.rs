@@ -7,18 +7,21 @@
 //!
 //! - the **accept thread** owns the listener (non-blocking, polled
 //!   against the stop flag) and spawns one **reader thread** per
-//!   connection;
+//!   connection, joining readers whose connection has closed on each
+//!   accept (an exited thread keeps its stack until joined);
 //! - each reader runs its socket with read/write deadlines, feeds a
 //!   resynchronizing [`Decoder`], and answers every frame with a
 //!   structured reply — `Ok{epoch}`, `Backpressure{queue_depth,
 //!   retry_after_ms}` (mapped from [`FleetError::QueueFull`] or an
 //!   exhausted per-connection budget), or `Reject{span, reason}`
 //!   (carrying the span from the fabric's own [`TraceError`]);
-//! - the **drain thread** ticks [`Fleet::drain_cycle`] — the same fair
-//!   round-robin, bounded-quantum drain the in-process daemon uses —
-//!   and advances the budget epoch that refills every connection's
-//!   event allowance. A chatty peer that outruns its budget is pushed
-//!   back with `Backpressure`, not allowed to monopolize the cycle.
+//! - the **drain thread** ticks [`Fleet::drain_cycle_settled`] — the
+//!   same fair, bounded-quantum cycle the in-process daemon uses, its
+//!   fabrics' turns spread across cores, holding back each fabric's
+//!   still-growing trailing batch — and advances the budget epoch that
+//!   refills every connection's event allowance. A chatty peer that
+//!   outruns its budget is pushed back with `Backpressure`, not allowed
+//!   to monopolize the cycle.
 //!
 //! Dedupe contract: each client names itself with a `Hello{client_id}`
 //! and numbers its events with a per-client sequence. The server tracks
@@ -29,7 +32,8 @@
 //! the client exactly-once at the fabric queue.
 //!
 //! Shutdown sequence (also documented in DESIGN §15): stop accepting →
-//! readers finish their in-flight frame and close → drain every queue
+//! the readers still open finish their in-flight frame and close (the
+//! rest were joined as their connections ended) → drain every queue
 //! through the journaled two-phase rollout → snapshot → close. Nothing
 //! accepted is ever dropped.
 
@@ -38,6 +42,7 @@ use crate::fabric::FabricSpec;
 use crate::registry::{Fleet, FleetConfig};
 use crate::report::FleetReport;
 
+use super::reap;
 use super::wire::{Decoder, Msg};
 
 use std::collections::BTreeMap;
@@ -190,6 +195,7 @@ impl Server {
             while !accept_shared.stop.load(Ordering::Relaxed) {
                 match listener.accept() {
                     Ok((socket, _)) => {
+                        reap(&mut readers);
                         accept_shared
                             .stats
                             .connections

@@ -19,8 +19,8 @@ pub struct FleetConfig {
     pub queue_cap: usize,
     /// Most damped batches one fabric may process per drain cycle — the
     /// fairness bound that keeps a flapping fabric from starving the
-    /// rest: every cycle visits every fabric, and no fabric's turn
-    /// exceeds `drain_quantum` recomputes.
+    /// rest: every cycle gives every fabric with queued events a turn,
+    /// and no fabric's turn exceeds `drain_quantum` recomputes.
     pub drain_quantum: usize,
     /// Southbound install retry discipline.
     pub install: InstallPolicy,
@@ -89,6 +89,10 @@ pub struct Fleet {
     /// invariant: no two fabrics may ever share a journal file, or
     /// concurrent drains would interleave their write-ahead records.
     journal_owners: BTreeMap<PathBuf, String>,
+    /// Most workers one drain cycle runs fabrics' turns on — the cores
+    /// available to the process, read once (std re-reads cgroup limits
+    /// on every call).
+    cores: usize,
 }
 
 impl Fleet {
@@ -99,6 +103,7 @@ impl Fleet {
             fabrics: Vec::new(),
             by_name: BTreeMap::new(),
             journal_owners: BTreeMap::new(),
+            cores: std::thread::available_parallelism().map_or(1, usize::from),
         }
     }
 
@@ -259,11 +264,20 @@ impl Fleet {
         self.admit(fabric, events)
     }
 
-    /// One fair drain cycle: every fabric, in id order, processes up to
-    /// [`FleetConfig::drain_quantum`] damped batches from its own queue.
-    /// Returns the total batches processed. A fabric with a million
-    /// queued flaps gets exactly the same turn as one with a single
-    /// event — the starvation bound the ingest front promises.
+    /// One fair drain cycle: every fabric with queued events processes
+    /// up to [`FleetConfig::drain_quantum`] damped batches from its own
+    /// queue. Returns the total batches processed. A fabric with a
+    /// million queued flaps gets exactly the same turn as one with a
+    /// single event — the starvation bound the ingest front promises.
+    ///
+    /// The turns run concurrently, one worker per available core (never
+    /// more workers than busy fabrics; the calling thread is one of
+    /// them). A fabric's batches depend only on its own queue and no two
+    /// fabrics share a journal, so every journal is byte-identical to a
+    /// one-at-a-time drain's. Every fabric finishes its turn even when
+    /// another fails; the cycle then returns the error of the lowest
+    /// fabric id that failed, whatever order the workers finished in.
+    /// A panicking turn propagates the panic.
     pub fn drain_cycle(&mut self) -> Result<u64, FleetError> {
         self.cycle(Fabric::drain)
     }
@@ -278,14 +292,44 @@ impl Fleet {
         self.cycle(Fabric::drain_settled)
     }
 
+    /// Runs one `turn` per busy fabric across `min(cores, busy)`
+    /// workers: the k-th busy fabric drains on worker `k % workers`,
+    /// worker 0 being the calling thread, so a cycle with one busy
+    /// fabric spawns nothing.
     fn cycle(
         &mut self,
-        drain: fn(&mut Fabric, usize) -> Result<Vec<EpochOutcome>, FleetError>,
+        turn: fn(&mut Fabric, usize) -> Result<Vec<EpochOutcome>, FleetError>,
     ) -> Result<u64, FleetError> {
         let quantum = self.cfg.drain_quantum.max(1);
+        let busy: Vec<&mut Fabric> = self.fabrics.iter_mut().filter(|f| f.queued() > 0).collect();
+        let workers = self.cores.min(busy.len()).max(1);
+        let mut shares: Vec<Vec<&mut Fabric>> = (0..workers).map(|_| Vec::new()).collect();
+        for (k, fabric) in busy.into_iter().enumerate() {
+            shares[k % workers].push(fabric);
+        }
+        let run = |share: Vec<&mut Fabric>| -> Vec<(FabricId, Result<usize, FleetError>)> {
+            share
+                .into_iter()
+                .map(|fabric| (fabric.id(), turn(fabric, quantum).map(|o| o.len())))
+                .collect()
+        };
+        let mut shares = shares.into_iter();
+        let own = shares.next().unwrap_or_default();
+        let mut turns = std::thread::scope(|s| {
+            let spawned: Vec<_> = shares.map(|share| s.spawn(move || run(share))).collect();
+            let mut turns = run(own);
+            for worker in spawned {
+                match worker.join() {
+                    Ok(more) => turns.extend(more),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            turns
+        });
+        turns.sort_unstable_by_key(|&(id, _)| id);
         let mut processed = 0u64;
-        for fabric in &mut self.fabrics {
-            processed += drain(fabric, quantum)?.len() as u64;
+        for (_, batches) in turns {
+            processed += batches? as u64;
         }
         Ok(processed)
     }
@@ -433,6 +477,47 @@ mod tests {
         // Draining frees capacity.
         fleet.drain_cycle().unwrap();
         fleet.ingest_line("a", "resync").unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_turn_reports_the_lowest_fabric_and_spares_the_rest() {
+        let dir = tmp("errors");
+        let mut fleet = Fleet::new(FleetConfig::new(&dir));
+        let names = ["f0", "f1", "f2", "f3"];
+        for name in names {
+            fleet.register(spec(name)).unwrap();
+        }
+        let links = fleet.fabrics()[0].topo().num_links() as u32;
+        let (bogus1, bogus3) = (
+            tagger_topo::LinkId(links + 1),
+            tagger_topo::LinkId(links + 3),
+        );
+        fleet.ingest("f1", CtrlEvent::LinkDown(bogus1)).unwrap();
+        fleet.ingest("f3", CtrlEvent::LinkDown(bogus3)).unwrap();
+        for healthy in ["f0", "f2"] {
+            fleet.ingest_line(healthy, "down L1 T1").unwrap();
+            fleet.ingest_line(healthy, "up L1 T1").unwrap();
+        }
+        // Whichever worker finishes first, fabric 1's error is the one
+        // returned, and fabrics 0 and 2 committed in the same cycle.
+        match fleet.drain_cycle() {
+            Err(FleetError::Ctrl(tagger_ctrl::CtrlError::UnknownLink(l))) => {
+                assert_eq!(l, bogus1)
+            }
+            other => panic!("expected fabric 1's UnknownLink, got {other:?}"),
+        }
+        for healthy in ["f0", "f2"] {
+            let fabric = fleet.fabric(healthy).unwrap();
+            assert_eq!(fabric.commits(), 1, "{healthy} must commit its flap batch");
+            assert_eq!(fabric.queued(), 0);
+            assert!(fabric.converged());
+        }
+        for failed in ["f1", "f3"] {
+            let fabric = fleet.fabric(failed).unwrap();
+            assert_eq!(fabric.commits(), 0);
+            assert_eq!(fabric.queued(), 0, "{failed} took its turn");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -46,7 +46,7 @@ proptest! {
     /// solo + unbounded drain, per fabric, down to journal bytes.
     #[test]
     fn interleaved_drain_commits_exactly_the_solo_epochs(
-        ops in proptest::collection::vec((0usize..64, 0u8..3, 0u8..3), 1..10),
+        ops in proptest::collection::vec((0usize..64, 0u8..3, 0u8..5), 1..16),
         quantum in 1usize..4,
         damping_pick in 0u8..3,
     ) {
@@ -58,13 +58,15 @@ proptest! {
             _ => Damping::FlapCapped(2),
         };
         // Split the interleaved stream into per-fabric subsequences.
-        let names = ["iq-a", "iq-b", "iq-c"];
+        // Five fabrics, so a cycle's worker count `min(cores, busy)`
+        // takes both its values on two- and four-core machines.
+        let names = ["iq-a", "iq-b", "iq-c", "iq-d", "iq-e"];
         let stream: Vec<(usize, CtrlEvent)> = ops
             .iter()
             .map(|&(l, kind, fab)| (fab as usize % names.len(), decode(&links, (l, kind))))
             .collect();
 
-        // Interleaved fleet: all three fabrics, events fed in stream
+        // Interleaved fleet: all five fabrics, events fed in stream
         // order, a bounded fair drain cycle every few events.
         let dir_multi = tmp_dir(&format!("multi-{quantum}-{damping_pick}"));
         std::fs::remove_dir_all(&dir_multi).ok();

@@ -284,3 +284,69 @@ fn one_stream_leaves_the_same_journals_in_process_and_over_the_wire() {
         std::fs::remove_dir_all(dir).ok();
     }
 }
+
+/// Fifty `send_lines` calls in a row to one server — fifty connections,
+/// each reader thread joined by the accept loop once its connection
+/// closes. Every call lands its whole prefix, and the journals match a
+/// solo replay of the stream exactly as one long connection's would.
+#[test]
+fn fifty_sequential_connections_deliver_exactly_once() {
+    const CALLS: usize = 50;
+    let dirs = ["seq-net", "seq-solo"].map(tmp);
+    for dir in &dirs {
+        std::fs::remove_dir_all(dir).ok();
+    }
+    let topo = ClosConfig::small().build();
+    let chaos = ChaosConfig::new(SOAK_SEED, 0.25);
+    let per_fabric: Vec<Vec<String>> = (0..2)
+        .map(|i| fabric_lines(&topo, &format!("seq-{i}"), fabric_seed(SOAK_SEED, i), 0, 48))
+        .collect();
+    let stream: Vec<String> = (0..per_fabric.iter().map(Vec::len).max().unwrap_or(0))
+        .flat_map(|k| {
+            per_fabric
+                .iter()
+                .filter_map(move |lines| lines.get(k).cloned())
+        })
+        .collect();
+    assert!(stream.len() >= CALLS, "every call must carry new lines");
+
+    let mut serve = ServeConfig::new(&dirs[0], topo.clone());
+    serve.chaos = Some(chaos);
+    let server = Server::start("127.0.0.1:0", serve).expect("server start");
+    let cfg = ClientConfig::new(server.addr().to_string(), 1);
+    for call in 1..=CALLS {
+        // Sequence numbers index the stream, so each call offers the
+        // whole prefix and the handshake skips what already landed.
+        let end = stream.len() * call / CALLS;
+        let report = send_lines(&cfg, &stream[..end]).expect("delivery");
+        assert_eq!(
+            report.delivered,
+            end as u64,
+            "call {call}: {}",
+            report.render()
+        );
+        assert!(report.rejections.is_empty(), "call {call} rejections");
+    }
+    let connections = server
+        .stats()
+        .connections
+        .load(std::sync::atomic::Ordering::Relaxed);
+    assert!(connections >= CALLS as u64, "one connection per call");
+    let outcome = server.shutdown().expect("graceful shutdown");
+    assert!(outcome.report.healthy(), "{}", outcome.report.render());
+
+    let template = FabricSpec::new("", topo).with_chaos(chaos);
+    solo_replay(&dirs[1], &template, &stream).expect("solo replay");
+    for i in 0..2 {
+        let name = format!("seq-{i}.journal");
+        let networked = std::fs::read(dirs[0].join(&name)).expect("networked journal");
+        let solo = std::fs::read(dirs[1].join(&name)).expect("solo journal");
+        assert_eq!(
+            networked, solo,
+            "journal {name} differs from the solo replay"
+        );
+    }
+    for dir in &dirs {
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
