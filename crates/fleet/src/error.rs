@@ -39,7 +39,7 @@ pub enum FleetError {
     /// Filesystem trouble below the fleet directory.
     Io(std::io::Error),
     /// The network ingest front hit a state it cannot recover from
-    /// (poisoned lock, wire-protocol violation, failed drain thread).
+    /// (a panicked or already stopped ingest loop).
     Protocol(String),
 }
 

@@ -328,8 +328,8 @@ impl Fabric {
     /// the last: a batch with at least one event after it is closed (a
     /// maximal run followed by a different event stays maximal no
     /// matter what arrives later), while the final batch may still grow
-    /// if the next event extends its run. A drain running concurrently
-    /// with ingest — the network front's drain thread — must therefore
+    /// if the next event extends its run. A drain interleaved with
+    /// ingest — the network front's drain tick — must therefore
     /// not commit the trailing batch, or its boundaries (and the
     /// write-ahead journal) would depend on where drain ticks happened
     /// to land relative to arrivals instead of on the stream alone.

@@ -5,10 +5,11 @@
 //! - [`wire`] — the length-prefixed framed protocol and its
 //!   resynchronizing decoder. Torn frames cost bytes, never
 //!   connections.
-//! - [`server`] — `tagger-fleetd serve`: reader threads with deadlines
-//!   and per-connection budgets feeding the fair
+//! - [`server`] — `tagger-fleetd serve`: one nonblocking readiness loop
+//!   that owns the fleet, reads each connection in turn under a
+//!   per-connection budget, ticks the fair
 //!   [`drain_cycle_settled`](crate::Fleet::drain_cycle_settled),
-//!   per-client sequence dedupe, graceful drain-then-close shutdown.
+//!   dedupes per-client sequences, and shuts down drain-then-close.
 //! - [`client`] — `tagger-ingest`: strict one-in-flight delivery with
 //!   seeded backoff + jitter and bounded retries, reporting a
 //!   byte-stable delivery summary.
@@ -35,8 +36,8 @@ use std::thread::JoinHandle;
 
 /// Joins and drops every finished thread in `handles`, keeping the live
 /// ones. A thread that has exited keeps its stack until it is joined, so
-/// an accept loop that spawns per connection calls this on each accept
-/// to hold only the connections still open.
+/// [`ChaosTransport`]'s accept loop, which spawns per connection, calls
+/// this on each accept to hold only the connections still open.
 fn reap(handles: &mut Vec<JoinHandle<()>>) {
     let (done, live) = std::mem::take(handles)
         .into_iter()

@@ -4,11 +4,15 @@
 //! come out byte-identical to a solo in-process replay of the same
 //! lines — zero events lost, zero double-applied, every fabric
 //! converged. Plus the backpressure drill: a client hammering a tiny
-//! queue is pushed back, backs off, and still delivers 100%.
+//! queue is pushed back, backs off, and still delivers 100%; and the
+//! flood drill: a peer that writes without ever reading is cut off
+//! while an honest client beside it delivers everything.
 
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tagger_ctrl::ChaosConfig;
+use tagger_fleet::net::wire::Msg;
 use tagger_fleet::net::{
     send_lines, ChaosTransport, ClientConfig, NetChaosConfig, ServeConfig, Server,
 };
@@ -47,7 +51,6 @@ fn chaos_proxy_loopback_soak_matches_solo_replay() {
     // The networked run: server behind a fault-injecting proxy.
     let mut serve = ServeConfig::new(&dir_net, topo.clone());
     serve.chaos = Some(base_chaos);
-    serve.drain_interval = Duration::from_millis(2);
     let server = Server::start("127.0.0.1:0", serve).expect("server start");
 
     let proxy_cfg = NetChaosConfig {
@@ -154,7 +157,6 @@ fn backpressure_is_graceful_and_starves_nobody() {
     // A queue this small *will* fill: the client must survive on
     // Backpressure replies alone.
     serve.queue_cap = 4;
-    serve.drain_interval = Duration::from_millis(10);
     let server = Server::start("127.0.0.1:0", serve).expect("server start");
     let addr = server.addr().to_string();
 
@@ -286,8 +288,7 @@ fn one_stream_leaves_the_same_journals_in_process_and_over_the_wire() {
 }
 
 /// Fifty `send_lines` calls in a row to one server — fifty connections,
-/// each reader thread joined by the accept loop once its connection
-/// closes. Every call lands its whole prefix, and the journals match a
+/// each dropped by the server's loop once it closes. Every call lands its whole prefix, and the journals match a
 /// solo replay of the stream exactly as one long connection's would.
 #[test]
 fn fifty_sequential_connections_deliver_exactly_once() {
@@ -349,4 +350,72 @@ fn fifty_sequential_connections_deliver_exactly_once() {
     for dir in &dirs {
         std::fs::remove_dir_all(dir).ok();
     }
+}
+
+/// A peer that floods `Event` frames and never reads its replies fills
+/// its socket buffers until a reply no longer fits, and is disconnected.
+/// An honest `send_lines` client served by the same loop meanwhile
+/// delivers its whole stream, and shutdown stays healthy.
+#[test]
+fn a_peer_that_never_reads_is_cut_off_and_starves_nobody() {
+    let dir = tmp("flood");
+    std::fs::remove_dir_all(&dir).ok();
+    let topo = ClosConfig::small().build();
+    let server =
+        Server::start("127.0.0.1:0", ServeConfig::new(&dir, topo.clone())).expect("server start");
+    let addr = server.addr();
+
+    let flood = std::thread::spawn(move || {
+        let mut peer = std::net::TcpStream::connect(addr).expect("connect");
+        // Bounds a write the server never drains; cutting the peer off
+        // must fail the write sooner.
+        peer.set_write_timeout(Some(Duration::from_secs(10)))
+            .expect("write timeout");
+        let mut burst = Msg::Hello { client: 99 }.encode(0);
+        for _ in 0..256 {
+            // Seq 0 again and again: applied once, acknowledged always.
+            burst.extend(
+                Msg::Event {
+                    line: "flood: resync".into(),
+                }
+                .encode(0),
+            );
+        }
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut frames = 0u64;
+        while Instant::now() < deadline {
+            if let Err(e) = peer.write_all(&burst) {
+                return (frames, Some(e.kind()));
+            }
+            frames += 256;
+        }
+        (frames, None)
+    });
+
+    let lines = fabric_lines(&topo, "honest", fabric_seed(SOAK_SEED, 7), 0, 24);
+    let mut cfg = ClientConfig::new(server.addr().to_string(), 1);
+    cfg.max_attempts = 400;
+    let report = send_lines(&cfg, &lines).expect("honest delivery beside a flood");
+    let (frames, cut) = flood.join().expect("flood thread");
+    let outcome = server.shutdown().expect("graceful shutdown");
+
+    assert_eq!(report.delivered, lines.len() as u64, "{}", report.render());
+    assert!(report.rejections.is_empty());
+    assert!(
+        matches!(
+            cut,
+            Some(ErrorKind::ConnectionReset | ErrorKind::BrokenPipe | ErrorKind::ConnectionAborted)
+        ),
+        "the flooding peer was not disconnected after {frames} frames: {cut:?}"
+    );
+    assert!(frames >= 1000, "cut off after only {frames} frames");
+    assert!(outcome.report.healthy(), "{}", outcome.report.render());
+    let honest = outcome
+        .report
+        .fabrics
+        .iter()
+        .find(|f| f.name == "honest")
+        .expect("honest fabric");
+    assert_eq!(honest.ingested, lines.len() as u64);
+    std::fs::remove_dir_all(&dir).ok();
 }

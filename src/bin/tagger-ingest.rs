@@ -117,7 +117,6 @@ fn run_drill(flags: &Flags) -> Result<ExitCode, String> {
     // fault-injecting transport proxy.
     let mut serve = ServeConfig::new(&dir_net, topo.clone());
     serve.chaos = Some(base_chaos);
-    serve.drain_interval = Duration::from_millis(2);
     let server = Server::start("127.0.0.1:0", serve).map_err(|e| e.to_string())?;
     let proxy_cfg = NetChaosConfig {
         seed: seed ^ 0x7A05,
