@@ -20,7 +20,7 @@
 //!
 //! ## On-disk format
 //!
-//! Plain text, one record per line:
+//! Plain text, one record per newline-terminated line:
 //!
 //! ```text
 //! event <trace line>            # write-ahead: an accepted event
@@ -36,6 +36,13 @@
 //! trace. A checkpoint block without its `!checkpoint-end` (crash while
 //! checkpointing) is ignored and recovery falls back to the previous
 //! complete one.
+//!
+//! Only a newline-terminated line is a record. Each record line is
+//! written with one `write_all`, so a crash can tear at most the last
+//! line, and an unterminated final fragment is not a record: [`recover`]
+//! ignores it, and [`Journal::open_append`] truncates it before
+//! appending. A journal cut at any byte therefore recovers to the state
+//! after its last complete outcome record.
 
 use crate::controller::{Controller, CtrlError, EpochOutcome, InstallPolicy};
 use crate::damping::Damping;
@@ -124,7 +131,7 @@ impl Journal {
     pub fn create(path: impl Into<PathBuf>) -> Result<Self, JournalError> {
         let path = path.into();
         let mut file = File::create(&path)?;
-        writeln!(file, "# tagger-ctrl journal v1")?;
+        file.write_all(b"# tagger-ctrl journal v1\n")?;
         Ok(Journal {
             path,
             file: Some(file),
@@ -136,13 +143,14 @@ impl Journal {
     /// outcome count carries on where the file stops, and the trailing
     /// `event` lines without an outcome — [`Recovery::tail`], one event
     /// a line as [`Journal::record_event`] writes them — are remembered
-    /// so that finishing them writes only their outcome.
+    /// so that finishing them writes only their outcome. A torn final
+    /// fragment is truncated first, so the next record starts a line.
     pub fn open_append(path: impl Into<PathBuf>) -> Result<Self, JournalError> {
         let mut journal = Journal {
             path: path.into(),
             ..Journal::detached()
         };
-        let text = std::fs::read_to_string(&journal.path)?;
+        let text = read_records(&journal.path)?;
         for (lineno, line) in text.lines().enumerate().map(|(i, l)| (i + 1, l.trim())) {
             if let Some(event) = line.strip_prefix("event ") {
                 journal.unresolved.push_back((lineno, event.to_string()));
@@ -151,7 +159,9 @@ impl Journal {
                 journal.unresolved.drain(..n.min(journal.unresolved.len()));
             }
         }
-        journal.file = Some(OpenOptions::new().append(true).open(&journal.path)?);
+        let file = OpenOptions::new().append(true).open(&journal.path)?;
+        file.set_len(text.len() as u64)?;
+        journal.file = Some(file);
         Ok(journal)
     }
 
@@ -185,7 +195,7 @@ impl Journal {
         let Some(file) = self.file.as_mut() else {
             return Ok(());
         };
-        writeln!(file, "event {}", event.trace_line(topo))?;
+        file.write_all(format!("event {}\n", event.trace_line(topo)).as_bytes())?;
         file.sync_data()?;
         Ok(())
     }
@@ -205,32 +215,32 @@ impl Journal {
             EpochOutcome::Committed(_) => "!ok",
             EpochOutcome::RolledBack { .. } => "!rollback",
         };
-        writeln!(file, "{marker} {batch}")?;
+        file.write_all(format!("{marker} {batch}\n").as_bytes())?;
         file.sync_data()?;
         Ok(())
     }
 
     /// Snapshots the controller's committed state so recovery can start
-    /// here instead of replaying from the beginning of time.
+    /// here instead of replaying from the beginning of time. The block
+    /// goes to disk in one write.
     pub fn checkpoint(&mut self, ctrl: &mut Controller) -> Result<(), JournalError> {
         let Some(file) = self.file.as_mut() else {
             return Ok(());
         };
         let state = ctrl.state();
         let topo = ctrl.topo();
-        writeln!(
-            file,
-            "!checkpoint epoch={} version={}",
+        let mut block = format!(
+            "!checkpoint epoch={} version={}\n",
             ctrl.committed().epoch,
             state.version
-        )?;
+        );
         for link in state.failures.iter() {
             let line = CtrlEvent::LinkDown(link).trace_line(topo);
-            writeln!(file, "!state {line}")?;
+            block += &format!("!state {line}\n");
         }
         for path in &state.extra_paths {
             let line = CtrlEvent::ElpAdd(path.clone()).trace_line(topo);
-            writeln!(file, "!state {line}")?;
+            block += &format!("!state {line}\n");
         }
         for &(switch, port, tag) in &state.quarantines {
             // Checkpoints record quarantines by their effective hop; the
@@ -243,9 +253,10 @@ impl Journal {
                 trigger: None,
             }
             .trace_line(topo);
-            writeln!(file, "!state {line}")?;
+            block += &format!("!state {line}\n");
         }
-        writeln!(file, "!checkpoint-end")?;
+        block += "!checkpoint-end\n";
+        file.write_all(block.as_bytes())?;
         file.sync_data()?;
         ctrl.bump_checkpoints();
         Ok(())
@@ -354,6 +365,14 @@ impl Journal {
     }
 }
 
+/// Reads a journal's records: the file up to its last newline. What
+/// follows it is a fragment a crash tore mid-write, not a record.
+fn read_records(path: &FsPath) -> Result<String, JournalError> {
+    let mut bytes = std::fs::read(path)?;
+    bytes.truncate(bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1));
+    String::from_utf8(bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e).into())
+}
+
 /// Parses an `!ok <n>` / `!rollback <n>` record into whether the batch
 /// committed and how many events it covers; `None` for any other line.
 fn outcome_record(lineno: usize, line: &str) -> Result<Option<(bool, usize)>, JournalError> {
@@ -402,14 +421,15 @@ pub struct Recovery {
 ///
 /// The topology, policy and TCAM budget are configuration, not journal
 /// content — they must match what the crashed controller ran with, or
-/// replay fails with [`CtrlError::RecoveryDiverged`].
+/// replay fails with [`CtrlError::RecoveryDiverged`]. A torn final
+/// fragment is not a record and is ignored.
 pub fn recover(
     path: impl AsRef<FsPath>,
     topo: Topology,
     policy: ElpPolicy,
     tcam_budget: Option<usize>,
 ) -> Result<Recovery, JournalError> {
-    let text = std::fs::read_to_string(path.as_ref())?;
+    let text = read_records(path.as_ref())?;
     let lines: Vec<(usize, &str)> = text
         .lines()
         .enumerate()
