@@ -10,7 +10,7 @@
 //!   per-connection budget, ticks the fair
 //!   [`drain_cycle_settled`](crate::Fleet::drain_cycle_settled),
 //!   dedupes per-client sequences, and shuts down drain-then-close.
-//! - [`client`] — `tagger-ingest`: strict one-in-flight delivery with
+//! - [`client`] — `tagger-fleetd send`: strict one-in-flight delivery with
 //!   seeded backoff + jitter and bounded retries, reporting a
 //!   byte-stable delivery summary.
 //! - [`chaos`] — a seeded transport proxy injecting disconnects,

@@ -4,7 +4,7 @@
 //! under `examples/scenarios/` that `tagger-scenario` expands and
 //! grades. What stays here is what more than one crate builds on: the
 //! testbed PFC regime, the suspect-tables replay the audit and the
-//! controller's watchdog drill run, and the adversarial fixtures of the
+//! safety-net end-to-end test run, and the adversarial fixtures of the
 //! safety-net and attribution drills.
 
 use crate::{FlowSpec, SimConfig, Simulator};

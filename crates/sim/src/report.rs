@@ -64,12 +64,6 @@ impl TriggerAttribution {
     pub fn queue(&self) -> (NodeId, PortId, u8) {
         (self.switch, self.port, self.prio)
     }
-
-    /// Attribution latency: from the trigger's pause entry to the tick
-    /// that produced this attribution.
-    pub fn time_to_attribute(&self) -> SimTime {
-        self.attributed_at.saturating_sub(self.pause_epoch)
-    }
 }
 
 /// What the PFC watchdog did over a run (present only when armed).

@@ -138,23 +138,6 @@ impl AddAssign for WatchdogStats {
     }
 }
 
-impl WatchdogStats {
-    /// One-line rendering for reports.
-    pub fn describe(&self) -> String {
-        format!(
-            "trips {} (suppressed {}, origin {}, inherited {}), restores {}, \
-             drained {} pkt, demoted {} pkt",
-            self.trips,
-            self.suppressions,
-            self.origin_trips,
-            self.inherited_trips,
-            self.restores,
-            self.drained_packets,
-            self.demoted_packets,
-        )
-    }
-}
-
 /// What one poll decided.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WatchdogVerdict {
@@ -369,6 +352,5 @@ mod tests {
         };
         assert_eq!(a.trips, 3);
         assert_eq!(a.suppressions, 2);
-        assert!(a.describe().contains("trips 3"));
     }
 }

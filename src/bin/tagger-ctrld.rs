@@ -14,7 +14,6 @@
 //!              [--chaos seed=N,fail_rate=P[,timeout_rate=P][,partial_rate=P]]
 //!              [--journal PATH] [--checkpoint-every N] [--crash-after N]
 //!              [--audit] [--export-checkpoint PATH]
-//!              [--watchdog WINDOW_US [--watchdog-policy drop|demote]]
 //! ```
 //!
 //! With no trace file, replays the canonical single-link flap
@@ -38,18 +37,6 @@
 //! controller's before reconciling the fleet, reopening the journal and
 //! finishing the trace through it — the finished journal is the one an
 //! uninterrupted run writes.
-//!
-//! `--watchdog WINDOW_US` runs the data-plane safety-net drill instead
-//! of a trace replay: the embedded corrupted tables from
-//! `examples/corrupted.ckpt` are audited, their counterexample flows
-//! are replayed once without a watchdog (permanent deadlock) and once
-//! with the per-queue PFC watchdog armed at the given window
-//! (`--watchdog-policy` selects drain-to-drop or demote-to-lossy,
-//! default demote). The drill then closes the loop: the trips become
-//! quarantine events, are journaled through a controller that crashes
-//! mid-replay, recovery must replay every quarantine from the journal,
-//! and the corrective tables must pass an independent re-audit. Any
-//! broken link in that chain exits non-zero.
 //!
 //! With `--audit` every committed epoch (including the bootstrap) is
 //! handed to the independent `tagger-audit` verifier, which decompiles
@@ -171,7 +158,7 @@ impl CommitObserver for AuditObserver {
     }
 }
 
-/// The crash half of both drills. The crashed controller is dropped and
+/// The crash half of `--crash-after`. The crashed controller is dropped and
 /// rebuilt from the journal at `path`, which must reconverge byte for
 /// byte — tables, epoch, quarantines; the fleet is reconciled onto the
 /// recovered tables and the journal reopened. Returns the recovered
@@ -179,7 +166,6 @@ impl CommitObserver for AuditObserver {
 /// run: the journaled-but-unresolved tail (exactly the batch in flight
 /// at the crash), then `unreached`, what the crashed drive never saw.
 fn crash_and_recover(
-    indent: &str,
     crashed: Controller,
     path: &str,
     checkpoint_every: u64,
@@ -211,7 +197,7 @@ fn crash_and_recover(
     drop(crashed);
     let repaired = ctrl.reconcile(southbound);
     println!(
-        "{indent}recovered: {} event(s) replayed, committed tables byte-identical \
+        "recovered: {} event(s) replayed, committed tables byte-identical \
          (epoch {}, {} quarantine(s)); reconcile repaired {repaired} switch(es); \
          {} tail event(s)",
         rec.replayed,
@@ -277,205 +263,6 @@ impl Replay {
     }
 }
 
-/// The `--watchdog` drill: the full safety-net loop on the corrupted
-/// fixture. Audit finds the cycle, the sim shows the deadlock and its
-/// watchdog rescue, the trips become journaled controller quarantines
-/// that survive a crash, and the corrective tables re-certify.
-fn watchdog_drill(
-    window_us: u64,
-    policy: tagger::switch::WatchdogPolicy,
-    journal_path: Option<String>,
-) -> Result<(), String> {
-    use tagger::audit::REPLAY_END_NS;
-    use tagger::sim::experiments::{quarantine_events, watchdog_rescue};
-    use tagger::switch::WatchdogConfig;
-
-    let ckpt = checkpoint::parse(include_str!("../../examples/corrupted.ckpt"))
-        .map_err(|e| format!("embedded corrupted.ckpt: {e}"))?;
-    let topo = ckpt.topo.clone();
-    let mut auditor = Auditor::new(topo.clone());
-    let audit = auditor.audit(ckpt.epoch, &ckpt.rules);
-    if audit.is_certified() {
-        return Err("drill fixture unexpectedly certified".into());
-    }
-    let cx = audit
-        .counterexample
-        .clone()
-        .ok_or("audit found no counterexample to replay")?;
-    println!(
-        "watchdog drill: corrupted tables, cycle {}",
-        cx.describe(&topo)
-    );
-
-    // Baseline: with the watchdog off the deadlock is permanent.
-    let (baseline, _) =
-        watchdog_rescue(&topo, &ckpt.rules, cx.flows.clone(), None, REPLAY_END_NS).run();
-    if baseline.deadlock.is_none() {
-        return Err("baseline (watchdog off) did not deadlock".into());
-    }
-    println!(
-        "  watchdog off: deadlocked, {} flow(s) frozen at the horizon",
-        baseline.stalled_flows(5)
-    );
-
-    // Armed: recovery within two windows of the first trip.
-    let window_ns = window_us * 1_000;
-    let cfg = WatchdogConfig::with_policy(window_ns, policy);
-    let (report, _) = watchdog_rescue(
-        &topo,
-        &ckpt.rules,
-        cx.flows.clone(),
-        Some(cfg),
-        REPLAY_END_NS,
-    )
-    .run();
-    let wd = report
-        .watchdog
-        .clone()
-        .ok_or("armed run produced no watchdog report")?;
-    println!(
-        "  watchdog on ({window_us} us, {policy:?}): {}, redirected {} pkt",
-        wd.stats.describe(),
-        report.switch.demoted_redirects
-    );
-    let first = wd.first_trip_at.ok_or("armed watchdog never tripped")?;
-    let cleared = wd.cleared_at.ok_or("cycle never cleared after the trips")?;
-    if cleared - first > 2 * window_ns {
-        return Err(format!(
-            "recovery took {} ns from first trip, more than 2 windows",
-            cleared - first
-        ));
-    }
-    println!(
-        "    first trip at {} us, cycle cleared at {} us",
-        first / 1_000,
-        cleared / 1_000
-    );
-
-    // Cause-directed attribution: the confirmed cycle must come with an
-    // in-band initial-trigger claim that survives the ground-truth
-    // cross-check and names one of its own members. A misattribution
-    // here fails the drill (non-zero exit) — quarantining the wrong hop
-    // is worse than quarantining the victim.
-    let trig = wd
-        .trigger
-        .clone()
-        .ok_or("confirmed deadlock produced no initial-trigger attribution")?;
-    if !trig.matches_ground_truth {
-        return Err(format!(
-            "attribution failed its ground-truth cross-check: {trig:?}"
-        ));
-    }
-    if !trig.scc.contains(&trig.queue()) {
-        return Err(format!(
-            "attributed trigger {:?} is not a member of its confirmed SCC {:?}",
-            trig.queue(),
-            trig.scc
-        ));
-    }
-    println!(
-        "    trigger: {} port {} prio {} ({}, pause epoch {} us); \
-         time-to-attribute {} us, time-to-detect {} us",
-        topo.node(trig.switch).name,
-        trig.port.0,
-        trig.prio,
-        if trig.hops == 0 {
-            "self-originated".to_string()
-        } else {
-            format!("inherited, {} hop(s) from origin", trig.hops)
-        },
-        trig.pause_epoch / 1_000,
-        trig.time_to_attribute() / 1_000,
-        wd.time_to_detect().unwrap_or(0) / 1_000,
-    );
-
-    // Closed loop: trips -> quarantine events -> journaled controller
-    // that crashes mid-replay and must recover every quarantine.
-    let events = quarantine_events(&report);
-    if events.is_empty() {
-        return Err("trips produced no quarantine events".into());
-    }
-    for e in &events {
-        println!("    -> {}", e.trace_line(&topo));
-    }
-    let policy_elp = ElpPolicy::with_bounces(1);
-    let mut ctrl = Controller::with_budget(topo.clone(), policy_elp, None)
-        .map_err(|e| format!("drill bootstrap: {e}"))?;
-    let mut sb = ReliableSouthbound::new();
-    sb.bootstrap(&ctrl.committed().rules);
-    let install = InstallPolicy::default();
-    let jpath = journal_path.unwrap_or_else(|| {
-        std::env::temp_dir()
-            .join("tagger-watchdog-drill.journal")
-            .to_string_lossy()
-            .into_owned()
-    });
-    let mut journal = Journal::create(&jpath)
-        .map_err(|e| format!("cannot create journal {jpath}: {e}"))?
-        .checkpoint_every(1);
-    let drive = journal
-        .drive(&mut ctrl, &events, &mut sb, &install, Some(1), None)
-        .map_err(|e| format!("journaled quarantine replay: {e}"))?;
-    println!(
-        "    -- crash after {} quarantine epoch(s); recovering from {jpath} --",
-        drive.outcomes.len()
-    );
-    let (mut ctrl, mut journal, remaining) = crash_and_recover(
-        "    ",
-        ctrl,
-        &jpath,
-        1,
-        None,
-        &mut sb,
-        &events[drive.consumed..],
-    )?;
-    journal
-        .drive(&mut ctrl, &remaining, &mut sb, &install, None, None)
-        .map_err(|e| format!("post-recovery replay: {e}"))?;
-    // Trip events sharing one attributed trigger dedupe into a single
-    // quarantine of the trigger hop, so count distinct effective
-    // targets, not raw events.
-    let effective: std::collections::BTreeSet<_> = events
-        .iter()
-        .filter_map(|e| e.effective_quarantine())
-        .collect();
-    if ctrl.state().quarantines.len() != effective.len() {
-        return Err(format!(
-            "expected {} active quarantine(s) after the full replay, have {}",
-            effective.len(),
-            ctrl.state().quarantines.len()
-        ));
-    }
-    if events.len() > effective.len() {
-        println!(
-            "    attribution dedupe: {} trip event(s) collapsed onto {} quarantine target(s)",
-            events.len(),
-            effective.len()
-        );
-    }
-
-    // Re-audit: the corrective tables must certify deadlock-free.
-    let mut recheck = Auditor::new(topo.clone());
-    let verdict = recheck.audit(ctrl.committed().epoch, &ctrl.committed().rules);
-    if !verdict.is_certified() {
-        return Err(format!(
-            "corrective tables failed the re-audit:\n{}",
-            verdict.render(&topo)
-        ));
-    }
-    let m = ctrl.metrics();
-    println!(
-        "    corrective epoch {} certified deadlock-free; {} quarantine(s) active, \
-         {} watchdog trip event(s), +{} -{} rules across commits",
-        ctrl.committed().epoch,
-        ctrl.state().quarantines.len(),
-        m.watchdog_trips,
-        m.rules_added,
-        m.rules_removed,
-    );
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     run(&args).unwrap_or_else(|e| {
@@ -500,8 +287,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             "checkpoint-every",
             "crash-after",
             "export-checkpoint",
-            "watchdog",
-            "watchdog-policy",
         ],
         &["verbose", "audit"],
     )?;
@@ -520,23 +305,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let crash_after = get_opt::<u64>(&flags, "crash-after")?;
     if crash_after.is_some() && journal_path.is_none() {
         return Err("--crash-after needs --journal (recovery replays the journal)".into());
-    }
-    if let Some(w) = flags.get("watchdog") {
-        let window_us: u64 = w
-            .parse()
-            .map_err(|_| format!("--watchdog wants a window in microseconds, got {w:?}"))?;
-        let policy = match flags.get("watchdog-policy").map(|s| s.as_str()) {
-            None | Some("demote") => tagger::switch::WatchdogPolicy::Demote,
-            Some("drop") => tagger::switch::WatchdogPolicy::Drop,
-            Some(other) => {
-                return Err(format!(
-                    "--watchdog-policy wants drop or demote, got {other:?}"
-                ));
-            }
-        };
-        watchdog_drill(window_us, policy, journal_path)
-            .map_err(|e| format!("watchdog drill FAILED: {e}"))?;
-        return Ok(ExitCode::SUCCESS);
     }
     let mut audit: Option<AuditObserver> = flags.contains_key("audit").then(|| AuditObserver {
         auditor: Auditor::new(topo.clone()),
@@ -599,7 +367,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             report.outcomes.len()
         );
         let (recovered, mut journal, remaining) = crash_and_recover(
-            "",
             ctrl,
             path,
             checkpoint_every,

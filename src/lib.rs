@@ -64,7 +64,7 @@ pub mod prelude {
     pub use tagger_topo::{ClosConfig, Layer, NodeId, Topology};
 }
 
-/// Command-line parsing shared by the seven `tagger-*` binaries: a flag
+/// Command-line parsing shared by the six `tagger-*` binaries: a flag
 /// a binary does not know is refused, never skipped.
 pub mod cli {
     use std::collections::BTreeMap;

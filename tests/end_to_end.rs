@@ -139,9 +139,10 @@ fn routing_and_core_agree_on_updown() {
     assert_eq!(merged.num_lossless_tags(&topo), 1);
 }
 
-/// The complete safety-net loop across every layer: the audit finds the
-/// cycle in the corrupted checkpoint, the simulator shows it deadlock
-/// and the armed watchdog rescue it, the trips become controller
+/// The complete safety-net loop across every layer, under both watchdog
+/// policies: the audit finds the cycle in the corrupted checkpoint, the
+/// simulator shows it deadlock and the armed watchdog rescue it with a
+/// ground-truth-checked trigger attribution, the trips become controller
 /// quarantine events that journal through a crash, and the corrective
 /// commit re-certifies deadlock-free.
 #[test]
@@ -152,7 +153,7 @@ fn watchdog_safety_net_closes_the_loop() {
         Southbound as _,
     };
     use tagger::sim::experiments::{quarantine_events, watchdog_rescue};
-    use tagger::switch::WatchdogConfig;
+    use tagger::switch::{WatchdogConfig, WatchdogPolicy};
 
     // 1. Audit the corrupted tables: violation + replayable cycle.
     let ckpt = checkpoint::parse(include_str!("../examples/corrupted.ckpt")).unwrap();
@@ -166,90 +167,103 @@ fn watchdog_safety_net_closes_the_loop() {
         watchdog_rescue(&topo, &ckpt.rules, cx.flows.clone(), None, REPLAY_END_NS).run();
     assert!(baseline.deadlock.is_some(), "baseline must deadlock");
 
-    // 3. Armed, the confirmed cycle trips and clears within two windows.
-    let cfg = WatchdogConfig::with_window(200_000);
-    let (report, _) = watchdog_rescue(
-        &topo,
-        &ckpt.rules,
-        cx.flows.clone(),
-        Some(cfg),
-        REPLAY_END_NS,
-    )
-    .run();
-    let wd = report.watchdog.clone().expect("watchdog report");
-    assert!(wd.stats.trips >= 1);
-    let first = wd.first_trip_at.unwrap();
-    let cleared = wd.cleared_at.expect("cycle must clear");
-    assert!(cleared - first <= 2 * cfg.window_ns);
+    for wd_policy in [WatchdogPolicy::Demote, WatchdogPolicy::Drop] {
+        // 3. Armed, the confirmed cycle trips and clears within two
+        // windows, and its initial trigger is attributed to a member of
+        // the cycle that the ground truth confirms.
+        let cfg = WatchdogConfig::with_policy(200_000, wd_policy);
+        let (report, _) = watchdog_rescue(
+            &topo,
+            &ckpt.rules,
+            cx.flows.clone(),
+            Some(cfg),
+            REPLAY_END_NS,
+        )
+        .run();
+        let wd = report.watchdog.clone().expect("watchdog report");
+        assert!(wd.stats.trips >= 1);
+        let first = wd.first_trip_at.unwrap();
+        let cleared = wd.cleared_at.expect("cycle must clear");
+        assert!(cleared - first <= 2 * cfg.window_ns);
+        let trig = wd.trigger.clone().expect("trigger attribution");
+        assert!(trig.matches_ground_truth, "{wd_policy:?}: {trig:?}");
+        assert!(trig.scc.contains(&trig.queue()), "{wd_policy:?}: {trig:?}");
 
-    // 4. Trips -> quarantines -> a journaled controller that crashes
-    // after the first corrective epoch and recovers the quarantine.
-    let events = quarantine_events(&report);
-    assert!(!events.is_empty(), "trips must map to quarantine events");
-    let policy = ElpPolicy::with_bounces(1);
-    let mut ctrl = Controller::with_budget(topo.clone(), policy, None).unwrap();
-    let mut sb = ReliableSouthbound::new();
-    sb.bootstrap(&ctrl.committed().rules);
-    let install = InstallPolicy::default();
-    let jpath = std::env::temp_dir().join("tagger-e2e-watchdog.journal");
-    let jpath = jpath.to_str().unwrap();
-    let mut journal = Journal::create(jpath).unwrap().checkpoint_every(1);
-    let drive = journal
-        .drive(&mut ctrl, &events, &mut sb, &install, Some(1), None)
-        .unwrap();
-    let EpochOutcome::Committed(corrective) = &drive.outcomes[0] else {
-        panic!("quarantine must commit, got {:?}", drive.outcomes[0]);
-    };
-    assert!(
-        !corrective.deltas.is_empty(),
-        "quarantine must stage a corrective delta"
-    );
-    let pre_quarantines = ctrl.state().quarantines.clone();
-    assert!(!pre_quarantines.is_empty());
-    drop(ctrl); // crash
-
-    let rec = recover(jpath, topo.clone(), policy, None).unwrap();
-    let mut ctrl = rec.controller;
-    assert_eq!(
-        ctrl.state().quarantines,
-        pre_quarantines,
-        "quarantines must be replayed from the journal"
-    );
-    ctrl.reconcile(&mut sb);
-    // The tail, then what the crashed drive never reached, through the
-    // reopened journal: afterwards it recovers with nothing in flight.
-    let remaining = [rec.tail.as_slice(), &events[drive.consumed..]].concat();
-    Journal::open_append(jpath)
-        .unwrap()
-        .checkpoint_every(1)
-        .drive(&mut ctrl, &remaining, &mut sb, &install, None, None)
-        .unwrap();
-    let again = recover(jpath, topo.clone(), policy, None).unwrap();
-    assert!(again.tail.is_empty());
-    assert_eq!(again.controller.committed().epoch, ctrl.committed().epoch);
-    assert_eq!(
-        again.controller.state().quarantines,
-        ctrl.state().quarantines
-    );
-    // Cause-directed dedupe: trips sharing one attributed trigger
-    // collapse into a single quarantine of the trigger hop.
-    let effective: std::collections::BTreeSet<_> = events
-        .iter()
-        .filter_map(|e| e.effective_quarantine())
-        .collect();
-    assert_eq!(ctrl.state().quarantines.len(), effective.len());
-    if events.len() > 1 && effective.len() == 1 {
+        // 4. Trips -> quarantines -> a journaled controller that crashes
+        // after the first corrective epoch and recovers the quarantine.
+        let events = quarantine_events(&report);
+        assert!(!events.is_empty(), "trips must map to quarantine events");
+        let policy = ElpPolicy::with_bounces(1);
+        let mut ctrl = Controller::with_budget(topo.clone(), policy, None).unwrap();
+        let mut sb = ReliableSouthbound::new();
+        sb.bootstrap(&ctrl.committed().rules);
+        let install = InstallPolicy::default();
+        let jpath = std::env::temp_dir().join(format!(
+            "tagger-e2e-{}-watchdog-{wd_policy:?}.journal",
+            std::process::id()
+        ));
+        let mut journal = Journal::create(&jpath).unwrap().checkpoint_every(1);
+        let drive = journal
+            .drive(&mut ctrl, &events, &mut sb, &install, Some(1), None)
+            .unwrap();
+        let EpochOutcome::Committed(corrective) = &drive.outcomes[0] else {
+            panic!("quarantine must commit, got {:?}", drive.outcomes[0]);
+        };
         assert!(
-            ctrl.state().quarantines.len() < events.len(),
-            "attributed trips must dedupe into one quarantine"
+            !corrective.deltas.is_empty(),
+            "quarantine must stage a corrective delta"
         );
-    }
+        // Count trips on the crashed controller: the recovered one
+        // restores its quarantines from a checkpoint, which counts none.
+        assert!(ctrl.metrics().watchdog_trips >= 1);
+        let pre_quarantines = ctrl.state().quarantines.clone();
+        assert!(!pre_quarantines.is_empty());
+        let (crashed_epoch, crashed_rules) =
+            (ctrl.committed().epoch, ctrl.committed().rules.clone());
+        drop(ctrl); // crash
 
-    // 5. The corrective tables re-certify deadlock-free.
-    let verdict = Auditor::new(topo.clone()).audit(ctrl.committed().epoch, &ctrl.committed().rules);
-    assert!(verdict.is_certified(), "corrective tables must certify");
-    assert!(ctrl.metrics().watchdog_trips >= 1);
-    std::fs::remove_file(jpath).ok();
+        let rec = recover(&jpath, topo.clone(), policy, None).unwrap();
+        let mut ctrl = rec.controller;
+        assert_eq!(
+            ctrl.state().quarantines,
+            pre_quarantines,
+            "quarantines must be replayed from the journal"
+        );
+        assert_eq!(ctrl.committed().epoch, crashed_epoch);
+        assert!(
+            ctrl.committed().rules == crashed_rules,
+            "recovered tables must equal the crashed controller's"
+        );
+        ctrl.reconcile(&mut sb);
+        // The tail, then what the crashed drive never reached, through the
+        // reopened journal: afterwards it recovers with nothing in flight.
+        let remaining = [rec.tail.as_slice(), &events[drive.consumed..]].concat();
+        Journal::open_append(&jpath)
+            .unwrap()
+            .checkpoint_every(1)
+            .drive(&mut ctrl, &remaining, &mut sb, &install, None, None)
+            .unwrap();
+        let again = recover(&jpath, topo.clone(), policy, None).unwrap();
+        assert!(again.tail.is_empty());
+        assert_eq!(again.controller.committed().epoch, ctrl.committed().epoch);
+        assert_eq!(
+            again.controller.state().quarantines,
+            ctrl.state().quarantines
+        );
+        // Cause-directed dedupe: trips sharing one attributed trigger
+        // collapse into a single quarantine of the trigger hop.
+        let effective: std::collections::BTreeSet<_> = events
+            .iter()
+            .filter_map(|e| e.effective_quarantine())
+            .collect();
+        assert_eq!(ctrl.state().quarantines.len(), effective.len());
+
+        // 5. The corrective tables re-certify deadlock-free.
+        let verdict =
+            Auditor::new(topo.clone()).audit(ctrl.committed().epoch, &ctrl.committed().rules);
+        assert!(verdict.is_certified(), "corrective tables must certify");
+        std::fs::remove_file(&jpath).ok();
+    }
 }
 
 /// Path display and port resolution survive the facade re-exports.

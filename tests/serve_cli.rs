@@ -1,10 +1,12 @@
-//! `tagger-fleetd serve` and `tagger-ingest send` as processes: the
-//! daemon binds an ephemeral port and says where, a client streams a
-//! two-fabric stream to it, and closing the daemon's stdin drains every
-//! queue and exits on a healthy report.
+//! `tagger-fleetd serve`, `send` and `drill` as processes: the daemon
+//! binds an ephemeral port and says where, a client streams a two-fabric
+//! stream to it, and closing the daemon's stdin drains every queue and
+//! exits on a healthy report; the loopback drill delivers exactly once
+//! through its chaos proxy; a retired flag or an unknown subcommand is
+//! refused.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::process::{Command, Stdio};
+use std::process::{Command, Output, Stdio};
 
 const STREAM: &str = "\
 alpha: down L1 T1
@@ -34,18 +36,18 @@ fn serve_drains_what_send_delivered_and_exits_on_stdin_eof() {
         .unwrap_or_else(|| panic!("no bound address in {first:?}"))
         .to_string();
 
-    let mut send = Command::new(env!("CARGO_BIN_EXE_tagger-ingest"))
+    let mut send = Command::new(env!("CARGO_BIN_EXE_tagger-fleetd"))
         .args(["send", "--addr", &addr, "--client", "1"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .spawn()
-        .expect("tagger-ingest runs");
+        .expect("tagger-fleetd send runs");
     send.stdin
         .take()
         .expect("piped stdin")
         .write_all(STREAM.as_bytes())
         .expect("stream written");
-    let sent = send.wait_with_output().expect("tagger-ingest exits");
+    let sent = send.wait_with_output().expect("tagger-fleetd send exits");
     let summary = String::from_utf8_lossy(&sent.stdout);
     assert_eq!(sent.status.code(), Some(0), "{summary}");
     assert!(summary.contains("offered 5 delivered 5"), "{summary}");
@@ -66,4 +68,39 @@ fn serve_drains_what_send_delivered_and_exits_on_stdin_eof() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin).args(args).output().expect("binary runs")
+}
+
+#[test]
+fn drill_delivers_exactly_once_through_the_chaos_proxy() {
+    let out = run(
+        env!("CARGO_BIN_EXE_tagger-fleetd"),
+        &["drill", "--fabrics", "2", "--events", "8"],
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(
+        stdout.contains("journals byte-identical to solo replay"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn retired_flags_and_unknown_subcommands_are_refused() {
+    // The watchdog drill is a test now, not a `tagger-ctrld` mode.
+    let ctrld = run(env!("CARGO_BIN_EXE_tagger-ctrld"), &["--watchdog", "200"]);
+    let stderr = String::from_utf8_lossy(&ctrld.stderr);
+    assert!(!ctrld.status.success(), "{stderr}");
+    assert!(stderr.contains("unknown flag --watchdog"), "{stderr}");
+
+    let fleetd = run(env!("CARGO_BIN_EXE_tagger-fleetd"), &["ingest-send"]);
+    let stderr = String::from_utf8_lossy(&fleetd.stderr);
+    assert_eq!(fleetd.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown subcommand") && stderr.contains("usage: tagger-fleetd"),
+        "{stderr}"
+    );
 }
