@@ -2,12 +2,16 @@
 //! through `Journal::drive` and through a one-fabric `Fleet` (same flap
 //! damping, same chaos schedule, same checkpoint cadence) must leave
 //! byte-identical journal files — both equal to the committed
-//! `results/ctrld_chaos.journal`, which `tagger-ctrld` writes for the
-//! same command — and equal `ControllerMetrics` counters, which are the
-//! counters the fabric reports.
+//! `results/ctrld_chaos.journal`, which `tagger-fleetd replay` writes
+//! for the same trace and chaos spec — and equal `ControllerMetrics`
+//! counters, which are the counters the fabric reports.
+//!
+//! The crash drill is pinned here too: the same trace, crashed mid-epoch,
+//! recovered from its journal, reconciled and finished through the
+//! reopened journal, must leave that same golden journal.
 
 use tagger_ctrl::{
-    parse_trace, ChaosConfig, ChaosSouthbound, Controller, ControllerMetrics, ElpPolicy,
+    parse_trace, recover, ChaosConfig, ChaosSouthbound, Controller, ControllerMetrics, ElpPolicy,
     InstallPolicy, Journal, Southbound,
 };
 use tagger_fleet::{Damping, FabricSpec, Fleet, FleetConfig};
@@ -94,4 +98,96 @@ fn drive_and_one_fabric_fleet_leave_identical_journals_and_counters() {
     assert_eq!(staged, total);
     assert_eq!(fabric.epoch_latencies_us().len() as u64, staged);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Drives the shipped trace under `chaos` with a simulated crash after
+/// `crash_after` outcomes, rebuilds the controller from the journal,
+/// reconciles the switches the crash left behind, and finishes the trace
+/// through the reopened journal. Returns the finished journal and the
+/// epoch it recovers to.
+fn crash_drill(name: &str, chaos: &str, checkpoint_every: u64, crash_after: u64) -> (String, u64) {
+    let path = std::env::temp_dir().join(format!(
+        "tagger-crash-drill-{}-{name}.journal",
+        std::process::id()
+    ));
+    let topo = ClosConfig::small().build();
+    let policy = ElpPolicy::with_bounces(1);
+    let events = parse_trace(&topo, TRACE).expect("shipped trace parses");
+    let install = InstallPolicy::default();
+    let mut crashed = Controller::new(topo.clone(), policy).expect("bootstrap");
+    // The switches outlive the controller: one southbound, before and
+    // after the crash.
+    let mut southbound = ChaosSouthbound::new(ChaosConfig::parse(chaos).expect("chaos spec"));
+    southbound.bootstrap(&crashed.committed().rules);
+    let report = Journal::create(&path)
+        .expect("journal")
+        .checkpoint_every(checkpoint_every)
+        .drive(
+            &mut crashed,
+            &events,
+            &mut southbound,
+            &install,
+            Some(crash_after),
+            None,
+        )
+        .expect("drive up to the crash");
+    assert!(report.crashed, "{name}: the drive must stop at the crash");
+    assert_eq!(report.outcomes.len() as u64, crash_after, "{name}");
+
+    let rec = recover(&path, topo.clone(), policy, None).expect("recover after the crash");
+    let mut ctrl = rec.controller;
+    assert_eq!(ctrl.committed().epoch, crashed.committed().epoch, "{name}");
+    assert_eq!(
+        ctrl.committed().rules,
+        crashed.committed().rules,
+        "{name}: recovered tables differ from the crashed controller's"
+    );
+    assert_eq!(
+        ctrl.state().quarantines,
+        crashed.state().quarantines,
+        "{name}"
+    );
+    assert!(
+        !rec.tail.is_empty(),
+        "{name}: the batch in flight is the tail"
+    );
+    drop(crashed);
+
+    ctrl.reconcile(&mut southbound);
+    assert_eq!(southbound.fleet(), &ctrl.committed().rules, "{name}");
+
+    let remaining = [rec.tail.as_slice(), &events[report.consumed..]].concat();
+    Journal::open_append(&path)
+        .expect("reopen the journal")
+        .checkpoint_every(checkpoint_every)
+        .drive(&mut ctrl, &remaining, &mut southbound, &install, None, None)
+        .expect("finish the trace");
+    assert_eq!(southbound.fleet(), &ctrl.committed().rules, "{name}");
+
+    let again = recover(&path, topo, policy, None).expect("recover the finished journal");
+    assert!(again.tail.is_empty(), "{name}: nothing left in flight");
+    assert_eq!(
+        again.controller.committed().epoch,
+        ctrl.committed().epoch,
+        "{name}"
+    );
+    let journal = std::fs::read_to_string(&path).expect("journal bytes");
+    std::fs::remove_file(&path).ok();
+    (journal, again.controller.committed().epoch)
+}
+
+#[test]
+fn a_crashed_replay_recovers_and_finishes_the_golden_journal() {
+    let (journal, epoch) = crash_drill("golden", CHAOS, CHECKPOINT_EVERY, 3);
+    assert_eq!(
+        journal, GOLDEN,
+        "the crashed run must finish results/ctrld_chaos.journal"
+    );
+    assert_eq!(epoch, 5);
+}
+
+#[test]
+fn a_replay_crashed_early_under_harsh_faults_recovers_and_finishes() {
+    // A checkpoint after every outcome, and a crash after the first.
+    crash_drill("harsh", "seed=1,fail_rate=0.6", 1, 1);
 }
