@@ -54,7 +54,7 @@ impl AuditMetrics {
     }
 
     /// Plain-text report, laid out like `ControllerMetrics::report` so
-    /// `tagger-ctrld` can print both side by side.
+    /// the fleet report can print both side by side.
     pub fn report(&self) -> String {
         let mut out = String::from("audit metrics\n");
         let _ = writeln!(out, "  epochs audited      {:>8}", self.epochs_audited);

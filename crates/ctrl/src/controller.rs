@@ -988,7 +988,12 @@ mod tests {
         // 4 down/up pairs on one link then a real failure elsewhere.
         let events = parse_trace(ctrl.topo(), "flap L1 T1 4\ndown L2 T2").unwrap();
         assert_eq!(events.len(), 9);
-        let outcomes = crate::Journal::detached()
+        let path = std::env::temp_dir().join(format!(
+            "tagger-controller-{}-flap.journal",
+            std::process::id()
+        ));
+        let outcomes = crate::Journal::create(&path)
+            .unwrap()
             .drive(
                 &mut ctrl,
                 &events,
@@ -1009,6 +1014,7 @@ mod tests {
         assert_eq!(flap_report.version, 8);
         assert_ne!(ctrl.committed().rules, original);
         assert_eq!(sb.fleet(), &ctrl.committed().rules);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -114,8 +114,7 @@ impl From<CtrlError> for JournalError {
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    /// `None` for [`Journal::detached`]: nothing is kept.
-    file: Option<File>,
+    file: File,
     checkpoint_every: u64,
     /// Outcome records in the file — what the checkpoint cadence counts.
     outcomes: u64,
@@ -134,8 +133,10 @@ impl Journal {
         file.write_all(b"# tagger-ctrl journal v1\n")?;
         Ok(Journal {
             path,
-            file: Some(file),
-            ..Journal::detached()
+            file,
+            checkpoint_every: 0,
+            outcomes: 0,
+            unresolved: VecDeque::new(),
         })
     }
 
@@ -146,36 +147,26 @@ impl Journal {
     /// so that finishing them writes only their outcome. A torn final
     /// fragment is truncated first, so the next record starts a line.
     pub fn open_append(path: impl Into<PathBuf>) -> Result<Self, JournalError> {
-        let mut journal = Journal {
-            path: path.into(),
-            ..Journal::detached()
-        };
-        let text = read_records(&journal.path)?;
+        let path = path.into();
+        let text = read_records(&path)?;
+        let (mut outcomes, mut unresolved) = (0, VecDeque::new());
         for (lineno, line) in text.lines().enumerate().map(|(i, l)| (i + 1, l.trim())) {
             if let Some(event) = line.strip_prefix("event ") {
-                journal.unresolved.push_back((lineno, event.to_string()));
+                unresolved.push_back((lineno, event.to_string()));
             } else if let Some((_, n)) = outcome_record(lineno, line)? {
-                journal.outcomes += 1;
-                journal.unresolved.drain(..n.min(journal.unresolved.len()));
+                outcomes += 1;
+                unresolved.drain(..n.min(unresolved.len()));
             }
         }
-        let file = OpenOptions::new().append(true).open(&journal.path)?;
+        let file = OpenOptions::new().append(true).open(&path)?;
         file.set_len(text.len() as u64)?;
-        journal.file = Some(file);
-        Ok(journal)
-    }
-
-    /// A journal that keeps nothing: [`Journal::step`] and
-    /// [`Journal::drive`] run the same rollout with every write skipped —
-    /// the un-journaled replay.
-    pub fn detached() -> Self {
-        Journal {
-            path: PathBuf::new(),
-            file: None,
+        Ok(Journal {
+            path,
+            file,
             checkpoint_every: 0,
-            outcomes: 0,
-            unresolved: VecDeque::new(),
-        }
+            outcomes,
+            unresolved,
+        })
     }
 
     /// Has [`Journal::step`] write a checkpoint every `outcomes` outcome
@@ -192,11 +183,9 @@ impl Journal {
 
     /// Write-ahead: records one accepted event *before* it is processed.
     pub fn record_event(&mut self, topo: &Topology, event: &CtrlEvent) -> Result<(), JournalError> {
-        let Some(file) = self.file.as_mut() else {
-            return Ok(());
-        };
-        file.write_all(format!("event {}\n", event.trace_line(topo)).as_bytes())?;
-        file.sync_data()?;
+        self.file
+            .write_all(format!("event {}\n", event.trace_line(topo)).as_bytes())?;
+        self.file.sync_data()?;
         Ok(())
     }
 
@@ -208,15 +197,13 @@ impl Journal {
         batch: usize,
     ) -> Result<(), JournalError> {
         self.outcomes += 1;
-        let Some(file) = self.file.as_mut() else {
-            return Ok(());
-        };
         let marker = match outcome {
             EpochOutcome::Committed(_) => "!ok",
             EpochOutcome::RolledBack { .. } => "!rollback",
         };
-        file.write_all(format!("{marker} {batch}\n").as_bytes())?;
-        file.sync_data()?;
+        self.file
+            .write_all(format!("{marker} {batch}\n").as_bytes())?;
+        self.file.sync_data()?;
         Ok(())
     }
 
@@ -224,9 +211,6 @@ impl Journal {
     /// here instead of replaying from the beginning of time. The block
     /// goes to disk in one write.
     pub fn checkpoint(&mut self, ctrl: &mut Controller) -> Result<(), JournalError> {
-        let Some(file) = self.file.as_mut() else {
-            return Ok(());
-        };
         let state = ctrl.state();
         let topo = ctrl.topo();
         let mut block = format!(
@@ -256,8 +240,8 @@ impl Journal {
             block += &format!("!state {line}\n");
         }
         block += "!checkpoint-end\n";
-        file.write_all(block.as_bytes())?;
-        file.sync_data()?;
+        self.file.write_all(block.as_bytes())?;
+        self.file.sync_data()?;
         ctrl.bump_checkpoints();
         Ok(())
     }
@@ -330,7 +314,8 @@ impl Journal {
     }
 
     /// Replays `events` flap-damped ([`Damping::Flap`]): one
-    /// [`Journal::step`] per batch.
+    /// [`Journal::step`] per batch — the reference loop the tests hold
+    /// the fleet's drain to.
     ///
     /// `crash_after` simulates a controller crash for recovery drills:
     /// after that many outcomes, the *next* batch's events are journaled
@@ -630,10 +615,10 @@ mod tests {
 
     #[test]
     fn flaps_damped_is_the_same_whichever_caller_drove_the_batch() {
-        let path = tmp("damped");
+        let (path, driven) = (tmp("damped"), tmp("damped-drive"));
         let topo = ClosConfig::small().build();
         let batch = parse_trace(&topo, "flap L1 T1 3").unwrap();
-        let (mut direct, mut journaled, mut detached) = (controller(), controller(), controller());
+        let (mut direct, mut journaled, mut drove) = (controller(), controller(), controller());
         let mut sb = reliable(&direct);
         direct
             .handle_batch_via(&batch, &mut sb, &InstallPolicy::default())
@@ -649,10 +634,11 @@ mod tests {
                 None,
             )
             .unwrap();
-        let mut sb = reliable(&detached);
-        Journal::detached()
+        let mut sb = reliable(&drove);
+        Journal::create(&driven)
+            .unwrap()
             .drive(
-                &mut detached,
+                &mut drove,
                 &batch,
                 &mut sb,
                 &InstallPolicy::default(),
@@ -660,7 +646,7 @@ mod tests {
                 None,
             )
             .unwrap();
-        for ctrl in [&direct, &journaled, &detached] {
+        for ctrl in [&direct, &journaled, &drove] {
             assert_eq!(ctrl.metrics().flaps_damped, 5);
             assert_eq!(ctrl.metrics().events, 6);
         }
@@ -668,6 +654,7 @@ mod tests {
         let rec = recover(&path, topo, ElpPolicy::with_bounces(1), None).unwrap();
         assert_eq!(rec.controller.metrics().flaps_damped, 5);
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&driven).ok();
     }
 
     #[test]

@@ -36,14 +36,13 @@
 //! - [`Journal`] — the write-ahead journal with snapshot checkpoints,
 //!   and **the one rollout step**, [`Journal::step`]: write-ahead →
 //!   [`Controller::handle_batch_via`] → outcome record →
-//!   [`CommitObserver`] on commit → checkpoint on cadence. Trace replay
-//!   ([`Journal::drive`]), the fleet's drain and the daemons are loops
-//!   over it; an un-journaled replay is the same step on
-//!   [`Journal::detached`]. [`recover`] rebuilds a crashed controller to
-//!   byte-identical committed tables, [`Controller::reconcile`] repairs
-//!   whatever a mid-epoch crash left on the switches, and
-//!   [`Journal::open_append`] lets the recovered controller finish the
-//!   batch that was in flight and keep journaling.
+//!   [`CommitObserver`] on commit → checkpoint on cadence. The fleet's
+//!   drain and the daemons loop over it, and so does [`Journal::drive`],
+//!   the reference replay the tests compare them against. [`recover`]
+//!   rebuilds a crashed controller to byte-identical committed tables,
+//!   [`Controller::reconcile`] repairs whatever a mid-epoch crash left
+//!   on the switches, and [`Journal::open_append`] lets the recovered
+//!   controller finish the batch that was in flight and keep journaling.
 //! - [`ControllerMetrics`] — counters and the stage-latency series with a
 //!   plain-text [`ControllerMetrics::report`]; the fleet reads its
 //!   batch, commit and rollback counts from here.

@@ -71,7 +71,12 @@ mod tests {
             epochs: Vec::new(),
             exports: Vec::new(),
         };
-        let report = Journal::detached()
+        let path = std::env::temp_dir().join(format!(
+            "tagger-observer-{}-epochs.journal",
+            std::process::id()
+        ));
+        let report = Journal::create(&path)
+            .unwrap()
             .drive(
                 &mut ctrl,
                 &events,
@@ -92,5 +97,6 @@ mod tests {
         let last = rec.exports.last().unwrap();
         let parsed = tagger_core::RuleSet::from_table_text(&topo, last).unwrap();
         assert_eq!(&parsed, &ctrl.committed().rules);
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -306,7 +306,7 @@ impl Fabric {
     /// in [`Fleet::ingest_line`](crate::Fleet::ingest_line)): one
     /// backpressure push regardless of how many events the line would
     /// have expanded to.
-    pub(crate) fn reject_line(&mut self, _events: usize) -> FleetError {
+    pub(crate) fn reject_line(&mut self) -> FleetError {
         self.queue_rejections += 1;
         FleetError::QueueFull {
             fabric: self.spec.name.clone(),

@@ -225,7 +225,7 @@ impl Fleet {
         let fab = self.fabric_mut(fabric)?;
         let n = events.len();
         if n > fab.queue_free() {
-            return Err(fab.reject_line(n));
+            return Err(fab.reject_line());
         }
         for event in events {
             fab.enqueue(event)?;

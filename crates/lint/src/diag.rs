@@ -244,7 +244,8 @@ impl Diagnostic {
 pub enum ArtifactKind {
     /// A `tagger-audit checkpoint v1` file (topology header + tables).
     Checkpoint,
-    /// A `tagger-ctrld` plain-text event trace (ELP spec + link events).
+    /// A plain-text control-plane event trace (ELP spec + link events),
+    /// as `tagger-fleetd replay` reads it.
     Trace,
     /// A declarative `.scn` scenario (`tagger-scenario` DSL).
     Scenario,

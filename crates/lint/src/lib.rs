@@ -2,7 +2,7 @@
 //!
 //! `tagger-audit` proves a committed table deadlock-free; this crate is
 //! the *earlier*, cheaper gate: a linter that reads the artifacts an
-//! operator actually edits and ships — checkpoint files, `tagger-ctrld`
+//! operator actually edits and ships — checkpoint files, control-plane
 //! event traces (which carry the ELP spec), raw rule-table text — and
 //! emits **structured diagnostics**: a stable error code (`T0001`…), a
 //! severity, an exact source span (`file:line:col`) or table locus
@@ -106,8 +106,8 @@ pub struct LintOptions {
     /// certificate (on by default; the `T09xx` codes).
     pub audit_cross_check: bool,
     /// Topology to resolve *trace* files against (checkpoints carry
-    /// their own). Defaults to the same small Clos `tagger-ctrld`
-    /// defaults to.
+    /// their own). Defaults to the same small Clos `tagger-fleetd
+    /// replay` defaults to.
     pub trace_topo: Topology,
     /// Lossless-priority budget the feasibility oracle decides against
     /// (`None` = the eight 802.1Qbb classes,
@@ -393,7 +393,7 @@ pub fn lint_topology_text(file: &str, text: &str, opts: &LintOptions) -> Artifac
     report.finish()
 }
 
-/// Lints one `tagger-ctrld` trace file's text against a topology.
+/// Lints one control-plane trace file's text against a topology.
 ///
 /// Unlike [`tagger_ctrl::parse_trace`] — which stops at the first error
 /// so a *replay* never proceeds past garbage — lint feeds each line

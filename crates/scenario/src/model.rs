@@ -239,7 +239,7 @@ pub enum EventSpec {
         /// When.
         at: TimeSpec,
     },
-    /// Replay the link events of a `tagger-ctrld` trace file, one trace
+    /// Replay the link events of a control-plane trace file, one trace
     /// line per `gap`, starting at `at`.
     Trace {
         /// Path to the trace, relative to the `.scn` file.

@@ -88,6 +88,7 @@ fn load_tables(positional: &[String], flags: &Flags) -> Result<(Topology, RuleSe
 fn cmd_check(rest: &[String]) -> Result<ExitCode, String> {
     let (positional, flags) = parse_args(
         rest,
+        1,
         &[
             "journal",
             "pods",
@@ -131,7 +132,7 @@ fn cmd_check(rest: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_dump(rest: &[String]) -> Result<ExitCode, String> {
-    let (positional, flags) = parse_args(rest, &["out"], &[])?;
+    let (positional, flags) = parse_args(rest, 1, &["out"], &[])?;
     let Some(path) = positional.first() else {
         return Err("dump wants a checkpoint file".into());
     };
@@ -158,7 +159,7 @@ fn cmd_dump(rest: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_whatif(rest: &[String]) -> Result<ExitCode, String> {
-    let (positional, flags) = parse_args(rest, &["bounces", "fail"], &[])?;
+    let (positional, flags) = parse_args(rest, 1, &["bounces", "fail"], &[])?;
     let Some(path) = positional.first() else {
         return Err("whatif wants a checkpoint file".into());
     };

@@ -9,6 +9,11 @@
 //! cannot starve the rest.
 //!
 //! ```text
+//! tagger-fleetd replay [trace-file] [--pods N] [--leaves N] [--tors N]
+//!                      [--spines N] [--hosts N] [--bounces K] [--tcam-budget N]
+//!                      [--chaos seed=N,fail_rate=P[,timeout_rate=P][,partial_rate=P]]
+//!                      [--journal PATH] [--checkpoint-every N]
+//!                      [--export-checkpoint PATH] [--verbose]
 //! tagger-fleetd soak   [--fabrics N] [--seed S] [--events N]
 //!                      [--fail-rate R] [--dir PATH] [--status] [--json]
 //! tagger-fleetd ingest [stream-file] [--damping SPEC]
@@ -22,6 +27,22 @@
 //! tagger-fleetd drill  [--seed S] [--fabrics N] [--events N] [--dir PATH]
 //! ```
 //!
+//! **replay** runs one control-plane event trace (file or stdin; see
+//! `examples/reroute.trace` for the format) through a one-fabric fleet
+//! on a 3-layer Clos, and prints, per epoch, what a real deployment
+//! would ship to switches: per-switch rule deltas, their cost against a
+//! full-table reinstall, and the verification verdict; then the fleet
+//! report. Installs go through a reliable southbound, or the seeded
+//! fault-injecting one with `--chaos` (its seed used as given). Every
+//! event is journaled write-ahead to `--journal` (default: a file under
+//! the temp directory, removed on exit), with a checkpoint every
+//! `--checkpoint-every` outcomes (default 4), and every commit is
+//! audited. `--export-checkpoint PATH` writes the final committed
+//! tables as a `tagger-audit` checkpoint. Exits non-zero if any epoch
+//! fails verification, the audit finds a violation, the switches
+//! diverge from the committed tables, or a single-link commit's deltas
+//! do not beat a full reinstall.
+//!
 //! **soak** runs the chaos-soak drill: `--fabrics` fabrics, each under a
 //! distinct seeded event schedule *and* a distinct seeded southbound
 //! fault schedule, interleaved through the ingest front. Every fabric
@@ -31,7 +52,7 @@
 //! fleet status rollup; `--json` prints the deterministic JSON snapshot.
 //!
 //! **ingest** replays an interleaved multi-fabric event stream. Each
-//! line is `<fabric>: <trace-line>` in the `tagger-ctrld` trace syntax
+//! line is `<fabric>: <trace-line>` in the trace syntax `replay` reads
 //! (`down L1 T1`, `flap L2 S1 3`, `watchdog L1 2 2`, `resync`, ...);
 //! fabrics are registered on first mention (small Clos, `--damping`
 //! policy, `--chaos` schedule re-seeded per fabric *name*, exactly as
@@ -76,14 +97,16 @@
 //!
 //! Journals land under `--dir` (default: a per-process temp directory),
 //! one file per fabric; registering two fabrics whose journals would
-//! collide is refused.
+//! collide is refused. A positional argument a subcommand does not take
+//! is refused like an unknown flag.
 
 use std::io::BufRead;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use tagger::cli::{get, parse_args, read_input, Flags};
-use tagger::ctrl::ChaosConfig;
+use tagger::audit::checkpoint;
+use tagger::cli::{clos_config, get, get_opt, parse_args, read_input, Flags};
+use tagger::ctrl::{parse_trace, ChaosConfig, CtrlEvent, ElpPolicy, EpochOutcome};
 use tagger::fleet::net::{
     send_lines, ChaosTransport, ClientConfig, NetChaosConfig, ServeConfig, Server,
 };
@@ -91,9 +114,12 @@ use tagger::fleet::{
     fabric_lines, fabric_seed, fnv64, solo_replay, Damping, FabricSpec, Fleet, FleetConfig,
     FleetError, SoakConfig,
 };
-use tagger::topo::ClosConfig;
+use tagger::topo::{ClosConfig, Topology};
 
-const USAGE: &str = "usage: tagger-fleetd <soak|ingest|serve|send|drill> [options]
+const USAGE: &str = "usage: tagger-fleetd <replay|soak|ingest|serve|send|drill> [options]
+  replay [trace-file] --pods N --leaves N --tors N --spines N --hosts N
+         --bounces K --tcam-budget N --chaos SPEC --journal PATH
+         --checkpoint-every N --export-checkpoint PATH [--verbose]
   soak   --fabrics N --seed S --events N --fail-rate R --dir PATH [--status] [--json]
   ingest [stream-file] --damping none|flap|flap:N --chaos SPEC
          --dir PATH --quantum N --queue-cap N [--json]
@@ -105,6 +131,172 @@ const USAGE: &str = "usage: tagger-fleetd <soak|ingest|serve|send|drill> [option
 
 fn default_dir() -> std::path::PathBuf {
     std::env::temp_dir().join(format!("tagger-fleetd-{}", std::process::id()))
+}
+
+fn batch_label(batch: &[CtrlEvent]) -> String {
+    if batch.len() == 1 {
+        batch[0].label().to_string()
+    } else {
+        format!("{} x{} (flap-damped)", batch[0].label(), batch.len())
+    }
+}
+
+fn print_outcome(topo: &Topology, label: &str, outcome: &EpochOutcome, verbose: bool) {
+    match outcome {
+        EpochOutcome::Committed(report) => {
+            println!(
+                "epoch {} <- {}: committed in {:?}; {} ELP paths, {} lossless \
+                 priorities, worst-switch TCAM {}",
+                report.epoch,
+                label,
+                report.recompute,
+                report.elp_paths,
+                report.lossless_tags,
+                report.tcam_worst_switch,
+            );
+            println!(
+                "  deltas: {} switches touched, +{} -{} rules ({} ops vs {} for a \
+                 full reinstall); {} install attempt(s), {:?} backoff",
+                report.switches_touched(),
+                report.rules_added,
+                report.rules_removed,
+                report.delta_ops(),
+                report.full_reinstall_ops(),
+                report.install_attempts,
+                report.install_backoff,
+            );
+            for delta in &report.deltas {
+                println!(
+                    "    {}: +{} -{}",
+                    topo.node(delta.switch).name,
+                    delta.add.len(),
+                    delta.remove.len()
+                );
+                if verbose {
+                    for r in &delta.remove {
+                        println!(
+                            "      - (tag {}, in {}, out {}) -> {}",
+                            r.tag.0, r.in_port.0, r.out_port.0, r.new_tag.0
+                        );
+                    }
+                    for r in &delta.add {
+                        println!(
+                            "      + (tag {}, in {}, out {}) -> {}",
+                            r.tag.0, r.in_port.0, r.out_port.0, r.new_tag.0
+                        );
+                    }
+                }
+            }
+        }
+        EpochOutcome::RolledBack {
+            abandoned_version,
+            reason,
+        } => {
+            println!(
+                "epoch <- {}: ROLLED BACK (view v{} abandoned): {}",
+                label, abandoned_version, reason,
+            );
+        }
+    }
+}
+
+fn run_replay(trace: Option<String>, flags: &Flags) -> Result<ExitCode, String> {
+    const FABRIC: &str = "replay";
+    let config = clos_config(flags)?;
+    let topo = config.build();
+    let mut spec = FabricSpec::new(FABRIC, topo.clone());
+    spec.policy = ElpPolicy::with_bounces(get(flags, "bounces", 1)?);
+    spec.tcam_budget = get_opt(flags, "tcam-budget")?;
+    spec.checkpoint_every = get(flags, "checkpoint-every", spec.checkpoint_every)?;
+    spec.journal_path = flags.get("journal").map(std::path::PathBuf::from);
+    if let Some(chaos) = flags.get("chaos") {
+        spec = spec.with_chaos(ChaosConfig::parse(chaos).map_err(|e| format!("--chaos: {e}"))?);
+    }
+    let events = parse_trace(&topo, &read_input(trace.as_deref())?).map_err(|e| e.to_string())?;
+
+    let dir = default_dir();
+    let mut fleet_cfg = FleetConfig::new(&dir);
+    fleet_cfg.queue_cap = events.len().max(1);
+    let mut fleet = Fleet::new(fleet_cfg);
+    fleet
+        .register(spec)
+        .map_err(|e| format!("bootstrap failed: {e}"))?;
+    let fabric = fleet.fabric(FABRIC).map_err(|e| e.to_string())?;
+    let epoch0 = fabric.controller().committed();
+    println!(
+        "epoch 0 (bootstrap): {} switches, {} links, {} ELP paths -> {} rules, \
+         {} lossless priorities, worst-switch TCAM {}",
+        topo.num_switches(),
+        topo.num_links(),
+        epoch0.elp_paths,
+        epoch0.rules.num_rules(),
+        epoch0.lossless_tags,
+        epoch0.tcam_worst_switch,
+    );
+    if let Some(chaos) = &fabric.spec().chaos {
+        println!("southbound: chaos ({chaos})");
+    }
+
+    for event in &events {
+        fleet
+            .ingest(FABRIC, event.clone())
+            .map_err(|e| e.to_string())?;
+    }
+    let outcomes = fleet
+        .drain_fabric(FABRIC)
+        .map_err(|e| format!("replay failed: {e}"))?;
+    let fabric = fleet.fabric(FABRIC).map_err(|e| e.to_string())?;
+    let verbose = flags.contains_key("verbose");
+    let (mut single_link_commits, mut incremental_wins) = (0, 0);
+    let batches = fabric.spec().damping.split(&events);
+    for (range, outcome) in batches.into_iter().zip(&outcomes) {
+        let batch = &events[range];
+        print_outcome(&topo, &batch_label(batch), outcome, verbose);
+        if let ([CtrlEvent::LinkDown(_) | CtrlEvent::LinkUp(_)], Some(commit)) =
+            (batch, outcome.committed())
+        {
+            if !commit.deltas.is_empty() {
+                single_link_commits += 1;
+                if commit.delta_ops() < commit.full_reinstall_ops() {
+                    incremental_wins += 1;
+                }
+            }
+        }
+    }
+
+    println!();
+    let report = fleet.snapshot();
+    print!("{}", report.render());
+    if let Some(path) = flags.get("export-checkpoint") {
+        let snap = fabric.controller().committed();
+        let text = checkpoint::render(&config, snap.epoch, &topo, &snap.rules);
+        std::fs::write(path, text).map_err(|e| format!("cannot write checkpoint {path}: {e}"))?;
+        println!("exported epoch {} checkpoint to {path}", snap.epoch);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+
+    let mut failed = false;
+    if !report.healthy() {
+        eprintln!("FAIL: the fleet diverged from the committed tables or failed the audit");
+        failed = true;
+    }
+    let verify_failures = fabric.controller().metrics().verify_failures;
+    if verify_failures > 0 {
+        eprintln!("FAIL: {verify_failures} committed epoch(s) required verify rollbacks");
+        failed = true;
+    }
+    if incremental_wins < single_link_commits {
+        eprintln!(
+            "FAIL: only {incremental_wins}/{single_link_commits} single-link commits \
+             beat a full-table reinstall"
+        );
+        failed = true;
+    }
+    Ok(if failed {
+        ExitCode::from(1)
+    } else {
+        ExitCode::SUCCESS
+    })
 }
 
 fn run_soak_cmd(flags: &Flags) -> Result<ExitCode, String> {
@@ -476,20 +668,42 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let result = match cmd.as_str() {
+        "replay" => parse_args(
+            &args[1..],
+            1,
+            &[
+                "pods",
+                "leaves",
+                "tors",
+                "spines",
+                "hosts",
+                "bounces",
+                "tcam-budget",
+                "chaos",
+                "journal",
+                "checkpoint-every",
+                "export-checkpoint",
+            ],
+            &["verbose"],
+        )
+        .and_then(|(mut trace, flags)| run_replay(trace.pop(), &flags)),
         "soak" => parse_args(
             &args[1..],
+            0,
             &["fabrics", "seed", "events", "fail-rate", "dir"],
             &["status", "json"],
         )
         .and_then(|(_, flags)| run_soak_cmd(&flags)),
         "ingest" => parse_args(
             &args[1..],
+            1,
             &["damping", "chaos", "dir", "quantum", "queue-cap"],
             &["json"],
         )
         .and_then(|(mut stream, flags)| run_ingest(stream.pop(), &flags)),
         "serve" => parse_args(
             &args[1..],
+            0,
             &[
                 "addr",
                 "damping",
@@ -504,11 +718,12 @@ fn main() -> ExitCode {
         .and_then(|(_, flags)| run_serve(&flags)),
         "send" => parse_args(
             &args[1..],
+            1,
             &["addr", "client", "seed", "attempts", "reconnects"],
             &["json"],
         )
         .and_then(|(mut stream, flags)| run_send(stream.pop(), &flags)),
-        "drill" => parse_args(&args[1..], &["seed", "fabrics", "events", "dir"], &[])
+        "drill" => parse_args(&args[1..], 0, &["seed", "fabrics", "events", "dir"], &[])
             .and_then(|(_, flags)| run_drill(&flags)),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");

@@ -12,10 +12,11 @@
 //! from content, so misnamed files still work — and exits non-zero iff
 //! at least one error-severity diagnostic was emitted. Checkpoints and
 //! topology specs carry their own topology; scenarios declare theirs;
-//! traces are resolved against a Clos built
-//! from the `--pods`-family flags (defaults match `tagger-ctrld`). `--elp` additionally checks that every expected
-//! lossless path stays lossless under a checkpoint's tables; `--no-audit`
-//! skips the independent-auditor cross-check. `--budget N` overrides the
+//! traces are resolved against a Clos built from the `--pods`-family
+//! flags (defaults match `tagger-fleetd replay`). `--elp` additionally
+//! checks that every expected lossless path stays lossless under a
+//! checkpoint's tables; `--no-audit` skips the independent-auditor
+//! cross-check. `--budget N` overrides the
 //! lossless-tag budget the feasibility oracle (T0701/T0702) checks
 //! against — default is the spec's `priorities` directive, else the
 //! 8-class hardware ceiling. `--format json` emits the byte-stable
@@ -51,6 +52,7 @@ fn main() -> ExitCode {
 fn cmd_check(rest: &[String]) -> Result<ExitCode, String> {
     let (files, flags) = parse_args(
         rest,
+        usize::MAX,
         &[
             "format", "elp", "budget", "pods", "leaves", "tors", "spines", "hosts",
         ],
@@ -92,7 +94,7 @@ fn cmd_check(rest: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_explain(rest: &[String]) -> Result<ExitCode, String> {
-    let (positional, _) = parse_args(rest, &[], &[])?;
+    let (positional, _) = parse_args(rest, 1, &[], &[])?;
     let [code] = &positional[..] else {
         return Err("usage: tagger-lint explain <code>".into());
     };

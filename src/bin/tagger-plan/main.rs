@@ -190,7 +190,7 @@ fn run(cmd: &str, rest: &[String]) -> Result<ExitCode, String> {
             ))
         }
     };
-    let (_, flags) = parse_args(rest, known, &["rules"])?;
+    let (_, flags) = parse_args(rest, 0, known, &["rules"])?;
     planner(&flags, flags.contains_key("rules"))
 }
 

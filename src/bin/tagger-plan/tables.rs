@@ -39,7 +39,7 @@ const NAMES: [&str; 7] = [
 /// Prints the table `rest` names; only `table5_jellyfish` takes
 /// `--large`, which adds its 1000- and 2000-switch rows.
 pub fn run(rest: &[String]) -> Result<ExitCode, String> {
-    let (names, flags) = parse_args(rest, &[], &["large"])?;
+    let (names, flags) = parse_args(rest, 1, &[], &["large"])?;
     let expected = || format!("expected {} or {}", NAMES[..6].join(", "), NAMES[6]);
     let [name] = names.as_slice() else {
         return Err(format!("table takes one name; {}", expected()));

@@ -76,7 +76,7 @@ fn options_for(file: &Path, flags: &Flags) -> Result<RunOptions, String> {
 }
 
 fn cmd_run(rest: &[String], per_point: bool) -> Result<ExitCode, String> {
-    let (positional, flags) = parse_args(rest, &["seed", "json"], &[])?;
+    let (positional, flags) = parse_args(rest, usize::MAX, &["seed", "json"], &[])?;
     let files = expand_paths(&positional)?;
     let mut suite = SuiteReport::default();
     for file in &files {
@@ -137,7 +137,7 @@ fn point_table(suite: &SuiteReport) -> String {
 }
 
 fn cmd_list(rest: &[String]) -> Result<ExitCode, String> {
-    let (positional, _) = parse_args(rest, &[], &[])?;
+    let (positional, _) = parse_args(rest, usize::MAX, &[], &[])?;
     let files = expand_paths(&positional)?;
     let mut bad = false;
     for file in &files {

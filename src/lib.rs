@@ -64,8 +64,8 @@ pub mod prelude {
     pub use tagger_topo::{ClosConfig, Layer, NodeId, Topology};
 }
 
-/// Command-line parsing shared by the six `tagger-*` binaries: a flag
-/// a binary does not know is refused, never skipped.
+/// Command-line parsing shared by the five `tagger-*` binaries: a flag
+/// or an argument a subcommand does not take is refused, never skipped.
 pub mod cli {
     use std::collections::BTreeMap;
     use std::str::FromStr;
@@ -75,11 +75,14 @@ pub mod cli {
     pub type Flags = BTreeMap<String, String>;
 
     /// Splits `rest` into positional arguments and `--flag` options.
-    /// `known` names the flags that take a value, `switches` the
-    /// valueless ones; any other `--name`, or a `known` flag with
-    /// nothing after it, is an error naming the flag.
+    /// `positionals` is the most positional arguments the subcommand
+    /// takes (`usize::MAX` for a file list), `known` names the flags
+    /// that take a value, `switches` the valueless ones. A positional
+    /// past the limit, any other `--name`, or a `known` flag with
+    /// nothing after it is an error naming the argument.
     pub fn parse_args(
         rest: &[String],
+        positionals: usize,
         known: &[&str],
         switches: &[&str],
     ) -> Result<(Vec<String>, Flags), String> {
@@ -88,6 +91,9 @@ pub mod cli {
         let mut args = rest.iter();
         while let Some(arg) = args.next() {
             let Some(name) = arg.strip_prefix("--") else {
+                if positional.len() == positionals {
+                    return Err(format!("unexpected argument `{arg}`"));
+                }
                 positional.push(arg.clone());
                 continue;
             };
@@ -107,7 +113,7 @@ pub mod cli {
     /// The small Clos the `--pods`/`--leaves`/`--tors`/`--spines`/
     /// `--hosts` family describes; every binary that takes the family
     /// shares these defaults, so a trace replays on the same fabric in
-    /// `tagger-ctrld`, `tagger-audit` and `tagger-lint`.
+    /// `tagger-fleetd replay`, `tagger-audit` and `tagger-lint`.
     pub fn clos_config(flags: &Flags) -> Result<tagger_topo::ClosConfig, String> {
         Ok(tagger_topo::ClosConfig {
             pods: get(flags, "pods", 2)?,

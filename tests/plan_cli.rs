@@ -1,7 +1,8 @@
 //! `tagger-plan` at the process boundary: a flag it does not know, a
-//! flag with no value and a value that is not a number are refused
-//! with the flag named, not skipped or panicked on; `tagger-plan table`
-//! reproduces the committed planner tables byte for byte.
+//! flag with no value, a value that is not a number and an argument a
+//! fabric does not take are refused with the argument named, not
+//! skipped or panicked on; `tagger-plan table` reproduces the committed
+//! planner tables byte for byte.
 
 use std::process::{Command, Output};
 
@@ -32,6 +33,8 @@ fn unknown_and_malformed_flags_are_refused() {
     // A non-numeric value used to panic.
     assert_refused(&plan(&["jellyfish", "--ports", "x"]), "--ports");
     assert_refused(&plan(&["clos", "--bounces", "one"]), "--bounces");
+    // A stray positional used to plan the default 2-pod fabric.
+    assert_refused(&plan(&["clos", "4"]), "unexpected argument `4`");
     // The accepted spellings still plan, on the fabric they name.
     let ok = plan(&["jellyfish", "--switches", "12", "--ports", "6", "--rules"]);
     assert_eq!(ok.status.code(), Some(0));

@@ -90,10 +90,13 @@ fn drill_delivers_exactly_once_through_the_chaos_proxy() {
 
 #[test]
 fn retired_flags_and_unknown_subcommands_are_refused() {
-    // The watchdog drill is a test now, not a `tagger-ctrld` mode.
-    let ctrld = run(env!("CARGO_BIN_EXE_tagger-ctrld"), &["--watchdog", "200"]);
-    let stderr = String::from_utf8_lossy(&ctrld.stderr);
-    assert!(!ctrld.status.success(), "{stderr}");
+    // The watchdog drill is a test now, not a replay mode.
+    let replay = run(
+        env!("CARGO_BIN_EXE_tagger-fleetd"),
+        &["replay", "--watchdog", "200"],
+    );
+    let stderr = String::from_utf8_lossy(&replay.stderr);
+    assert_eq!(replay.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("unknown flag --watchdog"), "{stderr}");
 
     let fleetd = run(env!("CARGO_BIN_EXE_tagger-fleetd"), &["ingest-send"]);
