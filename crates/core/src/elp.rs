@@ -12,7 +12,7 @@ use tagger_topo::{FailureSet, Topology};
 ///
 /// The paths are kept as the prefix tree of their sequence
 /// ([`PathTree`]), not as a list: every pass over an ELP — Algorithm 1,
-/// the repair fixpoint, the losslessness check — is a sweep of that tree,
+/// the repair sweep, the losslessness check — is a sweep of that tree,
 /// and an enumerated ELP is several times smaller as one.
 ///
 /// Packets that leave the ELP (failures, misconfigured routes, loops) are

@@ -839,55 +839,28 @@ impl Tagging {
     ///
     /// 1. Algorithm 1 (brute-force tagging), Algorithm 2 (greedy merge);
     /// 2. rule compilation with min-resolution of merge ambiguities;
-    /// 3. a *repair fixpoint*: simulate every ELP path through the rules,
+    /// 3. one *repair sweep*: simulate every ELP path through the rules,
     ///    and wherever a path falls off the lossless rules (possible
     ///    because the published Algorithm 2 does not guarantee rule
     ///    determinism — see `DESIGN.md`), add the missing rule, steering
-    ///    the packet back onto its greedy-assigned trajectory;
+    ///    the packet back onto its greedy-assigned trajectory. A repair
+    ///    only fills a key the sweep found missing and never overwrites
+    ///    one, so a second sweep would retrace the first hop for hop and
+    ///    repair nothing: one sweep is the fixpoint;
     /// 4. certification: the closure of everything the final rules can
     ///    express is verified against Theorem 5.1. If that ever fails,
     ///    fall back to the always-safe brute-force tagging
-    ///    ([`Tagging::used_fallback`] reports it).
+    ///    ([`Tagging::used_fallback`] reports it);
+    /// 5. losslessness: a repair sweep that added nothing decided every
+    ///    ELP hop `Lossless` under the final rules, so it *was*
+    ///    [`Tagging::check_elp_lossless`]. The check runs as its own sweep
+    ///    only when rules were added, or the fallback replaced them.
     pub fn from_elp(topo: &Topology, elp: &Elp) -> Result<Self, RuleError> {
         let brute = crate::tag_by_hop_count(topo, elp);
         let assignment = crate::algorithm2::greedy_assignment(topo, &brute);
         let merged = crate::algorithm2::apply_assignment(&brute, &assignment);
         let mut rules = RuleSet::from_graph_resolving(topo, &merged);
-
-        // Repair fixpoint: every iteration adds at least one rule at a
-        // previously-missing key; keys are finite, so this terminates.
-        let mut repairs = 0usize;
-        loop {
-            let before = repairs;
-            let Ok(()) = sweep_rules(topo, elp, |at, here, tag, next, out_port| {
-                if let TagDecision::Lossless(t) = rules.decide(here.node, tag, here.port, out_port)
-                {
-                    return Ok::<Tag, std::convert::Infallible>(t);
-                }
-                // The greedy-assigned tag of the next hop's original
-                // (port, hop-count) node; raising to at least the current
-                // tag keeps rules monotone.
-                let expected = assignment[&TaggedNode {
-                    port: next,
-                    tag: Tag(elp.tree().depth(at) as u16),
-                }];
-                let new_tag = expected.max(tag);
-                rules.set(
-                    here.node,
-                    SwitchRule {
-                        tag,
-                        in_port: here.port,
-                        out_port,
-                        new_tag,
-                    },
-                );
-                repairs += 1;
-                Ok(new_tag)
-            });
-            if repairs == before {
-                break;
-            }
-        }
+        let repairs = repair_sweep(topo, elp, &assignment, &mut rules);
 
         // Certify the closure of the final rules.
         let closure = rules.closure_graph(topo, first_hop_seeds(topo, elp));
@@ -914,11 +887,13 @@ impl Tagging {
                 }
             }
         };
-        t.check_elp_lossless(topo, elp)?;
+        if repairs > 0 || t.used_fallback {
+            t.check_elp_lossless(topo, elp)?;
+        }
         Ok(t)
     }
 
-    /// How many repair rules the ELP fixpoint had to add (0 when the
+    /// How many repair rules the repair sweep had to add (0 when the
     /// greedy merge compiled cleanly).
     pub fn repairs(&self) -> usize {
         self.repairs
@@ -978,7 +953,7 @@ impl Tagging {
 /// `decide` is asked once per distinct turn and tag: its answer is kept
 /// and given to every later hop that takes the same turn with the same
 /// tag. That is sound as long as `decide` would not change an answer it
-/// has given, which holds for a fixed rule set and for the repair pass,
+/// has given, which holds for a fixed rule set and for the repair sweep,
 /// which only fills keys it found missing.
 fn sweep_rules<E>(
     topo: &Topology,
@@ -999,6 +974,43 @@ fn sweep_rules<E>(
         decided.insert(key, t);
         Ok(t)
     })
+}
+
+/// One repair sweep over `elp`: wherever a path would fall off `rules` to
+/// the lossy class, add the rule that steers it to the greedy-assigned tag
+/// of its next hop (raised to at least the tag it carries, which keeps
+/// rules monotone). Returns the number of rules added.
+fn repair_sweep(
+    topo: &Topology,
+    elp: &Elp,
+    assignment: &BTreeMap<TaggedNode, Tag>,
+    rules: &mut RuleSet,
+) -> usize {
+    let mut repairs = 0usize;
+    let Ok(()) = sweep_rules(topo, elp, |at, here, tag, next, out_port| {
+        if let TagDecision::Lossless(t) = rules.decide(here.node, tag, here.port, out_port) {
+            return Ok::<Tag, std::convert::Infallible>(t);
+        }
+        // The greedy-assigned tag of the next hop's original
+        // (port, hop-count) node.
+        let expected = assignment[&TaggedNode {
+            port: next,
+            tag: Tag(elp.tree().depth(at) as u16),
+        }];
+        let new_tag = expected.max(tag);
+        rules.set(
+            here.node,
+            SwitchRule {
+                tag,
+                in_port: here.port,
+                out_port,
+                new_tag,
+            },
+        );
+        repairs += 1;
+        Ok(new_tag)
+    });
+    repairs
 }
 
 /// The closure seeds an ELP contributes: its paths' first-hop ingress
@@ -1032,6 +1044,49 @@ mod tests {
             t.rules().decide(t1, Tag(1), in_port, out_port),
             TagDecision::Lossless(Tag(1))
         );
+    }
+
+    /// Half of BCube(2, 3)'s rotated routes: an ELP whose greedy merge
+    /// needs 12 repairs (pinned in `tests/proptest_core.rs`).
+    fn bcube_repair_case() -> (Topology, Elp) {
+        let topo = tagger_topo::bcube(2, 3);
+        let config = tagger_topo::BCubeConfig { n: 2, k: 3 };
+        let paths = tagger_routing::bcube_paths(&config, &topo, true)
+            .into_iter()
+            .step_by(2)
+            .collect();
+        (topo, Elp::from_paths(paths))
+    }
+
+    #[test]
+    fn one_repair_sweep_is_the_fixpoint() {
+        let (topo, elp) = bcube_repair_case();
+        let t = Tagging::from_elp(&topo, &elp).unwrap();
+        assert_eq!(t.repairs(), 12);
+        assert!(!t.used_fallback());
+
+        // The loop `from_elp` once ran: repair sweeps until one repairs
+        // nothing.
+        let brute = crate::tag_by_hop_count(&topo, &elp);
+        let assignment = crate::algorithm2::greedy_assignment(&topo, &brute);
+        let merged = crate::algorithm2::apply_assignment(&brute, &assignment);
+        let mut reference = RuleSet::from_graph_resolving(&topo, &merged);
+        let mut sweeps = Vec::new();
+        loop {
+            let repairs = repair_sweep(&topo, &elp, &assignment, &mut reference);
+            sweeps.push(repairs);
+            if repairs == 0 {
+                break;
+            }
+        }
+        assert_eq!(sweeps, [12, 0]);
+        assert_eq!(t.rules(), &reference);
+
+        // A further sweep over the final rules finds every hop lossless.
+        let mut again = t.rules().clone();
+        assert_eq!(repair_sweep(&topo, &elp, &assignment, &mut again), 0);
+        assert_eq!(&again, t.rules());
+        assert_eq!(t.check_elp_lossless(&topo, &elp), Ok(()));
     }
 
     #[test]

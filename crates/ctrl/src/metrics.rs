@@ -14,8 +14,13 @@ pub struct ControllerMetrics {
     /// Events accepted (malformed events that return an error do not
     /// count).
     pub events: u64,
-    /// Epochs staged: a candidate tagging was computed.
+    /// Epochs staged: a candidate tagging was computed, or reused.
     pub epochs_staged: u64,
+    /// Staged epochs whose view the controller had already certified a
+    /// snapshot for — the committed one or the one it replaced — and
+    /// which reused that snapshot instead of recomputing (each also
+    /// counts in [`ControllerMetrics::epochs_staged`]).
+    pub stages_reused: u64,
     /// Epochs committed: the candidate passed validation and its deltas
     /// were emitted.
     pub epochs_committed: u64,
@@ -70,8 +75,8 @@ pub struct ControllerMetrics {
     /// recovery.
     pub recovery_replays: u64,
     /// Stage latency of every staged epoch, µs, in staging order:
-    /// committed and rolled-back stages alike, so it holds
-    /// [`ControllerMetrics::epochs_staged`] samples.
+    /// committed and rolled-back stages alike, recomputed and reused
+    /// alike, so it holds [`ControllerMetrics::epochs_staged`] samples.
     pub stage_us: Samples,
 }
 
@@ -82,6 +87,7 @@ impl std::ops::AddAssign for ControllerMetrics {
     fn add_assign(&mut self, rhs: ControllerMetrics) {
         self.events += rhs.events;
         self.epochs_staged += rhs.epochs_staged;
+        self.stages_reused += rhs.stages_reused;
         self.epochs_committed += rhs.epochs_committed;
         self.rollbacks += rhs.rollbacks;
         self.verify_failures += rhs.verify_failures;
@@ -122,6 +128,7 @@ impl ControllerMetrics {
         let _ = writeln!(out, "controller metrics");
         let _ = writeln!(out, "  events processed    {:>8}", self.events);
         let _ = writeln!(out, "  epochs staged       {:>8}", self.epochs_staged);
+        let _ = writeln!(out, "    stages reused     {:>8}", self.stages_reused);
         let _ = writeln!(out, "  epochs committed    {:>8}", self.epochs_committed);
         let _ = writeln!(out, "  rollbacks           {:>8}", self.rollbacks);
         let _ = writeln!(out, "    verify failures   {:>8}", self.verify_failures);
@@ -179,6 +186,7 @@ mod tests {
         for needle in [
             "events processed",
             "epochs staged",
+            "stages reused",
             "epochs committed",
             "rollbacks",
             "verify failures",

@@ -154,6 +154,21 @@ impl NetworkState {
         Ok(())
     }
 
+    /// True if `other` is the same view of the network: equal in
+    /// everything but [`NetworkState::version`]. Staging reads the view
+    /// alone, so two states with the same view stage the same snapshot.
+    pub fn same_view(&self, other: &NetworkState) -> bool {
+        let NetworkState {
+            version: _,
+            failures,
+            extra_paths,
+            quarantines,
+        } = self;
+        *failures == other.failures
+            && *extra_paths == other.extra_paths
+            && *quarantines == other.quarantines
+    }
+
     /// True if `path` avoids every quarantined hop: no hop of the path
     /// leaves a quarantined switch through its quarantined egress port.
     pub fn quarantine_allows(&self, topo: &Topology, path: &Path) -> bool {
