@@ -16,7 +16,7 @@
 //! paper's headline guarantee.
 
 use crate::{RuleError, RuleSet, SwitchRule, Tag, TaggedGraph, TaggedNode, Tagging};
-use tagger_topo::{GlobalPort, NodeId, NodeKind, Topology};
+use tagger_topo::{GlobalPort, NodeId, NodeKind, PortId, Topology};
 
 /// Errors from the Clos construction.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,6 +47,19 @@ impl std::error::Error for ClosError {}
 /// Works on any layered fabric where every switch carries a layer rank
 /// (3-layer Clos, 2-layer leaf-spine, FatTree).
 pub fn clos_tagging(topo: &Topology, k: usize) -> Result<Tagging, ClosError> {
+    clos_tagging_masked(topo, k, |_, _| false)
+}
+
+/// [`clos_tagging`] without the rules, and their graph edges, that leave
+/// a switch `sw` by an egress port for which `masked(sw, port)` holds:
+/// packets there match no rule and fall to the lossy class. The
+/// controller masks the egress ports a watchdog quarantined. Dropping
+/// edges only removes dependencies, so the graph stays deadlock-free.
+pub fn clos_tagging_masked(
+    topo: &Topology,
+    k: usize,
+    masked: impl Fn(NodeId, PortId) -> bool,
+) -> Result<Tagging, ClosError> {
     let max_tag = (k + 1) as u16;
     // Sanity: every switch must be ranked.
     for sw in topo.switch_ids() {
@@ -60,14 +73,14 @@ pub fn clos_tagging(topo: &Topology, k: usize) -> Result<Tagging, ClosError> {
 
     for sw in topo.switch_ids() {
         let rank = topo.node(sw).layer.rank().expect("checked above");
-        let neighbors: Vec<(tagger_topo::PortId, NodeId)> = topo
+        let neighbors: Vec<(PortId, NodeId)> = topo
             .neighbors(sw)
             .map(|(port, _, peer)| (port, peer))
             .collect();
         for &(in_port, in_peer) in &neighbors {
             let in_upper = topo.node(in_peer).layer.rank().is_some_and(|r| r > rank);
             for &(out_port, out_peer) in &neighbors {
-                if in_port == out_port {
+                if in_port == out_port || masked(sw, out_port) {
                     continue;
                 }
                 let out_upper = topo.node(out_peer).layer.rank().is_some_and(|r| r > rank);
@@ -209,6 +222,34 @@ mod tests {
                 TagDecision::Lossless(Tag(tag))
             );
         }
+    }
+
+    #[test]
+    fn masked_egress_ports_lose_their_rules_and_edges() {
+        let topo = ClosConfig::small().build();
+        let l1 = topo.expect_node("L1");
+        let to_s1 = topo.port_towards(l1, topo.expect_node("S1")).unwrap();
+        let full = clos_tagging(&topo, 1).unwrap();
+        let masked = clos_tagging_masked(&topo, 1, |sw, port| sw == l1 && port == to_s1).unwrap();
+        let leaves_by = |t: &Tagging| {
+            t.rules()
+                .rules_for(l1)
+                .iter()
+                .filter(|r| r.out_port == to_s1)
+                .count()
+        };
+        assert!(leaves_by(&full) > 0);
+        assert_eq!(leaves_by(&masked), 0);
+        let others = |t: &Tagging| t.rules().num_rules() - leaves_by(t);
+        assert_eq!(
+            others(&masked),
+            others(&full),
+            "only the masked port's rules go"
+        );
+        let s1_ingress = topo.peer_of(GlobalPort::new(l1, to_s1)).unwrap();
+        assert!(masked.graph().edges().all(|(_, to)| to.port != s1_ingress));
+        masked.graph().verify().unwrap();
+        assert_eq!(masked.num_lossless_tags_on(&topo), 2);
     }
 
     #[test]

@@ -63,7 +63,7 @@ const PINS: [(Source, u64); 7] = [
     (Source::File("fig11_tagger.scn"), 7326296973483637791),
     (
         Source::File("transient_controller.scn"),
-        8624211843292899014,
+        6690620590031675963,
     ),
 ];
 
