@@ -3,9 +3,10 @@
 //!
 //! The drill is the fleet's pre-deployment gate. Every fabric gets a
 //! distinct seeded event schedule (flap storms, bounded concurrent link
-//! failures, watchdog trips/clears, resyncs) *and* a distinct seeded
-//! chaos schedule on its southbound, the streams are interleaved through
-//! the bounded fair ingest front, and at the end every fabric must be:
+//! failures, watchdog trips/clears, resyncs, and a pinned detour for the
+//! first half — see [`pin_detour`]) *and* a distinct seeded chaos
+//! schedule on its southbound, the streams are interleaved through the
+//! bounded fair ingest front, and at the end every fabric must be:
 //!
 //! - **certified** — a fresh independent auditor re-proves the final
 //!   committed tables deadlock-free (Theorem 5.1, decompiled from TCAM);
@@ -31,7 +32,7 @@ use crate::report::{FabricStatus, FleetReport};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use tagger_ctrl::{ChaosConfig, CtrlEvent, Damping};
+use tagger_ctrl::{parse_trace, ChaosConfig, CtrlEvent, Damping};
 use tagger_topo::{ClosConfig, Topology};
 
 /// Soak drill parameters.
@@ -206,9 +207,29 @@ fn mixed_schedule(topo: &Topology, seed: u64, index: usize, events: usize) -> Ve
     tagger_scenario::schedule::events(&mixes[index % mixes.len()], topo, seed, events)
 }
 
-/// One fabric's schedule — the one [`run_soak`] would feed fabric
-/// `mix_index` — as `<fabric>: <trace-line>` stream lines: what the
-/// network drills send.
+/// A 2-bounce path on [`ClosConfig::small`] (bounces at T2 and T3),
+/// outside the 1-bounce ELP the closed form carries.
+const DETOUR: &str = "H1 T1 L2 T2 L1 S1 L3 T3 L4 T4 H13";
+
+/// Pins [`DETOUR`] before the schedule's first event and withdraws it
+/// halfway through, ahead of the healing tail. On a Clos a link event
+/// changes no closed-form table, so without the detour most epochs
+/// install nothing and the southbound's chaos rarely fires. While it is
+/// pinned the fabric stages Algorithm 1+2 and every link event rewrites
+/// tables; the second half runs the closed form, where only the
+/// watchdog trips and clears change tables.
+fn pin_detour(topo: &Topology, mut schedule: Vec<CtrlEvent>) -> Vec<CtrlEvent> {
+    let pin = parse_trace(topo, &format!("elp-add {DETOUR}\nelp-remove {DETOUR}"))
+        .expect("the detour is a path of the small Clos");
+    let [add, remove] = <[CtrlEvent; 2]>::try_from(pin).expect("two trace lines, two events");
+    schedule.insert(schedule.len() / 2, remove);
+    schedule.insert(0, add);
+    schedule
+}
+
+/// One fabric's mix from the scenario library — the one [`run_soak`]
+/// feeds fabric `mix_index`, before it pins the detour — as
+/// `<fabric>: <trace-line>` stream lines: what the network drills send.
 pub fn fabric_lines(
     topo: &Topology,
     name: &str,
@@ -257,7 +278,8 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakOutcome, FleetError> {
             .with_chaos(ChaosConfig::new(seed, cfg.fail_rate))
             .with_damping(dampings[i % dampings.len()]);
         fleet.register(spec)?;
-        schedules.push((name, mixed_schedule(&topo, seed, i, cfg.events_per_fabric)));
+        let schedule = mixed_schedule(&topo, seed, i, cfg.events_per_fabric);
+        schedules.push((name, pin_detour(&topo, schedule)));
     }
 
     // Interleave: each round feeds every fabric a small seeded slice of
@@ -363,6 +385,30 @@ mod tests {
     }
 
     #[test]
+    fn the_detour_is_pinned_first_and_withdrawn_before_the_healing_tail() {
+        let topo = ClosConfig::small().build();
+        let plain = soak_schedule(&topo, 7, 40);
+        let pinned = pin_detour(&topo, plain.clone());
+        assert_eq!(pinned.len(), plain.len() + 2);
+        let CtrlEvent::ElpAdd(detour) = &pinned[0] else {
+            panic!("the schedule must open with the pin, not {:?}", pinned[0]);
+        };
+        let removal = pinned
+            .iter()
+            .position(|e| e == &CtrlEvent::ElpRemove(detour.clone()))
+            .expect("the detour is withdrawn");
+        assert!(removal < pinned.len() - 1);
+        assert_eq!(pinned.last(), Some(&CtrlEvent::Resync));
+        let rest: Vec<_> = pinned
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != 0 && i != removal)
+            .map(|(_, e)| e.clone())
+            .collect();
+        assert_eq!(rest, plain, "pinning adds two events and moves none");
+    }
+
+    #[test]
     fn fabric_seeds_differ() {
         let seeds: std::collections::BTreeSet<u64> = (0..32).map(|i| fabric_seed(1, i)).collect();
         assert_eq!(seeds.len(), 32);
@@ -383,6 +429,11 @@ mod tests {
             outcome.readiness.render()
         );
         assert_eq!(outcome.readiness.fabrics.len(), 3);
+        // The pinned detour makes link epochs install, so the chaos
+        // reaches every fabric.
+        for fabric in &outcome.readiness.fabrics {
+            assert!(fabric.status.faults_injected > 0, "{}", fabric.status.name);
+        }
         assert!(outcome.snapshot.ctrl_rollup.epochs_committed > 0);
         std::fs::remove_dir_all(&dir).ok();
     }
