@@ -14,18 +14,22 @@
 //! ...
 //! ```
 //!
-//! The table body is exactly [`RuleSet::to_table_text`], so a checkpoint
-//! round-trips through [`render`] / [`parse`] losslessly.
+//! The `topo` line names the fabric with a [`TopoSpec`] in any family
+//! but `file` (a checkpoint must rebuild its topology alone), written in
+//! its canonical form. The table body is exactly
+//! [`RuleSet::to_table_text`], so a checkpoint round-trips through
+//! [`render`] / [`parse`] losslessly.
 
 use std::fmt;
+use tagger_core::span::spanned_words;
 use tagger_core::{RuleSet, Span};
-use tagger_topo::{ClosConfig, Topology};
+use tagger_topo::{Family, SpecError, TopoSpec, Topology};
 
 /// A parsed checkpoint: rebuilt topology plus the tables to audit.
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
-    /// The Clos dimensions the topology was rebuilt from.
-    pub config: ClosConfig,
+    /// The fabric spec the topology was rebuilt from.
+    pub spec: TopoSpec,
     /// Epoch the tables were committed at.
     pub epoch: u64,
     /// The rebuilt fabric.
@@ -38,16 +42,9 @@ pub struct Checkpoint {
 }
 
 /// Serializes a checkpoint.
-pub fn render(config: &ClosConfig, epoch: u64, topo: &Topology, rules: &RuleSet) -> String {
+pub fn render(spec: &TopoSpec, epoch: u64, topo: &Topology, rules: &RuleSet) -> String {
     format!(
-        "# tagger-audit checkpoint v1\n\
-         topo clos pods={} leaves_per_pod={} tors_per_pod={} spines={} hosts_per_tor={}\n\
-         epoch {epoch}\n{}",
-        config.pods,
-        config.leaves_per_pod,
-        config.tors_per_pod,
-        config.spines,
-        config.hosts_per_tor,
+        "# tagger-audit checkpoint v1\ntopo {spec}\nepoch {epoch}\n{}",
         rules.to_table_text(topo)
     )
 }
@@ -55,8 +52,8 @@ pub fn render(config: &ClosConfig, epoch: u64, topo: &Topology, rules: &RuleSet)
 /// The parsed checkpoint header: everything above the table body.
 #[derive(Clone, Debug)]
 pub struct CheckpointHeader {
-    /// The Clos dimensions the topology is rebuilt from.
-    pub config: ClosConfig,
+    /// The fabric spec the topology is rebuilt from.
+    pub spec: TopoSpec,
     /// Epoch the tables were committed at.
     pub epoch: u64,
     /// 1-based file line where the table body starts.
@@ -69,7 +66,7 @@ pub struct CheckpointHeader {
 /// the entry point for tools (like `tagger-lint`) that want to run their
 /// own, more forgiving parse over the body.
 pub fn parse_header(text: &str) -> Result<CheckpointHeader, CheckpointError> {
-    let mut config: Option<ClosConfig> = None;
+    let mut spec: Option<TopoSpec> = None;
     let mut epoch: Option<u64> = None;
     let mut body = String::new();
     let mut body_started = false;
@@ -85,8 +82,17 @@ pub fn parse_header(text: &str) -> Result<CheckpointHeader, CheckpointError> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        if let Some(rest) = line.strip_prefix("topo ") {
-            config = Some(parse_topo(rest, lineno)?);
+        let words: Vec<(usize, &str)> = spanned_words(raw).collect();
+        if words[0].1 == "topo" {
+            let parsed = TopoSpec::parse_words(lineno, &words[1..], |w| w.parse().ok())?;
+            if let Family::File(_) = parsed.family {
+                return Err(CheckpointError {
+                    span: parsed.span,
+                    why: "a checkpoint rebuilds its topology alone, so `file` is not allowed"
+                        .into(),
+                });
+            }
+            spec = Some(parsed);
         } else if let Some(rest) = line.strip_prefix("epoch ") {
             epoch = Some(rest.trim().parse().map_err(|_| {
                 CheckpointError::at(lineno, format!("epoch wants a number, got {rest:?}"))
@@ -100,21 +106,21 @@ pub fn parse_header(text: &str) -> Result<CheckpointHeader, CheckpointError> {
             ));
         }
     }
-    let config = config.ok_or_else(|| CheckpointError::at(0, "missing `topo clos ...` header"))?;
+    let spec = spec.ok_or_else(|| CheckpointError::at(0, "missing `topo <spec>` header"))?;
     let epoch = epoch.ok_or_else(|| CheckpointError::at(0, "missing `epoch N` header"))?;
     Ok(CheckpointHeader {
-        config,
+        spec,
         epoch,
         body_line,
         body,
     })
 }
 
-/// Parses a checkpoint, rebuilding the topology from the `topo clos`
-/// header and the tables from the body.
+/// Parses a checkpoint, rebuilding the topology from the `topo` header
+/// and the tables from the body.
 pub fn parse(text: &str) -> Result<Checkpoint, CheckpointError> {
     let header = parse_header(text)?;
-    let topo = header.config.build();
+    let topo = header.spec.build()?;
     let rules = RuleSet::from_table_text(&topo, &header.body).map_err(|e| {
         let span = e.span.offset_lines(header.body_line.saturating_sub(1));
         CheckpointError {
@@ -123,58 +129,12 @@ pub fn parse(text: &str) -> Result<Checkpoint, CheckpointError> {
         }
     })?;
     Ok(Checkpoint {
-        config: header.config,
+        spec: header.spec,
         epoch: header.epoch,
         topo,
         rules,
         body_line: header.body_line,
     })
-}
-
-fn parse_topo(rest: &str, line: usize) -> Result<ClosConfig, CheckpointError> {
-    let mut parts = rest.split_whitespace();
-    let kind = parts.next().unwrap_or_default();
-    if kind != "clos" {
-        return Err(CheckpointError::at(
-            line,
-            format!("only `topo clos` checkpoints are supported, got {kind:?}"),
-        ));
-    }
-    let mut config = ClosConfig {
-        pods: 0,
-        leaves_per_pod: 0,
-        tors_per_pod: 0,
-        spines: 0,
-        hosts_per_tor: 0,
-    };
-    for kv in parts {
-        let (key, value) = kv
-            .split_once('=')
-            .ok_or_else(|| CheckpointError::at(line, format!("expected key=value, got {kv:?}")))?;
-        let value: usize = value.parse().map_err(|_| {
-            CheckpointError::at(line, format!("{key} wants a number, got {value:?}"))
-        })?;
-        match key {
-            "pods" => config.pods = value,
-            "leaves_per_pod" => config.leaves_per_pod = value,
-            "tors_per_pod" => config.tors_per_pod = value,
-            "spines" => config.spines = value,
-            "hosts_per_tor" => config.hosts_per_tor = value,
-            other => {
-                return Err(CheckpointError::at(
-                    line,
-                    format!("unknown clos dimension {other:?}"),
-                ))
-            }
-        }
-    }
-    if config.pods == 0 || config.leaves_per_pod == 0 || config.tors_per_pod == 0 {
-        return Err(CheckpointError::at(
-            line,
-            "clos dimensions must all be non-zero",
-        ));
-    }
-    Ok(config)
 }
 
 /// A malformed checkpoint, spanned to the offending line (or, in the
@@ -204,6 +164,17 @@ impl CheckpointError {
     }
 }
 
+impl From<SpecError> for CheckpointError {
+    /// A `topo` header the fabric spec refuses, at the word to blame.
+    fn from(e: SpecError) -> Self {
+        let why = match e.hint {
+            Some(hint) => format!("{} ({hint})", e.message),
+            None => e.message,
+        };
+        CheckpointError { span: e.span, why }
+    }
+}
+
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.span.is_whole_file() {
@@ -221,33 +192,34 @@ mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
     use tagger_core::clos::clos_tagging;
+    use tagger_topo::ClosConfig;
 
     #[test]
     fn checkpoints_round_trip() {
-        let config = ClosConfig::small();
-        let topo = config.build();
+        let spec = TopoSpec::from(ClosConfig::small());
+        let topo = spec.build().unwrap();
         let tagging = clos_tagging(&topo, 1).unwrap();
-        let text = render(&config, 42, &topo, tagging.rules());
+        let text = render(&spec, 42, &topo, tagging.rules());
         let ckpt = parse(&text).unwrap();
         assert_eq!(ckpt.epoch, 42);
-        assert_eq!(ckpt.config, config);
+        assert_eq!(ckpt.spec.to_string(), spec.to_string());
         assert_eq!(ckpt.rules.num_rules(), tagging.rules().num_rules());
         // Re-render: byte-identical (stable fixture format).
-        assert_eq!(render(&ckpt.config, 42, &ckpt.topo, &ckpt.rules), text);
+        assert_eq!(render(&ckpt.spec, 42, &ckpt.topo, &ckpt.rules), text);
     }
 
     #[test]
     fn malformed_checkpoints_are_rejected_with_line_numbers() {
         assert!(parse("").is_err());
         let e = parse("topo clos pods=2 leaves_per_pod=x\n").unwrap_err();
-        assert_eq!(e.span, Span::line_start(1));
+        assert_eq!(e.span, Span::new(1, 18, 16));
         assert_eq!(
             e.to_string(),
             "checkpoint line 1: leaves_per_pod wants a number, got \"x\""
         );
         let e = parse("epoch 1\n").unwrap_err();
         assert_eq!(e.span, Span::whole_file());
-        assert_eq!(e.to_string(), "checkpoint: missing `topo clos ...` header");
+        assert_eq!(e.to_string(), "checkpoint: missing `topo <spec>` header");
         // A table-body error keeps the table parser's token span, in
         // file coordinates.
         let e = parse("topo clos pods=1 leaves_per_pod=1 tors_per_pod=1 spines=1 hosts_per_tor=1\nepoch 1\nswitch NOPE\n").unwrap_err();
@@ -257,6 +229,37 @@ mod tests {
             "checkpoint line 3: table body: col 8: unknown switch \"NOPE\""
         );
         let e = parse("topo mesh\nepoch 1\n").unwrap_err();
-        assert!(e.why.contains("topo clos"));
+        assert_eq!(
+            e.to_string(),
+            "checkpoint line 1: unknown fabric family \"mesh\" \
+             (fabric families: clos, fattree, jellyfish, bcube, file)"
+        );
+        // A dimension the builder cannot take is refused at its word.
+        let e = parse("topo clos spines=0\nepoch 1\n").unwrap_err();
+        assert_eq!(e.span, Span::new(1, 11, 8));
+        assert_eq!(
+            e.to_string(),
+            "checkpoint line 1: spines=0: a Clos dimension must be at least 1"
+        );
+        let e = parse("# header\ntopo file ring.topo\nepoch 1\n").unwrap_err();
+        assert_eq!(e.span, Span::new(2, 6, 4));
+        assert!(e.why.contains("`file` is not allowed"), "{e}");
+    }
+
+    #[test]
+    fn every_family_but_file_checkpoints() {
+        for text in [
+            "fattree 4",
+            "jellyfish switches=16 ports=6 seed=7",
+            "bcube 2 1",
+            "clos hosts 32",
+        ] {
+            let spec: TopoSpec = text.parse().unwrap();
+            let topo = spec.build().unwrap();
+            let rendered = render(&spec, 3, &topo, &RuleSet::default());
+            let ckpt = parse(&rendered).unwrap();
+            assert_eq!(ckpt.spec.to_string(), text);
+            assert_eq!(ckpt.topo.to_spec_text(), topo.to_spec_text());
+        }
     }
 }

@@ -29,7 +29,7 @@ fn generate_fixtures() {
             new_tag: Tag(1),
         },
     );
-    let text = tagger_audit::checkpoint::render(&config, 4, &topo, &rules);
+    let text = tagger_audit::checkpoint::render(&config.into(), 4, &topo, &rules);
     // Second, text-level defect for tagger-lint: a duplicate match key.
     // A first-match TCAM would apply the earlier (correct) line; the
     // last-write-wins table-text loader keeps the later (corrupt) one,

@@ -12,7 +12,7 @@ use tagger_audit::Auditor;
 use tagger_core::clos::clos_tagging;
 use tagger_core::tcam::{Compression, TcamProgram};
 use tagger_core::{RuleSet, SwitchRule, Tag};
-use tagger_topo::{ClosConfig, JellyfishConfig, PortId, Topology};
+use tagger_topo::{ClosConfig, JellyfishConfig, PortId, TopoSpec, Topology};
 
 const LEVELS: [Compression; 3] = [Compression::None, Compression::InPort, Compression::Joint];
 
@@ -45,7 +45,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Clos taggings of random dimensions survive compress -> decompile
-    /// at every compression level, and the audit certifies them.
+    /// at every compression level and a checkpoint's render -> parse,
+    /// and the audit certifies them.
     #[test]
     fn clos_taggings_round_trip(
         dims in (1usize..3, 1usize..3, 1usize..3, 1usize..4, 0usize..3)
@@ -58,9 +59,14 @@ proptest! {
             spines,
             hosts_per_tor: 2,
         };
-        let topo = config.build();
+        let spec = TopoSpec::from(config);
+        let topo = spec.build().unwrap();
         let tagging = clos_tagging(&topo, k).unwrap();
         assert_round_trips(&topo, tagging.rules());
+        let text = tagger_audit::checkpoint::render(&spec, 5, &topo, tagging.rules());
+        let ckpt = tagger_audit::checkpoint::parse(&text).unwrap();
+        prop_assert_eq!(ckpt.spec.to_string(), spec.to_string());
+        prop_assert_eq!(&ckpt.rules, tagging.rules());
         let mut auditor = Auditor::new(topo);
         prop_assert!(auditor.audit(0, tagging.rules()).is_certified());
     }

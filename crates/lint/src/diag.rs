@@ -249,7 +249,7 @@ pub enum ArtifactKind {
     Trace,
     /// A declarative `.scn` scenario (`tagger-scenario` DSL).
     Scenario,
-    /// A plain-text `.topo` topology spec (`tagger-plan custom` input).
+    /// A plain-text `.topo` topology spec (a `file` fabric spec's input).
     Topology,
 }
 

@@ -134,21 +134,21 @@ pub fn lint_checkpoint_text(file: &str, text: &str, opts: &LintOptions) -> Artif
         kind: ArtifactKind::Checkpoint,
         diagnostics: Vec::new(),
     };
-    let header = match checkpoint::parse_header(text) {
-        Ok(h) => h,
+    let built = checkpoint::parse_header(text).and_then(|h| Ok((h.spec.build()?, h)));
+    let (topo, header) = match built {
+        Ok(built) => built,
         Err(e) => {
             report.diagnostics.push(
                 Diagnostic::new(C::BAD_HEADER, Severity::Error, e.why)
                     .with_span(e.span)
                     .with_hint(
-                        "a checkpoint needs a `topo clos key=value...` line and an \
-                         `epoch N` line before the table body",
+                        "a checkpoint needs a `topo <spec>` line naming a buildable \
+                         fabric and an `epoch N` line before the table body",
                     ),
             );
             return report.finish();
         }
     };
-    let topo = header.config.build();
     let table = lint_table_text(&topo, &header.body, header.body_line.saturating_sub(1));
     report.diagnostics.extend(table.diagnostics);
     report
@@ -188,7 +188,7 @@ pub fn lint_checkpoint_text(file: &str, text: &str, opts: &LintOptions) -> Artif
                     )
                     .with_hint(format!(
                         "re-plan with a bounce budget of at least {} tags \
-                         (e.g. `tagger-plan clos --bounces {}`)",
+                         (e.g. `tagger-plan --topo '<spec>' --bounces {}`)",
                         f.lower_bound_tags,
                         f.lower_bound_tags.saturating_sub(1)
                     ));
@@ -355,7 +355,7 @@ pub fn lint_topology_text(file: &str, text: &str, opts: &LintOptions) -> Artifac
     if topo.num_links() == 0 {
         return report.finish();
     }
-    let layered = topo.node_ids().all(|n| topo.node(n).layer.rank().is_some());
+    let layered = topo.unranked_switch().is_none();
     let elp = if layered {
         opts.elp.unwrap_or(ElpSpec::UpDown).build(topo)
     } else {
@@ -736,7 +736,7 @@ mod tests {
     use tagger_core::clos::clos_tagging;
 
     fn render(config: &ClosConfig, rules: &RuleSet, topo: &Topology) -> String {
-        checkpoint::render(config, 1, topo, rules)
+        checkpoint::render(&(*config).into(), 1, topo, rules)
     }
 
     #[test]
@@ -762,12 +762,12 @@ mod tests {
     fn bad_header_is_a_single_error() {
         let report = lint_checkpoint_text(
             "t.ckpt",
-            "topo clos pods=2\nepoch 1\n",
+            "topo clos spines=0\nepoch 1\n",
             &LintOptions::default(),
         );
         assert_eq!(report.diagnostics.len(), 1);
         assert_eq!(report.diagnostics[0].code, C::BAD_HEADER);
-        assert_eq!(report.diagnostics[0].span.unwrap(), Span::line_start(1));
+        assert_eq!(report.diagnostics[0].span.unwrap(), Span::new(1, 11, 8));
     }
 
     #[test]

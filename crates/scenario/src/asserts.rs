@@ -2,11 +2,10 @@
 //! [`SimReport`] — each assert becomes a pass/fail outcome with the
 //! actual value spelled out, so a failing sweep point explains itself.
 
-use crate::model::{AssertSpec, Num, Scenario, TaggerMode, TopoSpec};
+use crate::model::{AssertSpec, Num, Scenario, TaggerMode};
 use std::collections::BTreeMap;
 use tagger_core::{oracle, Elp, Span};
 use tagger_sim::SimReport;
-use tagger_topo::{ClosConfig, Topology};
 
 /// One evaluated assert.
 #[derive(Clone, Debug)]
@@ -69,44 +68,18 @@ pub fn feasibility_verdict(
         n.resolve(point)
             .ok_or_else(|| format!("unbound sweep variable in {what}"))
     };
-    let mut bcube_cfg = None;
-    let topo: Topology = match &s.topo {
-        TopoSpec::ClosSmall => ClosConfig::small().build(),
-        TopoSpec::ClosMedium => ClosConfig::medium().build(),
-        TopoSpec::ClosHosts(n) => {
-            crate::expand::clos_for_hosts(resolve(n, "topo clos hosts")?).build()
-        }
-        TopoSpec::BCube { n, k } => {
-            let (n, k) = (resolve(n, "bcube n")?, resolve(k, "bcube k")?);
-            if n < 2 || k < 1 {
-                return Err("bcube needs n >= 2 and k >= 1".into());
-            }
-            bcube_cfg = Some(tagger_topo::BCubeConfig {
-                n: n as usize,
-                k: k as usize,
-            });
-            tagger_topo::bcube(n as usize, k as usize)
-        }
-        TopoSpec::Checkpoint(_) => {
-            return Err(
-                "feasibility asserts are not supported on checkpoint topologies — \
-                 they declare installed tables, not an expected-lossless-path set"
-                    .into(),
-            )
-        }
-    };
+    const CHECKPOINT: &str = "feasibility asserts are not supported on checkpoint topologies — \
+                              they declare installed tables, not an expected-lossless-path set";
+    if s.checkpoint.is_some() {
+        return Err(CHECKPOINT.into());
+    }
+    let (topo, bcube_cfg) = crate::expand::fabric(s, point)?;
     let budget = match &s.tagger {
         TaggerMode::Off | TaggerMode::UnsafeIdentity => 1,
         TaggerMode::Bounces(k) => resolve(k, "tagger bounces")? as usize + 1,
         // Controller modes run the 1-bounce ELP policy: two tags.
         TaggerMode::Controller | TaggerMode::Chaos { .. } => 2,
-        TaggerMode::FromCheckpoint => {
-            return Err(
-                "feasibility asserts are not supported on checkpoint topologies — \
-                 they declare installed tables, not an expected-lossless-path set"
-                    .into(),
-            )
-        }
+        TaggerMode::FromCheckpoint => return Err(CHECKPOINT.into()),
     };
     let mut pinned = Vec::new();
     for f in s.flows.iter().filter(|f| !f.via.is_empty()) {

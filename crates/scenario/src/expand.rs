@@ -15,7 +15,7 @@ use tagger_sim::experiments::{
 };
 use tagger_sim::{Action, FlowSpec, SimConfig, Simulator};
 use tagger_switch::{SwitchConfig, WatchdogConfig, WatchdogPolicy};
-use tagger_topo::{ClosConfig, FailureSet, LinkId, NodeId, Topology};
+use tagger_topo::{BCubeConfig, ClosConfig, FailureSet, Family, LinkId, NodeId, Topology};
 
 /// Runner-level overrides for one expansion.
 #[derive(Clone, Debug)]
@@ -58,13 +58,28 @@ fn err(message: impl Into<String>) -> ExpandError {
     }
 }
 
-/// The 2-pod Clos skeleton scaled to roughly `hosts` hosts (4 ToRs, so
-/// `hosts_per_tor = hosts / 4`, minimum 1) — the `sweep hosts` axis.
+/// The `topo clos hosts N` fabric, [`ClosConfig::for_hosts`] — the
+/// `sweep hosts` axis.
 pub fn clos_for_hosts(hosts: u64) -> ClosConfig {
-    ClosConfig {
-        hosts_per_tor: (hosts as usize / 4).max(1),
-        ..ClosConfig::small()
-    }
+    ClosConfig::for_hosts(hosts as usize)
+}
+
+/// The scenario's fabric at one sweep point — its `topo` spec with the
+/// `$var`s resolved, built — and the BCube shape when it names one, for
+/// the BCube routing ELP.
+pub(crate) fn fabric(
+    s: &Scenario,
+    point: &BTreeMap<String, u64>,
+) -> Result<(Topology, Option<BCubeConfig>), String> {
+    let unbound = || "unbound sweep variable in topo".to_string();
+    let spec = s
+        .topo
+        .try_map(|n| n.resolve(point).map(|v| v as usize).ok_or_else(unbound))?;
+    let topo = spec.build().map_err(|e| format!("topo: {e}"))?;
+    Ok(match (&spec.family, &spec.args[..]) {
+        (Family::BCube, &[(n, _), (k, _)]) => (topo, Some(BCubeConfig { n, k })),
+        _ => (topo, None),
+    })
 }
 
 /// The cartesian sweep grid: one `BTreeMap` of variable bindings per
@@ -141,25 +156,16 @@ pub fn instantiate(
 
     // --- Topology + rule tables -------------------------------------
     let mut checkpoint_rules = None;
-    let topo = match &s.topo {
-        TopoSpec::ClosSmall => ClosConfig::small().build(),
-        TopoSpec::ClosMedium => ClosConfig::medium().build(),
-        TopoSpec::ClosHosts(n) => clos_for_hosts(ctx.num(n, "topo clos hosts")?).build(),
-        TopoSpec::BCube { n, k } => {
-            let (n, k) = (ctx.num(n, "bcube n")?, ctx.num(k, "bcube k")?);
-            if n < 2 || k < 1 {
-                return Err(err("bcube needs n >= 2 and k >= 1"));
-            }
-            tagger_topo::bcube(n as usize, k as usize)
-        }
-        TopoSpec::Checkpoint(path) => {
+    let (topo, bcube_cfg) = match &s.checkpoint {
+        None => fabric(s, point).map_err(err)?,
+        Some(path) => {
             let full = opts.base_dir.join(path);
             let text = std::fs::read_to_string(&full)
                 .map_err(|e| err(format!("cannot read checkpoint {}: {e}", full.display())))?;
             let ckpt = tagger_audit::checkpoint::parse(&text)
                 .map_err(|e| err(format!("checkpoint {}: {e}", full.display())))?;
             checkpoint_rules = Some(ckpt.rules);
-            ckpt.topo
+            (ckpt.topo, None)
         }
     };
 
@@ -170,17 +176,9 @@ pub fn instantiate(
         TaggerMode::Off => (None, 1u8),
         TaggerMode::Bounces(k) => {
             let k = ctx.num(k, "tagger bounces")? as usize;
-            if matches!(s.topo, TopoSpec::BCube { .. }) {
+            if let Some(cfg) = &bcube_cfg {
                 use tagger_core::{Elp, Tagging};
-                let (n, kk) = match &s.topo {
-                    TopoSpec::BCube { n, k } => (ctx.num(n, "bcube n")?, ctx.num(k, "bcube k")?),
-                    _ => unreachable!(),
-                };
-                let cfg = tagger_topo::BCubeConfig {
-                    n: n as usize,
-                    k: kk as usize,
-                };
-                let elp = Elp::from_paths(tagger_routing::bcube_paths(&cfg, &topo, true));
+                let elp = Elp::from_paths(tagger_routing::bcube_paths(cfg, &topo, true));
                 let tagging = Tagging::from_elp(&topo, &elp)
                     .map_err(|e| err(format!("bcube tagging: {e:?}")))?;
                 let q = tagging.num_lossless_tags_on(&topo) as u8;

@@ -48,8 +48,8 @@ pub mod schedule;
 pub use asserts::{evaluate, feasibility_verdict, max_pause_ns, AssertOutcome};
 pub use expand::{clos_for_hosts, instantiate, points, ExpandError, RunOptions};
 pub use model::{
-    AssertSpec, Cmp, EventSpec, FlowDecl, Num, Scenario, Sweep, TaggerMode, TimeSpec, TopoSpec,
-    WatchdogDecl, Workload,
+    AssertSpec, Cmp, EventSpec, FlowDecl, Num, Scenario, Sweep, TaggerMode, TimeSpec, WatchdogDecl,
+    Workload,
 };
 pub use parse::{parse, parse_all, IssueCode, ScnIssue};
 pub use report::{PointMetrics, PointResult, ScenarioResult, SuiteReport};

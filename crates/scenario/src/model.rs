@@ -3,6 +3,7 @@
 //! resolves them against a sweep point.
 
 use tagger_core::Span;
+use tagger_topo::{ClosConfig, TopoSpec};
 
 /// An integer argument: a literal, or a `$var` resolved from the active
 /// sweep point at expansion time.
@@ -12,6 +13,13 @@ pub enum Num {
     Lit(u64),
     /// A sweep variable reference (`$hosts`).
     Var(String),
+}
+
+impl From<usize> for Num {
+    /// A literal — how a fabric spec's defaults enter a scenario.
+    fn from(v: usize) -> Num {
+        Num::Lit(v as u64)
+    }
 }
 
 impl Num {
@@ -52,27 +60,6 @@ impl TimeSpec {
             TimeSpec::Pct(p) => Some(end_ns / 100 * p),
         }
     }
-}
-
-/// Which fabric the scenario runs on.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TopoSpec {
-    /// The paper's testbed Clos (`ClosConfig::small`).
-    ClosSmall,
-    /// The 128-host Clos (`ClosConfig::medium`).
-    ClosMedium,
-    /// A 2-pod Clos skeleton scaled to roughly `hosts` hosts (the sweep
-    /// axis `sweep hosts 32..1024` runs on).
-    ClosHosts(Num),
-    /// BCube(n, k).
-    BCube {
-        /// Ports per mini-switch.
-        n: Num,
-        /// Levels - 1.
-        k: Num,
-    },
-    /// Topology (and rule tables) loaded from an audit checkpoint file.
-    Checkpoint(String),
 }
 
 /// How the Tagger rule tables are produced.
@@ -399,8 +386,11 @@ impl Sweep {
 pub struct Scenario {
     /// Scenario name (`scenario` directive; defaults to the file stem).
     pub name: String,
-    /// Fabric.
-    pub topo: TopoSpec,
+    /// Fabric (`topo` directive), unless `checkpoint` names one.
+    pub topo: TopoSpec<Num>,
+    /// Audit checkpoint the topology and rule tables are loaded from
+    /// (`checkpoint` directive), when given.
+    pub checkpoint: Option<String>,
     /// Rule-table source.
     pub tagger: TaggerMode,
     /// Seed for workload/failure randomness.
@@ -435,7 +425,8 @@ impl Default for Scenario {
     fn default() -> Self {
         Scenario {
             name: String::new(),
-            topo: TopoSpec::ClosSmall,
+            topo: ClosConfig::small().into(),
+            checkpoint: None,
             tagger: TaggerMode::Off,
             seed: 1,
             end_ns: 4_000_000,

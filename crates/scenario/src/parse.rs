@@ -10,7 +10,7 @@
 use crate::model::*;
 use std::collections::BTreeMap;
 use tagger_core::span::{spanned_words, Span};
-use tagger_topo::{did_you_mean, nearest_names};
+use tagger_topo::{did_you_mean, nearest_names, Family, SpecError, TopoSpec};
 
 /// Stable issue categories; `tagger-lint` maps these onto its `T06xx`
 /// diagnostic codes.
@@ -57,6 +57,18 @@ impl ScnIssue {
     fn hint(mut self, hint: impl Into<String>) -> ScnIssue {
         self.hint = Some(hint.into());
         self
+    }
+}
+
+impl From<SpecError> for ScnIssue {
+    /// A `topo` line the fabric spec refuses.
+    fn from(e: SpecError) -> ScnIssue {
+        ScnIssue {
+            code: IssueCode::BadArgument,
+            span: e.span,
+            message: e.message,
+            hint: e.hint,
+        }
     }
 }
 
@@ -296,38 +308,14 @@ pub fn parse_all(text: &str) -> (Scenario, Vec<ScnIssue>) {
                 if dup(&mut ctx, "topo") {
                     continue;
                 }
-                match ctx.need(1, "topology family (`clos` or `bcube`)") {
-                    Some("clos") => match ctx.word(2) {
-                        Some("small") | None => s.topo = TopoSpec::ClosSmall,
-                        Some("medium") => s.topo = TopoSpec::ClosMedium,
-                        Some("hosts") => {
-                            if let Some(n) = ctx.need_num(3, "host count") {
-                                s.topo = TopoSpec::ClosHosts(n);
-                            }
-                        }
-                        Some(w) => {
-                            ctx.bad_hint(
-                                2,
-                                format!("unknown clos size `{w}`"),
-                                "use `small`, `medium` or `hosts N`",
-                            );
-                        }
-                    },
-                    Some("bcube") => {
-                        if let (Some(n), Some(k)) =
-                            (ctx.need_num(2, "bcube n"), ctx.need_num(3, "bcube k"))
-                        {
-                            s.topo = TopoSpec::BCube { n, k };
-                        }
-                    }
-                    Some(w) => {
-                        ctx.bad_hint(
-                            1,
-                            format!("unknown topology family `{w}`"),
-                            "use `topo clos small|medium|hosts N` or `topo bcube N K`",
-                        );
-                    }
-                    None => {}
+                match TopoSpec::parse_words(lineno, &ctx.words[1..], parse_num) {
+                    Ok(spec) if matches!(spec.family, Family::File(_)) => ctx.bad_hint(
+                        1,
+                        "a scenario's fabric cannot come from a `.topo` file",
+                        "name it by family, or load it with its tables by `checkpoint PATH`",
+                    ),
+                    Ok(spec) => s.topo = spec,
+                    Err(e) => ctx.issues.push(e.into()),
                 }
             }
             "checkpoint" => {
@@ -335,7 +323,7 @@ pub fn parse_all(text: &str) -> (Scenario, Vec<ScnIssue>) {
                     continue;
                 }
                 if let Some(path) = ctx.need(1, "checkpoint path") {
-                    s.topo = TopoSpec::Checkpoint(path.to_string());
+                    s.checkpoint = Some(path.to_string());
                     s.tagger = TaggerMode::FromCheckpoint;
                 }
             }
@@ -1032,14 +1020,19 @@ fn validate(s: &Scenario) -> Vec<ScnIssue> {
     }
 
     // Node-name checks need a concrete, locally-buildable topology.
-    let topo = match &s.topo {
-        TopoSpec::ClosSmall => Some(tagger_topo::ClosConfig::small().build()),
-        TopoSpec::ClosMedium => Some(tagger_topo::ClosConfig::medium().build()),
-        TopoSpec::ClosHosts(Num::Lit(h)) => Some(crate::expand::clos_for_hosts(*h).build()),
-        TopoSpec::BCube {
-            n: Num::Lit(n),
-            k: Num::Lit(k),
-        } if *n >= 2 && *k >= 1 => Some(tagger_topo::bcube(*n as usize, *k as usize)),
+    // A literal spec that cannot build is refused here, at its word.
+    let literal = s.topo.try_map(|n| match n {
+        Num::Lit(v) => Ok(*v as usize),
+        Num::Var(_) => Err(()),
+    });
+    let topo = match (&s.checkpoint, literal) {
+        (None, Ok(spec)) => match spec.build() {
+            Ok(topo) => Some(topo),
+            Err(e) => {
+                issues.push(e.into());
+                None
+            }
+        },
         _ => None,
     };
     if let Some(topo) = topo {
@@ -1110,8 +1103,8 @@ fn validate(s: &Scenario) -> Vec<ScnIssue> {
             }
         }
     };
-    if let TopoSpec::ClosHosts(n) = &s.topo {
-        check_num(n, "topo clos hosts", &mut issues);
+    for arg in &s.topo.args {
+        check_num(&arg.0, "topo", &mut issues);
     }
     for w in &s.workloads {
         match w {
@@ -1263,7 +1256,36 @@ assert no-deadlock
         let s = parse(text).unwrap();
         assert_eq!(s.sweeps.len(), 1);
         assert_eq!(s.sweeps[0].values(), vec![32, 64, 128]);
-        assert_eq!(s.topo, TopoSpec::ClosHosts(Num::Var("hosts".into())));
+        assert_eq!(s.topo.to_string(), "clos hosts $hosts");
+    }
+
+    #[test]
+    fn topo_lines_are_fabric_specs() {
+        let s =
+            parse("scenario t\ntopo jellyfish switches=16 ports=6\nassert no-deadlock\n").unwrap();
+        assert_eq!(s.topo.to_string(), "jellyfish switches=16 ports=6 seed=7");
+        for (line, span, needle) in [
+            ("topo clso small", Span::new(2, 6, 4), "did you mean clos?"),
+            (
+                "topo clos spinse=3",
+                Span::new(2, 11, 8),
+                "did you mean spines?",
+            ),
+            (
+                "topo clos spines=0",
+                Span::new(2, 11, 8),
+                "spines=0: a Clos dimension",
+            ),
+            ("topo file ring.topo", Span::new(2, 6, 4), "`.topo` file"),
+        ] {
+            let (_, issues) = parse_all(&format!("scenario t\n{line}\nassert no-deadlock\n"));
+            let [issue] = &issues[..] else {
+                panic!("{line}: {issues:?}");
+            };
+            assert_eq!(issue.code, IssueCode::BadArgument, "{line}");
+            assert_eq!(issue.span, span, "{line}");
+            assert!(issue.to_string().contains(needle), "{line}: {issue}");
+        }
     }
 
     #[test]

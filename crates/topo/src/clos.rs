@@ -57,6 +57,15 @@ impl ClosConfig {
         }
     }
 
+    /// The small fabric scaled to roughly `hosts` hosts: its 4 ToRs get
+    /// `hosts / 4` hosts each, at least 1 — the `clos hosts N` preset.
+    pub fn for_hosts(hosts: usize) -> Self {
+        ClosConfig {
+            hosts_per_tor: (hosts / 4).max(1),
+            ..ClosConfig::small()
+        }
+    }
+
     /// Total switch count implied by the configuration.
     pub fn num_switches(&self) -> usize {
         self.spines + self.pods * (self.leaves_per_pod + self.tors_per_pod)

@@ -85,11 +85,15 @@ fn edit_distance(a: &str, b: &str) -> usize {
 /// best match first — the "did you mean ...?" suggestion source for any
 /// tool resolving operator-typed node names.
 pub fn nearest_names(topo: &Topology, name: &str) -> Vec<String> {
-    let mut scored: Vec<(usize, &str)> = topo
-        .node_ids()
-        .map(|n| topo.node(n).name.as_str())
+    nearest(name, topo.node_ids().map(|n| topo.node(n).name.as_str()))
+}
+
+/// Up to three of `candidates` within edit distance 2 of `word`, best
+/// match first.
+pub(crate) fn nearest<'a>(word: &str, candidates: impl Iterator<Item = &'a str>) -> Vec<String> {
+    let mut scored: Vec<(usize, &str)> = candidates
         .filter_map(|candidate| {
-            let d = edit_distance(name, candidate);
+            let d = edit_distance(word, candidate);
             (d <= 2).then_some((d, candidate))
         })
         .collect();

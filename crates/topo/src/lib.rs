@@ -16,6 +16,10 @@
 //! - [`JellyfishConfig`] — random regular-graph (Jellyfish) fabrics used in
 //!   the paper's Table 5 scalability study.
 //!
+//! Every tool names a fabric with one [`TopoSpec`] (`clos small`,
+//! `jellyfish switches=16 ports=6 seed=7`, `file ring.topo`, ...), parsed,
+//! rendered and built in one place.
+//!
 //! Link failures are modelled non-destructively with [`FailureSet`]: a
 //! failure set overlays a topology and masks links without mutating the
 //! underlying graph, so "before failure" and "after failure" views coexist.
@@ -26,6 +30,7 @@
 mod bcube;
 mod clos;
 mod dot;
+mod fabric;
 mod failure;
 mod fattree;
 mod ids;
@@ -36,6 +41,7 @@ mod topology;
 
 pub use bcube::{bcube, BCubeConfig};
 pub use clos::{clos2, ClosConfig};
+pub use fabric::{Family, TopoSpec};
 pub use failure::{did_you_mean, nearest_names, resolve_link, FailureSet, LinkLookupError};
 pub use fattree::fat_tree;
 pub use ids::{GlobalPort, LinkId, NodeId, PortId};

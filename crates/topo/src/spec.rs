@@ -17,7 +17,7 @@
 //! Errors carry full source coordinates (line, column, token length)
 //! plus a fix-it hint where one is known — unknown node names get
 //! nearest-name did-you-mean suggestions — so downstream tools
-//! (`tagger-plan custom`, `tagger-lint`) can render compiler-style
+//! (`tagger-plan --topo 'file PATH'`, `tagger-lint`) can render compiler-style
 //! diagnostics pointing at the offending token.
 
 use crate::span::{spanned_words, Span};
@@ -39,7 +39,7 @@ pub struct SpecError {
 }
 
 impl SpecError {
-    fn new(span: Span, message: impl Into<String>) -> SpecError {
+    pub(crate) fn new(span: Span, message: impl Into<String>) -> SpecError {
         SpecError {
             span,
             message: message.into(),
@@ -47,7 +47,7 @@ impl SpecError {
         }
     }
 
-    fn with_hint(mut self, hint: impl Into<String>) -> SpecError {
+    pub(crate) fn with_hint(mut self, hint: impl Into<String>) -> SpecError {
         self.hint = Some(hint.into());
         self
     }

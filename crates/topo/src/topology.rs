@@ -278,6 +278,13 @@ impl Topology {
             .filter(|&n| self.node(n).kind == NodeKind::Switch)
     }
 
+    /// The first switch without a layer rank ([`Layer::Flat`]), if any —
+    /// `None` when up-down routing and the layered construction apply.
+    pub fn unranked_switch(&self) -> Option<NodeId> {
+        self.switch_ids()
+            .find(|&s| self.node(s).layer.rank().is_none())
+    }
+
     /// Iterates over all host node ids in insertion order.
     pub fn host_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.node_ids()

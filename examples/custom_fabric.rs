@@ -1,6 +1,6 @@
 //! Bring your own topology: parse a fabric from the plain-text spec
 //! format, tag it, and certify deadlock freedom — the library side of
-//! what `tagger-plan custom` does.
+//! what `tagger-plan --topo 'file PATH'` does.
 //!
 //! ```sh
 //! cargo run --example custom_fabric

@@ -8,15 +8,15 @@
 //!
 //! ```text
 //! tagger-audit check <checkpoint> [--replay]
-//! tagger-audit check --journal PATH [--pods N] [--leaves N] [--tors N]
-//!                    [--spines N] [--hosts N] [--bounces K] [--tcam-budget N]
+//! tagger-audit check --journal PATH [--topo SPEC] [--bounces K] [--tcam-budget N]
 //! tagger-audit dump <checkpoint> [--out PATH]
 //! tagger-audit whatif <checkpoint> [--fail A-B[,C-D...]] [--bounces K]
 //! ```
 //!
 //! - `check` audits a checkpoint file (or a controller rebuilt from a
-//!   write-ahead journal) and exits non-zero unless a certificate is
-//!   issued. `--replay` additionally runs the generated counterexample
+//!   write-ahead journal on the fabric `--topo` names, a
+//!   [`tagger::topo::TopoSpec`], default `clos small`) and exits non-zero
+//!   unless a certificate is issued. `--replay` additionally runs the generated counterexample
 //!   flows through `tagger-sim` to demonstrate any deadlock found.
 //! - `dump` writes the topology as Graphviz DOT, with the offending
 //!   cycle highlighted in red when the audit fails.
@@ -27,7 +27,7 @@
 use std::process::ExitCode;
 
 use tagger::audit::{checkpoint, whatif, Auditor, Counterexample, DepGraph};
-use tagger::cli::{clos_config, get, get_opt, parse_args, Flags};
+use tagger::cli::{controller_topo, get, get_opt, parse_args, Flags};
 use tagger::core::RuleSet;
 use tagger::ctrl::{recover, ElpPolicy};
 use tagger::topo::{FailureSet, Topology};
@@ -62,10 +62,9 @@ fn load_checkpoint(path: &str) -> Result<checkpoint::Checkpoint, String> {
 /// journal-recovered controller.
 fn load_tables(positional: &[String], flags: &Flags) -> Result<(Topology, RuleSet, u64), String> {
     if let Some(journal_path) = flags.get("journal") {
-        let config = clos_config(flags)?;
+        let (_, topo) = controller_topo(flags)?;
         let policy = ElpPolicy::with_bounces(get(flags, "bounces", 1)?);
         let budget = get_opt(flags, "tcam-budget")?;
-        let topo = config.build();
         let recovery = recover(journal_path, topo.clone(), policy, budget)
             .map_err(|e| format!("recover {journal_path}: {e}"))?;
         let snapshot = recovery.controller.committed();
@@ -80,6 +79,14 @@ fn load_tables(positional: &[String], flags: &Flags) -> Result<(Topology, RuleSe
         let Some(path) = positional.first() else {
             return Err("check wants a checkpoint file or --journal PATH".into());
         };
+        if let Some(f) = ["topo", "bounces", "tcam-budget"]
+            .iter()
+            .find(|f| flags.contains_key(**f))
+        {
+            return Err(format!(
+                "--{f} applies to --journal; a checkpoint names its own fabric"
+            ));
+        }
         let ckpt = load_checkpoint(path)?;
         Ok((ckpt.topo, ckpt.rules, ckpt.epoch))
     }
@@ -89,16 +96,7 @@ fn cmd_check(rest: &[String]) -> Result<ExitCode, String> {
     let (positional, flags) = parse_args(
         rest,
         1,
-        &[
-            "journal",
-            "pods",
-            "leaves",
-            "tors",
-            "spines",
-            "hosts",
-            "bounces",
-            "tcam-budget",
-        ],
+        &["journal", "topo", "bounces", "tcam-budget"],
         &["replay"],
     )?;
     let (topo, rules, epoch) = load_tables(&positional, &flags)?;

@@ -9,8 +9,7 @@
 //! cannot starve the rest.
 //!
 //! ```text
-//! tagger-fleetd replay [trace-file] [--pods N] [--leaves N] [--tors N]
-//!                      [--spines N] [--hosts N] [--bounces K] [--tcam-budget N]
+//! tagger-fleetd replay [trace-file] [--topo SPEC] [--bounces K] [--tcam-budget N]
 //!                      [--chaos seed=N,fail_rate=P[,timeout_rate=P][,partial_rate=P]]
 //!                      [--journal PATH] [--checkpoint-every N]
 //!                      [--export-checkpoint PATH] [--verbose]
@@ -29,7 +28,9 @@
 //!
 //! **replay** runs one control-plane event trace (file or stdin; see
 //! `examples/reroute.trace` for the format) through a one-fabric fleet
-//! on a 3-layer Clos, and prints, per epoch, what a real deployment
+//! on the fabric `--topo` names (a [`tagger::topo::TopoSpec`], default
+//! `clos small`; the controller's ELP is up-down with bounces, so a
+//! fabric with a switch outside the layers is refused), and prints, per epoch, what a real deployment
 //! would ship to switches: per-switch rule deltas, their cost against a
 //! full-table reinstall, and the verification verdict; then the fleet
 //! report. Installs go through a reliable southbound, or the seeded
@@ -105,7 +106,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use tagger::audit::checkpoint;
-use tagger::cli::{clos_config, get, get_opt, parse_args, read_input, Flags};
+use tagger::cli::{controller_topo, get, get_opt, parse_args, read_input, Flags};
 use tagger::ctrl::{parse_trace, ChaosConfig, CtrlEvent, ElpPolicy, EpochOutcome};
 use tagger::fleet::net::{
     send_lines, ChaosTransport, ClientConfig, NetChaosConfig, ServeConfig, Server,
@@ -117,8 +118,7 @@ use tagger::fleet::{
 use tagger::topo::{ClosConfig, Topology};
 
 const USAGE: &str = "usage: tagger-fleetd <replay|soak|ingest|serve|send|drill> [options]
-  replay [trace-file] --pods N --leaves N --tors N --spines N --hosts N
-         --bounces K --tcam-budget N --chaos SPEC --journal PATH
+  replay [trace-file] --topo SPEC --bounces K --tcam-budget N --chaos SPEC --journal PATH
          --checkpoint-every N --export-checkpoint PATH [--verbose]
   soak   --fabrics N --seed S --events N --fail-rate R --dir PATH [--status] [--json]
   ingest [stream-file] --damping none|flap|flap:N --chaos SPEC
@@ -202,8 +202,7 @@ fn print_outcome(topo: &Topology, label: &str, outcome: &EpochOutcome, verbose: 
 
 fn run_replay(trace: Option<String>, flags: &Flags) -> Result<ExitCode, String> {
     const FABRIC: &str = "replay";
-    let config = clos_config(flags)?;
-    let topo = config.build();
+    let (topo_spec, topo) = controller_topo(flags)?;
     let mut spec = FabricSpec::new(FABRIC, topo.clone());
     spec.policy = ElpPolicy::with_bounces(get(flags, "bounces", 1)?);
     spec.tcam_budget = get_opt(flags, "tcam-budget")?;
@@ -269,7 +268,7 @@ fn run_replay(trace: Option<String>, flags: &Flags) -> Result<ExitCode, String> 
     print!("{}", report.render());
     if let Some(path) = flags.get("export-checkpoint") {
         let snap = fabric.controller().committed();
-        let text = checkpoint::render(&config, snap.epoch, &topo, &snap.rules);
+        let text = checkpoint::render(&topo_spec, snap.epoch, &topo, &snap.rules);
         std::fs::write(path, text).map_err(|e| format!("cannot write checkpoint {path}: {e}"))?;
         println!("exported epoch {} checkpoint to {path}", snap.epoch);
     }
@@ -672,11 +671,7 @@ fn main() -> ExitCode {
             &args[1..],
             1,
             &[
-                "pods",
-                "leaves",
-                "tors",
-                "spines",
-                "hosts",
+                "topo",
                 "bounces",
                 "tcam-budget",
                 "chaos",

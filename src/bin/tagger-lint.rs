@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! tagger-lint check <file...> [--format human|json] [--elp updown|bounces=K]
-//!                   [--budget N] [--no-audit] [--pods N] [--leaves N]
-//!                   [--tors N] [--spines N] [--hosts N]
+//!                   [--budget N] [--no-audit] [--topo SPEC]
 //! tagger-lint explain <code>
 //! ```
 //!
@@ -12,8 +11,9 @@
 //! from content, so misnamed files still work — and exits non-zero iff
 //! at least one error-severity diagnostic was emitted. Checkpoints and
 //! topology specs carry their own topology; scenarios declare theirs;
-//! traces are resolved against a Clos built from the `--pods`-family
-//! flags (defaults match `tagger-fleetd replay`). `--elp` additionally
+//! traces are resolved against the fabric `--topo` names (a
+//! [`tagger::topo::TopoSpec`], default `clos small` as for
+//! `tagger-fleetd replay`). `--elp` additionally
 //! checks that every expected lossless path stays lossless under a
 //! checkpoint's tables; `--no-audit` skips the independent-auditor
 //! cross-check. `--budget N` overrides the
@@ -26,7 +26,7 @@
 
 use std::process::ExitCode;
 
-use tagger::cli::{clos_config, get_opt, parse_args};
+use tagger::cli::{get_opt, parse_args, topo_spec};
 use tagger::lint::{codes, lint_files, render_json, ElpSpec, LintOptions};
 
 fn main() -> ExitCode {
@@ -53,9 +53,7 @@ fn cmd_check(rest: &[String]) -> Result<ExitCode, String> {
     let (files, flags) = parse_args(
         rest,
         usize::MAX,
-        &[
-            "format", "elp", "budget", "pods", "leaves", "tors", "spines", "hosts",
-        ],
+        &["format", "elp", "budget", "topo"],
         &["no-audit"],
     )?;
     if files.is_empty() {
@@ -73,7 +71,9 @@ fn cmd_check(rest: &[String]) -> Result<ExitCode, String> {
             None => return Err(format!("--elp wants `updown` or `bounces=K`, got {spec:?}")),
         },
     };
-    let trace_topo = clos_config(&flags)?.build();
+    let trace_topo = topo_spec(&flags)?
+        .build()
+        .map_err(|e| format!("--topo: {e}"))?;
     let opts = LintOptions {
         elp,
         audit_cross_check: !flags.contains_key("no-audit"),

@@ -69,6 +69,7 @@ pub mod prelude {
 pub mod cli {
     use std::collections::BTreeMap;
     use std::str::FromStr;
+    use tagger_topo::{TopoSpec, Topology};
 
     /// Flags seen on a command line, keyed by name without the `--`;
     /// a valueless switch maps to the empty string.
@@ -110,18 +111,28 @@ pub mod cli {
         Ok((positional, flags))
     }
 
-    /// The small Clos the `--pods`/`--leaves`/`--tors`/`--spines`/
-    /// `--hosts` family describes; every binary that takes the family
-    /// shares these defaults, so a trace replays on the same fabric in
-    /// `tagger-fleetd replay`, `tagger-audit` and `tagger-lint`.
-    pub fn clos_config(flags: &Flags) -> Result<tagger_topo::ClosConfig, String> {
-        Ok(tagger_topo::ClosConfig {
-            pods: get(flags, "pods", 2)?,
-            leaves_per_pod: get(flags, "leaves", 2)?,
-            tors_per_pod: get(flags, "tors", 2)?,
-            spines: get(flags, "spines", 2)?,
-            hosts_per_tor: get(flags, "hosts", 4)?,
-        })
+    /// The fabric `--topo '<spec>'` names, `clos small` when the flag is
+    /// absent — the one fabric flag of `tagger-plan`, `tagger-fleetd
+    /// replay`, `tagger-audit check --journal` and `tagger-lint check`.
+    pub fn topo_spec(flags: &Flags) -> Result<TopoSpec, String> {
+        let text = flags.get("topo").map_or("clos small", String::as_str);
+        text.parse().map_err(|e| format!("--topo: {e}"))
+    }
+
+    /// The fabric `--topo` names, built for a live controller: its ELP
+    /// is up-down with bounces, so a fabric with a switch outside the
+    /// layers is refused before any controller bootstraps on it.
+    pub fn controller_topo(flags: &Flags) -> Result<(TopoSpec, Topology), String> {
+        let spec = topo_spec(flags)?;
+        let topo = spec.build().map_err(|e| format!("--topo: {e}"))?;
+        if let Some(sw) = topo.unranked_switch() {
+            return Err(format!(
+                "--topo: `{spec}` cannot run under the controller: its ELP is up-down with \
+                 bounces and switch {} has no layer (plan it with tagger-plan instead)",
+                topo.node(sw).name
+            ));
+        }
+        Ok((spec, topo))
     }
 
     /// The value of `--key` as a number, if the flag was given.

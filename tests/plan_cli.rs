@@ -1,8 +1,8 @@
-//! `tagger-plan` at the process boundary: a flag it does not know, a
-//! flag with no value, a value that is not a number and an argument a
-//! fabric does not take are refused with the argument named, not
-//! skipped or panicked on; `tagger-plan table` reproduces the committed
-//! planner tables byte for byte.
+//! `tagger-plan` at the process boundary: a flag or fabric-spec key it
+//! does not know, a flag with no value, a value that is not a number, a
+//! stray argument and a dimension no builder takes are refused with the
+//! argument named, not skipped or panicked on; `tagger-plan table`
+//! reproduces the committed planner tables byte for byte.
 
 use std::process::{Command, Output};
 
@@ -13,39 +13,92 @@ fn plan(args: &[&str]) -> Output {
         .expect("tagger-plan runs")
 }
 
-/// Exit 1, nothing planned, and a single stderr line containing `needle`.
+/// Exit 1, nothing planned, no panic, and a single stderr line
+/// containing `needle`.
 fn assert_refused(out: &Output, needle: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
     assert!(out.stdout.is_empty(), "planned anyway");
     assert_eq!(stderr.lines().count(), 1, "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
     assert!(stderr.contains(needle), "stderr: {stderr}");
 }
 
 #[test]
 fn unknown_and_malformed_flags_are_refused() {
-    // A misspelt flag used to plan the default 50-switch fabric.
-    assert_refused(&plan(&["jellyfish", "--switchs", "500"]), "--switchs");
-    // Another fabric's flag is as unknown as a misspelt one.
-    assert_refused(&plan(&["jellyfish", "--pods", "3"]), "--pods");
+    // A misspelt key used to plan the default 50-switch fabric.
+    assert_refused(
+        &plan(&["--topo", "jellyfish switchs=500"]),
+        "line 1:11: unknown `jellyfish` key \"switchs\" (did you mean switches?)",
+    );
+    // Another family's key is as unknown as a misspelt one.
+    assert_refused(
+        &plan(&["--topo", "jellyfish pods=3"]),
+        "unknown `jellyfish` key \"pods\"",
+    );
+    assert_refused(&plan(&["--topo", "clso"]), "(did you mean clos?)");
+    // The retired per-fabric flags and subcommands are unknown.
+    assert_refused(&plan(&["--switches", "500"]), "unknown flag --switches");
+    assert_refused(&plan(&["jellyfish"]), "unexpected argument `jellyfish`");
     // A trailing flag with no value used to be dropped.
-    assert_refused(&plan(&["jellyfish", "--seed"]), "--seed");
+    assert_refused(&plan(&["--topo"]), "--topo needs a value");
+    assert_refused(
+        &plan(&["--topo", "clos", "--bounces"]),
+        "--bounces needs a value",
+    );
     // A non-numeric value used to panic.
-    assert_refused(&plan(&["jellyfish", "--ports", "x"]), "--ports");
-    assert_refused(&plan(&["clos", "--bounces", "one"]), "--bounces");
+    assert_refused(
+        &plan(&["--topo", "jellyfish ports=x"]),
+        "line 1:11: ports wants a number, got \"x\"",
+    );
+    assert_refused(&plan(&["--bounces", "one"]), "--bounces");
     // A stray positional used to plan the default 2-pod fabric.
-    assert_refused(&plan(&["clos", "4"]), "unexpected argument `4`");
+    assert_refused(&plan(&["--topo", "clos", "4"]), "unexpected argument `4`");
+    // A knob of the other ELP is refused, not ignored.
+    assert_refused(
+        &plan(&["--topo", "jellyfish", "--bounces", "2"]),
+        "--bounces does not apply",
+    );
     // The accepted spellings still plan, on the fabric they name.
-    let ok = plan(&["jellyfish", "--switches", "12", "--ports", "6", "--rules"]);
+    let ok = plan(&["--topo", "jellyfish switches=12 ports=6", "--rules"]);
     assert_eq!(ok.status.code(), Some(0));
     let shown = String::from_utf8_lossy(&ok.stdout);
     assert!(
-        shown.contains("jellyfish 12 switches x 6 ports (seed 7)"),
+        shown.starts_with(
+            "plan: jellyfish switches=12 ports=6 seed=7, switch-pair shortest-path ELP\n"
+        ),
         "{shown}"
     );
     assert!(
         shown.contains("switch "),
         "--rules dumps the tables: {shown}"
+    );
+}
+
+// A dimension the fabric's builder cannot take used to panic with a
+// backtrace (exit 101); it is refused at the number to blame.
+
+#[test]
+fn an_odd_fat_tree_is_refused() {
+    assert_refused(
+        &plan(&["--topo", "fattree 3"]),
+        "--topo: line 1:9: k=3: a fat-tree needs an even k of at least 2",
+    );
+}
+
+#[test]
+fn a_jellyfish_too_small_to_wire_is_refused() {
+    assert_refused(
+        &plan(&["--topo", "jellyfish switches=4 ports=2"]),
+        "--topo: line 1:22: ports=2: a Jellyfish switch needs at least 4 ports",
+    );
+}
+
+#[test]
+fn a_clos_without_hosts_is_refused() {
+    assert_refused(
+        &plan(&["--topo", "clos hosts_per_tor=0"]),
+        "--topo: line 1:6: hosts_per_tor=0: a Clos dimension must be at least 1",
     );
 }
 
