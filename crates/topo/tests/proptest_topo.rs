@@ -2,7 +2,7 @@
 //! hold for every legal dimensioning, not just the fixtures.
 
 use proptest::prelude::*;
-use tagger_topo::{bcube, fat_tree, BCubeConfig, ClosConfig, JellyfishConfig, NodeKind};
+use tagger_topo::{bcube, fat_tree, BCubeConfig, ClosConfig, JellyfishConfig, NodeKind, TopoSpec};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -92,6 +92,30 @@ proptest! {
                 let peer = topo.peer_of(gp).unwrap();
                 prop_assert_eq!(topo.peer_of(peer).unwrap(), gp);
             }
+        }
+    }
+
+    /// Any spec with small numbers, zeros included, either builds a
+    /// consistent fabric or is refused at one of its words; no builder
+    /// assertion is reachable through a spec.
+    #[test]
+    fn specs_build_or_refuse_without_panicking(
+        family in 0usize..5,
+        a in 0usize..12,
+        b in 0usize..12,
+        c in 0usize..4,
+    ) {
+        let text = match family {
+            0 => format!("clos pods={c} leaves_per_pod={a} spines={b} hosts_per_tor={c}"),
+            1 => format!("clos hosts {a}"),
+            2 => format!("fattree {a}"),
+            3 => format!("jellyfish switches={a} ports={b} seed={c}"),
+            _ => format!("bcube {a} {c}"),
+        };
+        let spec: TopoSpec = text.parse().unwrap();
+        match spec.build() {
+            Ok(topo) => prop_assert!(topo.check_consistency().is_ok(), "{}", text),
+            Err(e) => prop_assert!(e.span.line == 1 && e.span.len > 0, "{}: {}", text, e),
         }
     }
 }
