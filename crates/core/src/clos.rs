@@ -61,11 +61,8 @@ pub fn clos_tagging_masked(
     masked: impl Fn(NodeId, PortId) -> bool,
 ) -> Result<Tagging, ClosError> {
     let max_tag = (k + 1) as u16;
-    // Sanity: every switch must be ranked.
-    for sw in topo.switch_ids() {
-        if topo.node(sw).layer.rank().is_none() {
-            return Err(ClosError::UnrankedSwitch(sw));
-        }
+    if let Some(sw) = topo.unranked_switch() {
+        return Err(ClosError::UnrankedSwitch(sw));
     }
 
     let mut rules = RuleSet::new();
