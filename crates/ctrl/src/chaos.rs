@@ -66,7 +66,9 @@ impl ChaosConfig {
 
     /// Parses the `--chaos` flag syntax: comma-separated `key=value`
     /// pairs, e.g. `seed=7,fail_rate=0.3,timeout_rate=0.1`. Unset keys
-    /// default to seed 0 and rate 0.
+    /// default to seed 0 and rate 0. A rate must be a finite number: a
+    /// NaN would survive the clamp and fail every draw's comparison,
+    /// silently turning the chaos off.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut cfg = ChaosConfig {
             seed: 0,
@@ -79,11 +81,15 @@ impl ChaosConfig {
                 .split_once('=')
                 .ok_or_else(|| format!("chaos spec {pair:?} is not key=value"))?;
             let bad = || format!("chaos {key} wants a number, got {value:?}");
+            let rate = || match value.trim().parse::<f64>() {
+                Ok(r) if r.is_finite() => Ok(r),
+                _ => Err(format!("chaos {key} wants a finite number, got {value:?}")),
+            };
             match key.trim() {
                 "seed" => cfg.seed = value.trim().parse().map_err(|_| bad())?,
-                "fail_rate" => cfg.fail_rate = value.trim().parse().map_err(|_| bad())?,
-                "timeout_rate" => cfg.timeout_rate = value.trim().parse().map_err(|_| bad())?,
-                "partial_rate" => cfg.partial_rate = value.trim().parse().map_err(|_| bad())?,
+                "fail_rate" => cfg.fail_rate = rate()?,
+                "timeout_rate" => cfg.timeout_rate = rate()?,
+                "partial_rate" => cfg.partial_rate = rate()?,
                 other => return Err(format!("unknown chaos key {other:?}")),
             }
         }
@@ -207,6 +213,19 @@ mod tests {
         assert!(ChaosConfig::parse("seed=x").is_err());
         assert!(ChaosConfig::parse("frobs=1").is_err());
         assert!(ChaosConfig::parse("fail_rate=0.2,bogus").is_err());
+    }
+
+    #[test]
+    fn non_finite_rates_are_refused_by_key() {
+        for (spec, key) in [
+            ("seed=7,fail_rate=nan", "fail_rate"),
+            ("timeout_rate=inf", "timeout_rate"),
+            ("partial_rate=-inf", "partial_rate"),
+            ("fail_rate=NaN", "fail_rate"),
+        ] {
+            let err = ChaosConfig::parse(spec).unwrap_err();
+            assert!(err.contains(key) && err.contains("finite"), "{spec}: {err}");
+        }
     }
 
     #[test]

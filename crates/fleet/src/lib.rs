@@ -31,7 +31,11 @@
 //! - [`run_soak`] — the chaos-soak drill: every fabric under a distinct
 //!   seeded fault schedule, graded on audit certification, journal
 //!   recoverability, quarantine consistency, and southbound convergence,
-//!   emitting a byte-stable [`ReadinessReport`].
+//!   emitting a byte-stable [`ReadinessReport`]. `tests/soak_e2e.rs`
+//!   holds it to `results/fleet_soak.txt`; [`fabric_lines`],
+//!   [`fabric_seed`] and [`solo_replay`] are what `tests/net_soak.rs`
+//!   drives through the network front and holds to
+//!   `results/ingest_drill.txt`.
 //! - [`net`] — the framed TCP ingest front (DESIGN §15): a
 //!   resynchronizing wire codec, a server that is one readiness loop on
 //!   one thread, with per-client sequence dedupe and `Backpressure`

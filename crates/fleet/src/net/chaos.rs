@@ -86,21 +86,6 @@ pub struct NetChaosConfig {
 }
 
 impl NetChaosConfig {
-    /// A schedule with the given seed and per-fault rate applied to
-    /// disconnects, duplicates and truncations (delays at double the
-    /// rate, capped at 10 ms), clamped.
-    pub fn new(seed: u64, rate: f64) -> Self {
-        NetChaosConfig {
-            seed,
-            disconnect_rate: rate,
-            duplicate_rate: rate,
-            truncate_rate: rate,
-            delay_rate: rate * 2.0,
-            max_delay_ms: 10,
-        }
-        .clamped()
-    }
-
     /// Clamps each rate to `[0, 0.9]` and rescales so the total stays
     /// at or below 0.9.
     pub fn clamped(mut self) -> Self {
@@ -122,38 +107,6 @@ impl NetChaosConfig {
             self.delay_rate *= scale;
         }
         self
-    }
-
-    /// Parses the `--net-chaos` flag syntax: comma-separated
-    /// `key=value` pairs — `seed=7,disconnect=0.05,duplicate=0.1,`
-    /// `truncate=0.05,delay=0.2,max_delay_ms=10`. Unset keys default
-    /// to seed 0 and rate 0.
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut cfg = NetChaosConfig {
-            seed: 0,
-            disconnect_rate: 0.0,
-            duplicate_rate: 0.0,
-            truncate_rate: 0.0,
-            delay_rate: 0.0,
-            max_delay_ms: 10,
-        };
-        for pair in spec.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("net-chaos spec {pair:?} is not key=value"))?;
-            let bad = || format!("net-chaos {key} wants a number, got {value:?}");
-            let v = value.trim();
-            match key.trim() {
-                "seed" => cfg.seed = v.parse().map_err(|_| bad())?,
-                "disconnect" => cfg.disconnect_rate = v.parse().map_err(|_| bad())?,
-                "duplicate" => cfg.duplicate_rate = v.parse().map_err(|_| bad())?,
-                "truncate" => cfg.truncate_rate = v.parse().map_err(|_| bad())?,
-                "delay" => cfg.delay_rate = v.parse().map_err(|_| bad())?,
-                "max_delay_ms" => cfg.max_delay_ms = v.parse().map_err(|_| bad())?,
-                other => return Err(format!("unknown net-chaos key {other:?}")),
-            }
-        }
-        Ok(cfg.clamped())
     }
 }
 
@@ -466,20 +419,5 @@ mod tests {
         .clamped();
         let total = cfg.disconnect_rate + cfg.duplicate_rate + cfg.truncate_rate + cfg.delay_rate;
         assert!(total <= 0.9 + 1e-9, "total {total} must stay survivable");
-    }
-
-    #[test]
-    fn parse_round_trips_the_flag_syntax() {
-        let cfg =
-            NetChaosConfig::parse("seed=7,disconnect=0.05,duplicate=0.1,truncate=0.02,delay=0.2")
-                .unwrap();
-        assert_eq!(cfg.seed, 7);
-        assert!((cfg.duplicate_rate - 0.1).abs() < 1e-9);
-        assert!(NetChaosConfig::parse("disconnect=high").is_err());
-        assert!(NetChaosConfig::parse("frobnicate=1").is_err());
-        assert!(
-            NetChaosConfig::parse("").is_ok(),
-            "an empty spec means default rates"
-        );
     }
 }

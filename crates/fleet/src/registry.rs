@@ -57,7 +57,7 @@ fn sanitize(name: &str) -> String {
 }
 
 /// FNV-1a, 64-bit: the name hash behind [`chaos_for`] and the journal
-/// fingerprint the ingest drill prints.
+/// fingerprint `results/ingest_drill.txt` pins.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)

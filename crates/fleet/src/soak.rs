@@ -23,10 +23,12 @@
 //! final [`FabricStatus`] — the same capture the drill's fleet snapshot
 //! holds — plus the three gates only the drill checks. The
 //! [`ReadinessReport`] renders only seed-deterministic fields, so it is
-//! byte-stable given a seed — CI pins one and diffs.
+//! byte-stable given a seed — `tests/soak_e2e.rs` pins one against
+//! `results/fleet_soak.txt`.
 
 use crate::error::FleetError;
 use crate::fabric::FabricSpec;
+use crate::net::chaos::SplitMix64;
 use crate::registry::{Fleet, FleetConfig};
 use crate::report::{FabricStatus, FleetReport};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -54,8 +56,7 @@ pub struct SoakConfig {
 }
 
 impl SoakConfig {
-    /// The CI drill: 8 fabrics, 48 events each, 25% chaos, rooted at
-    /// `dir`.
+    /// 8 fabrics, 48 events each, 25% chaos, seed 1, rooted at `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         SoakConfig {
             fabrics: 8,
@@ -174,13 +175,11 @@ pub struct SoakOutcome {
     pub drain_cycles: u64,
 }
 
-/// Derives fabric `i`'s private seed from the master seed
-/// (SplitMix64-style, so neighbouring fabrics get unrelated streams).
+/// Derives fabric `i`'s private seed from the master seed: the first
+/// SplitMix64 draw from `master + i·γ`, so neighbouring fabrics get
+/// unrelated streams.
 pub fn fabric_seed(master: u64, i: u64) -> u64 {
-    let mut z = master.wrapping_add(i.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    SplitMix64::new(master.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))).next_u64()
 }
 
 /// Generates one fabric's seeded soak schedule over `topo`:
@@ -189,7 +188,7 @@ pub fn fabric_seed(master: u64, i: u64) -> u64 {
 ///
 /// This is the scenario library's `baseline` mix
 /// ([`tagger_scenario::schedule`]) — the generator lives there so
-/// `.scn`-driven drills and the fleet daemon draw from the same seeded
+/// `.scn`-driven drills and the fleet soak draw from the same seeded
 /// streams. Invariants (at most 2 links down, at most 1 quarantine,
 /// exact healing tail) are the library's contract.
 pub fn soak_schedule(topo: &Topology, seed: u64, events: usize) -> Vec<CtrlEvent> {

@@ -1,12 +1,13 @@
-//! The chaos-proxy loopback soak (ISSUE 9 acceptance): the full
-//! 8-fabric scenario-schedule mix is delivered over TCP *through a
-//! fault-injecting proxy*, and the resulting write-ahead journals must
-//! come out byte-identical to a solo in-process replay of the same
-//! lines — zero events lost, zero double-applied, every fabric
-//! converged. Plus the backpressure drill: a client hammering a tiny
-//! queue is pushed back, backs off, and still delivers 100%; and the
-//! flood drill: a peer that writes without ever reading is cut off
-//! while an honest client beside it delivers everything.
+//! The chaos-proxy loopback soak: the full 8-fabric scenario-schedule
+//! mix is delivered over TCP *through a fault-injecting proxy*, and the
+//! resulting write-ahead journals must come out byte-identical to a
+//! solo in-process replay of the same lines — zero events lost, zero
+//! double-applied, every fabric converged — with every journal's length
+//! and FNV-64 pinned by `results/ingest_drill.txt`. Plus the
+//! backpressure drill: a client hammering a tiny queue is pushed back,
+//! backs off, and still delivers 100%; and the flood drill: a peer that
+//! writes without ever reading is cut off while an honest client beside
+//! it delivers everything.
 
 use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
@@ -16,12 +17,13 @@ use tagger_fleet::net::wire::Msg;
 use tagger_fleet::net::{
     send_lines, ChaosTransport, ClientConfig, NetChaosConfig, ServeConfig, Server,
 };
-use tagger_fleet::{fabric_lines, fabric_seed, solo_replay, FabricSpec, Fleet, FleetConfig};
+use tagger_fleet::{fabric_lines, fabric_seed, fnv64, solo_replay, FabricSpec, Fleet, FleetConfig};
 use tagger_topo::ClosConfig;
 
 const SOAK_SEED: u64 = 0xC0FFEE;
 const FABRICS: usize = 8;
 const EVENTS_PER_FABRIC: usize = 24;
+const INGEST_DRILL: &str = include_str!("../../../results/ingest_drill.txt");
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("tagger-netsoak-{}-{name}", std::process::id()))
@@ -112,9 +114,16 @@ fn chaos_proxy_loopback_soak_matches_solo_replay() {
 
     // Exactly-once at the fabric queues: ingested equals the schedule
     // length — a lost event would undershoot, a double-applied duplicate
-    // would overshoot.
+    // would overshoot. The decisive assertion: journals byte-identical to
+    // solo replay, each one's length and hash equal to the golden's.
     assert!(outcome.report.healthy(), "{}", outcome.report.render());
-    for (i, fabric_lines) in lines.iter().enumerate() {
+    let template = FabricSpec::new("", topo).with_chaos(base_chaos);
+    solo_replay(&dir_solo, &template, &lines.concat()).expect("solo replay");
+    let mut text = format!(
+        "tagger-fleetd: drill seed {SOAK_SEED:#x}, {FABRICS} fabrics, \
+         ~{EVENTS_PER_FABRIC} events each, chaos proxy armed\n"
+    );
+    for (i, (report, fabric_lines)) in reports.iter().zip(&lines).enumerate() {
         let name = format!("net-{i}");
         let status = outcome
             .report
@@ -128,20 +137,32 @@ fn chaos_proxy_loopback_soak_matches_solo_replay() {
             "fabric {name}: lost or double-applied events"
         );
         assert_eq!(status.queued, 0, "fabric {name}: shutdown left a queue");
-    }
-
-    // The decisive assertion: journals byte-identical to solo replay.
-    let template = FabricSpec::new("", topo).with_chaos(base_chaos);
-    solo_replay(&dir_solo, &template, &lines.concat()).expect("solo replay");
-    for i in 0..FABRICS {
-        let name = format!("net-{i}.journal");
-        let networked = std::fs::read(dir_net.join(&name)).expect("networked journal");
-        let solo = std::fs::read(dir_solo.join(&name)).expect("solo journal");
+        let journal = format!("{name}.journal");
+        let networked = std::fs::read(dir_net.join(&journal)).expect("networked journal");
+        let solo = std::fs::read(dir_solo.join(&journal)).expect("solo journal");
         assert_eq!(
             networked, solo,
-            "journal {name} differs between networked and solo replay"
+            "journal {journal} differs between networked and solo replay"
+        );
+        text += &format!(
+            "fabric {name}: offered {} delivered {} rejected {} ingested {} \
+             journal {} bytes fnv64 {:#018x} [ok]\n",
+            report.offered,
+            report.delivered,
+            report.rejections.len(),
+            status.ingested,
+            networked.len(),
+            fnv64(&networked),
         );
     }
+    text += &format!(
+        "drill: {FABRICS}/{FABRICS} fabrics delivered exactly-once; \
+         journals byte-identical to solo replay\n"
+    );
+    assert!(
+        text == INGEST_DRILL,
+        "the drill report differs from results/ingest_drill.txt:\n{text}"
+    );
 
     std::fs::remove_dir_all(&dir_net).ok();
     std::fs::remove_dir_all(&dir_solo).ok();
@@ -219,10 +240,10 @@ fn backpressure_is_graceful_and_starves_nobody() {
 
 /// One stream, three fronts: the lines `tagger-fleetd ingest` style
 /// (in-process, drained as the stream arrives), through `Server` +
-/// `send_lines`, and through the drills' `solo_replay`. All three
-/// register fabrics on first mention through `Fleet::ingest_stream_line`
-/// — chaos seeded by fabric *name*, never by registration order — so
-/// the journals must come out byte-identical.
+/// `send_lines`, and through `solo_replay`. All three register fabrics
+/// on first mention through `Fleet::ingest_stream_line` — chaos seeded
+/// by fabric *name*, never by registration order — so the journals must
+/// come out byte-identical.
 #[test]
 fn one_stream_leaves_the_same_journals_in_process_and_over_the_wire() {
     let dirs = ["stream-inproc", "stream-net", "stream-solo"].map(tmp);

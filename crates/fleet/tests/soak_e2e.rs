@@ -1,43 +1,36 @@
-//! End-to-end soak drill (ISSUE acceptance): ≥8 fabrics under distinct
-//! seeded chaos schedules in one process, every fabric audit-certified
-//! and crash-recoverable, and the readiness report byte-stable given
-//! the seed — even across different journal directories.
+//! The fleet soak golden: 8 fabrics under distinct seeded chaos
+//! schedules in one process, every fabric audit-certified and
+//! crash-recoverable, and the banner, readiness report and JSON snapshot
+//! byte-identical to `results/fleet_soak.txt`. The run journals into a
+//! fresh per-process directory, so the golden also pins that nothing in
+//! the report depends on where the journals live.
 
-use std::path::PathBuf;
 use tagger_fleet::{run_soak, SoakConfig};
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("tagger-soak-e2e-{}-{tag}", std::process::id()))
-}
+const GOLDEN: &str = include_str!("../../../results/fleet_soak.txt");
 
 #[test]
-fn eight_fabric_soak_certifies_and_is_byte_stable() {
-    let run = |tag: &str| {
-        let dir = tmp_dir(tag);
-        std::fs::remove_dir_all(&dir).ok();
-        let mut cfg = SoakConfig::new(&dir);
-        cfg.fabrics = 8;
-        // Deliberately light: this is the debug-mode invariant check.
-        // The full-size drill (48 events per fabric, release) runs as
-        // the `fleet-soak` CI job via `tagger-fleetd soak`.
-        cfg.events_per_fabric = 6;
-        cfg.seed = 2026;
-        let outcome = run_soak(&cfg).expect("soak runs");
-        std::fs::remove_dir_all(&dir).ok();
-        outcome
-    };
+fn eight_fabric_soak_certifies_and_matches_its_golden() {
+    let dir = std::env::temp_dir().join(format!("tagger-soak-e2e-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut cfg = SoakConfig::new(&dir);
+    cfg.fabrics = 8;
+    cfg.seed = 42;
+    cfg.events_per_fabric = 48;
+    cfg.fail_rate = 0.25;
+    let outcome = run_soak(&cfg).expect("soak runs");
+    std::fs::remove_dir_all(&dir).ok();
 
-    let first = run("a");
-    assert_eq!(first.readiness.fabrics.len(), 8);
+    assert_eq!(outcome.readiness.fabrics.len(), 8);
     assert!(
-        first.readiness.all_ready(),
+        outcome.readiness.all_ready(),
         "every fabric must end certified, recoverable, quarantine-consistent \
          and converged:\n{}",
-        first.readiness.render()
+        outcome.readiness.render()
     );
     // Chaos really ran: distinct seeded schedules injected faults
     // somewhere in the fleet, and the controllers still certified.
-    let faults: u64 = first
+    let faults: u64 = outcome
         .readiness
         .fabrics
         .iter()
@@ -48,7 +41,7 @@ fn eight_fabric_soak_certifies_and_is_byte_stable() {
         "the chaos schedules must actually inject faults"
     );
     // Schedules are distinct per fabric.
-    let ingests: std::collections::BTreeSet<(u64, u64)> = first
+    let ingests: std::collections::BTreeSet<(u64, u64)> = outcome
         .readiness
         .fabrics
         .iter()
@@ -59,18 +52,17 @@ fn eight_fabric_soak_certifies_and_is_byte_stable() {
         "fabrics must run distinct schedules, not copies of one"
     );
 
-    // Byte-stability: a second run with the same seed — in a different
-    // journal directory — renders the identical readiness report and
-    // the identical JSON snapshot.
-    let second = run("b");
-    assert_eq!(
-        first.readiness.render(),
-        second.readiness.render(),
-        "readiness report must be byte-stable given the seed"
+    let text = format!(
+        "tagger-fleetd: soaking {} fabrics ({} events each, chaos fail_rate {:.2}, seed {})\n{}{}",
+        cfg.fabrics,
+        cfg.events_per_fabric,
+        cfg.fail_rate,
+        cfg.seed,
+        outcome.readiness.render(),
+        outcome.snapshot.to_json(),
     );
-    assert_eq!(
-        first.snapshot.to_json(),
-        second.snapshot.to_json(),
-        "fleet JSON snapshot must be byte-stable given the seed"
+    assert!(
+        text == GOLDEN,
+        "the soak report differs from results/fleet_soak.txt:\n{text}"
     );
 }

@@ -13,8 +13,6 @@
 //!                      [--chaos seed=N,fail_rate=P[,timeout_rate=P][,partial_rate=P]]
 //!                      [--journal PATH] [--checkpoint-every N]
 //!                      [--export-checkpoint PATH] [--verbose]
-//! tagger-fleetd soak   [--fabrics N] [--seed S] [--events N]
-//!                      [--fail-rate R] [--dir PATH] [--status] [--json]
 //! tagger-fleetd ingest [stream-file] [--damping SPEC]
 //!                      [--chaos seed=N,fail_rate=P,...] [--dir PATH]
 //!                      [--quantum N] [--queue-cap N] [--json]
@@ -23,7 +21,6 @@
 //!                      [--quantum N] [--queue-cap N] [--budget N] [--json]
 //! tagger-fleetd send   [stream-file] --addr HOST:PORT [--client N] [--seed S]
 //!                      [--attempts N] [--reconnects N] [--json]
-//! tagger-fleetd drill  [--seed S] [--fabrics N] [--events N] [--dir PATH]
 //! ```
 //!
 //! **replay** runs one control-plane event trace (file or stdin; see
@@ -43,14 +40,6 @@
 //! fails verification, the audit finds a violation, the switches
 //! diverge from the committed tables, or a single-link commit's deltas
 //! do not beat a full reinstall.
-//!
-//! **soak** runs the chaos-soak drill: `--fabrics` fabrics, each under a
-//! distinct seeded event schedule *and* a distinct seeded southbound
-//! fault schedule, interleaved through the ingest front. Every fabric
-//! must end audit-certified, journal-recoverable, quarantine-consistent
-//! and converged; the readiness report is byte-stable given `--seed`.
-//! Exits non-zero if any fabric is not ready. `--status` also prints the
-//! fleet status rollup; `--json` prints the deterministic JSON snapshot.
 //!
 //! **ingest** replays an interleaved multi-fabric event stream. Each
 //! line is `<fabric>: <trace-line>` in the trace syntax `replay` reads
@@ -84,18 +73,6 @@
 //! timing-dependent counters). Exits non-zero if any line was
 //! permanently rejected.
 //!
-//! **drill** is the acceptance gate for the network stack, in one
-//! process: an in-process server (chaotic southbound) behind a
-//! fault-injecting `ChaosTransport` proxy (disconnects, duplicates,
-//! mid-frame truncation, delays, all drawn from the pinned seed), one
-//! client thread per fabric driving the scenario-schedule mix through
-//! the proxy, then the identical lines replayed through a solo
-//! in-process fleet with the write-ahead journals compared **byte for
-//! byte**. Stdout is deterministic at a fixed seed (CI `cmp`s it against
-//! `results/ingest_drill.txt`); timing-dependent transport counters go
-//! to stderr. Exits non-zero on any lost, double-applied or rejected
-//! event, or any journal divergence.
-//!
 //! Journals land under `--dir` (default: a per-process temp directory),
 //! one file per fabric; registering two fabrics whose journals would
 //! collide is refused. A positional argument a subcommand does not take
@@ -103,31 +80,23 @@
 
 use std::io::BufRead;
 use std::process::ExitCode;
-use std::time::Duration;
 
 use tagger::audit::checkpoint;
 use tagger::cli::{controller_topo, get, get_opt, parse_args, read_input, Flags};
 use tagger::ctrl::{parse_trace, ChaosConfig, CtrlEvent, ElpPolicy, EpochOutcome};
-use tagger::fleet::net::{
-    send_lines, ChaosTransport, ClientConfig, NetChaosConfig, ServeConfig, Server,
-};
-use tagger::fleet::{
-    fabric_lines, fabric_seed, fnv64, solo_replay, Damping, FabricSpec, Fleet, FleetConfig,
-    FleetError, SoakConfig,
-};
+use tagger::fleet::net::{send_lines, ClientConfig, ServeConfig, Server};
+use tagger::fleet::{Damping, FabricSpec, Fleet, FleetConfig, FleetError};
 use tagger::topo::{ClosConfig, Topology};
 
-const USAGE: &str = "usage: tagger-fleetd <replay|soak|ingest|serve|send|drill> [options]
+const USAGE: &str = "usage: tagger-fleetd <replay|ingest|serve|send> [options]
   replay [trace-file] --topo SPEC --bounces K --tcam-budget N --chaos SPEC --journal PATH
          --checkpoint-every N --export-checkpoint PATH [--verbose]
-  soak   --fabrics N --seed S --events N --fail-rate R --dir PATH [--status] [--json]
   ingest [stream-file] --damping none|flap|flap:N --chaos SPEC
          --dir PATH --quantum N --queue-cap N [--json]
   serve  --addr HOST:PORT --damping none|flap|flap:N --chaos SPEC
          --dir PATH --quantum N --queue-cap N --budget N [--json]
   send   [stream-file] --addr HOST:PORT --client N --seed S
-         --attempts N --reconnects N [--json]
-  drill  --seed S --fabrics N --events N --dir PATH";
+         --attempts N --reconnects N [--json]";
 
 fn default_dir() -> std::path::PathBuf {
     std::env::temp_dir().join(format!("tagger-fleetd-{}", std::process::id()))
@@ -295,44 +264,6 @@ fn run_replay(trace: Option<String>, flags: &Flags) -> Result<ExitCode, String> 
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
-    })
-}
-
-fn run_soak_cmd(flags: &Flags) -> Result<ExitCode, String> {
-    let dir = flags
-        .get("dir")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(default_dir);
-    let cfg = SoakConfig {
-        fabrics: get(flags, "fabrics", 8)?,
-        seed: get(flags, "seed", 1u64)?,
-        events_per_fabric: get(flags, "events", 48)?,
-        fail_rate: get(flags, "fail-rate", 0.25f64)?,
-        dir: dir.clone(),
-    };
-    if cfg.fabrics == 0 {
-        return Err("--fabrics must be at least 1".into());
-    }
-    println!(
-        "tagger-fleetd: soaking {} fabrics ({} events each, chaos fail_rate {:.2}, seed {})",
-        cfg.fabrics, cfg.events_per_fabric, cfg.fail_rate, cfg.seed
-    );
-    let outcome = tagger::fleet::run_soak(&cfg).map_err(|e| e.to_string())?;
-    print!("{}", outcome.readiness.render());
-    if flags.contains_key("status") {
-        println!();
-        print!("{}", outcome.snapshot.render());
-    }
-    if flags.contains_key("json") {
-        print!("{}", outcome.snapshot.to_json());
-    }
-    if flags.get("dir").is_none() {
-        std::fs::remove_dir_all(&dir).ok();
-    }
-    Ok(if outcome.readiness.all_ready() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
     })
 }
 
@@ -513,153 +444,6 @@ fn run_send(stream: Option<String>, flags: &Flags) -> Result<ExitCode, String> {
     })
 }
 
-fn run_drill(flags: &Flags) -> Result<ExitCode, String> {
-    let seed = get(flags, "seed", 0xC0FFEEu64)?;
-    let fabrics = get(flags, "fabrics", 8usize)?.max(1);
-    let events = get(flags, "events", 24usize)?.max(1);
-    let keep_dir = flags.get("dir").map(std::path::PathBuf::from);
-    let base = keep_dir.clone().unwrap_or_else(default_dir);
-    let dir_net = base.join("net");
-    let dir_solo = base.join("solo");
-    std::fs::remove_dir_all(&dir_net).ok();
-    std::fs::remove_dir_all(&dir_solo).ok();
-
-    let topo = ClosConfig::small().build();
-    let base_chaos = ChaosConfig::new(seed, 0.25);
-    let lines: Vec<Vec<String>> = (0..fabrics)
-        .map(|i| {
-            fabric_lines(
-                &topo,
-                &format!("net-{i}"),
-                fabric_seed(seed, i as u64),
-                i,
-                events,
-            )
-        })
-        .collect();
-
-    println!(
-        "tagger-fleetd: drill seed {seed:#x}, {fabrics} fabrics, \
-         ~{events} events each, chaos proxy armed"
-    );
-
-    // The networked leg: server with a chaotic southbound, behind a
-    // fault-injecting transport proxy.
-    let mut serve = ServeConfig::new(&dir_net, topo.clone());
-    serve.chaos = Some(base_chaos);
-    let server = Server::start("127.0.0.1:0", serve).map_err(|e| e.to_string())?;
-    let proxy_cfg = NetChaosConfig {
-        seed: seed ^ 0x7A05,
-        disconnect_rate: 0.02,
-        duplicate_rate: 0.05,
-        truncate_rate: 0.02,
-        delay_rate: 0.05,
-        max_delay_ms: 3,
-    }
-    .clamped();
-    let proxy = ChaosTransport::start(server.addr(), proxy_cfg).map_err(|e| e.to_string())?;
-    let proxy_addr = proxy.addr().to_string();
-
-    let handles: Vec<_> = lines
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(i, fabric_lines)| {
-            let addr = proxy_addr.clone();
-            std::thread::spawn(move || {
-                let mut cfg = ClientConfig::new(addr, i as u64 + 1);
-                cfg.seed = fabric_seed(seed ^ 0xC11E, i as u64);
-                cfg.max_attempts = 128;
-                cfg.max_reconnects = 64;
-                cfg.reply_timeout = Duration::from_millis(300);
-                send_lines(&cfg, &fabric_lines)
-            })
-        })
-        .collect();
-    let mut reports = Vec::new();
-    for (i, h) in handles.into_iter().enumerate() {
-        let report = h
-            .join()
-            .map_err(|_| format!("client thread net-{i} panicked"))?
-            .map_err(|e| format!("client net-{i}: {e}"))?;
-        reports.push(report);
-    }
-    let faults = proxy.stats().faults();
-    proxy.shutdown();
-    let outcome = server.shutdown().map_err(|e| e.to_string())?;
-
-    // Timing-dependent figures are real but not reproducible — stderr.
-    eprintln!(
-        "drill transport: {faults} faults injected, {} reconnects, \
-         {} backpressure hits, {} resends",
-        reports.iter().map(|r| r.reconnects).sum::<u64>(),
-        reports.iter().map(|r| r.backpressure_hits).sum::<u64>(),
-        reports.iter().map(|r| r.resends).sum::<u64>(),
-    );
-    if faults == 0 {
-        return Err("chaos proxy injected no faults at this seed; the drill proved nothing".into());
-    }
-
-    // The solo leg — same template the server registers fabrics from —
-    // then the verdicts.
-    let template = FabricSpec::new("", topo).with_chaos(base_chaos);
-    solo_replay(&dir_solo, &template, &lines.concat()).map_err(|e| format!("solo replay: {e}"))?;
-    let mut failed = false;
-    for (i, report) in reports.iter().enumerate() {
-        let name = format!("net-{i}");
-        let status = outcome.report.fabrics.iter().find(|f| f.name == name);
-        let ingested = status.map(|s| s.ingested).unwrap_or(0);
-        let offered = lines[i].len() as u64;
-        let networked = std::fs::read(dir_net.join(format!("{name}.journal"))).unwrap_or_default();
-        let solo = std::fs::read(dir_solo.join(format!("{name}.journal"))).unwrap_or_default();
-        let journals_match = !networked.is_empty() && networked == solo;
-        let exact =
-            report.delivered == offered && report.rejections.is_empty() && ingested == offered;
-        println!(
-            "fabric {name}: offered {offered} delivered {} rejected {} \
-             ingested {ingested} journal {} bytes fnv64 {:#018x} [{}]",
-            report.delivered,
-            report.rejections.len(),
-            networked.len(),
-            fnv64(&networked),
-            if exact && journals_match {
-                "ok"
-            } else {
-                "FAIL"
-            },
-        );
-        if !exact {
-            eprintln!("fabric {name}: events lost, double-applied or rejected");
-            failed = true;
-        }
-        if !journals_match {
-            eprintln!("fabric {name}: journal differs from the solo replay");
-            failed = true;
-        }
-    }
-    if !outcome.report.healthy() {
-        eprintln!(
-            "drill: fleet unhealthy after shutdown\n{}",
-            outcome.report.render()
-        );
-        failed = true;
-    }
-
-    if keep_dir.is_none() {
-        std::fs::remove_dir_all(&base).ok();
-    }
-    if failed {
-        println!("drill: FAILED");
-        Ok(ExitCode::from(1))
-    } else {
-        println!(
-            "drill: {fabrics}/{fabrics} fabrics delivered exactly-once; \
-             journals byte-identical to solo replay"
-        );
-        Ok(ExitCode::SUCCESS)
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
@@ -682,13 +466,6 @@ fn main() -> ExitCode {
             &["verbose"],
         )
         .and_then(|(mut trace, flags)| run_replay(trace.pop(), &flags)),
-        "soak" => parse_args(
-            &args[1..],
-            0,
-            &["fabrics", "seed", "events", "fail-rate", "dir"],
-            &["status", "json"],
-        )
-        .and_then(|(_, flags)| run_soak_cmd(&flags)),
         "ingest" => parse_args(
             &args[1..],
             1,
@@ -718,8 +495,6 @@ fn main() -> ExitCode {
             &["json"],
         )
         .and_then(|(mut stream, flags)| run_send(stream.pop(), &flags)),
-        "drill" => parse_args(&args[1..], 0, &["seed", "fabrics", "events", "dir"], &[])
-            .and_then(|(_, flags)| run_drill(&flags)),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;

@@ -85,7 +85,7 @@ fn arguments_and_flags_replay_does_not_take_are_refused() {
             "unknown flag --crash-after",
         ),
         (&["replay", "--audit"], "unknown flag --audit"),
-        (&["soak", "8"], "unexpected argument `8`"),
+        (&["soak", "8"], "unknown subcommand \"soak\""),
     ] {
         let out = fleetd(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -1,9 +1,8 @@
-//! `tagger-fleetd serve`, `send` and `drill` as processes: the daemon
-//! binds an ephemeral port and says where, a client streams a two-fabric
-//! stream to it, and closing the daemon's stdin drains every queue and
-//! exits on a healthy report; the loopback drill delivers exactly once
-//! through its chaos proxy; a retired flag or an unknown subcommand is
-//! refused.
+//! `tagger-fleetd serve` and `send` as processes: the daemon binds an
+//! ephemeral port and says where, a client streams a two-fabric stream
+//! to it, and closing the daemon's stdin drains every queue and exits on
+//! a healthy report; a retired flag, a retired subcommand or an unknown
+//! one is refused.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::process::{Command, Output, Stdio};
@@ -75,17 +74,24 @@ fn run(bin: &str, args: &[&str]) -> Output {
 }
 
 #[test]
-fn drill_delivers_exactly_once_through_the_chaos_proxy() {
-    let out = run(
-        env!("CARGO_BIN_EXE_tagger-fleetd"),
-        &["drill", "--fabrics", "2", "--events", "8"],
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(0), "{stdout}");
-    assert!(
-        stdout.contains("journals byte-identical to solo replay"),
-        "{stdout}"
-    );
+fn the_soak_and_drill_subcommands_are_gone() {
+    // Both runs are golden tests in crates/fleet/tests now: `soak_e2e`
+    // and `net_soak`.
+    for args in [
+        &["soak", "--fabrics", "8", "--seed", "42", "--json"][..],
+        &["drill", "--seed", "12648430"],
+    ] {
+        let cmd = args[0];
+        let out = run(env!("CARGO_BIN_EXE_tagger-fleetd"), args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {stderr}");
+        assert!(out.stdout.is_empty(), "{cmd} ran anyway");
+        assert!(
+            stderr.contains(&format!("unknown subcommand \"{cmd}\""))
+                && stderr.contains("usage: tagger-fleetd <replay|ingest|serve|send>"),
+            "{cmd}: {stderr}"
+        );
+    }
 }
 
 #[test]
