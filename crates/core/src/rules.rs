@@ -59,6 +59,17 @@ pub enum RuleError {
         /// Hop at which the packet was demoted (0-based).
         hop: usize,
     },
+    /// A walk of the structural certificate
+    /// ([`crate::clos::check_bounce_walks_lossless`]) met no rule: the
+    /// rule set does not cover every path of the ELP that walk stands for.
+    WalkNotLossless {
+        /// Switch the walk was demoted at.
+        switch: NodeId,
+        /// The `(tag, in port, out port)` key that matched no rule.
+        rule: (Tag, PortId, PortId),
+        /// Bounces the walk would have taken after this hop.
+        bounces: usize,
+    },
     /// The induced tagged graph failed deadlock-freedom verification.
     NotDeadlockFree(VerifyError),
 }
@@ -74,6 +85,16 @@ impl fmt::Display for RuleError {
             RuleError::ElpNotLossless { path_index, hop } => {
                 write!(f, "ELP path #{path_index} demoted to lossy at hop {hop}")
             }
+            RuleError::WalkNotLossless {
+                switch,
+                rule: (tag, in_port, out_port),
+                bounces,
+            } => write!(
+                f,
+                "a {bounces}-bounce walk is demoted to lossy at switch {switch} \
+                 (tag {}, in port {}, out port {})",
+                tag.0, in_port.0, out_port.0
+            ),
             RuleError::NotDeadlockFree(e) => write!(f, "not deadlock-free: {e}"),
         }
     }
