@@ -6,10 +6,10 @@ use crate::southbound::Southbound;
 use crate::state::{ElpPolicy, NetworkState};
 use std::fmt;
 use std::time::{Duration, Instant};
-use tagger_core::clos::{clos_tagging_masked, ClosError};
+use tagger_core::clos::{check_bounce_walks_lossless, clos_tagging_masked, ClosError};
 use tagger_core::tcam::{Compression, TcamProgram};
 use tagger_core::{Elp, InstallError, RuleDelta, RuleError, RuleSet, TaggedGraph, Tagging};
-use tagger_topo::{FailureSet, LinkId, NodeId, Topology};
+use tagger_topo::{LinkId, NodeId, Topology};
 
 /// Hard errors: the event itself is malformed and no epoch was staged.
 ///
@@ -135,9 +135,12 @@ pub struct CommitReport {
     pub lossless_tags: usize,
     /// Worst per-switch TCAM entries (joint compression).
     pub tcam_worst_switch: usize,
-    /// Paths in the ELP the new snapshot was certified over
-    /// ([`Snapshot::elp_paths`]).
+    /// Paths the new snapshot's rules were checked lossless over one by
+    /// one ([`Snapshot::elp_paths`]): for a closed-form stage, only the
+    /// pinned extras.
     pub elp_paths: usize,
+    /// The stage that built the new snapshot ([`Snapshot::stager`]).
+    pub stager: Stager,
     /// Stage latency for this epoch: the recompute, or — when the
     /// controller reused a snapshot it had already certified for the same
     /// view — the lookup and the re-verification of that snapshot.
@@ -241,11 +244,13 @@ impl EpochOutcome {
 
 /// Which stage built a [`Snapshot`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Stager {
+pub enum Stager {
     /// The paper's Clos construction (§4, [`clos_tagging_masked`]): tag =
     /// bounces so far + 1, `k + 1` lossless priorities, minus the rules
     /// leaving by a quarantined egress port. Its tables do not depend on
-    /// the failure set.
+    /// the failure set, and a structural certificate
+    /// ([`check_bounce_walks_lossless`]) proves them lossless without
+    /// enumerating a path.
     ClosedForm,
     /// ELP enumeration for the view, then Algorithm 1+2
     /// ([`Tagging::from_elp`]): for fabrics without layer ranks, and for
@@ -270,13 +275,14 @@ pub struct Snapshot {
     pub lossless_tags: usize,
     /// Worst per-switch TCAM footprint (joint compression).
     pub tcam_worst_switch: usize,
-    /// Paths in the ELP the rules were certified lossless over: the
-    /// view's ELP for a generic stage, the failure-free ELP (with the
-    /// view's extras and quarantines) for a closed-form one. Every
-    /// failure view's ELP is a subset of the latter.
+    /// Paths the rules were checked lossless over one by one: the view's
+    /// whole ELP for a generic stage; for a closed-form one only the
+    /// pinned extras the quarantines allow, since the structural
+    /// certificate covers the policy's k-bounce paths without
+    /// enumerating them.
     pub elp_paths: usize,
     /// The stage that built this snapshot.
-    pub(crate) stager: Stager,
+    pub stager: Stager,
 }
 
 impl Snapshot {
@@ -631,6 +637,7 @@ impl Controller {
             lossless_tags: candidate.lossless_tags,
             tcam_worst_switch: candidate.tcam_worst_switch,
             elp_paths: candidate.elp_paths,
+            stager: candidate.stager,
             recompute: dt,
             install_attempts: 0,
             install_backoff: Duration::ZERO,
@@ -756,50 +763,46 @@ fn stage(
     certify(topo, tagging, elp.len(), Stager::Generic, state, epoch)
 }
 
-/// The paper's closed form for a view, with the size of the ELP it was
-/// certified over; `None` if the view stages generically: the topology
-/// has a switch without a layer rank, or a pinned extra the quarantine
-/// allows — live or not — is not lossless under the closed form.
+/// The paper's closed form for a view, with the number of pinned extras
+/// checked against it; `None` if the view stages generically: the
+/// topology has a switch without a layer rank, or a pinned extra the
+/// quarantine allows — live or not — is not lossless under the closed
+/// form.
 ///
 /// The rules are [`clos_tagging_masked`] minus every quarantined egress
-/// port. They do not read the failure set, so they are certified over
-/// the view's ELP with the failures cleared: the enumeration is uncapped
-/// and runs over live links only, so every failure view's ELP is a
-/// subset of that one, and losslessness holds path by path. A failed
+/// port. They do not read the failure set, so they are certified for the
+/// failure-free view, whose ELP holds every failure view's: the extras
+/// hop by hop, and the policy's k-bounce paths by the structural
+/// certificate [`check_bounce_walks_lossless`], which walks the rules
+/// from every host-facing ingress and enumerates no path. A refused
 /// certificate is an error, never a silent fall back to Algorithm 1+2.
 fn stage_closed_form(
     topo: &Topology,
     policy: &ElpPolicy,
     state: &NetworkState,
 ) -> Option<Result<(Tagging, usize), RuleError>> {
-    let tagging = match clos_tagging_masked(topo, policy.bounces, |sw, port| {
-        state.is_quarantined(sw, port)
-    }) {
+    let masked = |sw, port| state.is_quarantined(sw, port);
+    let tagging = match clos_tagging_masked(topo, policy.bounces, masked) {
         Ok(tagging) => tagging,
         Err(ClosError::UnrankedSwitch(_)) => return None,
         Err(ClosError::Rule(e)) => return Some(Err(e)),
     };
-    let extras = state
+    let extras: Vec<_> = state
         .extra_paths
         .iter()
         .filter(|path| state.quarantine_allows(topo, path))
         .cloned()
         .collect();
+    let checked = extras.len();
     if tagging
         .check_elp_lossless(topo, &Elp::from_paths(extras))
         .is_err()
     {
         return None;
     }
-    let healed = NetworkState {
-        failures: FailureSet::none(),
-        ..state.clone()
-    };
-    let elp = policy.elp_for(topo, &healed);
     Some(
-        tagging
-            .check_elp_lossless(topo, &elp)
-            .map(|()| (tagging, elp.len())),
+        check_bounce_walks_lossless(topo, tagging.rules(), policy.bounces, masked)
+            .map(|()| (tagging, checked)),
     )
 }
 
@@ -1011,6 +1014,24 @@ mod tests {
         assert_eq!(ctrl.committed().stager, Stager::ClosedForm);
         assert_eq!(ctrl.committed().rules, original);
         assert!(ctrl.state().extra_paths.is_empty());
+    }
+
+    #[test]
+    fn a_closed_form_stage_counts_only_the_extras_it_checked() {
+        let mut ctrl = small_controller();
+        // The k-bounce paths are certified without being enumerated.
+        assert_eq!(ctrl.committed().elp_paths, 0);
+        let events = parse_trace(ctrl.topo(), "elp-add H1 T1 L1 S1 L3 T3 H9").unwrap();
+        let report = handle(&mut ctrl, &events[0]).unwrap();
+        let report = report.committed().unwrap();
+        assert_eq!(report.stager, Stager::ClosedForm);
+        assert_eq!(report.elp_paths, 1);
+        // A generic stage still counts the view's whole ELP.
+        let events = parse_trace(ctrl.topo(), &format!("elp-add {DETOUR}")).unwrap();
+        let report = handle(&mut ctrl, &events[0]).unwrap();
+        let report = report.committed().unwrap();
+        assert_eq!(report.stager, Stager::Generic);
+        assert!(report.elp_paths > 2);
     }
 
     #[test]

@@ -73,6 +73,7 @@ mod state;
 pub use chaos::{ChaosConfig, ChaosSouthbound};
 pub use controller::{
     CommitReport, Controller, CtrlError, EpochOutcome, InstallPolicy, RollbackReason, Snapshot,
+    Stager,
 };
 pub use damping::Damping;
 pub use event::{parse_trace, CtrlEvent, TraceError, TraceErrorKind, TriggerInfo};
