@@ -86,8 +86,9 @@ pub struct NetChaosConfig {
 }
 
 impl NetChaosConfig {
-    /// Clamps each rate to `[0, 0.9]` and rescales so the total stays
-    /// at or below 0.9.
+    /// Clamps each rate to `[0, 0.9]`, a NaN one to 0, and rescales so
+    /// the total stays at or below 0.9. [`ChaosTransport::start`] applies
+    /// it to whatever it is given.
     pub fn clamped(mut self) -> Self {
         for r in [
             &mut self.disconnect_rate,
@@ -95,7 +96,8 @@ impl NetChaosConfig {
             &mut self.truncate_rate,
             &mut self.delay_rate,
         ] {
-            *r = r.clamp(0.0, 0.9);
+            // `f64::clamp` keeps a NaN.
+            *r = if r.is_nan() { 0.0 } else { r.clamp(0.0, 0.9) };
         }
         let total =
             self.disconnect_rate + self.duplicate_rate + self.truncate_rate + self.delay_rate;
@@ -140,6 +142,7 @@ impl ChaosStats {
 /// The running proxy: listen address, fault counters, shutdown handle.
 pub struct ChaosTransport {
     addr: SocketAddr,
+    cfg: NetChaosConfig,
     stats: Arc<ChaosStats>,
     stop: Arc<AtomicBool>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
@@ -151,8 +154,10 @@ const POLL: Duration = Duration::from_millis(20);
 
 impl ChaosTransport {
     /// Starts the proxy on an ephemeral local port, forwarding every
-    /// accepted connection to `upstream` under `cfg`'s fault schedule.
+    /// accepted connection to `upstream` under `cfg`'s fault schedule,
+    /// [clamped](NetChaosConfig::clamped) first.
     pub fn start(upstream: SocketAddr, cfg: NetChaosConfig) -> std::io::Result<ChaosTransport> {
+        let cfg = cfg.clamped();
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -200,6 +205,7 @@ impl ChaosTransport {
         });
         Ok(ChaosTransport {
             addr,
+            cfg,
             stats,
             stop,
             accept_thread: Some(accept_thread),
@@ -209,6 +215,12 @@ impl ChaosTransport {
     /// The proxy's listening address (point clients here).
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// The fault schedule in force: the one given to
+    /// [`ChaosTransport::start`], clamped.
+    pub fn config(&self) -> NetChaosConfig {
+        self.cfg
     }
 
     /// Live fault counters.
@@ -419,5 +431,41 @@ mod tests {
         .clamped();
         let total = cfg.disconnect_rate + cfg.duplicate_rate + cfg.truncate_rate + cfg.delay_rate;
         assert!(total <= 0.9 + 1e-9, "total {total} must stay survivable");
+    }
+
+    fn only_disconnects(rate: f64) -> NetChaosConfig {
+        NetChaosConfig {
+            seed: 1,
+            disconnect_rate: rate,
+            duplicate_rate: 0.0,
+            truncate_rate: 0.0,
+            delay_rate: 0.2,
+            max_delay_ms: 1,
+        }
+    }
+
+    #[test]
+    fn start_clamps_a_schedule_that_disconnects_every_frame() {
+        let upstream: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let proxy = ChaosTransport::start(upstream, only_disconnects(1.0)).unwrap();
+        let cfg = proxy.config();
+        proxy.shutdown();
+        assert!(cfg.disconnect_rate < 1.0, "{cfg:?}");
+        assert!(
+            cfg.disconnect_rate + cfg.delay_rate <= 0.9 + 1e-9,
+            "{cfg:?}"
+        );
+        assert_eq!(cfg, only_disconnects(1.0).clamped());
+    }
+
+    #[test]
+    fn a_nan_rate_clamps_to_zero() {
+        let cfg = only_disconnects(f64::NAN).clamped();
+        assert_eq!(cfg.disconnect_rate, 0.0);
+        assert_eq!(cfg.delay_rate, 0.2);
+        let upstream: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let proxy = ChaosTransport::start(upstream, only_disconnects(f64::NAN)).unwrap();
+        assert_eq!(proxy.config(), cfg);
+        proxy.shutdown();
     }
 }
