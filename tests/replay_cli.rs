@@ -1,7 +1,7 @@
 //! `tagger-fleetd replay` as a process: the chaos replay writes the
 //! committed `results/ctrld_chaos.journal` byte for byte, its exported
-//! checkpoint passes `tagger-audit check`, and an argument or flag the
-//! subcommand does not take is refused.
+//! checkpoint passes `tagger-audit check`, a 40-switch Clos bootstraps,
+//! and an argument or flag the subcommand does not take is refused.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -71,6 +71,23 @@ fn exported_checkpoint_passes_the_offline_audit() {
         "{report}"
     );
     std::fs::remove_file(&ckpt).ok();
+}
+
+#[test]
+fn clos_medium_bootstraps_at_two_priorities() {
+    // 40 switches and 128 hosts: past what enumerating the 1-bounce ELP
+    // can certify in a test's time and memory.
+    let out = fleetd(&["replay", "--topo", "clos medium", "/dev/null"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(
+        stdout.contains("40 switches") && stdout.contains("2 lossless priorities"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("closed form (structural certificate)"),
+        "{stdout}"
+    );
 }
 
 #[test]
