@@ -15,8 +15,11 @@
 //! the scheme is deadlock-free even under routing errors and loops — the
 //! paper's headline guarantee.
 
+use crate::digraph::Digraph;
+use crate::ports::PortIndexer;
 use crate::{RuleError, RuleSet, SwitchRule, Tag, TagDecision, TaggedGraph, TaggedNode, Tagging};
 use std::collections::HashSet;
+use tagger_routing::Path;
 use tagger_topo::{GlobalPort, NodeId, NodeKind, PortId, Topology};
 
 /// Errors from the Clos construction.
@@ -48,18 +51,23 @@ impl std::error::Error for ClosError {}
 /// Works on any layered fabric where every switch carries a layer rank
 /// (3-layer Clos, 2-layer leaf-spine, FatTree).
 pub fn clos_tagging(topo: &Topology, k: usize) -> Result<Tagging, ClosError> {
-    clos_tagging_masked(topo, k, |_, _| false)
+    clos_tagging_masked(topo, k, |_, _| false, &[])
 }
 
 /// [`clos_tagging`] without the rules, and their graph edges, that leave
-/// a switch `sw` by an egress port for which `masked(sw, port)` holds:
-/// packets there match no rule and fall to the lossy class. The
-/// controller masks the egress ports a watchdog quarantined. Dropping
-/// edges only removes dependencies, so the graph stays deadlock-free.
+/// a switch `sw` by an egress port for which `masked(sw, port)` holds
+/// (they fall to the lossy class; fewer edges keep the graph acyclic),
+/// plus the rules the paths of `extras` need. The controller masks the
+/// ports a watchdog quarantined and passes the pinned extras that avoid
+/// them. An extra follows the rules already there; at a hop without one
+/// (a bounce at tag `k + 1`, or any hop above it) it gets a rule that
+/// keeps its tag unless that closes a cycle in the tag, and bumps it
+/// otherwise: `b` bounces spend at most `b + 1` tags, `b ≤ k` none new.
 pub fn clos_tagging_masked(
     topo: &Topology,
     k: usize,
     masked: impl Fn(NodeId, PortId) -> bool,
+    extras: &[Path],
 ) -> Result<Tagging, ClosError> {
     let max_tag = (k + 1) as u16;
     if let Some(sw) = topo.unranked_switch() {
@@ -67,7 +75,6 @@ pub fn clos_tagging_masked(
     }
 
     let mut rules = RuleSet::new();
-    let mut graph = TaggedGraph::new();
 
     for sw in topo.switch_ids() {
         let rank = topo.node(sw).layer.rank().expect("checked above");
@@ -105,26 +112,83 @@ pub fn clos_tagging_masked(
                             },
                         )
                         .map_err(ClosError::Rule)?;
-                    // Graph edge: (sw ingress, tag) -> (peer ingress, new).
-                    let to_port = topo
-                        .peer_of(GlobalPort::new(sw, out_port))
-                        .expect("wired port");
-                    graph.add_edge(
-                        TaggedNode {
-                            port: GlobalPort::new(sw, in_port),
-                            tag: Tag(tag),
-                        },
-                        TaggedNode {
-                            port: to_port,
-                            tag: Tag(new_tag),
-                        },
-                    );
                 }
             }
         }
     }
+    if !extras.is_empty() {
+        add_extras(topo, &mut rules, extras)?;
+    }
 
+    let mut graph = TaggedGraph::new();
+    for (sw, rule) in rules.iter() {
+        let (from, to) = rule_edge(topo, sw, rule);
+        graph.add_edge(from, to);
+    }
     Tagging::new(graph, rules).map_err(ClosError::Rule)
+}
+
+/// A rule's graph edge: (sw ingress, tag) -> (peer ingress, new tag).
+fn rule_edge(topo: &Topology, sw: NodeId, rule: SwitchRule) -> (TaggedNode, TaggedNode) {
+    let node = |port, tag| TaggedNode { port, tag };
+    let to = topo.peer_of(GlobalPort::new(sw, rule.out_port));
+    let from = node(GlobalPort::new(sw, rule.in_port), rule.tag);
+    (from, node(to.expect("wired port"), rule.new_tag))
+}
+
+/// The extras step of [`clos_tagging_masked`]: walks each path through
+/// `rules`, adding at every hop without a rule one that keeps the tag
+/// unless that closes a cycle, and bumps it otherwise.
+fn add_extras(topo: &Topology, rules: &mut RuleSet, extras: &[Path]) -> Result<(), ClosError> {
+    // One graph per tag on port ids, seeded with the closed form's
+    // acyclic same-tag edges: rules only keep or raise the tag, so a
+    // cycle lies within one tag.
+    let ports = PortIndexer::new(topo);
+    let mut same_tag: Vec<Digraph> = Vec::new();
+    for (sw, rule) in rules.iter().filter(|(_, r)| r.tag == r.new_tag) {
+        let (from, to) = rule_edge(topo, sw, rule);
+        tag_graph(&mut same_tag, &ports, rule.tag).add(ports.pid(from.port), ports.pid(to.port));
+    }
+    for path in extras {
+        let mut tag = Tag::INITIAL;
+        for hop in path.nodes().windows(3) {
+            let ingress = topo.hop_ends(hop[0], hop[1]).1;
+            let (egress, next) = topo.hop_ends(hop[1], hop[2]);
+            if let TagDecision::Lossless(new_tag) =
+                rules.decide(hop[1], tag, ingress.port, egress.port)
+            {
+                tag = new_tag;
+                continue;
+            }
+            let (a, b) = (ports.pid(ingress), ports.pid(next));
+            let g = tag_graph(&mut same_tag, &ports, tag);
+            // Adding a -> b closes a cycle exactly when b reaches a.
+            let new_tag = if g.reaches(b, a) {
+                tag.next()
+            } else {
+                g.add(a, b);
+                tag
+            };
+            let rule = SwitchRule {
+                tag,
+                in_port: ingress.port,
+                out_port: egress.port,
+                new_tag,
+            };
+            rules.add(hop[1], rule).map_err(ClosError::Rule)?;
+            tag = new_tag;
+        }
+    }
+    Ok(())
+}
+
+/// The same-tag graph of `tag`, grown on first use.
+fn tag_graph<'a>(graphs: &'a mut Vec<Digraph>, ports: &PortIndexer, tag: Tag) -> &'a mut Digraph {
+    let i = usize::from(tag.0 - 1);
+    if graphs.len() <= i {
+        graphs.resize(i + 1, Digraph::new(ports.total()));
+    }
+    &mut graphs[i]
 }
 
 /// Certifies that `rules` keep lossless every path of the failure-free
@@ -319,7 +383,8 @@ mod tests {
         let l1 = topo.expect_node("L1");
         let to_s1 = topo.port_towards(l1, topo.expect_node("S1")).unwrap();
         let full = clos_tagging(&topo, 1).unwrap();
-        let masked = clos_tagging_masked(&topo, 1, |sw, port| sw == l1 && port == to_s1).unwrap();
+        let masked =
+            clos_tagging_masked(&topo, 1, |sw, port| sw == l1 && port == to_s1, &[]).unwrap();
         let leaves_by = |t: &Tagging| {
             t.rules()
                 .rules_for(l1)
@@ -404,11 +469,87 @@ mod tests {
         // No walk leaves by a masked port, so its missing rule is moot.
         check_bounce_walks_lossless(&topo, &rules, 1, |sw, port| sw == l1 && port == to_s2)
             .unwrap();
-        let masked = clos_tagging_masked(&topo, 1, |sw, port| sw == l1 && port == to_s2).unwrap();
+        let masked =
+            clos_tagging_masked(&topo, 1, |sw, port| sw == l1 && port == to_s2, &[]).unwrap();
         check_bounce_walks_lossless(&topo, masked.rules(), 1, |sw, port| {
             sw == l1 && port == to_s2
         })
         .unwrap();
+    }
+
+    #[test]
+    fn an_extra_past_k_bounces_adds_rules_only_at_its_own_hops() {
+        let topo = ClosConfig::small().build();
+        let names = "H1 T1 L2 T2 L1 S1 L3 T3 L4 T4 H13";
+        let detour = Path::from_names(&topo, &names.split(' ').collect::<Vec<_>>());
+        assert_eq!(detour.bounces(&topo), 2);
+        let plain = clos_tagging(&topo, 1).unwrap();
+        let t = clos_tagging_masked(&topo, 1, |_, _| false, std::slice::from_ref(&detour)).unwrap();
+        assert_eq!(t.num_lossless_tags_on(&topo), 3);
+        t.check_elp_lossless(&topo, &Elp::from_paths(vec![detour.clone()]))
+            .unwrap();
+        check_bounce_walks_lossless(&topo, t.rules(), 1, |_, _| false).unwrap();
+        // The second bounce, at T3, and the two hops after it.
+        let added: Vec<_> = plain.rules().diff(t.rules());
+        let touched: Vec<_> = added
+            .iter()
+            .map(|d| {
+                (
+                    topo.node(d.switch).name.as_str(),
+                    d.add.len(),
+                    d.remove.len(),
+                )
+            })
+            .collect();
+        assert_eq!(touched, [("L4", 1, 0), ("T3", 1, 0), ("T4", 1, 0)]);
+        // A 1-bounce extra is already carried: it adds nothing.
+        let carried = Path::from_names(
+            &topo,
+            &["H1", "T1", "L1", "T2", "L2", "S2", "L4", "T4", "H13"],
+        );
+        let t = clos_tagging_masked(&topo, 1, |_, _| false, &[carried]).unwrap();
+        assert_eq!(t.rules(), plain.rules());
+    }
+
+    #[test]
+    fn an_extra_keeps_its_tag_where_that_closes_no_cycle() {
+        let topo = ClosConfig::small().build();
+        let path = |names: &str| Path::from_names(&topo, &names.split(' ').collect::<Vec<_>>());
+        let plain = clos_tagging(&topo, 0).unwrap();
+        let added = |t: &Tagging| {
+            plain
+                .rules()
+                .diff(t.rules())
+                .iter()
+                .map(|d| (topo.node(d.switch).name.clone(), d.add.clone()))
+                .collect::<Vec<_>>()
+        };
+        // A bounce at a leaf (spine -> leaf -> spine) closes no cycle in
+        // tag 1: its one new rule keeps the tag.
+        let leaf = path("H1 T1 L1 S1 L2 S2 L3 T4 H13");
+        let t = clos_tagging_masked(&topo, 0, |_, _| false, std::slice::from_ref(&leaf)).unwrap();
+        assert_eq!(t.num_lossless_tags_on(&topo), 1);
+        let [(name, rules)] = &added(&t)[..] else {
+            panic!("{:?}", added(&t));
+        };
+        assert_eq!(
+            (name.as_str(), rules[0].tag, rules[0].new_tag),
+            ("L2", Tag(1), Tag(1))
+        );
+        // A bounce at a ToR would close leaf -> spine -> leaf -> ToR back
+        // on itself: it bumps, and every hop after it gets a tag-2 rule.
+        let tor = path("H1 T1 L2 T2 L1 S2 L4 T4 H13");
+        let t = clos_tagging_masked(&topo, 0, |_, _| false, std::slice::from_ref(&tor)).unwrap();
+        assert_eq!(t.num_lossless_tags_on(&topo), 2);
+        let names: Vec<_> = added(&t).into_iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["S2", "L1", "T2", "L4", "T4"]);
+        for t in [
+            &t,
+            &clos_tagging_masked(&topo, 0, |_, _| false, &[leaf, tor]).unwrap(),
+        ] {
+            t.graph().verify().unwrap();
+            check_bounce_walks_lossless(&topo, t.rules(), 0, |_, _| false).unwrap();
+        }
     }
 
     #[test]

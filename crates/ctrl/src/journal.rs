@@ -567,16 +567,19 @@ mod tests {
     }
 
     const TRACE: &str = "down L1 T1\nflap L2 T2 2\nup L1 T1\nresync";
-    /// Pinning this path needs 12 TCAM entries on the worst switch; the
-    /// healthy small Clos needs 11.
+    /// Pinning this 2-bounce path adds a rule at tag 3 on each hop after
+    /// its second bounce, one TCAM entry more than the healthy small
+    /// Clos's worst switch needs.
     const PINNED: &str = "elp-add H1 T1 L2 T2 L1 S1 L3 T3 L4 T4 H13";
 
     #[test]
     fn step_records_in_order_across_commit_rollback_and_checkpoint() {
         let path = tmp("order");
         let topo = ClosConfig::small().build();
+        let healthy = controller().committed().tcam_worst_switch;
         let mut ctrl =
-            Controller::with_budget(topo.clone(), ElpPolicy::with_bounces(1), Some(11)).unwrap();
+            Controller::with_budget(topo.clone(), ElpPolicy::with_bounces(1), Some(healthy))
+                .unwrap();
         let mut sb = reliable(&ctrl);
         let mut journal = Journal::create(&path).unwrap().checkpoint_every(2);
         let mut seen = Seen(Vec::new());

@@ -19,8 +19,8 @@
 //!   operator-added ELPs and watchdog quarantines.
 //! - [`Controller`] — one batch of events is one epoch of a **two-phase
 //!   rollout**: *stage* (the tagging for the new state: the paper's
-//!   closed form on a layered fabric, whose tables no link event
-//!   changes, Algorithm 1+2 otherwise), *validate* (Theorem 5.1
+//!   closed form, which carries every pinned extra at its own hops and
+//!   whose tables no link event changes), *validate* (Theorem 5.1
 //!   verification plus a per-switch TCAM budget), then either *commit* — per-switch [`RuleDelta`]s diffed
 //!   against the last committed snapshot — or *roll back*, leaving the
 //!   previous verified tables untouched.
@@ -73,7 +73,6 @@ mod state;
 pub use chaos::{ChaosConfig, ChaosSouthbound};
 pub use controller::{
     CommitReport, Controller, CtrlError, EpochOutcome, InstallPolicy, RollbackReason, Snapshot,
-    Stager,
 };
 pub use damping::Damping;
 pub use event::{parse_trace, CtrlEvent, TraceError, TraceErrorKind, TriggerInfo};

@@ -7,17 +7,19 @@ use tagger_core::Elp;
 use tagger_routing::Path;
 use tagger_topo::{FailureSet, NodeId, PortId, Topology};
 
-/// How the controller derives the ELP set from the live network view.
+/// The expected lossless paths the controller promises: every up-down
+/// path with up to [`ElpPolicy::bounces`] bounces between every host
+/// pair, plus the operator-pinned extras (from
+/// [`CtrlEvent::ElpAdd`](crate::CtrlEvent::ElpAdd)).
 ///
-/// Tagger's tags are computed over *expected* lossless paths. The policy
-/// regenerates that expectation whenever the network changes: every
-/// up-down path with up to [`ElpPolicy::bounces`] bounces between every
-/// host pair, enumerated against the current failure set so a dead link
-/// never contributes paths. Operator-pinned extras (from
-/// [`CtrlEvent::ElpAdd`](crate::CtrlEvent::ElpAdd)) ride on top.
-///
-/// The enumeration is never capped, so a failure view's ELP is a subset
-/// of the failure-free one: taking links out only removes paths.
+/// The controller never derives this ELP: it stages the paper's closed
+/// form for `bounces`, whose rules carry every such path by a structural
+/// certificate, and adds each extra's rules at the extra's own hops.
+/// [`ElpPolicy::elp`] and [`ElpPolicy::elp_for`] enumerate it anyway, as
+/// a reference for tests and measurements to judge the committed rules
+/// against. The enumeration is never capped, so a failure view's ELP is
+/// a subset of the failure-free one: taking links out only removes
+/// paths.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ElpPolicy {
     /// Maximum number of down-up "bounces" a lossless path may take
@@ -53,9 +55,10 @@ impl ElpPolicy {
 
     /// Materializes the ELP for a full [`NetworkState`]: the failure
     /// overlay and pinned extras of [`ElpPolicy::elp`], minus every path
-    /// crossing a watchdog-quarantined hop. This is what the controller
-    /// stages from, so a quarantine produces a corrective tagging that
-    /// simply stops promising losslessness through the poisoned queue.
+    /// crossing a watchdog-quarantined hop: the paths a committed
+    /// snapshot for `state` keeps lossless, since a quarantine's
+    /// corrective tagging stops promising losslessness through the
+    /// poisoned queue.
     pub fn elp_for(&self, topo: &Topology, state: &NetworkState) -> Elp {
         let mut elp = self.elp(topo, &state.failures, &state.extra_paths);
         if !state.quarantines.is_empty() {
@@ -89,11 +92,10 @@ pub struct NetworkState {
     /// Operator-pinned ELPs, in arrival order.
     pub extra_paths: Vec<Path>,
     /// Hops under watchdog quarantine, as `(switch, egress port, tag)`.
-    /// Paths crossing a quarantined hop are excluded from the ELP, and a
-    /// closed-form stage drops every rule that leaves by the hop. The
-    /// tag is kept for reporting; exclusion is by (switch, port) — a
-    /// conservative over-approximation, since which tag a path carries
-    /// at a hop is only decided by the tagging compiled *from* the ELP.
+    /// A stage drops every rule that leaves by the hop, so paths crossing
+    /// it are excluded from the ELP. The tag is kept for reporting;
+    /// exclusion is by (switch, port), whatever tag a packet carries
+    /// there — a conservative over-approximation.
     pub quarantines: BTreeSet<(NodeId, PortId, u16)>,
 }
 
@@ -142,25 +144,9 @@ impl NetworkState {
         Ok(())
     }
 
-    /// True if `other` is the same view of the network: equal in
-    /// everything but [`NetworkState::version`]. Staging reads the view
-    /// alone, so two states with the same view stage the same snapshot.
-    pub fn same_view(&self, other: &NetworkState) -> bool {
-        let NetworkState {
-            version: _,
-            failures,
-            extra_paths,
-            quarantines,
-        } = self;
-        *failures == other.failures
-            && *extra_paths == other.extra_paths
-            && *quarantines == other.quarantines
-    }
-
     /// True if `other` differs from this view at most in its failures
-    /// (and [`NetworkState::version`]). The closed-form stage does not
-    /// read the failure set, so such views stage the same closed-form
-    /// snapshot.
+    /// (and [`NetworkState::version`]). The stage does not read the
+    /// failure set, so such views stage the same snapshot.
     pub(crate) fn same_view_but_failures(&self, other: &NetworkState) -> bool {
         let NetworkState {
             version: _,

@@ -1,8 +1,11 @@
 //! The paper's §4.4 bound, held against the live controller: on a Clos
-//! with a `k`-bounce ELP policy, every committed epoch spends exactly
-//! `k + 1` lossless priorities, stays lossless over the view's own ELP,
-//! and passes the independent auditor — under any mix of link failures
-//! and watchdog quarantines.
+//! with a `k`-bounce ELP policy, every committed epoch spends `k + 1`
+//! lossless priorities — at most `max(k, b) + 1` while a pinned extra of
+//! `b` bounces rides on it, and, where extras add rules, no more than
+//! Algorithm 1+2 spends on the same view — stays lossless over the
+//! view's own ELP, and passes the independent auditor, under any mix of
+//! link failures, watchdog quarantines and pinned extras; and a link
+//! event never changes a table.
 //!
 //! The controller certifies the closed form by a walk over its rules
 //! ([`check_bounce_walks_lossless`]), not by enumerating the ELP. The
@@ -15,10 +18,12 @@ use proptest::prelude::*;
 use proptest::TestCaseError;
 use tagger_audit::Auditor;
 use tagger_core::clos::{check_bounce_walks_lossless, clos_tagging};
+use tagger_core::tcam::{Compression, TcamProgram};
 use tagger_core::{
     decide, Elp, RuleSet, SwitchRule, Tag, TagDecision, TaggedGraph, Tagging, Verdict,
 };
 use tagger_ctrl::{Controller, CtrlEvent, ElpPolicy, NetworkState};
+use tagger_routing::{bounce_paths_between, Path};
 use tagger_topo::{ClosConfig, FailureSet, GlobalPort, LinkId, NodeId, NodeKind, PortId, Topology};
 
 /// Switch-to-switch links: the failure domain that reroutes traffic.
@@ -40,13 +45,30 @@ fn hops(topo: &Topology) -> Vec<(NodeId, PortId)> {
 /// generated fabric keeps a bounce rule for each tag.
 const MAX_QUARANTINES: usize = 2;
 
+/// A loop-free path between the two distinct hosts `pair` picks, with
+/// `bounces % (k + 3)` bounces or as many as the pair has below that —
+/// an extra of 0 to `k + 2` bounces — the one `path` picks.
+fn extra(topo: &Topology, k: usize, (pair, bounces, path): (usize, usize, usize)) -> Path {
+    let hosts: Vec<NodeId> = topo.host_ids().collect();
+    let src = pair % hosts.len();
+    let dst = (src + 1 + pair / hosts.len() % (hosts.len() - 1)) % hosts.len();
+    let paths = bounce_paths_between(topo, &FailureSet::none(), hosts[src], hosts[dst], k + 2);
+    let most = paths.iter().map(|p| p.bounces(topo)).max().unwrap_or(0);
+    let bounces = most.min(bounces % (k + 3));
+    let paths: Vec<Path> = paths
+        .into_iter()
+        .filter(|p| p.bounces(topo) == bounces)
+        .collect();
+    paths[path % paths.len()].clone()
+}
+
 /// Decodes one generated op into an event against the committed view.
 fn decode(topo: &Topology, state: &NetworkState, k: usize, (pick, kind): (usize, u8)) -> CtrlEvent {
     let links = trunks(topo);
     let hops = hops(topo);
     let link = links[pick % links.len()];
     let quarantined: Vec<_> = state.quarantines.iter().copied().collect();
-    match kind % 5 {
+    match kind % 7 {
         0 => CtrlEvent::LinkDown(link),
         1 => CtrlEvent::LinkUp(link),
         2 if state.quarantines.len() < MAX_QUARANTINES => {
@@ -65,6 +87,10 @@ fn decode(topo: &Topology, state: &NetworkState, k: usize, (pick, kind): (usize,
                 port,
                 tag: Tag(tag),
             }
+        }
+        5 => CtrlEvent::ElpAdd(extra(topo, k, (pick, pick / 3, pick / 7))),
+        6 if !state.extra_paths.is_empty() => {
+            CtrlEvent::ElpRemove(state.extra_paths[pick % state.extra_paths.len()].clone())
         }
         _ => CtrlEvent::Resync,
     }
@@ -87,6 +113,73 @@ fn judges(ctrl: &Controller, tagging: &Tagging, failure_free: &Elp) -> (bool, bo
         walks.is_ok(),
         tagging.check_elp_lossless(topo, failure_free).is_ok(),
     )
+}
+
+/// `max(k, b)` over the extras the committed view carries: an extra a
+/// quarantine leaves out is not carried, live or not.
+fn carried_bounces(ctrl: &Controller, k: usize) -> usize {
+    let (topo, state) = (ctrl.topo(), ctrl.state());
+    state
+        .extra_paths
+        .iter()
+        .filter(|path| state.quarantine_allows(topo, path))
+        .map(|path| path.bounces(topo))
+        .fold(k, usize::max)
+}
+
+/// The committed epoch spends between `k + 1` and `max(k, b) + 1`
+/// priorities: an extra keeps its tag wherever that closes no cycle, so
+/// it may spend fewer than its bounces.
+fn check_priorities(ctrl: &Controller, k: usize) -> Result<(), TestCaseError> {
+    let spent = ctrl.committed().lossless_tags;
+    prop_assert!(
+        (k + 1..=carried_bounces(ctrl, k) + 1).contains(&spent),
+        "epoch {} spends {spent} priorities at k = {k}",
+        ctrl.committed().epoch
+    );
+    Ok(())
+}
+
+/// The claims about an epoch without quarantines that need no
+/// enumeration: [`check_priorities`], every extra lossless hop by
+/// hop, every k-bounce walk lossless, and the auditor's certificate.
+fn check_pinned(ctrl: &Controller, k: usize) -> Result<(), TestCaseError> {
+    let (topo, snapshot) = (ctrl.topo(), ctrl.committed());
+    check_priorities(ctrl, k)?;
+    let extras = Elp::from_paths(ctrl.state().extra_paths.clone());
+    let tagging = Tagging::new(snapshot.graph.clone(), snapshot.rules.clone())
+        .map_err(|e| TestCaseError::Fail(format!("committed graph: {e}")))?;
+    prop_assert!(tagging.check_elp_lossless(topo, &extras).is_ok());
+    prop_assert!(check_bounce_walks_lossless(topo, &snapshot.rules, k, |_, _| false).is_ok());
+    let report = Auditor::new(topo.clone()).audit(snapshot.epoch, &snapshot.rules);
+    prop_assert!(
+        report.is_certified(),
+        "epoch {} failed its audit",
+        snapshot.epoch
+    );
+    Ok(())
+}
+
+/// An epoch whose extras added rules to the closed form, held against
+/// Algorithm 1+2 over the same view's ELP, the reference for such
+/// views: no more priorities, and no more worst-switch TCAM at k ≥ 1.
+/// At k = 0 an extra's hops after a bump need tag-2 entries the closed
+/// form has nowhere to share, where Algorithm 1+2 re-tags existing turns
+/// around them, so it may spend one entry more (EXPERIMENTS.md, "One
+/// stager"; ROADMAP item 21).
+fn check_against_algorithm_1_2(ctrl: &Controller, k: usize) -> Result<(), TestCaseError> {
+    let (topo, snapshot) = (ctrl.topo(), ctrl.committed());
+    let generic = Tagging::from_elp(topo, &ctrl.policy().elp_for(topo, ctrl.state()))
+        .map_err(|e| TestCaseError::Fail(format!("Algorithm 1+2: {e}")))?;
+    prop_assert!(snapshot.lossless_tags <= generic.num_lossless_tags_on(topo));
+    let tcam = TcamProgram::compile(topo, generic.rules(), Compression::Joint);
+    prop_assert!(
+        snapshot.tcam_worst_switch <= tcam.max_entries_per_switch() + usize::from(k == 0),
+        "worst-switch TCAM {} against Algorithm 1+2's {}",
+        snapshot.tcam_worst_switch,
+        tcam.max_entries_per_switch()
+    );
+    Ok(())
 }
 
 /// The four claims about one committed epoch.
@@ -122,7 +215,7 @@ fn check_epoch(ctrl: &Controller, k: usize) -> Result<(), TestCaseError> {
         snapshot.epoch
     );
 
-    prop_assert_eq!(snapshot.lossless_tags, k + 1);
+    check_priorities(ctrl, k)?;
 
     let report = Auditor::new(topo.clone()).audit(snapshot.epoch, &snapshot.rules);
     prop_assert!(
@@ -212,7 +305,7 @@ proptest! {
         shape in (1usize..3, 1usize..3, 1usize..3, 1usize..3),
         k in 0usize..3,
         batches in proptest::collection::vec(
-            proptest::collection::vec((0usize..1024, 0u8..5), 1..3),
+            proptest::collection::vec((0usize..1024, 0u8..7), 1..3),
             1..6,
         ),
     ) {
@@ -225,9 +318,70 @@ proptest! {
                 .map(|op| decode(ctrl.topo(), ctrl.state(), k, op))
                 .collect();
             let outcome = ctrl.handle_batch(&batch).expect("in-range events");
-            prop_assert!(outcome.committed().is_some(), "{:?}", outcome);
+            let Some(report) = outcome.committed() else {
+                return Err(TestCaseError::Fail(format!("{outcome:?}")));
+            };
+            let links_only = batch
+                .iter()
+                .all(|e| matches!(e, CtrlEvent::LinkDown(_) | CtrlEvent::LinkUp(_)));
+            prop_assert!(
+                !links_only || report.delta_ops() == 0,
+                "a link event changed {} rules with {} extra(s) pinned",
+                report.delta_ops(),
+                ctrl.state().extra_paths.len()
+            );
             check_epoch(&ctrl, k)?;
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Extras of 0 to `k + 2` bounces pinned one by one, link events while
+    /// they are pinned, then the extras withdrawn: every epoch passes
+    /// [`check_pinned`], an extra that adds rules spends no more than
+    /// [`check_against_algorithm_1_2`] allows, the link events change no
+    /// table, and the withdrawals restore epoch 0's. ([`check_epoch`] judges extras in
+    /// the other proptest, on fabrics small enough to enumerate the ELP
+    /// of every epoch.)
+    #[test]
+    fn pinned_extras_spend_their_own_bounces_and_link_events_change_nothing(
+        testbed in any::<bool>(),
+        shape in (1usize..3, 1usize..3, 1usize..3, 1usize..3),
+        k in 0usize..3,
+        picks in proptest::collection::vec((0usize..1024, 0usize..5, 0usize..1024), 1..4),
+        links in proptest::collection::vec((0usize..1024, any::<bool>()), 1..5),
+    ) {
+        // Half the cases run on the testbed Clos, which has room for
+        // loop-free paths of two bounces; the random shapes rarely do.
+        let clos = if testbed { ClosConfig::small() } else { small_clos(shape) };
+        let mut ctrl = Controller::new(clos.build(), ElpPolicy::with_bounces(k))
+            .expect("a healthy Clos bootstraps");
+        let healthy = ctrl.committed().rules.clone();
+        let extras: Vec<Path> = picks.iter().map(|&p| extra(ctrl.topo(), k, p)).collect();
+        for path in &extras {
+            let outcome = ctrl.handle_batch(&[CtrlEvent::ElpAdd(path.clone())]).unwrap();
+            prop_assert!(outcome.committed().is_some(), "{:?}", outcome);
+            check_pinned(&ctrl, k)?;
+            if ctrl.committed().rules != healthy {
+                check_against_algorithm_1_2(&ctrl, k)?;
+            }
+        }
+        let trunks = trunks(ctrl.topo());
+        for (pick, down) in links {
+            let link = trunks[pick % trunks.len()];
+            let event = if down { CtrlEvent::LinkDown(link) } else { CtrlEvent::LinkUp(link) };
+            let outcome = ctrl.handle_batch(&[event]).unwrap();
+            let report = outcome.committed().expect("a link event commits");
+            prop_assert_eq!(report.delta_ops(), 0);
+            check_pinned(&ctrl, k)?;
+        }
+        for path in extras {
+            ctrl.handle_batch(&[CtrlEvent::ElpRemove(path)]).unwrap();
+            check_pinned(&ctrl, k)?;
+        }
+        prop_assert_eq!(&ctrl.committed().rules, &healthy);
     }
 }
 

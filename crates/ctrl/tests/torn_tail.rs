@@ -149,7 +149,7 @@ fn check_every_cut(topo: &Topology, live: &Live, finish: Option<(&[CtrlEvent], u
 fn the_chaos_golden_recovers_from_every_cut() {
     let topo = ClosConfig::small().build();
     let events = parse_trace(&topo, include_str!("../../../examples/reroute.trace")).unwrap();
-    let chaos = ChaosConfig::parse("seed=7,fail_rate=0.3,timeout_rate=0.1,partial_rate=0.1");
+    let chaos = ChaosConfig::parse("seed=22,fail_rate=0.3,timeout_rate=0.1,partial_rate=0.1");
     let mut sb = ChaosSouthbound::new(chaos.unwrap());
     let path = tmp("chaos");
     let live = live_run(&topo, &events, &mut sb, 2, &path);

@@ -3,8 +3,8 @@
 //!
 //! The drill is the fleet's pre-deployment gate. Every fabric gets a
 //! distinct seeded event schedule (flap storms, bounded concurrent link
-//! failures, watchdog trips/clears, resyncs, and a pinned detour for the
-//! first half — see [`pin_detour`]) *and* a distinct seeded chaos
+//! failures, watchdog trips/clears, resyncs, and a steady churn of
+//! table-changing events — see [`churn`]) *and* a distinct seeded chaos
 //! schedule on its southbound, the streams are interleaved through the
 //! bounded fair ingest front, and at the end every fabric must be:
 //!
@@ -206,28 +206,44 @@ fn mixed_schedule(topo: &Topology, seed: u64, index: usize, events: usize) -> Ve
     tagger_scenario::schedule::events(&mixes[index % mixes.len()], topo, seed, events)
 }
 
-/// A 2-bounce path on [`ClosConfig::small`] (bounces at T2 and T3),
-/// outside the 1-bounce ELP the closed form carries.
+/// A 2-bounce path on [`ClosConfig::small`] (bounces at T2 and T3):
+/// outside the 1-bounce policy, so pinning it adds rules at three
+/// switches and withdrawing it takes them out.
 const DETOUR: &str = "H1 T1 L2 T2 L1 S1 L3 T3 L4 T4 H13";
 
-/// Pins [`DETOUR`] before the schedule's first event and withdraws it
-/// halfway through, ahead of the healing tail. On a Clos a link event
-/// changes no closed-form table, so without the detour most epochs
-/// install nothing and the southbound's chaos rarely fires. While it is
-/// pinned the fabric stages Algorithm 1+2 and every link event rewrites
-/// tables; the second half runs the closed form, where only the
-/// watchdog trips and clears change tables.
-fn pin_detour(topo: &Topology, mut schedule: Vec<CtrlEvent>) -> Vec<CtrlEvent> {
-    let pin = parse_trace(topo, &format!("elp-add {DETOUR}\nelp-remove {DETOUR}"))
-        .expect("the detour is a path of the small Clos");
-    let [add, remove] = <[CtrlEvent; 2]>::try_from(pin).expect("two trace lines, two events");
-    schedule.insert(schedule.len() / 2, remove);
-    schedule.insert(0, add);
-    schedule
+/// Threads table-changing events through a schedule: after every flap
+/// run, the next step of the cycle "pin [`DETOUR`], quarantine L1's port
+/// 0, withdraw the detour, lift the quarantine". The cycle is finished
+/// before the schedule's last event (its final resync), so the fabric
+/// still ends healed. On a Clos a link event changes no table, so
+/// without these events most epochs install nothing and the
+/// southbound's chaos rarely fires.
+fn churn(topo: &Topology, schedule: Vec<CtrlEvent>) -> Vec<CtrlEvent> {
+    let cycle = parse_trace(
+        topo,
+        &format!("elp-add {DETOUR}\nwatchdog L1 0 2\nelp-remove {DETOUR}\nwatchdog-clear L1 0 2"),
+    )
+    .expect("the churn is valid on the small Clos");
+    let Some((last, body)) = schedule.split_last() else {
+        return schedule;
+    };
+    let mut steps = cycle.iter().cycle();
+    let mut out = Vec::with_capacity(schedule.len() * 2);
+    // Only between flap runs, so that every damping policy still sees
+    // the mix's runs whole.
+    for run in Damping::Flap.split(body) {
+        out.extend_from_slice(&body[run]);
+        out.extend(steps.next().cloned());
+    }
+    while (out.len() - body.len()) % cycle.len() != 0 {
+        out.extend(steps.next().cloned());
+    }
+    out.push(last.clone());
+    out
 }
 
 /// One fabric's mix from the scenario library — the one [`run_soak`]
-/// feeds fabric `mix_index`, before it pins the detour — as
+/// feeds fabric `mix_index`, before [`churn`] — as
 /// `<fabric>: <trace-line>` stream lines: what the network drills send.
 pub fn fabric_lines(
     topo: &Topology,
@@ -278,7 +294,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakOutcome, FleetError> {
             .with_damping(dampings[i % dampings.len()]);
         fleet.register(spec)?;
         let schedule = mixed_schedule(&topo, seed, i, cfg.events_per_fabric);
-        schedules.push((name, pin_detour(&topo, schedule)));
+        schedules.push((name, churn(&topo, schedule)));
     }
 
     // Interleave: each round feeds every fabric a small seeded slice of
@@ -384,27 +400,22 @@ mod tests {
     }
 
     #[test]
-    fn the_detour_is_pinned_first_and_withdrawn_before_the_healing_tail() {
+    fn the_churn_moves_no_event_and_nets_out_before_the_final_resync() {
         let topo = ClosConfig::small().build();
         let plain = soak_schedule(&topo, 7, 40);
-        let pinned = pin_detour(&topo, plain.clone());
-        assert_eq!(pinned.len(), plain.len() + 2);
-        let CtrlEvent::ElpAdd(detour) = &pinned[0] else {
-            panic!("the schedule must open with the pin, not {:?}", pinned[0]);
-        };
-        let removal = pinned
-            .iter()
-            .position(|e| e == &CtrlEvent::ElpRemove(detour.clone()))
-            .expect("the detour is withdrawn");
-        assert!(removal < pinned.len() - 1);
-        assert_eq!(pinned.last(), Some(&CtrlEvent::Resync));
-        let rest: Vec<_> = pinned
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != 0 && i != removal)
-            .map(|(_, e)| e.clone())
-            .collect();
-        assert_eq!(rest, plain, "pinning adds two events and moves none");
+        let churned = churn(&topo, plain.clone());
+        // The mix is a subsequence: the churn adds events and moves none.
+        let mut rest = churned.iter();
+        assert!(plain.iter().all(|e| rest.any(|c| c == e)));
+        let added = churned.len() - plain.len();
+        assert_eq!(added % 4, 0, "every cycle is finished");
+        assert!(added >= 4);
+        let count = |pick: fn(&CtrlEvent) -> bool| churned.iter().filter(|e| pick(e)).count();
+        assert_eq!(
+            count(|e| matches!(e, CtrlEvent::ElpAdd(_))),
+            count(|e| matches!(e, CtrlEvent::ElpRemove(_)))
+        );
+        assert_eq!(churned.last(), Some(&CtrlEvent::Resync));
     }
 
     #[test]
@@ -428,8 +439,7 @@ mod tests {
             outcome.readiness.render()
         );
         assert_eq!(outcome.readiness.fabrics.len(), 3);
-        // The pinned detour makes link epochs install, so the chaos
-        // reaches every fabric.
+        // The churn's epochs install, so the chaos reaches every fabric.
         for fabric in &outcome.readiness.fabrics {
             assert!(fabric.status.faults_injected > 0, "{}", fabric.status.name);
         }

@@ -19,7 +19,7 @@ use tagger_topo::ClosConfig;
 
 const TRACE: &str = include_str!("../../../examples/reroute.trace");
 const GOLDEN: &str = include_str!("../../../results/ctrld_chaos.journal");
-const CHAOS: &str = "seed=7,fail_rate=0.3,timeout_rate=0.1,partial_rate=0.1";
+const CHAOS: &str = "seed=22,fail_rate=0.3,timeout_rate=0.1,partial_rate=0.1";
 const CHECKPOINT_EVERY: u64 = 2;
 
 /// The counters, with the wall-clock stage latencies cleared.

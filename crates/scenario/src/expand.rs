@@ -674,6 +674,23 @@ assert no-deadlock
     }
 
     #[test]
+    fn the_controller_refuses_an_unranked_fabric_at_instantiation() {
+        let text = "scenario flat_ctrl\ntopo jellyfish switches=16 ports=6 seed=7\n\
+                    tagger controller\nassert no-deadlock\n";
+        let s = parse(text).expect("the scenario parses; the fabric is built at expansion");
+        let Err(e) = instantiate(&s, &BTreeMap::new(), &RunOptions::default()) else {
+            panic!("a controller bootstrapped on a fabric without layers");
+        };
+        assert!(e.message.starts_with("controller bootstrap: "), "{e}");
+        assert!(e.message.contains("switch J1 has no layer"), "{e}");
+        // A BCube's switches sit on levels, so it is ranked: the closed
+        // form counts bounces there too, and the controller bootstraps.
+        let text = "scenario bcube_ctrl\ntopo bcube 2 1\ntagger controller\nassert no-deadlock\n";
+        let s = parse(text).unwrap();
+        instantiate(&s, &BTreeMap::new(), &RunOptions::default()).unwrap();
+    }
+
+    #[test]
     fn workload_expansion_is_seed_deterministic() {
         let text = "\
 scenario perm

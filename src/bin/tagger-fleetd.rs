@@ -83,7 +83,7 @@ use std::process::ExitCode;
 
 use tagger::audit::checkpoint;
 use tagger::cli::{controller_topo, get, get_opt, parse_args, read_input, Flags};
-use tagger::ctrl::{parse_trace, ChaosConfig, CtrlEvent, ElpPolicy, EpochOutcome, Stager};
+use tagger::ctrl::{parse_trace, ChaosConfig, CtrlEvent, ElpPolicy, EpochOutcome};
 use tagger::fleet::net::{send_lines, ClientConfig, ServeConfig, Server};
 use tagger::fleet::{Damping, FabricSpec, Fleet, FleetConfig, FleetError};
 use tagger::topo::{ClosConfig, Topology};
@@ -110,25 +110,20 @@ fn batch_label(batch: &[CtrlEvent]) -> String {
     }
 }
 
-/// What a snapshot's rules were certified over: the paths checked one
-/// by one, or for the closed form the walk over its rules.
-fn certified_over(stager: Stager, elp_paths: usize) -> String {
-    match stager {
-        Stager::ClosedForm => "closed form (structural certificate)".to_string(),
-        Stager::Generic => format!("{elp_paths} ELP paths"),
-    }
-}
+/// What every snapshot's rules are certified by: the walk over the
+/// closed form's rules, plus each pinned extra checked hop by hop.
+const CERTIFIED: &str = "closed form (structural certificate)";
 
 fn print_outcome(topo: &Topology, label: &str, outcome: &EpochOutcome, verbose: bool) {
     match outcome {
         EpochOutcome::Committed(report) => {
             println!(
-                "epoch {} <- {}: committed in {:?}; {}, {} lossless \
-                 priorities, worst-switch TCAM {}",
+                "epoch {} <- {}: committed in {:?}; {CERTIFIED}, {} pinned extra(s), \
+                 {} lossless priorities, worst-switch TCAM {}",
                 report.epoch,
                 label,
                 report.recompute,
-                certified_over(report.stager, report.elp_paths),
+                report.elp_paths,
                 report.lossless_tags,
                 report.tcam_worst_switch,
             );
@@ -201,11 +196,10 @@ fn run_replay(trace: Option<String>, flags: &Flags) -> Result<ExitCode, String> 
     let fabric = fleet.fabric(FABRIC).map_err(|e| e.to_string())?;
     let epoch0 = fabric.controller().committed();
     println!(
-        "epoch 0 (bootstrap): {} switches, {} links, {} -> {} rules, \
+        "epoch 0 (bootstrap): {} switches, {} links, {CERTIFIED} -> {} rules, \
          {} lossless priorities, worst-switch TCAM {}",
         topo.num_switches(),
         topo.num_links(),
-        certified_over(epoch0.stager, epoch0.elp_paths),
         epoch0.rules.num_rules(),
         epoch0.lossless_tags,
         epoch0.tcam_worst_switch,

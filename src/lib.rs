@@ -69,6 +69,7 @@ pub mod prelude {
 pub mod cli {
     use std::collections::BTreeMap;
     use std::str::FromStr;
+    use tagger_ctrl::CtrlError;
     use tagger_topo::{TopoSpec, Topology};
 
     /// Flags seen on a command line, keyed by name without the `--`;
@@ -119,18 +120,15 @@ pub mod cli {
         text.parse().map_err(|e| format!("--topo: {e}"))
     }
 
-    /// The fabric `--topo` names, built for a live controller: its ELP
-    /// is up-down with bounces, so a fabric with a switch outside the
-    /// layers is refused before any controller bootstraps on it.
+    /// The fabric `--topo` names, built for a live controller: a fabric
+    /// with a switch outside the layers is refused, with the
+    /// controller's own error, before anything journals on it.
     pub fn controller_topo(flags: &Flags) -> Result<(TopoSpec, Topology), String> {
         let spec = topo_spec(flags)?;
         let topo = spec.build().map_err(|e| format!("--topo: {e}"))?;
         if let Some(sw) = topo.unranked_switch() {
-            return Err(format!(
-                "--topo: `{spec}` cannot run under the controller: its ELP is up-down with \
-                 bounces and switch {} has no layer (plan it with tagger-plan instead)",
-                topo.node(sw).name
-            ));
+            let refusal = CtrlError::UnrankedSwitch(topo.node(sw).name.clone());
+            return Err(format!("--topo: `{spec}` {refusal}"));
         }
         Ok((spec, topo))
     }

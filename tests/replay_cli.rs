@@ -1,12 +1,14 @@
 //! `tagger-fleetd replay` as a process: the chaos replay writes the
 //! committed `results/ctrld_chaos.journal` byte for byte, its exported
-//! checkpoint passes `tagger-audit check`, a 40-switch Clos bootstraps,
-//! and an argument or flag the subcommand does not take is refused.
+//! checkpoint passes `tagger-audit check`, the pinned detour of
+//! `examples/reroute.trace` changes only its own hops, a 40-switch Clos
+//! bootstraps, and an argument or flag the subcommand does not take is
+//! refused.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-const CHAOS: &str = "seed=7,fail_rate=0.3,timeout_rate=0.1,partial_rate=0.1";
+const CHAOS: &str = "seed=22,fail_rate=0.3,timeout_rate=0.1,partial_rate=0.1";
 
 fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin).args(args).output().expect("binary runs")
@@ -71,6 +73,30 @@ fn exported_checkpoint_passes_the_offline_audit() {
         "{report}"
     );
     std::fs::remove_file(&ckpt).ok();
+}
+
+#[test]
+fn the_detour_changes_only_its_own_hops_and_link_events_change_nothing() {
+    let out = fleetd(&["replay", utf8(&repo("examples/reroute.trace"))]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    // Each epoch line, with the deltas line that follows it.
+    let epoch = |label: &str| {
+        let mut lines = stdout.lines();
+        let head = lines
+            .find(|l| l.contains(&format!("<- {label}:")))
+            .unwrap_or_else(|| panic!("no {label} epoch in:\n{stdout}"));
+        format!("{head}\n{}", lines.next().unwrap_or_default())
+    };
+    let add = epoch("elp-add");
+    assert!(
+        add.contains("3 lossless priorities") && add.contains("3 switches touched, +3 -0 rules"),
+        "{add}"
+    );
+    let up = epoch("link-up");
+    assert!(up.contains("0 switches touched"), "{up}");
+    let remove = epoch("elp-remove");
+    assert!(remove.contains("+0 -3 rules"), "{remove}");
 }
 
 #[test]
