@@ -19,6 +19,10 @@ pub struct AuditMetrics {
     pub counterexamples_found: u64,
     /// Total findings of any kind.
     pub findings: u64,
+    /// Audits that re-issued the report of an identical intent the
+    /// auditor had just certified (counted in `epochs_audited` and
+    /// `certificates_issued` too).
+    pub audits_reused: u64,
     /// Wall-clock latency of every audit, µs, in audit order.
     pub audit_us: Samples,
 }
@@ -32,6 +36,7 @@ impl std::ops::AddAssign for AuditMetrics {
         self.certificates_issued += rhs.certificates_issued;
         self.counterexamples_found += rhs.counterexamples_found;
         self.findings += rhs.findings;
+        self.audits_reused += rhs.audits_reused;
         self.audit_us += rhs.audit_us;
     }
 }
@@ -66,6 +71,7 @@ impl AuditMetrics {
             self.counterexamples_found
         );
         let _ = writeln!(out, "  findings            {:>8}", self.findings);
+        let _ = writeln!(out, "  audits reused       {:>8}", self.audits_reused);
         let lat = &self.audit_us;
         if let (Some(last), Some(mean), Some(max)) = (lat.as_slice().last(), lat.mean(), lat.max())
         {
@@ -91,6 +97,7 @@ mod tests {
             certificates_issued: 2,
             counterexamples_found: 1,
             findings: 4,
+            audits_reused: 1,
             ..AuditMetrics::default()
         };
         m.audit_us.push(100);
@@ -98,6 +105,7 @@ mod tests {
         let r = m.report();
         assert!(r.contains("epochs audited"));
         assert!(r.contains("120"));
+        assert!(r.contains("audits reused              1"));
         assert!(r.contains("last 300 / mean 200 / max 300"));
         assert_eq!(m.violations(), 1);
     }
@@ -108,6 +116,7 @@ mod tests {
             epochs_audited: 2,
             certificates_issued: 2,
             rules_decompiled: 40,
+            audits_reused: 1,
             ..AuditMetrics::default()
         };
         a.audit_us.push(10);
@@ -126,6 +135,7 @@ mod tests {
         assert_eq!(total.counterexamples_found, 1);
         assert_eq!(total.findings, 2);
         assert_eq!(total.rules_decompiled, 47);
+        assert_eq!(total.audits_reused, 1);
         assert_eq!(total.audit_us.as_slice(), &[10, 30]);
         assert_eq!(total.audit_us.mean(), Some(20));
         assert_eq!(total.audit_us.max(), Some(30));

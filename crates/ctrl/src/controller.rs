@@ -288,9 +288,10 @@ impl Snapshot {
 /// already certified for that view, in which case it is reused (a batch
 /// with a `Resync` always recomputes). A snapshot is certified for every
 /// failure view with the same extras and quarantines, so a link event
-/// commits empty deltas. *Validate*: the candidate must be a certified
-/// tagged graph (monotone + per-tag acyclic, with every ELP path
-/// lossless) and, if a TCAM budget is set, fit the worst switch within
+/// commits empty deltas: the snapshot is re-stamped in place, neither
+/// copied nor diffed against itself. *Validate*: the candidate must be a
+/// certified tagged graph (monotone + per-tag acyclic, with every ELP
+/// path lossless) and, if a TCAM budget is set, fit the worst switch within
 /// it. Only then does the controller *commit*: the scratch state becomes
 /// current, the snapshot advances one epoch, and the per-switch diffs
 /// against the previous tables are returned for installation. On
@@ -462,7 +463,7 @@ impl Controller {
             // apply, lost-ack timeout), so the switch is "touched" — and
             // rolled back on abort — no matter how the attempt ends.
             touched.push(delta);
-            match self.install_with_retry(southbound, candidate.epoch, delta, policy) {
+            match self.install_with_retry(southbound, report.epoch, delta, policy) {
                 Ok((attempts, backoff)) => {
                     attempts_total += u64::from(attempts);
                     backoff_total += backoff;
@@ -501,7 +502,9 @@ impl Controller {
         report.install_backoff = backoff_total;
         debug_assert_eq!(
             southbound.fleet(),
-            &candidate.rules,
+            candidate
+                .as_ref()
+                .map_or(&self.committed.rules, |c| &c.rules),
             "commit barrier: an acked epoch must leave the fleet on the new tables"
         );
         self.advance(staged_state, candidate, &report);
@@ -568,20 +571,23 @@ impl Controller {
         // `Resync` is the operator's "do not trust the cache": a batch
         // carrying one always recomputes.
         let resync = events.iter().any(|e| matches!(e, CtrlEvent::Resync));
-        let certified = if resync {
-            None
+        // The committed snapshot is certified for every view that differs
+        // from its own only in failures. It is re-verified at the commit
+        // decision as `stage` does, and `advance` re-stamps it in place.
+        let staged = if !resync && self.state.same_view_but_failures(&staged_state) {
+            self.metrics.stages_reused += 1;
+            self.committed
+                .graph
+                .verify()
+                .map(|()| None)
+                .map_err(RuleError::NotDeadlockFree)
         } else {
-            self.certified_for(&staged_state).cloned()
-        };
-        let staged = match certified {
-            Some(snapshot) => {
-                self.metrics.stages_reused += 1;
-                restamp(snapshot, &staged_state, epoch)
-            }
-            None => stage(&self.topo, &self.policy, &staged_state, epoch).map_err(|e| match e {
-                ClosError::Rule(e) => e,
-                ClosError::UnrankedSwitch(_) => unreachable!("refused at bootstrap"),
-            }),
+            stage(&self.topo, &self.policy, &staged_state, epoch)
+                .map(Some)
+                .map_err(|e| match e {
+                    ClosError::Rule(e) => e,
+                    ClosError::UnrankedSwitch(_) => unreachable!("refused at bootstrap"),
+                })
         };
         let dt = t0.elapsed();
         self.metrics.epochs_staged += 1;
@@ -599,14 +605,15 @@ impl Controller {
             }
         };
 
+        let snapshot = candidate.as_ref().unwrap_or(&self.committed);
         if let Some(budget) = self.tcam_budget {
-            if candidate.tcam_worst_switch > budget {
+            if snapshot.tcam_worst_switch > budget {
                 self.metrics.budget_rejections += 1;
                 self.metrics.rollbacks += 1;
                 return Ok(Plan::Reject(EpochOutcome::RolledBack {
                     abandoned_version: staged_state.version,
                     reason: RollbackReason::BudgetExceeded {
-                        worst_switch_entries: candidate.tcam_worst_switch,
+                        worst_switch_entries: snapshot.tcam_worst_switch,
                         budget,
                     },
                 }));
@@ -615,20 +622,23 @@ impl Controller {
 
         // Validation passed. Deltas are diffed against the previously
         // committed tables, so a switch applying them in epoch order
-        // tracks the snapshot exactly.
-        let deltas = self.committed.rules.diff(&candidate.rules);
+        // tracks the snapshot exactly; a re-stamped snapshot has none.
+        let deltas = match &candidate {
+            Some(c) => self.committed.rules.diff(&c.rules),
+            None => Vec::new(),
+        };
         let rules_added = deltas.iter().map(|d| d.add.len()).sum();
         let rules_removed = deltas.iter().map(|d| d.remove.len()).sum();
         let report = CommitReport {
-            epoch: candidate.epoch,
-            version: candidate.version,
+            epoch,
+            version: staged_state.version,
             rules_added,
             rules_removed,
             prev_table_rules: self.committed.rules.num_rules(),
-            new_table_rules: candidate.rules.num_rules(),
-            lossless_tags: candidate.lossless_tags,
-            tcam_worst_switch: candidate.tcam_worst_switch,
-            elp_paths: candidate.elp_paths,
+            new_table_rules: snapshot.rules.num_rules(),
+            lossless_tags: snapshot.lossless_tags,
+            tcam_worst_switch: snapshot.tcam_worst_switch,
+            elp_paths: snapshot.elp_paths,
             recompute: dt,
             install_attempts: 0,
             install_backoff: Duration::ZERO,
@@ -641,21 +651,26 @@ impl Controller {
         })
     }
 
-    /// The committed snapshot, if it is already certified for `view`:
-    /// it covers every view that differs from its own only in failures.
-    fn certified_for(&self, view: &NetworkState) -> Option<&Snapshot> {
-        self.state
-            .same_view_but_failures(view)
-            .then_some(&self.committed)
-    }
-
     /// The commit point: the staged view and its snapshot become current.
-    fn advance(&mut self, staged_state: NetworkState, candidate: Snapshot, report: &CommitReport) {
+    /// No candidate means the committed snapshot, re-stamped with the
+    /// report's epoch and version.
+    fn advance(
+        &mut self,
+        staged_state: NetworkState,
+        candidate: Option<Snapshot>,
+        report: &CommitReport,
+    ) {
         self.metrics.epochs_committed += 1;
         self.metrics.rules_added += report.rules_added as u64;
         self.metrics.rules_removed += report.rules_removed as u64;
         self.state = staged_state;
-        self.committed = candidate;
+        match candidate {
+            Some(snapshot) => self.committed = snapshot,
+            None => {
+                self.committed.epoch = report.epoch;
+                self.committed.version = report.version;
+            }
+        }
     }
 
     /// One switch's install under the retry policy. Returns the attempts
@@ -723,9 +738,11 @@ enum Plan {
     /// Validation rejected the candidate; nothing may move.
     Reject(EpochOutcome),
     /// Validation passed; the caller decides how commit meets install.
+    /// No candidate: the committed snapshot is certified for the staged
+    /// view and is re-stamped, with empty deltas.
     Commit {
         staged_state: NetworkState,
-        candidate: Snapshot,
+        candidate: Option<Snapshot>,
         report: CommitReport,
     },
 }
@@ -776,23 +793,6 @@ fn stage(
         graph,
         rules,
     })
-}
-
-/// The stage step for a view the controller already certified a snapshot
-/// for: that snapshot, stamped with the state's version and the caller's
-/// epoch, its graph re-verified at the commit decision as [`stage`] does.
-fn restamp(
-    mut snapshot: Snapshot,
-    state: &NetworkState,
-    epoch: u64,
-) -> Result<Snapshot, RuleError> {
-    snapshot
-        .graph
-        .verify()
-        .map_err(RuleError::NotDeadlockFree)?;
-    snapshot.epoch = epoch;
-    snapshot.version = state.version;
-    Ok(snapshot)
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@ use rand::{rngs::StdRng, seq::SliceRandom, RngExt, SeedableRng};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use tagger_core::clos::clos_tagging;
+use tagger_core::Span;
 use tagger_routing::Fib;
 use tagger_sim::experiments::{
     mask_hop, testbed_switch_config, unsafe_identity_rules, Experiment, TESTBED_PFC_DELAY_NS,
@@ -40,12 +41,17 @@ impl Default for RunOptions {
 /// file, but the fabric cannot realize it).
 #[derive(Clone, Debug)]
 pub struct ExpandError {
+    /// The directive to blame, or the whole file when no one line is.
+    pub span: Span,
     /// Human-readable cause.
     pub message: String,
 }
 
 impl std::fmt::Display for ExpandError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if !self.span.is_whole_file() {
+            write!(f, "{}: ", self.span)?;
+        }
         f.write_str(&self.message)
     }
 }
@@ -54,6 +60,7 @@ impl std::error::Error for ExpandError {}
 
 fn err(message: impl Into<String>) -> ExpandError {
     ExpandError {
+        span: Span::whole_file(),
         message: message.into(),
     }
 }
@@ -168,6 +175,18 @@ pub fn instantiate(
             (ckpt.topo, None)
         }
     };
+
+    // The controller certifies up-down walks; a BCube's routes relay
+    // through servers, which that certificate says nothing about.
+    if bcube_cfg.is_some() && matches!(s.tagger, TaggerMode::Controller | TaggerMode::Chaos { .. })
+    {
+        return Err(ExpandError {
+            span: s.tagger_span,
+            message: "the controller's up-down certificate does not cover BCube's \
+                      server-relayed routes; tag this fabric with `tagger bounces N`"
+                .into(),
+        });
+    }
 
     // Controller modes stage deltas here; `reconverge` applies them.
     let mut controller = None;
@@ -683,11 +702,21 @@ assert no-deadlock
         };
         assert!(e.message.starts_with("controller bootstrap: "), "{e}");
         assert!(e.message.contains("switch J1 has no layer"), "{e}");
-        // A BCube's switches sit on levels, so it is ranked: the closed
-        // form counts bounces there too, and the controller bootstraps.
-        let text = "scenario bcube_ctrl\ntopo bcube 2 1\ntagger controller\nassert no-deadlock\n";
-        let s = parse(text).unwrap();
-        instantiate(&s, &BTreeMap::new(), &RunOptions::default()).unwrap();
+        assert!(e.span.is_whole_file());
+        // A BCube's switches sit on levels, so the closed form would
+        // bootstrap there; but its routes relay through servers, so both
+        // controller modes are refused at the `tagger` line.
+        for (mode, word) in [("controller", 10), ("chaos 3 0.1", 5)] {
+            let text =
+                format!("scenario bcube_ctrl\ntopo bcube 2 1\ntagger {mode}\nassert no-deadlock\n");
+            let s = parse(&text).unwrap();
+            let Err(e) = instantiate(&s, &BTreeMap::new(), &RunOptions::default()) else {
+                panic!("`tagger {mode}` bootstrapped on a BCube");
+            };
+            assert_eq!(e.span, Span::new(3, 8, word), "{e}");
+            assert!(e.to_string().starts_with("3:8: "), "{e}");
+            assert!(e.message.contains("`tagger bounces N`"), "{e}");
+        }
     }
 
     #[test]

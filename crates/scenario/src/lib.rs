@@ -79,7 +79,7 @@ pub fn run_scenario(text: &str, file: &str, opts: &RunOptions) -> Result<Scenari
                 });
             }
             Err(e) => {
-                result.error = Some(e.message);
+                result.error = Some(e.to_string());
                 break;
             }
         }

@@ -393,6 +393,9 @@ pub struct Scenario {
     pub checkpoint: Option<String>,
     /// Rule-table source.
     pub tagger: TaggerMode,
+    /// Where the `tagger` directive names its mode (the whole file when
+    /// the scenario has none).
+    pub tagger_span: Span,
     /// Seed for workload/failure randomness.
     pub seed: u64,
     /// Horizon in nanoseconds.
@@ -428,6 +431,7 @@ impl Default for Scenario {
             topo: ClosConfig::small().into(),
             checkpoint: None,
             tagger: TaggerMode::Off,
+            tagger_span: Span::whole_file(),
             seed: 1,
             end_ns: 4_000_000,
             old_tag_transition: false,

@@ -331,6 +331,7 @@ pub fn parse_all(text: &str) -> (Scenario, Vec<ScnIssue>) {
                 if dup(&mut ctx, "tagger") {
                     continue;
                 }
+                s.tagger_span = ctx.span(1);
                 match ctx.need(1, "tagger mode") {
                     Some("off") => s.tagger = TaggerMode::Off,
                     Some("bounces") => {

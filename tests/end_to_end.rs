@@ -266,6 +266,81 @@ fn watchdog_safety_net_closes_the_loop() {
     }
 }
 
+/// The auditor re-issues its last certificate only for the very tables
+/// it certified: one rewritten rule, a tampered TCAM program and a table
+/// that failed before each get the full audit.
+#[test]
+fn the_auditor_reuses_a_certificate_only_for_identical_tables() {
+    use tagger::audit::{Auditor, Finding};
+    use tagger::core::tcam::{Compression, Tcam, TcamProgram};
+    use tagger::core::SwitchRule;
+
+    let topo = ClosConfig::small().build();
+    let clean = clos_tagging(&topo, 2).expect("clos").rules().clone();
+    let mut auditor = Auditor::new(topo.clone());
+    assert!(auditor.audit(0, &clean).is_certified());
+    let has = |findings: &[Finding], pred: fn(&Finding) -> bool| findings.iter().any(pred);
+
+    // The clean intent, but L1's TCAM wiped in flight: a program that did
+    // not come from the auditor's own compiler is always decompiled.
+    let l1 = topo.expect_node("L1");
+    let mut program = TcamProgram::compile(&topo, &clean, Compression::Joint);
+    program.install(l1, Tcam::from_entries(Vec::new()));
+    let report = auditor.audit_program(1, &clean, &program);
+    assert!(!report.is_certified());
+    assert!(has(&report.findings, |f| matches!(
+        f,
+        Finding::TcamMismatch { .. }
+    )));
+
+    // One rule rewritten: L1 sends tag 2 from S1 on to S2 as tag 1. It
+    // fails in full every time it is audited.
+    let mut corrupted = clean.clone();
+    corrupted.set(
+        l1,
+        SwitchRule {
+            tag: Tag(2),
+            in_port: topo.port_towards(l1, topo.expect_node("S1")).unwrap(),
+            out_port: topo.port_towards(l1, topo.expect_node("S2")).unwrap(),
+            new_tag: Tag(1),
+        },
+    );
+    for epoch in [2, 3] {
+        let report = auditor.audit(epoch, &corrupted);
+        assert!(!report.is_certified());
+        assert!(has(&report.findings, |f| matches!(
+            f,
+            Finding::TagDecrease { .. }
+        )));
+        assert!(has(&report.findings, |f| matches!(
+            f,
+            Finding::CyclicDependency { .. }
+        )));
+        assert!(report.counterexample.is_some());
+    }
+    assert_eq!(auditor.metrics.audits_reused, 0);
+
+    // The clean tables again: the certificate is re-issued at the new
+    // epoch, the very one a fresh auditor would issue.
+    let reused = auditor.audit(4, &clean).certificate.expect("certified");
+    assert_eq!(auditor.metrics.audits_reused, 1);
+    assert_eq!(auditor.metrics.certificates_issued, 2);
+    assert_eq!(auditor.metrics.epochs_audited, 5);
+    let fresh = Auditor::new(topo.clone())
+        .audit(4, &clean)
+        .certificate
+        .expect("certified");
+    assert_eq!(reused.epoch, 4);
+    let counts = |c: &tagger::audit::AuditCertificate| -> Vec<_> {
+        c.per_tag
+            .iter()
+            .map(|t| (t.tag, t.nodes, t.edges))
+            .collect()
+    };
+    assert_eq!(counts(&reused), counts(&fresh));
+    assert_eq!(reused.id(), fresh.id());
+}
+
 /// Path display and port resolution survive the facade re-exports.
 #[test]
 fn facade_reexports_work() {
