@@ -20,11 +20,14 @@ use crate::{RuleSet, SwitchRule, Tag, TagDecision};
 use std::collections::BTreeMap;
 use tagger_topo::{NodeId, PortId, Topology};
 
+/// Ports a [`PortSet`] holds, `0..MAX_PORTS`: a TCAM entry's bitmap width.
+pub const MAX_PORTS: u16 = 128;
+
 /// A set of ports matched by one TCAM pattern/mask pair.
 ///
 /// Realized in hardware as pattern `0…0`, mask `!bits` over the one-hot
 /// port bitmap; in this model simply a bitset. Supports switches with up
-/// to 128 ports, beyond any current ASIC radix.
+/// to [`MAX_PORTS`] ports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PortSet {
     bits: u128,
@@ -46,15 +49,15 @@ impl PortSet {
     /// Inserts a port.
     ///
     /// # Panics
-    /// Panics for port numbers ≥ 128 (no such ASIC exists).
+    /// Panics for port numbers ≥ [`MAX_PORTS`].
     pub fn insert(&mut self, port: PortId) {
-        assert!(port.0 < 128, "port {port} out of TCAM bitmap range");
+        assert!(port.0 < MAX_PORTS, "port {port} out of TCAM bitmap range");
         self.bits |= 1 << port.0;
     }
 
     /// Membership test — the TCAM match `(onehot(port) & mask) == 0`.
     pub fn contains(&self, port: PortId) -> bool {
-        port.0 < 128 && self.bits & (1 << port.0) != 0
+        port.0 < MAX_PORTS && self.bits & (1 << port.0) != 0
     }
 
     /// Number of ports in the set.
@@ -69,7 +72,7 @@ impl PortSet {
 
     /// Iterates over member ports in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = PortId> + '_ {
-        (0..128u16)
+        (0..MAX_PORTS)
             .filter(|&p| self.contains(PortId(p)))
             .map(PortId)
     }

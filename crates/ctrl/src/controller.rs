@@ -7,8 +7,8 @@ use crate::state::{ElpPolicy, NetworkState};
 use std::fmt;
 use std::time::{Duration, Instant};
 use tagger_core::clos::{check_bounce_walks_lossless, clos_tagging_masked, ClosError};
-use tagger_core::tcam::{Compression, TcamProgram};
-use tagger_core::{Elp, InstallError, RuleDelta, RuleError, RuleSet, TaggedGraph};
+use tagger_core::tcam::{Compression, TcamProgram, MAX_PORTS};
+use tagger_core::{Elp, InstallError, RuleDelta, RuleError, RuleSet};
 use tagger_topo::{LinkId, NodeId, Topology};
 
 /// Hard errors: the event itself is malformed and no epoch was staged.
@@ -24,6 +24,9 @@ pub enum CtrlError {
     /// The named switch has no layer rank, so the fabric has no up/down
     /// structure for the closed form to count bounces on.
     UnrankedSwitch(String),
+    /// The named switch has this many ports, more than a TCAM port
+    /// bitmap matches ([`MAX_PORTS`]), so its tables cannot be compiled.
+    TooManyPorts(String, usize),
     /// The initial (epoch 0) tagging could not be built, so there is no
     /// safe snapshot to fall back to.
     Bootstrap(RuleError),
@@ -52,6 +55,11 @@ impl fmt::Display for CtrlError {
                 f,
                 "cannot run under the controller: its ELP is up-down with bounces and \
                  switch {name} has no layer (plan it with tagger-plan instead)"
+            ),
+            CtrlError::TooManyPorts(name, ports) => write!(
+                f,
+                "cannot compile TCAM tables: switch {name} has {ports} ports, and a TCAM \
+                 port bitmap matches at most {MAX_PORTS}"
             ),
             CtrlError::Bootstrap(e) => write!(f, "cannot build initial tagging: {e}"),
             CtrlError::BootstrapBudget {
@@ -147,8 +155,8 @@ pub struct CommitReport {
     /// one by one ([`Snapshot::elp_paths`]).
     pub elp_paths: usize,
     /// Stage latency for this epoch: the recompute, or — when the
-    /// controller reused a snapshot it had already certified for the same
-    /// view — the lookup and the re-verification of that snapshot.
+    /// committed snapshot already covers the staged view — the check that
+    /// it does.
     pub recompute: Duration,
     /// Southbound install attempts this epoch needed (one per switch
     /// when the network behaves; more under retries). Zero for plan-only
@@ -247,17 +255,22 @@ impl EpochOutcome {
     }
 }
 
-/// A committed configuration: the deadlock-freedom certificate plus the
-/// exact rule tables switches are running.
+/// A committed configuration: the exact rule tables switches are
+/// running, certified by the stage that built them. Nothing else builds
+/// one, and code outside this crate cannot:
+///
+/// ```compile_fail,E0639
+/// let s = tagger_ctrl::Snapshot { epoch: 0, version: 0, rules: Default::default(),
+///     lossless_tags: 0, tcam_worst_switch: 0, elp_paths: 0 };
+/// ```
 #[derive(Clone, Debug)]
+#[non_exhaustive]
 pub struct Snapshot {
     /// Commit counter; 0 is the bootstrap tagging for the healthy
     /// network.
     pub epoch: u64,
     /// The [`NetworkState::version`] this snapshot was computed from.
     pub version: u64,
-    /// The verified tagged graph (Theorem 5.1 certificate).
-    pub graph: TaggedGraph,
     /// The committed per-switch rule tables.
     pub rules: RuleSet,
     /// Lossless priorities consumed.
@@ -270,15 +283,6 @@ pub struct Snapshot {
     pub elp_paths: usize,
 }
 
-impl Snapshot {
-    /// Exports the committed rule tables in the plain-text form
-    /// ([`tagger_core::RuleSet::to_table_text`]) offline verification
-    /// tooling consumes — the payload of an audit checkpoint.
-    pub fn export_tables(&self, topo: &Topology) -> String {
-        self.rules.to_table_text(topo)
-    }
-}
-
 /// The control-plane daemon core: consumes [`CtrlEvent`]s, maintains the
 /// committed [`Snapshot`], and emits [`RuleDelta`]s.
 ///
@@ -289,9 +293,9 @@ impl Snapshot {
 /// with a `Resync` always recomputes). A snapshot is certified for every
 /// failure view with the same extras and quarantines, so a link event
 /// commits empty deltas: the snapshot is re-stamped in place, neither
-/// copied nor diffed against itself. *Validate*: the candidate must be a
-/// certified tagged graph (monotone + per-tag acyclic, with every ELP
-/// path lossless) and, if a TCAM budget is set, fit the worst switch within
+/// copied, diffed nor verified again. *Validate*: a fresh candidate must
+/// be certified (monotone + per-tag acyclic, with every ELP path
+/// lossless) and, if a TCAM budget is set, fit the worst switch within
 /// it. Only then does the controller *commit*: the scratch state becomes
 /// current, the snapshot advances one epoch, and the per-switch diffs
 /// against the previous tables are returned for installation. On
@@ -312,8 +316,8 @@ pub struct Controller {
 
 impl Controller {
     /// Builds a controller for a healthy network and commits epoch 0.
-    /// Refuses a fabric with a switch outside the layers
-    /// ([`CtrlError::UnrankedSwitch`]).
+    /// Refuses a fabric with a switch outside the layers, or wider than a
+    /// TCAM port bitmap, by name ([`CtrlError`]).
     pub fn new(topo: Topology, policy: ElpPolicy) -> Result<Self, CtrlError> {
         Self::with_budget(topo, policy, None)
     }
@@ -343,10 +347,15 @@ impl Controller {
         state: NetworkState,
         epoch: u64,
     ) -> Result<Self, CtrlError> {
-        let snapshot = stage(&topo, &policy, &state, epoch).map_err(|e| match e {
-            ClosError::UnrankedSwitch(sw) => CtrlError::UnrankedSwitch(topo.node(sw).name.clone()),
-            ClosError::Rule(e) => CtrlError::Bootstrap(e),
-        })?;
+        for node in topo.switch_ids().map(|sw| topo.node(sw)) {
+            if node.layer.rank().is_none() {
+                return Err(CtrlError::UnrankedSwitch(node.name.clone()));
+            }
+            if node.num_ports() > usize::from(MAX_PORTS) {
+                return Err(CtrlError::TooManyPorts(node.name.clone(), node.num_ports()));
+            }
+        }
+        let snapshot = stage(&topo, &policy, &state, epoch).map_err(CtrlError::Bootstrap)?;
         if let Some(budget) = tcam_budget {
             if snapshot.tcam_worst_switch > budget {
                 return Err(CtrlError::BootstrapBudget {
@@ -411,11 +420,7 @@ impl Controller {
     pub fn handle_batch(&mut self, events: &[CtrlEvent]) -> Result<EpochOutcome, CtrlError> {
         match self.plan(events)? {
             Plan::Reject(outcome) => Ok(outcome),
-            Plan::Commit {
-                staged_state,
-                candidate,
-                report,
-            } => {
+            Plan::Commit(staged_state, candidate, report) => {
                 self.advance(staged_state, candidate, &report);
                 Ok(EpochOutcome::Committed(report))
             }
@@ -447,11 +452,7 @@ impl Controller {
     ) -> Result<EpochOutcome, CtrlError> {
         let (staged_state, candidate, mut report) = match self.plan(events)? {
             Plan::Reject(outcome) => return Ok(outcome),
-            Plan::Commit {
-                staged_state,
-                candidate,
-                report,
-            } => (staged_state, candidate, report),
+            Plan::Commit(staged_state, candidate, report) => (staged_state, candidate, report),
         };
 
         let mut attempts_total = 0u64;
@@ -572,22 +573,15 @@ impl Controller {
         // carrying one always recomputes.
         let resync = events.iter().any(|e| matches!(e, CtrlEvent::Resync));
         // The committed snapshot is certified for every view that differs
-        // from its own only in failures. It is re-verified at the commit
-        // decision as `stage` does, and `advance` re-stamps it in place.
+        // from its own only in failures: `stage` certified it once, and
+        // `advance` changes only its epoch and version.
         let staged = if !resync && self.state.same_view_but_failures(&staged_state) {
             self.metrics.stages_reused += 1;
-            self.committed
-                .graph
-                .verify()
-                .map(|()| None)
-                .map_err(RuleError::NotDeadlockFree)
+            let rules = &self.committed.rules;
+            debug_assert!(rules.closure_graph(&self.topo, []).verify().is_ok());
+            Ok(None)
         } else {
-            stage(&self.topo, &self.policy, &staged_state, epoch)
-                .map(Some)
-                .map_err(|e| match e {
-                    ClosError::Rule(e) => e,
-                    ClosError::UnrankedSwitch(_) => unreachable!("refused at bootstrap"),
-                })
+            stage(&self.topo, &self.policy, &staged_state, epoch).map(Some)
         };
         let dt = t0.elapsed();
         self.metrics.epochs_staged += 1;
@@ -644,11 +638,7 @@ impl Controller {
             install_backoff: Duration::ZERO,
             deltas,
         };
-        Ok(Plan::Commit {
-            staged_state,
-            candidate,
-            report,
-        })
+        Ok(Plan::Commit(staged_state, candidate, report))
     }
 
     /// The commit point: the staged view and its snapshot become current.
@@ -738,13 +728,10 @@ enum Plan {
     /// Validation rejected the candidate; nothing may move.
     Reject(EpochOutcome),
     /// Validation passed; the caller decides how commit meets install.
-    /// No candidate: the committed snapshot is certified for the staged
-    /// view and is re-stamped, with empty deltas.
-    Commit {
-        staged_state: NetworkState,
-        candidate: Option<Snapshot>,
-        report: CommitReport,
-    },
+    /// The staged view, the candidate and its report. No candidate: the
+    /// committed snapshot covers the staged view and is re-stamped, with
+    /// empty deltas.
+    Commit(NetworkState, Option<Snapshot>, CommitReport),
 }
 
 /// Stage step: the paper's closed form for a state, certified.
@@ -755,9 +742,9 @@ enum Plan {
 /// are certified for the failure-free view, whose ELP holds every failure
 /// view's: the extras hop by hop, and the policy's k-bounce paths by the
 /// structural certificate [`check_bounce_walks_lossless`], which walks
-/// the rules from every host-facing ingress and enumerates no path. The
-/// graph is then re-verified, so the commit decision never depends on a
-/// distant invariant, and the TCAM footprint and priority count measured.
+/// the rules from every host-facing ingress and enumerates no path. Their
+/// graph was verified by `Tagging::new`; the snapshot keeps the priority
+/// count read off it, the TCAM footprint and the rules, not the graph.
 ///
 /// Returns the candidate snapshot. The version stamped into it is the
 /// state's; the epoch is the caller's.
@@ -766,7 +753,7 @@ fn stage(
     policy: &ElpPolicy,
     state: &NetworkState,
     epoch: u64,
-) -> Result<Snapshot, ClosError> {
+) -> Result<Snapshot, RuleError> {
     let masked = |sw, port| state.is_quarantined(sw, port);
     let extras: Vec<_> = state
         .extra_paths
@@ -775,22 +762,22 @@ fn stage(
         .cloned()
         .collect();
     let elp_paths = extras.len();
-    let tagging = clos_tagging_masked(topo, policy.bounces, masked, &extras)?;
-    tagging
-        .check_elp_lossless(topo, &Elp::from_paths(extras))
-        .and_then(|()| check_bounce_walks_lossless(topo, tagging.rules(), policy.bounces, masked))
-        .and_then(|()| tagging.graph().verify().map_err(RuleError::NotDeadlockFree))
-        .map_err(ClosError::Rule)?;
+    let tagging = match clos_tagging_masked(topo, policy.bounces, masked, &extras) {
+        Ok(tagging) => tagging,
+        Err(ClosError::Rule(e)) => return Err(e),
+        Err(ClosError::UnrankedSwitch(_)) => unreachable!("refused by Controller::resume"),
+    };
+    tagging.check_elp_lossless(topo, &Elp::from_paths(extras))?;
+    check_bounce_walks_lossless(topo, tagging.rules(), policy.bounces, masked)?;
     let tcam = TcamProgram::compile(topo, tagging.rules(), Compression::Joint);
     let lossless_tags = tagging.num_lossless_tags_on(topo);
-    let (graph, rules) = tagging.into_parts();
+    let (_, rules) = tagging.into_parts();
     Ok(Snapshot {
         epoch,
         version: state.version,
         lossless_tags,
         tcam_worst_switch: tcam.max_entries_per_switch(),
         elp_paths,
-        graph,
         rules,
     })
 }
@@ -804,6 +791,15 @@ mod tests {
 
     fn small_controller() -> Controller {
         Controller::new(ClosConfig::small().build(), ElpPolicy::with_bounces(1)).unwrap()
+    }
+
+    /// The committed rules' closure graph passes Theorem 5.1.
+    fn certified(ctrl: &Controller) -> bool {
+        let rules = &ctrl.committed().rules;
+        rules
+            .closure_graph(ctrl.topo(), std::iter::empty())
+            .verify()
+            .is_ok()
     }
 
     /// A 2-bounce detour (bounces at T2 and T3) around a failed L1–T1:
@@ -824,7 +820,7 @@ mod tests {
     fn bootstrap_commits_a_verified_epoch_zero() {
         let ctrl = small_controller();
         assert_eq!(ctrl.committed().epoch, 0);
-        assert!(ctrl.committed().graph.verify().is_ok());
+        assert!(certified(&ctrl));
         assert!(ctrl.committed().rules.num_rules() > 0);
         // The §4 construction: 1-bounce ELPs take k + 1 = 2 priorities,
         // where Algorithm 1+2's greedy merge needs 3.
@@ -862,7 +858,7 @@ mod tests {
             .collect();
         assert_eq!(touched, [("L4", 1, 0), ("T3", 1, 0), ("T4", 1, 0)]);
         assert_eq!(report.lossless_tags, 3);
-        assert!(ctrl.committed().graph.verify().is_ok());
+        assert!(certified(&ctrl));
 
         // While it is pinned, a link event still changes no table.
         let events = parse_trace(ctrl.topo(), "up L1 T1\ndown L3 T3").unwrap();
@@ -881,6 +877,21 @@ mod tests {
         assert!(err
             .to_string()
             .contains(&format!("switch {unranked} has no layer")));
+    }
+
+    #[test]
+    fn a_switch_wider_than_the_tcam_bitmap_is_refused_by_name() {
+        let topo = ClosConfig {
+            pods: 1,
+            leaves_per_pod: 129,
+            tors_per_pod: 1,
+            spines: 1,
+            hosts_per_tor: 1,
+        }
+        .build();
+        let err = Controller::new(topo, ElpPolicy::with_bounces(1)).unwrap_err();
+        assert_eq!(err, CtrlError::TooManyPorts("S1".into(), 129));
+        assert!(err.to_string().contains("switch S1 has 129 ports"));
     }
 
     #[test]
@@ -1017,7 +1028,7 @@ mod tests {
         assert_eq!(delta.remove.len(), leaving(&original));
         assert_eq!(leaving(&ctrl.committed().rules), 0);
         assert_eq!(ctrl.state().quarantines.len(), 1);
-        assert!(ctrl.committed().graph.verify().is_ok());
+        assert!(certified(&ctrl));
         assert_eq!(ctrl.metrics().watchdog_trips, 1);
 
         let events = parse_trace(ctrl.topo(), "watchdog-clear L1 0 2").unwrap();
@@ -1087,7 +1098,7 @@ mod tests {
                 &ctrl.committed().rules,
                 "fleet must always run exactly the committed (verified) tables"
             );
-            assert!(ctrl.committed().graph.verify().is_ok());
+            assert!(certified(&ctrl));
         }
         assert!(sb.faults_injected() > 0, "40% chaos must inject faults");
         let m = ctrl.metrics();
@@ -1205,7 +1216,6 @@ mod tests {
         let reused = ctrl.committed();
         assert_eq!((reused.epoch, reused.version), (2, 2));
         assert_eq!(reused.rules, healthy.rules);
-        assert_eq!(reused.graph, healthy.graph);
         let report = outcomes[1].committed().unwrap();
         assert_eq!((report.epoch, report.version), (2, 2));
         assert_eq!(report.elp_paths, healthy.elp_paths);

@@ -691,10 +691,6 @@ mod tests {
         assert_eq!(rec.controller.committed().epoch, live.committed().epoch);
         assert_eq!(rec.controller.state().version, live.state().version);
         assert_eq!(rec.controller.committed().rules, live.committed().rules);
-        assert_eq!(
-            format!("{:?}", rec.controller.committed().graph),
-            format!("{:?}", live.committed().graph),
-        );
         std::fs::remove_file(&path).ok();
     }
 

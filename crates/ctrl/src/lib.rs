@@ -49,11 +49,11 @@
 //!   batch, commit and rollback counts from here.
 //!
 //! The invariant the controller maintains is the one that matters for
-//! PFC safety: **every committed snapshot is a verified tagged graph**
-//! (monotone, per-tag acyclic — Theorem 5.1 of the paper), and replaying
-//! the emitted deltas from epoch 0 reconstructs the committed tables
-//! exactly, so switches that apply deltas in order can never drift from
-//! the certificate.
+//! PFC safety: **every committed snapshot's rules were certified when
+//! staged** (monotone, per-tag acyclic — Theorem 5.1 of the paper), and
+//! replaying the emitted deltas from epoch 0 reconstructs the committed
+//! tables exactly, so switches that apply deltas in order can never
+//! drift from the certificate.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // The controller ingests untrusted artifacts (traces, journals); library

@@ -7,8 +7,7 @@ use tagger_core::Samples;
 
 /// Counters the [`Controller`](crate::Controller) maintains across its
 /// lifetime. All counters are cumulative; latencies cover the *stage*
-/// step (ELP enumeration + tagging recompute + certification), which is
-/// the expensive part of an epoch.
+/// step (the closed form and its certificate, or the reuse check).
 #[derive(Clone, Debug, Default)]
 pub struct ControllerMetrics {
     /// Events accepted (malformed events that return an error do not
@@ -16,10 +15,9 @@ pub struct ControllerMetrics {
     pub events: u64,
     /// Epochs staged: a candidate tagging was computed, or reused.
     pub epochs_staged: u64,
-    /// Staged epochs whose view the controller had already certified a
-    /// snapshot for — the committed one or the one it replaced — and
-    /// which reused that snapshot instead of recomputing (each also
-    /// counts in [`ControllerMetrics::epochs_staged`]).
+    /// Staged epochs whose view the committed snapshot already covered,
+    /// re-stamped instead of recomputed (each also counts in
+    /// [`ControllerMetrics::epochs_staged`]).
     pub stages_reused: u64,
     /// Epochs committed: the candidate passed validation and its deltas
     /// were emitted.

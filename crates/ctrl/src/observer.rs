@@ -48,7 +48,7 @@ mod tests {
                 "snapshot is the committed one"
             );
             self.epochs.push(snapshot.epoch);
-            self.exports.push(snapshot.export_tables(topo));
+            self.exports.push(snapshot.rules.to_table_text(topo));
         }
     }
 

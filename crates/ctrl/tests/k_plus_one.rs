@@ -147,8 +147,11 @@ fn check_pinned(ctrl: &Controller, k: usize) -> Result<(), TestCaseError> {
     let (topo, snapshot) = (ctrl.topo(), ctrl.committed());
     check_priorities(ctrl, k)?;
     let extras = Elp::from_paths(ctrl.state().extra_paths.clone());
-    let tagging = Tagging::new(snapshot.graph.clone(), snapshot.rules.clone())
-        .map_err(|e| TestCaseError::Fail(format!("committed graph: {e}")))?;
+    let tagging = Tagging::new(
+        snapshot.rules.closure_graph(topo, std::iter::empty()),
+        snapshot.rules.clone(),
+    )
+    .map_err(|e| TestCaseError::Fail(format!("committed graph: {e}")))?;
     prop_assert!(tagging.check_elp_lossless(topo, &extras).is_ok());
     prop_assert!(check_bounce_walks_lossless(topo, &snapshot.rules, k, |_, _| false).is_ok());
     let report = Auditor::new(topo.clone()).audit(snapshot.epoch, &snapshot.rules);
@@ -188,8 +191,11 @@ fn check_epoch(ctrl: &Controller, k: usize) -> Result<(), TestCaseError> {
     let state = ctrl.state();
     let snapshot = ctrl.committed();
     let elp = ctrl.policy().elp_for(topo, state);
-    let tagging = Tagging::new(snapshot.graph.clone(), snapshot.rules.clone())
-        .map_err(|e| TestCaseError::Fail(format!("committed graph: {e}")))?;
+    let tagging = Tagging::new(
+        snapshot.rules.closure_graph(topo, std::iter::empty()),
+        snapshot.rules.clone(),
+    )
+    .map_err(|e| TestCaseError::Fail(format!("committed graph: {e}")))?;
     prop_assert!(
         tagging.check_elp_lossless(topo, &elp).is_ok(),
         "epoch {}: the committed rules drop a path of the view's ELP",

@@ -32,6 +32,15 @@ fn fabric_links(topo: &Topology) -> Vec<LinkId> {
         .collect()
 }
 
+/// The committed rules' closure graph passes Theorem 5.1.
+fn certified(ctrl: &Controller) -> bool {
+    let rules = &ctrl.committed().rules;
+    rules
+        .closure_graph(ctrl.topo(), std::iter::empty())
+        .verify()
+        .is_ok()
+}
+
 fn decode(links: &[LinkId], op: (usize, u8)) -> CtrlEvent {
     let link = links[op.0 % links.len()];
     match op.1 % 3 {
@@ -84,7 +93,7 @@ proptest! {
         // Invariant 1, checked at the crash point (drive itself asserts
         // the fleet against the committed tables after every epoch via
         // the commit barrier; the chaos southbound is ground truth):
-        prop_assert!(ctrl.committed().graph.verify().is_ok());
+        prop_assert!(certified(&ctrl));
         prop_assert_eq!(
             sb.fleet(), &ctrl.committed().rules,
             "fleet must equal the committed tables whenever the controller is at rest"
@@ -108,7 +117,7 @@ proptest! {
             &recovered.committed().rules, &pre_rules,
             "journal replay must reproduce the committed tables byte-for-byte"
         );
-        prop_assert!(recovered.committed().graph.verify().is_ok());
+        prop_assert!(certified(&recovered));
 
         // The crash may have left the fleet anywhere (the write-ahead
         // batch was never installed, or was half-installed); reconcile
@@ -124,7 +133,7 @@ proptest! {
             .drive(&mut recovered, &recovery.tail, &mut sb, &install, None, None)
             .expect("tail events stay well-formed");
         prop_assert_eq!(sb.fleet(), &recovered.committed().rules);
-        prop_assert!(recovered.committed().graph.verify().is_ok());
+        prop_assert!(certified(&recovered));
 
         // Invariant 3: the journal now describes the live controller.
         let again = recover(&path, topo.clone(), policy, None).expect("journal must recover");

@@ -39,18 +39,15 @@ use std::process::ExitCode;
 
 use tagger::cli::{get, parse_args, topo_spec};
 use tagger::core::clos::clos_tagging;
-use tagger::core::tcam::{Compression, TcamProgram};
+use tagger::core::tcam::{Compression, TcamProgram, MAX_PORTS};
 use tagger::core::{decide, dscp::DscpCodec, Elp, Tagging, Verdict};
+use tagger::ctrl::CtrlError;
 use tagger::topo::{Family, Topology};
 
 const USAGE: &str = "usage: tagger-plan --topo '<spec>' [--bounces K] [--paths-per-pair N] \
                      [--rules] | tagger-plan table <name> [--large]";
 
 fn report(topo: &Topology, tagging: &Tagging, oracle_line: &str, dump_rules: bool) {
-    tagging
-        .graph()
-        .verify()
-        .expect("deadlock-freedom certificate");
     let priorities = tagging.num_lossless_tags_on(topo);
     let tcam = TcamProgram::compile(topo, tagging.rules(), Compression::Joint);
     println!(
@@ -183,6 +180,12 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let (topo, priorities) = spec
         .build_with_budget()
         .map_err(|e| format!("--topo: {e}"))?;
+    for node in topo.switch_ids().map(|sw| topo.node(sw)) {
+        if node.num_ports() > usize::from(MAX_PORTS) {
+            let refusal = CtrlError::TooManyPorts(node.name.clone(), node.num_ports());
+            return Err(format!("--topo: `{spec}` {refusal}"));
+        }
+    }
     let budget = priorities.map(usize::from);
     let dump_rules = flags.contains_key("rules");
     let layered = topo.unranked_switch().is_none();

@@ -69,6 +69,7 @@ pub mod prelude {
 pub mod cli {
     use std::collections::BTreeMap;
     use std::str::FromStr;
+    use tagger_core::tcam::MAX_PORTS;
     use tagger_ctrl::CtrlError;
     use tagger_topo::{TopoSpec, Topology};
 
@@ -120,14 +121,21 @@ pub mod cli {
         text.parse().map_err(|e| format!("--topo: {e}"))
     }
 
-    /// The fabric `--topo` names, built for a live controller: a fabric
-    /// with a switch outside the layers is refused, with the
-    /// controller's own error, before anything journals on it.
+    /// The fabric `--topo` names, built for a live controller: the first
+    /// switch outside the layers, or with more ports than a TCAM port
+    /// bitmap matches, is refused with the controller's own error before
+    /// anything journals on it.
     pub fn controller_topo(flags: &Flags) -> Result<(TopoSpec, Topology), String> {
         let spec = topo_spec(flags)?;
         let topo = spec.build().map_err(|e| format!("--topo: {e}"))?;
-        if let Some(sw) = topo.unranked_switch() {
-            let refusal = CtrlError::UnrankedSwitch(topo.node(sw).name.clone());
+        for node in topo.switch_ids().map(|sw| topo.node(sw)) {
+            let refusal = if node.layer.rank().is_none() {
+                CtrlError::UnrankedSwitch(node.name.clone())
+            } else if node.num_ports() > usize::from(MAX_PORTS) {
+                CtrlError::TooManyPorts(node.name.clone(), node.num_ports())
+            } else {
+                continue;
+            };
             return Err(format!("--topo: `{spec}` {refusal}"));
         }
         Ok((spec, topo))

@@ -1,8 +1,8 @@
 //! The fabric spec at the process boundary: a dimension no builder
 //! takes is refused with a spanned message wherever a spec is read —
 //! a checkpoint header, a scenario's checkpoint, `--topo` — instead of
-//! panicking; a fabric the controller cannot run is refused before a
-//! controller bootstraps on it; and a Jellyfish table goes through the
+//! panicking; a fabric the controller cannot run, or whose TCAM tables
+//! cannot be compiled, is refused before anything bootstraps on it; and a Jellyfish table goes through the
 //! checkpoint, the auditor, the linter and the simulator end to end.
 
 use std::collections::BTreeMap;
@@ -145,6 +145,50 @@ fn the_controller_refuses_a_fabric_with_an_unranked_switch() {
     let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/fig1_cycle.ckpt");
     let (_, stderr) = assert_refused(&audit(&["check", utf8(&fixture), "--topo", spec]));
     assert!(stderr.contains("--topo applies to --journal"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_fabric_wider_than_the_tcam_bitmap_is_refused_by_name() {
+    let dir = scratch("wide");
+    let journal = dir.join("j.journal");
+    // `clos hosts 512` gives each ToR 128 hosts and 2 leaves; the second
+    // fabric's one spine faces 129 leaves.
+    for (spec, named) in [
+        ("clos hosts 512", "switch T1 has 130 ports"),
+        (
+            "clos pods=1 leaves_per_pod=129 tors_per_pod=1 spines=1 hosts_per_tor=1",
+            "switch S1 has 129 ports",
+        ),
+    ] {
+        let replay = run(
+            env!("CARGO_BIN_EXE_tagger-fleetd"),
+            &[
+                "replay",
+                "/dev/null",
+                "--topo",
+                spec,
+                "--journal",
+                utf8(&journal),
+            ],
+        );
+        let plan = run(env!("CARGO_BIN_EXE_tagger-plan"), &["--topo", spec]);
+        let check = audit(&["check", "--journal", utf8(&journal), "--topo", spec]);
+        // `tagger-fleetd` exits 2 on every refused flag.
+        for (out, code) in [(replay, 2), (plan, 1), (check, 1)] {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(code), "{spec}: {stderr}");
+            assert!(out.stdout.is_empty(), "{spec}: ran anyway");
+            assert!(!stderr.contains("panicked"), "{stderr}");
+            assert!(
+                stderr.contains(&format!(
+                    "--topo: `{spec}` cannot compile TCAM tables: {named}"
+                )) && stderr.contains("matches at most 128"),
+                "{stderr}"
+            );
+        }
+        assert!(!journal.exists(), "{spec}: journaled before the refusal");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
